@@ -30,9 +30,7 @@ Every subcommand shares one option surface (a common argparse parent):
   by the fully deterministic commands so scripts can pass it uniformly.
 
 And one exit-code convention: **0** clean, **1** a violation, failing
-campaign, or guarded regression, **2** usage error.  Pre-unification
-spellings (``--json`` on the analysis commands, ``chaos --json FILE``)
-remain as hidden aliases.
+campaign, or guarded regression, **2** usage error.
 
 ``analyze`` runs the asblint static pass and exits 1 if any finding
 survives the pragma filter; ``--topology`` links each finding to the
@@ -190,10 +188,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as err:
             print(f"repro analyze: --topology: {err}", file=sys.stderr)
             return 2
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         _emit(asblint.render_json(reports), args.out)
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         from repro.analysis import sarif
 
         _emit(sarif.render(sarif.asblint_sarif(reports)), args.out)
@@ -273,10 +270,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2), args.out)
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         from repro.analysis import sarif
 
         _emit(sarif.render(sarif.check_sarif(report)), args.out)
@@ -369,10 +365,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if args.out and not report.ok:
         out_paths = S.write_counterexample(report, scenario, args.out)
 
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         from repro.analysis import sarif
 
         print(sarif.render(sarif.sched_sarif(report)))
@@ -711,9 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("paths", nargs="*", help="files or directories to analyze")
     analyze.add_argument(
-        "--json", action="store_true", help=argparse.SUPPRESS
-    )  # legacy alias for --format json
-    analyze.add_argument(
         "--topology",
         metavar="FILE",
         help="asbcheck topology document; findings cite the edges they feed",
@@ -749,9 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy JSON (list or {\"policies\": [...]}); default: the "
         "topology's embedded battery",
     )
-    check.add_argument(
-        "--json", action="store_true", help=argparse.SUPPRESS
-    )  # legacy alias for --format json
     check.add_argument(
         "--exact",
         action="store_true",
@@ -852,9 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="re-execute one schedule/v1 file instead of exploring",
     )
-    explore.add_argument(
-        "--json", action="store_true", help=argparse.SUPPRESS
-    )  # legacy alias for --format json
     explore.set_defaults(exhaustive=False, shrink=True)
 
     run = sub.add_parser(
@@ -939,9 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="runs per seed for the determinism audit (default: 2; 1 skips it)",
     )
-    chaos.add_argument(
-        "--json", dest="out", metavar="FILE", help=argparse.SUPPRESS
-    )  # legacy alias for --out FILE
 
     crashcheck = sub.add_parser(
         "crashcheck",

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.core import labelops
 from repro.core.handles import Handle
 from repro.core.labels import (
     DEFAULT_CONTAMINATION,
@@ -47,7 +48,7 @@ from repro.core.labels import (
     DEFAULT_VERIFY,
     Label,
 )
-from repro.core.levels import L0, L3, STAR, Level, level_name, parse_level
+from repro.core.levels import L0, L3, Level, level_name, parse_level
 
 __all__ = [  # parse_level re-exported: it lived here before moving to core.levels
     "EdgeSpec",
@@ -432,8 +433,6 @@ class LabelStore:
             self.memo_hits += 1
             return got
         self.memo_misses += 1
-        from repro.core import labelops
-
         result = labelops.raise_receive(self._chunked[a], self._chunked[b], self.stats)
         ident = self.intern(result.to_label())
         self._lub[key] = ident
@@ -447,8 +446,6 @@ class LabelStore:
             self.memo_hits += 1
             return got
         self.memo_misses += 1
-        from repro.core import labelops
-
         result = labelops.apply_send_effects(
             self._chunked[qs], self._chunked[es], self._chunked[ds], self.stats
         )
@@ -476,8 +473,6 @@ class LabelStore:
             self.memo_hits += 1
             return got
         self.memo_misses += 1
-        from repro.core import labelops
-
         result = labelops.check_send(
             self._chunked[es],
             self._chunked[qr],
@@ -498,21 +493,8 @@ class LabelStore:
             self.memo_hits += 1
             return got
         self.memo_misses += 1
-        cps, cds, cdr = self._chunked[ps], self._chunked[ds], self._chunked[dr]
-        ok = True
-        if cds.default < L3 and cps.max_level != STAR:
-            ok = False
-        if ok:
-            for handle, level in cds.iter_entries():
-                if level < L3 and cps(handle) != STAR:
-                    ok = False
-                    break
-        if ok and cdr.default > STAR and cps.max_level != STAR:
-            ok = False
-        if ok:
-            for handle, level in cdr.iter_entries():
-                if level > STAR and cps(handle) != STAR:
-                    ok = False
-                    break
+        ok = labelops.decontamination_privileged(
+            self._chunked[ps], self._chunked[ds], self._chunked[dr], self.stats
+        )
         self._privilege[key] = ok
         return ok

@@ -2,7 +2,7 @@
 
 asbcheck proves its violations against the *model* (``repro.analysis.
 check``); this module closes the loop by re-executing the offending
-message sequence through ``Kernel._sys_send`` / ``Kernel._deliver`` —
+message sequence through ``Kernel._sys_send`` / ``Kernel._try_deliver`` —
 the very code the model claims to mirror — and comparing outcome and
 labels hop by hop.  A trace that replays identically is evidence the
 model's Figure 4 is the kernel's Figure 4; a mismatch is a bug in one

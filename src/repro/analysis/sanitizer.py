@@ -3,10 +3,10 @@
 The kernel's hot paths (:mod:`repro.core.labelops`) are fused,
 sparsity-aware implementations of the Figure 4 operations; the naive
 :class:`~repro.core.labels.Label` operators are the executable
-specification.  With the sanitizer enabled (``Kernel(sanitize=True)``,
-``python -m repro run --sanitize``, or the ``REPRO_SANITIZE=1``
-environment variable) every IPC is re-evaluated through the naive
-operators and the two answers are compared:
+specification.  With the sanitizer enabled
+(``KernelConfig(sanitize=True)``, ``python -m repro run --sanitize``, or
+the ``REPRO_SANITIZE=1`` environment variable) every IPC is re-evaluated
+through the naive operators and the two answers are compared:
 
 - the delivery verdict of ``check_send`` must equal
   ``ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR`` (and requirement (4) ``DR ⊑ pR``)
@@ -22,6 +22,11 @@ Disagreements are recorded as structured :class:`Violation` records
 in strict mode (the default), raised as :class:`SanitizerViolation` —
 any violation means a label-engine bug, never a program bug, so failing
 loudly is the point.
+
+The hooks below take labels, not kernel objects: they are driven by the
+:class:`repro.kernel.engine.SanitizingEngine` decorator at the label-engine
+seam, which owns the sampling period, the forced first-use replay of
+verified-flow stubs and the fail-closed quarantine.
 """
 
 from __future__ import annotations
@@ -35,9 +40,6 @@ from repro.kernel.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-    from repro.kernel.message import QueuedMessage
-    from repro.kernel.ports import Port
-    from repro.kernel.process import Task
 
 
 class SanitizerViolation(SimulationError):
@@ -133,15 +135,20 @@ class LabelSanitizer:
     # -- delivery hooks ------------------------------------------------------------
 
     def before_deliver(
-        self, task: "Task", entry: "Port", qmsg: "QueuedMessage"
+        self,
+        es: ChunkedLabel,
+        ds: ChunkedLabel,
+        v: ChunkedLabel,
+        dr: ChunkedLabel,
+        pl: ChunkedLabel,
+        qs: ChunkedLabel,
+        qr: ChunkedLabel,
     ) -> DeliverySnapshot:
-        qs = task.send_label.to_label()
-        qr = task.receive_label.to_label()
-        es = qmsg.effective_send.to_label()
-        ds = qmsg.decontaminate_send.to_label()
-        v = qmsg.verify.to_label()
-        dr = qmsg.decontaminate_receive.to_label()
-        pr = entry.label.to_label()
+        """The naive prediction for one delivery.  Labels are immutable, so
+        "before" is a property of the arguments, not of when this runs."""
+        qs, qr = qs.to_label(), qr.to_label()
+        es, ds, v = es.to_label(), ds.to_label(), v.to_label()
+        dr, pr = dr.to_label(), pl.to_label()
         # Figure 4 requirements (4) and (1) on plain labels.
         req4 = dr <= pr
         req1 = es <= ((qr | dr) & v & pr)
@@ -159,16 +166,17 @@ class LabelSanitizer:
 
     def after_deliver(
         self,
-        task: "Task",
-        entry: "Port",
-        qmsg: "QueuedMessage",
+        sender: str,
+        receiver: str,
+        port: int,
         delivered: bool,
+        new_qs: Optional[ChunkedLabel],
+        new_qr: Optional[ChunkedLabel],
         snapshot: DeliverySnapshot,
     ) -> None:
+        """Compare the engine's verdict and post-effect labels (``None``
+        for a drop) against *snapshot*."""
         self.checked_deliveries += 1
-        sender = qmsg.sender_name
-        receiver = task.name
-        port = entry.handle
         if delivered != snapshot.expected_delivered:
             self._record(
                 CHECK_MISMATCH,
@@ -182,8 +190,8 @@ class LabelSanitizer:
             return
         if not delivered:
             return
-        qs_after = task.send_label.to_label()
-        qr_after = task.receive_label.to_label()
+        qs_after = new_qs.to_label()
+        qr_after = new_qr.to_label()
         if snapshot.expected_qs is not None and qs_after != snapshot.expected_qs:
             self._record(
                 SEND_EFFECT_MISMATCH,

@@ -587,7 +587,11 @@ class LabelOpCache:
     with the caller's :class:`~repro.core.chunks.OpStats`, so executed
     work stays visible to the cycle model and the metrics — the
     reconciliation invariant is ``hits + misses == lookups`` and
-    "operations recorded by OpStats through this cache == misses".
+    "operations recorded by OpStats through this cache == misses".  A
+    miss also writes the operand tuple it actually ran on (⋆-stripped
+    wherever a factoring applied) into the caller's *work* record
+    (:class:`repro.kernel.engine.Work`), because the paper cost model
+    bills the executed operation, not the full operands.
     """
 
     def __init__(
@@ -603,11 +607,11 @@ class LabelOpCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: The operand tuple the last miss actually ran :mod:`labelops`
-        #: on (⋆-stripped wherever a factoring applied).  The kernel's
-        #: paper cost model bills misses from these — the executed
-        #: operation — rather than the full operands.
-        self.last_executed: Optional[Tuple[ChunkedLabel, ...]] = None
+        #: Strong reference to the operands of the newest entry.  The intern
+        #: table is weak: operands that were temporaries would otherwise be
+        #: collected and re-interned under new ids before the very next
+        #: probe of the same values — a guaranteed re-miss.
+        self._pin: Optional[Tuple[ChunkedLabel, ...]] = None
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -637,8 +641,9 @@ class LabelOpCache:
             self.misses += 1
         return got
 
-    def _store(self, key: Tuple[Any, ...], value: Any) -> None:
+    def _store(self, key: Tuple[Any, ...], value: Any, ops: Tuple[Any, ...]) -> None:
         self._memo[key] = value
+        self._pin = ops
         if len(self._memo) > self.size:
             self._memo.popitem(last=False)
             self.evictions += 1
@@ -658,6 +663,7 @@ class LabelOpCache:
         v: ChunkedLabel,
         pr: ChunkedLabel,
         stats: Optional[OpStats] = None,
+        work: Any = None,
     ) -> Tuple[bool, bool]:
         """Memoized ``ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR`` verdict."""
         plan = check_plan(self.table, es, qr, dr, v, pr)
@@ -665,8 +671,9 @@ class LabelOpCache:
         if got is not _MISSING:
             return got, True
         verdict = labelops.check_send(*plan.exec_ops, stats)
-        self._store(plan.key, verdict)
-        self.last_executed = plan.exec_ops
+        self._store(plan.key, verdict, plan.exec_ops)
+        if work is not None:
+            work.check = plan.exec_ops
         return verdict, False
 
     def apply_send_effects(
@@ -675,6 +682,7 @@ class LabelOpCache:
         es: ChunkedLabel,
         ds: ChunkedLabel,
         stats: Optional[OpStats] = None,
+        work: Any = None,
     ) -> Tuple[ChunkedLabel, bool]:
         """Memoized ``QS ← (QS ⊓ DS) ⊔ (ES ⊓ QS*)`` result (canonical)."""
         plan = effects_plan(self.table, qs, es, ds)
@@ -685,8 +693,9 @@ class LabelOpCache:
             core_result = self.table.intern(
                 labelops.apply_send_effects(*plan.exec_ops, stats)
             )
-            self._store(plan.key, core_result)
-            self.last_executed = plan.exec_ops
+            self._store(plan.key, core_result, plan.exec_ops)
+            if work is not None:
+                work.effects = plan.exec_ops
             hit = False
         return apply_effects_tail(self.table, plan, core_result), hit
 
@@ -695,6 +704,7 @@ class LabelOpCache:
         qr: ChunkedLabel,
         dr: ChunkedLabel,
         stats: Optional[OpStats] = None,
+        work: Any = None,
     ) -> Tuple[ChunkedLabel, bool]:
         """Memoized ``QR ⊔ DR`` result (canonical interned label).
 
@@ -709,7 +719,8 @@ class LabelOpCache:
             core_result = self.table.intern(
                 labelops.raise_receive(*plan.exec_ops, stats)
             )
-            self._store(plan.key, core_result)
-            self.last_executed = plan.exec_ops
+            self._store(plan.key, core_result, plan.exec_ops)
+            if work is not None:
+                work.raised = plan.exec_ops
             hit = False
         return apply_raise_tail(self.table, plan, core_result), hit

@@ -138,6 +138,38 @@ def check_send(
     return True
 
 
+# -- requirements (2) and (3): the send-time privilege check ---------------------------
+
+
+def decontamination_privileged(
+    ps: ChunkedLabel,
+    ds: ChunkedLabel,
+    dr: ChunkedLabel,
+    stats: Optional[OpStats] = None,
+) -> bool:
+    """Requirements (2) and (3): ``DS(h) < 3 ⇒ PS(h) = ⋆`` and
+    ``DR(h) > ⋆ ⇒ PS(h) = ⋆`` — decontaminating a receiver takes the
+    sender's ``*`` for every handle it lowers or raises.  Fired by both
+    the kernel's send path and the model checker's ``LabelStore``; DS and
+    DR are almost always the ``{3}`` / ``{⋆}`` defaults (two comparisons,
+    two empty walks)."""
+    if ds.default < L3 and ps.max_level != STAR:
+        return False
+    for handle, level in ds.iter_entries():
+        if stats is not None:
+            stats.entries_scanned += 1
+        if level < L3 and ps(handle) != STAR:
+            return False
+    if dr.default > STAR and ps.max_level != STAR:
+        return False
+    for handle, level in dr.iter_entries():
+        if stats is not None:
+            stats.entries_scanned += 1
+        if level > STAR and ps(handle) != STAR:
+            return False
+    return True
+
+
 # -- contamination / decontamination effects ------------------------------------------
 
 
@@ -409,8 +441,8 @@ def check_send_reference(
 # algorithms would do; the functions below compute those entry counts from
 # operand sizes in O(1).  The fused ops still execute (the semantics are
 # identical and the Python simulation stays fast); only the *bill* models
-# the 2005 implementation.  ``Kernel(label_cost_mode="fused")`` bills the
-# fused counts instead — the ablation measured by bench_label_ops.
+# the 2005 implementation.  ``KernelConfig(label_cost_mode="fused")`` bills
+# the fused counts instead — the ablation measured by bench_label_ops.
 
 
 class _Approx:

@@ -87,16 +87,20 @@ class CostModel:
                                        # (DESIGN.md §15); replaces
                                        # recv_base on stub-hit deliveries
 
-    def label_work(self, stats: OpStats) -> int:
-        """Convert an OpStats record into cycles."""
+    def label_structure(self, stats: OpStats) -> int:
+        """Cycles for everything an OpStats records except entry scans:
+        op dispatch, chunk skips, label/chunk allocation, chunk sharing."""
         return (
             self.label_op_base * stats.operations
-            + self.label_entry * stats.entries_scanned
             + self.chunk_skip * stats.chunks_skipped
             + self.label_alloc * stats.labels_allocated
             + self.chunk_alloc * stats.chunks_allocated
             + self.chunk_share * stats.chunks_shared
         )
+
+    def label_work(self, stats: OpStats) -> int:
+        """Convert an OpStats record into cycles (fused entry counts)."""
+        return self.label_structure(stats) + self.label_entry * stats.entries_scanned
 
 
 @dataclass
@@ -112,9 +116,6 @@ class CycleClock:
             raise ValueError(f"negative cycle charge: {cycles}")
         self.by_category[category] = self.by_category.get(category, 0) + cycles
         self.now += cycles
-
-    def charge_label_work(self, stats: OpStats) -> None:
-        self.charge(KERNEL_IPC, self.cost.label_work(stats))
 
     def snapshot(self) -> Dict[str, int]:
         """A copy of the per-category totals (for measuring intervals)."""

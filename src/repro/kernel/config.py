@@ -1,15 +1,10 @@
 """Kernel configuration — the single place run-mode options live.
 
-Historically every option was its own ``Kernel(...)`` keyword with its own
-environment-variable fallback scattered through the constructor.
-:class:`KernelConfig` replaces that surface: a frozen dataclass that is
-validated once, read everywhere, and constructed either explicitly
+:class:`KernelConfig` is a frozen dataclass that is validated once, read
+everywhere, and constructed either explicitly
 (``Kernel(config=KernelConfig(metrics=True))``) or from the environment
 (:meth:`KernelConfig.from_env`, which is what a bare ``Kernel()`` does).
-
-The legacy keywords still work — ``Kernel(trace=True, sanitize=True)``
-builds the equivalent config and emits a :class:`DeprecationWarning` — so
-existing call sites keep running while the tree migrates.
+It is the only way to configure a kernel.
 
 Environment variables (all optional; explicit arguments win):
 
@@ -175,8 +170,8 @@ class KernelConfig:
 
         Precedence: explicit ``overrides`` > environment variables >
         dataclass defaults.  ``overrides`` whose value is ``None`` are
-        treated as "unset" for the tri-state options (matching the legacy
-        ``Kernel(sanitize=None)`` convention of "consult the environment").
+        treated as "unset" for the tri-state options: ``sanitize=None``
+        means "consult the environment", not "off".
         """
         env = os.environ if env is None else env
         values: Dict[str, Any] = {}

@@ -52,10 +52,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 from repro.analysis.proofs import LoadedProofs, SendStub, load_proofs
 from repro.core.chunks import ChunkedLabel
 from repro.core.interning import (
-    CheckPlan,
-    EffectsPlan,
     InternTable,
-    RaisePlan,
     apply_effects_tail,
     apply_raise_tail,
     check_plan,
@@ -78,12 +75,8 @@ class DeliverHit(NamedTuple):
     key: Tuple[Any, ...]
     new_qs: ChunkedLabel
     new_qr: ChunkedLabel
-    #: Plans for the sanitizer / conformance replay (live operands).
-    cplan: CheckPlan
-    eplan: EffectsPlan
-    rplan: RaisePlan
-    #: True the first time this stub key is used — the kernel must run
-    #: the sanitized replay on it regardless of the sampling period.
+    #: True the first time this stub key is used — the sanitizing engine
+    #: must replay it regardless of the sampling period.
     first_use: bool
     #: True when this hit reused the previous probe's plans (batching).
     batched: bool
@@ -147,13 +140,19 @@ class VerifiedFlowTable:
         qs: ChunkedLabel,
         ds: ChunkedLabel,
     ) -> Optional[DeliverHit]:
-        """Probe for a deliver stub on the live (interned) operands.
+        """Probe for a deliver stub on the live operands.
 
         Returns ``None`` on a miss — the caller falls back to the full
-        interned path.  All operands must already be interned.
+        interned path.  The operands are interned here (one attribute
+        test each in the steady state: every kernel-resident label is
+        canonicalised where it is created), because the batch signature
+        and the stub keys are intern-id tuples.
         """
         if not self.valid:
             return None
+        intern = self.table.intern
+        es, pl, qr, v = intern(es), intern(pl), intern(qr), intern(v)
+        dr, qs, ds = intern(dr), intern(qs), intern(ds)
         sig = (
             port_handle,
             es.intern_id,
@@ -203,9 +202,6 @@ class VerifiedFlowTable:
                     key=key,
                     new_qs=apply_effects_tail(self.table, eplan, stub.new_qs_core),
                     new_qr=apply_raise_tail(self.table, rplan, stub.new_qr_core),
-                    cplan=cplan,
-                    eplan=eplan,
-                    rplan=rplan,
                     first_use=key not in self._seen_keys,
                     batched=False,
                 )

@@ -28,7 +28,6 @@ deliverability earlier, since labels change in the meantime (Section 4).
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import (
     Any,
     Callable,
@@ -37,11 +36,7 @@ from typing import (
     List,
     Optional,
     Tuple,
-    TYPE_CHECKING,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kernel.elide import DeliverHit
 
 from repro.core import labelops
 from repro.core.chunks import ChunkedLabel, OpStats, shared_memory_bytes
@@ -50,10 +45,18 @@ from repro.core.labels import (
     DEFAULT_PORT_LABEL,
     Label,
 )
-from repro.core.levels import L0, L3, STAR
+from repro.core.levels import L0, STAR
 from repro.kernel import syscalls as sc
 from repro.kernel.clock import CycleClock, KERNEL_IPC, OTHER
 from repro.kernel.config import KernelConfig
+from repro.kernel.engine import (
+    LOCAL,
+    ElidedEngine,
+    Figure4Engine,
+    SanitizingEngine,
+    Work,
+    bill,
+)
 from repro.kernel.errors import (
     DROP_DEAD_PORT,
     DROP_DECONT_PRIVILEGE,
@@ -107,11 +110,6 @@ def _payload_bytes(payload: Any) -> int:
     return 64
 
 
-#: Sentinel distinguishing "keyword not passed" from any real value, so
-#: the deprecation shim only fires for arguments the caller actually used.
-_UNSET: Any = object()
-
-
 class Kernel:
     """The simulated machine: CPU clock, RAM, handle space, tasks, ports.
 
@@ -122,58 +120,13 @@ class Kernel:
     A bare ``Kernel()`` resolves its config from the environment
     (``KernelConfig.from_env()``), which is how whole test suites are
     swept under the sanitizer or metrics without touching call sites.
-    The pre-config keywords (``trace=...``, ``sanitize=...``, ...) still
-    work but emit a :class:`DeprecationWarning`.
     """
 
-    def __init__(
-        self,
-        ram_bytes: Optional[int] = _UNSET,
-        boot_key: bytes = _UNSET,
-        trace: bool = _UNSET,
-        label_cost_mode: str = _UNSET,
-        sanitize: Optional[bool] = _UNSET,
-        sanitize_strict: Optional[bool] = _UNSET,
-        *,
-        config: Optional[KernelConfig] = None,
-    ):
-        legacy = {
-            key: value
-            for key, value in (
-                ("ram_bytes", ram_bytes),
-                ("boot_key", boot_key),
-                ("trace", trace),
-                ("label_cost_mode", label_cost_mode),
-                ("sanitize", sanitize),
-                ("sanitize_strict", sanitize_strict),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "pass options through config=KernelConfig(...), not "
-                    f"alongside it (got legacy keywords {sorted(legacy)})"
-                )
-            warnings.warn(
-                f"Kernel({', '.join(sorted(legacy))}=...) keywords are "
-                "deprecated; use Kernel(config=KernelConfig(...)) or "
-                "KernelConfig.from_env()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # from_env preserves the legacy semantics exactly: an explicit
-            # sanitize=None keeps deferring to REPRO_SANITIZE.
-            config = KernelConfig.from_env(**legacy)
-        elif config is None:
+    def __init__(self, *, config: Optional[KernelConfig] = None):
+        if config is None:
             config = KernelConfig.from_env()
         self.config = config
 
-        #: "paper" bills label work as the 2005 implementation would pay it
-        #: (linear scans with only the min/max short-circuits — reproduces
-        #: Figure 9); "fused" bills the sparsity-aware operations actually
-        #: executed (the future-work optimisation; see bench_label_ops).
-        self.label_cost_mode = config.label_cost_mode
         self.clock = CycleClock()
         self.allocator = HandleAllocator(key=config.boot_key)
         self.accountant = (
@@ -252,13 +205,6 @@ class Kernel:
                 DROP_FAULT,
             )
         }
-        labels = self.metrics.scope("kernel.labels")
-        self._m_label_fast = labels.counter("fast_path")
-        self._m_label_full = labels.counter("full_merges")
-        self._m_label_entries = labels.counter("entries_scanned")
-        self._m_cache_hits = labels.counter("cache_hits")
-        self._m_cache_misses = labels.counter("cache_misses")
-        self._m_cache_evictions = labels.counter("cache_evictions")
         sched = self.metrics.scope("kernel.sched")
         self._m_steps = sched.counter("steps")
         self._m_queue_depth = sched.histogram("queue_depth")
@@ -266,21 +212,19 @@ class Kernel:
         self._m_spawns = procs.counter("spawned")
         self._m_ep_created = procs.counter("ep_created")
         self._m_ep_switches = procs.counter("ep_switched")
-        elide = self.metrics.scope("kernel.elide")
-        self._m_elide_deliver_hits = elide.counter("deliver_stub_hits")
-        self._m_elide_send_hits = elide.counter("send_stub_hits")
-        self._m_elide_invalidations = elide.counter("invalidations")
-        self._m_elide_batch_drains = elide.counter("batch_drains")
-        self._m_elide_batched = elide.counter("batched_messages")
 
-        # -- interned-label fast path (repro.core.interning) -----------------
-        # Labels are hash-consed through the process-wide intern table and
-        # the three Figure 4 hot operations are memoized in a bounded LRU
-        # keyed on interned ids.  Immutability makes the cache invalidation
-        # free; the disabled path is byte-identical to a pre-cache kernel.
+        # -- the label engine (repro.kernel.engine) -------------------------
+        # Every Figure 4 decision goes through self.engine; the optional
+        # layers are stacked here, once, and never branched on again.
+        engine: Any = Figure4Engine()
+
+        # Interned-label fast path (repro.core.interning): labels are
+        # hash-consed through the process-wide intern table and the three
+        # Figure 4 hot operations are memoized in a bounded LRU keyed on
+        # interned ids.  Immutability makes the cache invalidation free;
+        # the disabled path is byte-identical to a pre-cache kernel.
         self.intern_table = None
         self.labelop_cache = None
-        self._cache_evictions_seen = 0
         if config.intern_labels or config.elide_checks:
             from repro.core.interning import LabelOpCache, global_intern_table
 
@@ -290,39 +234,39 @@ class Kernel:
             )
             self.intern_table.intern(_BOTTOM)
             self.intern_table.intern(_TOP)
+            engine = Figure4Engine(self.labelop_cache)
 
-        # -- proof-guided check elision (repro.kernel.elide, DESIGN.md §15) --
-        # A loaded proofs/v1 table of asbcheck-proven always-allowed edges;
-        # delivery and send probe it before running the Figure 4 machinery.
-        # elide_checks without a proof_path is a kernel that probes nothing
-        # (flow_table stays None) — the configuration is valid so REPRO_ELIDE
-        # can sweep a whole test suite whether or not proofs exist.
+        # Proof-guided check elision (repro.kernel.elide, DESIGN.md §15):
+        # a loaded proofs/v1 table of asbcheck-proven always-allowed
+        # edges, probed before the Figure 4 machinery.  elide_checks
+        # without a proof_path is a kernel that probes nothing
+        # (flow_table stays None) — the configuration is valid so
+        # REPRO_ELIDE can sweep a whole test suite whether or not proofs
+        # exist.
         self.flow_table = None
-        self._elide_drains_seen = 0
-        self._elide_batched_seen = 0
         if config.elide_checks and config.proof_path:
             from repro.kernel.elide import VerifiedFlowTable
 
             self.flow_table = VerifiedFlowTable.load(
                 config.proof_path, self.intern_table
             )
+            engine = ElidedEngine(self.flow_table, engine)
 
         # Differential label sanitizer (repro.analysis): opt in per kernel
         # via KernelConfig(sanitize=True), or globally via REPRO_SANITIZE=1
         # (how a whole test suite is swept without touching call sites).
+        # sanitize_sample = N replays only every Nth IPC (repro.cluster's
+        # per-shard safety net); 1, the default, replays every one.
         self.sanitizer = None
         if config.sanitize:
             from repro.analysis.sanitizer import LabelSanitizer
 
             self.sanitizer = LabelSanitizer(self, strict=config.sanitize_strict)
-        #: Sampled sanitizing (repro.cluster's per-shard safety net): with
-        #: sanitize_sample = N, only every Nth sanitizer opportunity —
-        #: counted across send checks and deliveries — actually runs the
-        #: differential re-derivation.  N = 1 (the default) checks every
-        #: IPC, exactly the pre-sampling behavior.  Deterministic: the
-        #: sampled subset is a pure function of the IPC sequence.
-        self._sanitize_period = config.sanitize_sample
-        self._sanitize_tick = 0
+            engine = SanitizingEngine(
+                engine, self.sanitizer, config.sanitize_sample, self.flow_table
+            )
+        self.engine = engine
+        self._mirror_counters()
 
         # -- cross-shard routing (repro.cluster) -----------------------------
         #: Handles that live on another shard: handle → RemoteRoute.  Only
@@ -399,9 +343,8 @@ class Kernel:
         if parent is not None and inherit_labels:
             process.send_label = parent.send_label
             process.receive_label = parent.receive_label
-        if self.intern_table is not None:
-            process.send_label = self.intern_table.intern(process.send_label)
-            process.receive_label = self.intern_table.intern(process.receive_label)
+        process.send_label = self.engine.canon(process.send_label)
+        process.receive_label = self.engine.canon(process.receive_label)
         process.notify_exit = notify_exit
         process.ctx = Context(self, process, space, process.env)
         process.gen = body(process.ctx)
@@ -428,7 +371,7 @@ class Kernel:
         return self._enqueue(
             port=port,
             payload=payload,
-            effective_send=self._intern(ChunkedLabel.from_label(Label.send_default())),
+            effective_send=self.engine.canon(ChunkedLabel.from_label(Label.send_default())),
             ds=_TOP,
             v=_TOP,
             dr=_BOTTOM,
@@ -461,10 +404,10 @@ class Kernel:
         return self._enqueue(
             port=port,
             payload=payload,
-            effective_send=self._intern(effective_send),
-            ds=self._intern(ds),
-            v=self._intern(v),
-            dr=self._intern(dr),
+            effective_send=self.engine.canon(effective_send),
+            ds=self.engine.canon(ds),
+            v=self.engine.canon(v),
+            dr=self.engine.canon(dr),
             sender_name=sender_name,
             external=True,
         )
@@ -773,23 +716,8 @@ class Kernel:
             else:
                 self.spans.instant("drop", sender, self.clock.now, reason=reason)
 
-    def _sanitize_due(self) -> bool:
-        """True when this sanitizer opportunity falls on the sample.
-
-        Only consulted when a sanitizer exists; with ``sanitize_sample=1``
-        every opportunity is due (the pre-sampling behavior).
-        """
-        if self._sanitize_period == 1:
-            return True
-        self._sanitize_tick += 1
-        if self._sanitize_tick >= self._sanitize_period:
-            self._sanitize_tick = 0
-            return True
-        return False
-
     def _sys_send(self, task: Task, request: sc.Send) -> bool:
-        cost = self.clock.cost
-        self.clock.charge(KERNEL_IPC, cost.send_base)
+        self.clock.charge(KERNEL_IPC, self.clock.cost.send_base)
         if self._obs:
             self._m_sends.inc()
         if self.hooks:
@@ -801,78 +729,13 @@ class Kernel:
         v = self._user_label(request.v, _TOP)
         dr = self._user_label(request.dr, _BOTTOM)
 
-        # ES = PS ⊔ CS.  Contamination needs no privilege (Section 5.2).
-        # The requirement (2)/(3) scans below always run, so "paper" mode
-        # always models their len(ds)+len(dr) entries; only the ⊔'s own
-        # cost is skipped on a cache hit.
-        modeled = 0
-        es = None
-        cache = self.labelop_cache
-        table = self.flow_table
-        if table is not None and table.valid and cache is not None:
-            # Verified-flow send stub: asbcheck proved ES = PS ⊔ CS for
-            # these exact operand values, so the join is one flat probe.
-            # The requirement (2)/(3) scans below still run live — they
-            # guard the decontamination privilege, not the proven join.
-            ps = task.send_label = self._intern(ps)
-            es = table.plan_send(ps, cs)
-            if es is not None:
-                self.clock.charge(KERNEL_IPC, self.clock.cost.elide_stub_hit)
-                if self._obs:
-                    self._m_elide_send_hits.inc()
-                if self.label_cost_mode == "paper":
-                    modeled = len(ds) + len(dr)
-        elided = es is not None
-        if not elided:
-            if cache is not None:
-                ps = task.send_label = self._intern(ps)
-                es, hit = cache.raise_receive(ps, cs, stats)
-                self._note_cache(hit)
-                if self.label_cost_mode == "paper":
-                    modeled = len(ds) + len(dr)
-                    if not hit:
-                        # Bill the operation that ran: the ⋆-factored fast
-                        # path computes on the stripped cores, and the model
-                        # charges for those scans, not the full labels.
-                        modeled += labelops.paper_cost_raise_receive(
-                            *cache.last_executed
-                        )
-            else:
-                if self.label_cost_mode == "paper":
-                    modeled = (
-                        labelops.paper_cost_raise_receive(ps, cs) + len(ds) + len(dr)
-                    )
-                es = labelops.raise_receive(ps, cs, stats)
-        if self.sanitizer is not None and self._sanitize_due():
-            seen = len(self.sanitizer.violations)
-            try:
-                self.sanitizer.check_effective_send(task.name, request.port, ps, cs, es)
-            finally:
-                if elided and len(self.sanitizer.violations) > seen:
-                    table.quarantine(  # type: ignore[union-attr]
-                        f"elided send diverged on {request.port:#x}"
-                    )
-
-        ok = True
-        # Requirement (2): DS(h) < 3 requires PS(h) = ⋆.
-        if ds.default < L3 and ps.max_level != STAR:
-            ok = False
-        if ok:
-            for handle, level in ds.iter_entries():
-                stats.entries_scanned += 1
-                if level < L3 and ps(handle) != STAR:
-                    ok = False
-                    break
-        # Requirement (3): DR(h) > ⋆ requires PS(h) = ⋆.
-        if ok and dr.default > STAR and ps.max_level != STAR:
-            ok = False
-        if ok:
-            for handle, level in dr.iter_entries():
-                stats.entries_scanned += 1
-                if level > STAR and ps(handle) != STAR:
-                    ok = False
-                    break
-        self._charge_label_work(stats, modeled)
+        es, work = self.engine.send_join(ps, cs, stats, task.name, request.port)
+        # Requirements (2) and (3) are checked live on every send — no
+        # cache or proof ever stands in for the decontamination
+        # privilege — so their walk over DS and DR is always modelled.
+        work.scan = len(ds) + len(dr)
+        ok = labelops.decontamination_privileged(ps, ds, dr, stats)
+        self._bill(stats, work)
         if not ok:
             self._drop(DROP_DECONT_PRIVILEGE, task.name, f"{request.port:#x}")
             return True  # unreliable send: the sender cannot observe the drop
@@ -883,14 +746,10 @@ class Kernel:
         for handle in transfer:
             if handle not in task.owned_ports:
                 raise NotOwner(f"transfer of unowned port {handle:#x}")
-        if transfer and self.flow_table is not None and self.flow_table.valid:
+        for handle in transfer:
             # Port passage: a covered port changing hands is a topology
             # change the proofs assumed away — quarantine them.
-            for handle in transfer:
-                if self.flow_table.covers_port(handle):
-                    self._proofs_invalidate(f"port passage {handle:#x}")
-                    break
-        for handle in transfer:
+            self._proofs_invalidate("port passage", port=handle)
             task.owned_ports.discard(handle)
             task.ready_ports.discard(handle)
             entry = self.ports.get(handle)
@@ -1061,293 +920,95 @@ class Kernel:
     def _try_deliver(self, task: Task, entry: Port, qmsg: QueuedMessage) -> bool:
         """Run the delivery-time checks against *task*; apply effects and
         return True, or record the drop and return False."""
-        hit = self._plan_elided(task, entry, qmsg)
-        if self.sanitizer is None or not (
-            self._sanitize_due() or (hit is not None and hit.first_use)
-        ):
-            delivered = self._deliver(task, entry, qmsg, hit)
+        stats = OpStats()
+        # Decided on the labels as they stand before the effects; proofs
+        # may not speak for receive-right passage or cross-shard ingress.
+        verdict = self.engine.deliver(
+            entry.handle,
+            qmsg.effective_send,
+            qmsg.decontaminate_send,
+            qmsg.verify,
+            qmsg.decontaminate_receive,
+            entry.label,
+            task.send_label,
+            task.receive_label,
+            stats,
+            not (qmsg.transfer or qmsg.external),
+            qmsg.sender_name,
+            task.name,
+        )
+        self._bill(stats, verdict.work)
+        delivered = verdict.drop is None
+        if delivered:
+            task.send_label = verdict.new_qs
+            task.receive_label = verdict.new_qr
+            # Receive rights travelling with the message land here.
+            for handle in qmsg.transfer:
+                port_entry = self.ports.get(handle)
+                if port_entry is not None and port_entry.alive:
+                    port_entry.owner = task.key
+                    task.owned_ports.add(handle)
+                    if port_entry.queue:
+                        task.ready_ports.add(handle)
+                        if isinstance(task, EventProcess):
+                            task.base.ready_realm_ports.add(handle)
+                    vnode = self.vnodes.get(handle)
+                    if vnode is not None:
+                        vnode.owner = task.key
+            if self._obs:
+                self._m_delivered.inc()
+            if self.spans is not None:
+                self.spans.async_end(
+                    "msg", qmsg.seq, self.clock.now, delivered=True, receiver=task.name
+                )
         else:
-            # Sampled differential replay — and *forced* on the first use
-            # of every distinct verified-flow stub, so a corrupted effect
-            # delta is flagged before it can repeat.  A violation on an
-            # elided delivery quarantines the whole table: fail closed to
-            # the full Figure 4 path for the rest of the run.
-            snapshot = self.sanitizer.before_deliver(task, entry, qmsg)
-            delivered = self._deliver(task, entry, qmsg, hit)
-            seen = len(self.sanitizer.violations)
-            try:
-                self.sanitizer.after_deliver(task, entry, qmsg, delivered, snapshot)
-            finally:
-                if hit is not None and len(self.sanitizer.violations) > seen:
-                    self.flow_table.quarantine(  # type: ignore[union-attr]
-                        f"elided delivery diverged on {hit.key[0]:#x}"
-                    )
+            self._drop(verdict.drop, qmsg.sender_name, task.name, seq=qmsg.seq)
+            self._kill_transferred(qmsg.transfer)
         if self.hooks:
             self._hook("on_deliver", task, entry, qmsg, delivered)
         return delivered
 
-    def _plan_elided(
-        self, task: Task, entry: Port, qmsg: QueuedMessage
-    ) -> Optional["DeliverHit"]:
-        """Probe the verified-flow table for this delivery (None = miss).
-
-        Transfer-bearing messages never elide (receive-right passage is a
-        topology change the proofs cannot speak to), and neither does
-        cross-shard ingress (``qmsg.external``): proofs are per-shard, and
-        a peer's labels must take the full checked path.
-        """
-        table = self.flow_table
-        if (
-            table is None
-            or not table.valid
-            or qmsg.transfer
-            or qmsg.external
-        ):
-            return None
-        intern = self.intern_table.intern  # type: ignore[union-attr]
-        es = intern(qmsg.effective_send)
-        ds = intern(qmsg.decontaminate_send)
-        v = intern(qmsg.verify)
-        dr = intern(qmsg.decontaminate_receive)
-        pl = entry.label = intern(entry.label)
-        qr = task.receive_label = intern(task.receive_label)
-        qs = task.send_label = intern(task.send_label)
-        hit = table.plan_deliver(entry.handle, es, pl, qr, v, dr, qs, ds)
-        if hit is not None and self._obs:
-            self._m_elide_deliver_hits.inc()
-            if table.batch_drains != self._elide_drains_seen:
-                self._m_elide_batch_drains.inc(
-                    table.batch_drains - self._elide_drains_seen
-                )
-                self._elide_drains_seen = table.batch_drains
-            if table.batched_messages != self._elide_batched_seen:
-                self._m_elide_batched.inc(
-                    table.batched_messages - self._elide_batched_seen
-                )
-                self._elide_batched_seen = table.batched_messages
-        return hit
-
-    def _deliver(
-        self,
-        task: Task,
-        entry: Port,
-        qmsg: QueuedMessage,
-        hit: Optional["DeliverHit"] = None,
-    ) -> bool:
-        if hit is not None:
-            return self._deliver_elided(task, entry, qmsg, hit)
-        stats = OpStats()
-        self.clock.charge(KERNEL_IPC, self.clock.cost.recv_base)
-        paper = self.label_cost_mode == "paper"
-        cache = self.labelop_cache
-        modeled = 0
-        if cache is not None:
-            # Interned fast path: the message's labels were interned at
-            # send/inject time, so these are O(1) attribute tests except
-            # for the occasional not-yet-canonical task/port label, which
-            # is stored back so it interns once per distinct value.
-            intern = self.intern_table.intern  # type: ignore[union-attr]
-            es = intern(qmsg.effective_send)
-            ds = intern(qmsg.decontaminate_send)
-            v = intern(qmsg.verify)
-            dr = intern(qmsg.decontaminate_receive)
-            pl = entry.label = intern(entry.label)
-            qr = task.receive_label = intern(task.receive_label)
-            # Requirement (4): DR ⊑ pR (uncached: not a Figure 4 hot op,
-            # and almost always the trivial ⊥ ⊑ pR fast path).
-            if not dr.leq(pl, stats):
-                if paper:
-                    modeled = labelops.paper_cost_check_send(es, qr, dr, v, pl)
-                self._charge_label_work(stats, modeled)
-                self._drop(DROP_PORT_LABEL, qmsg.sender_name, task.name, seq=qmsg.seq)
-                self._kill_transferred(qmsg.transfer)
-                return False
-            # Requirement (1): ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR.
-            ok, hit = cache.check_send(es, qr, dr, v, pl, stats)
-            self._note_cache(hit)
-            if paper and not hit:
-                # Billed at the operands the check actually ran on (the
-                # ⋆-stripped cores wherever a factoring applied).
-                modeled = labelops.paper_cost_check_send(*cache.last_executed)
-            if not ok:
-                self._charge_label_work(stats, modeled)
-                self._drop(DROP_LABEL_CHECK, qmsg.sender_name, task.name, seq=qmsg.seq)
-                self._kill_transferred(qmsg.transfer)
-                return False
-            # Effects (computed from the pre-effect labels, as below).
-            qs = task.send_label = intern(task.send_label)
-            new_qs, hit = cache.apply_send_effects(qs, es, ds, stats)
-            self._note_cache(hit)
-            if paper and not hit:
-                modeled += labelops.paper_cost_apply_effects(*cache.last_executed)
-            new_qr, hit = cache.raise_receive(qr, dr, stats)
-            self._note_cache(hit)
-            if paper and not hit:
-                modeled += labelops.paper_cost_raise_receive(*cache.last_executed)
-            task.send_label = new_qs
-            task.receive_label = new_qr
-        else:
-            # Bill the delivery's label work as the modelled 2005
-            # implementation would pay it, using the labels as they stand
-            # before the effects.
-            if paper:
-                modeled = labelops.paper_cost_check_send(
-                    qmsg.effective_send,
-                    task.receive_label,
-                    qmsg.decontaminate_receive,
-                    qmsg.verify,
-                    entry.label,
-                )
-            # Requirement (4): DR ⊑ pR.
-            if not qmsg.decontaminate_receive.leq(entry.label, stats):
-                self._charge_label_work(stats, modeled)
-                self._drop(DROP_PORT_LABEL, qmsg.sender_name, task.name, seq=qmsg.seq)
-                self._kill_transferred(qmsg.transfer)
-                return False
-            # Requirement (1): ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR.
-            if not labelops.check_send(
-                qmsg.effective_send,
-                task.receive_label,
-                qmsg.decontaminate_receive,
-                qmsg.verify,
-                entry.label,
-                stats,
-            ):
-                self._charge_label_work(stats, modeled)
-                self._drop(DROP_LABEL_CHECK, qmsg.sender_name, task.name, seq=qmsg.seq)
-                self._kill_transferred(qmsg.transfer)
-                return False
-            if paper:
-                modeled += labelops.paper_cost_apply_effects(
-                    task.send_label, qmsg.effective_send, qmsg.decontaminate_send
-                )
-                modeled += labelops.paper_cost_raise_receive(
-                    task.receive_label, qmsg.decontaminate_receive
-                )
-            # Effects.
-            task.send_label = labelops.apply_send_effects(
-                task.send_label, qmsg.effective_send, qmsg.decontaminate_send, stats
-            )
-            task.receive_label = labelops.raise_receive(
-                task.receive_label, qmsg.decontaminate_receive, stats
-            )
-        # Receive rights travelling with the message land here.
-        for handle in qmsg.transfer:
-            port_entry = self.ports.get(handle)
-            if port_entry is not None and port_entry.alive:
-                port_entry.owner = task.key
-                task.owned_ports.add(handle)
-                if port_entry.queue:
-                    task.ready_ports.add(handle)
-                    if isinstance(task, EventProcess):
-                        task.base.ready_realm_ports.add(handle)
-                vnode = self.vnodes.get(handle)
-                if vnode is not None:
-                    vnode.owner = task.key
-        self._charge_label_work(stats, modeled)
-        if self._obs:
-            self._m_delivered.inc()
-        if self.spans is not None:
-            self.spans.async_end(
-                "msg", qmsg.seq, self.clock.now, delivered=True, receiver=task.name
-            )
-        return True
-
-    def _deliver_elided(
-        self, task: Task, entry: Port, qmsg: QueuedMessage, hit: "DeliverHit"
-    ) -> bool:
-        """Verified-flow fastpath: asbcheck proved this exact delivery.
-
-        The stub key matched the live operand values, so requirement (4),
-        requirement (1) and both label effects are already decided — the
-        kernel applies the precomputed post-labels and bills the fastpath
-        delivery base plus one flat stub probe, seL4-fastpath style
-        (DESIGN.md §15).  Transfer-bearing messages never reach here
-        (:meth:`_plan_elided` excludes them), so there is no rights
-        landing to perform.
-        """
-        cost = self.clock.cost
+    def _bill(self, stats: OpStats, work: Work = LOCAL) -> None:
+        """Charge KERNEL_IPC for label work (:func:`repro.kernel.engine.bill`
+        is the cost function) and fold *stats* into the kernel's totals."""
         self.clock.charge(
-            KERNEL_IPC, cost.elide_deliver_base + cost.elide_stub_hit
+            KERNEL_IPC, bill(work, stats, self.clock.cost, self.config.label_cost_mode)
         )
-        task.send_label = hit.new_qs
-        task.receive_label = hit.new_qr
-        if self._obs:
-            self._m_delivered.inc()
-        if self.spans is not None:
-            self.spans.async_end(
-                "msg", qmsg.seq, self.clock.now, delivered=True, receiver=task.name
-            )
-        return True
-
-    def _charge_label_work(self, stats: OpStats, modeled_entries: int = 0) -> None:
-        """Charge KERNEL_IPC for label work.
-
-        In "paper" mode, entry scans are billed from *modeled_entries* (the
-        2005 algorithm's linear scans); the fused implementation's own
-        (much smaller) scan counts are billed only in "fused" mode.
-        Structural costs — op dispatch, label/chunk allocation, chunk
-        sharing — are billed from the executed operations in both modes.
-        """
-        cost = self.clock.cost
-        cycles = (
-            cost.label_op_base * stats.operations
-            + cost.chunk_skip * stats.chunks_skipped
-            + cost.label_alloc * stats.labels_allocated
-            + cost.chunk_alloc * stats.chunks_allocated
-            + cost.chunk_share * stats.chunks_shared
-        )
-        if self.label_cost_mode == "paper":
-            cycles += int(cost.label_entry_scan * modeled_entries)
-        else:
-            cycles += cost.label_entry * stats.entries_scanned
-        self.clock.charge(KERNEL_IPC, cycles)
         self.label_stats.merge(stats)
-        if self._obs:
-            self._m_label_fast.inc(stats.fast_path)
-            self._m_label_full.inc(stats.full_merges)
-            self._m_label_entries.inc(stats.entries_scanned)
 
-    def _intern(self, label: ChunkedLabel) -> ChunkedLabel:
-        """Canonicalise *label* when the fast path is on (else identity)."""
-        if self.intern_table is None:
-            return label
-        return self.intern_table.intern(label)
-
-    def _note_cache(self, hit: bool) -> None:
-        """Bill and count one LabelOpCache probe.
-
-        A hit replaces a full Figure 4 operation with a flat LRU probe
-        cost; a miss ran the real operation, whose work was already
-        recorded in the caller's OpStats and is billed by
-        ``_charge_label_work`` exactly as on the uncached path.
-        """
-        if hit:
-            self.clock.charge(KERNEL_IPC, self.clock.cost.labelop_cache_hit)
-        if self._obs:
-            if hit:
-                self._m_cache_hits.inc()
-            else:
-                self._m_cache_misses.inc()
-            evictions = self.labelop_cache.evictions  # type: ignore[union-attr]
-            if evictions != self._cache_evictions_seen:
-                self._m_cache_evictions.inc(evictions - self._cache_evictions_seen)
-                self._cache_evictions_seen = evictions
-
-    def _proofs_invalidate(self, reason: str) -> None:
+    def _proofs_invalidate(self, reason: str, port: Optional[Handle] = None) -> None:
         """A system-level event made the loaded proofs' worldview stale.
 
         Bumps the verified-flow epoch, which quarantines the whole table
         for the rest of the run (DESIGN.md §15): every later delivery
         falls back to the PR 5 interned path.  Idempotent once invalid.
+        With *port*, the event only counts if the proofs cover that port.
         """
         table = self.flow_table
         if table is None or not table.valid:
             return
+        if port is not None:
+            if not table.covers_port(port):
+                return
+            reason = f"{reason} {port:#x}"
         table.invalidate(reason)
-        if self._obs:
-            self._m_elide_invalidations.inc()
         self.debug_log("elide", f"proofs invalidated: {reason}")
+
+    def _mirror_counters(self) -> None:
+        """Publish the counters the label engine's parts already keep as
+        read-through registry names: they cannot drift from ``label_stats``,
+        ``labelop_cache`` or ``flow_table`` however a run ends, and the hot
+        path carries no metric syncing.  A feature that is off reads 0."""
+        labels = self.metrics.scope("kernel.labels")
+        for name in ("fast_path", "full_merges", "entries_scanned"):
+            labels.mirror(name, self.label_stats, name)
+        for name in ("hits", "misses", "evictions"):
+            labels.mirror(f"cache_{name}", self.labelop_cache, name)
+        elide = self.metrics.scope("kernel.elide")
+        elide.mirror("deliver_stub_hits", self.flow_table, "deliver_hits")
+        elide.mirror("send_stub_hits", self.flow_table, "send_hits")
+        for name in ("invalidations", "batch_drains", "batched_messages"):
+            elide.mirror(name, self.flow_table, name)
 
     # -- recv --------------------------------------------------------------------------------
 
@@ -1426,10 +1087,10 @@ class Kernel:
         handle = self.allocator.fresh()
         self.vnodes.create(handle)
         stats = OpStats()
-        task.send_label = self._intern(
+        task.send_label = self.engine.canon(
             labelops.sparse_update(task.send_label, {handle: STAR}, stats)
         )
-        self._charge_label_work(stats)
+        self._bill(stats)
         if self.hooks:
             self._hook("on_new_handle", task, handle)
         return handle
@@ -1441,14 +1102,14 @@ class Kernel:
         base = ChunkedLabel.from_label(label if label is not None else DEFAULT_PORT_LABEL)
         stats = OpStats()
         # Figure 4: pR ← L, then pR(p) ← 0.
-        port_label = self._intern(labelops.sparse_update(base, {handle: L0}, stats))
+        port_label = self.engine.canon(labelops.sparse_update(base, {handle: L0}, stats))
         self.ports[handle] = Port(handle=handle, label=port_label, owner=task.key)
         task.owned_ports.add(handle)
         # PS(p) ← ⋆.
-        task.send_label = self._intern(
+        task.send_label = self.engine.canon(
             labelops.sparse_update(task.send_label, {handle: STAR}, stats)
         )
-        self._charge_label_work(stats)
+        self._bill(stats)
         if self.hooks:
             self._hook("on_new_port", task, handle)
         return handle
@@ -1458,7 +1119,7 @@ class Kernel:
         if entry is None or request.port not in task.owned_ports:
             raise NotOwner(f"set_port_label: port {request.port:#x} not owned")
         # Unlike new_port, the input is used verbatim (Section 5.5).
-        new_label = self._intern(ChunkedLabel.from_label(request.label))
+        new_label = self.engine.canon(ChunkedLabel.from_label(request.label))
         if (
             self.flow_table is not None
             and self.flow_table.covers_port(request.port)
@@ -1507,7 +1168,7 @@ class Kernel:
             for handle in request.drop_send:
                 current = task.send_label(handle)
                 if current > default:
-                    self._charge_label_work(stats)
+                    self._bill(stats)
                     raise InvalidArgument(
                         f"drop_send of {handle:#x} would lower the send label "
                         "(declassification); only * and sub-default credentials "
@@ -1520,7 +1181,7 @@ class Kernel:
             for handle, level in request.raise_receive.items():
                 current = task.receive_label(handle)
                 if level > current and task.send_label(handle) != STAR:
-                    self._charge_label_work(stats)
+                    self._bill(stats)
                     raise InvalidArgument(
                         f"raising receive level of {handle:#x} requires "
                         "declassification privilege"
@@ -1535,7 +1196,7 @@ class Kernel:
             new = ChunkedLabel.from_label(request.send)
             # Raising only (self-contamination, including dropping own ⋆).
             if not task.send_label.leq(new, stats):
-                self._charge_label_work(stats)
+                self._bill(stats)
                 raise InvalidArgument(
                     "change_label: send label may only be raised "
                     "(self-contamination); lowering requires receiving a "
@@ -1551,7 +1212,7 @@ class Kernel:
             for handle in handles:
                 stats.entries_scanned += 1
                 if new(handle) > old(handle) and task.send_label(handle) != STAR:
-                    self._charge_label_work(stats)
+                    self._bill(stats)
                     raise InvalidArgument(
                         f"change_label: raising receive level of {handle:#x} "
                         "requires declassification privilege"
@@ -1562,10 +1223,9 @@ class Kernel:
                     "universal declassification privilege"
                 )
             task.receive_label = new
-        self._charge_label_work(stats)
-        if self.intern_table is not None:
-            task.send_label = self.intern_table.intern(task.send_label)
-            task.receive_label = self.intern_table.intern(task.receive_label)
+        self._bill(stats)
+        task.send_label = self.engine.canon(task.send_label)
+        task.receive_label = self.engine.canon(task.receive_label)
         if self.hooks:
             self._hook("on_change_label", task, request)
         return True
@@ -1575,7 +1235,7 @@ class Kernel:
             return default
         if not isinstance(label, Label):
             raise InvalidArgument(f"not a label: {label!r}")
-        return self._intern(ChunkedLabel.from_label(label))
+        return self.engine.canon(ChunkedLabel.from_label(label))
 
     # -- event processes -----------------------------------------------------------------------
 
@@ -1814,7 +1474,7 @@ class Kernel:
                     "name": process.name,
                     "crashed": crashed,
                 },
-                effective_send=self._intern(ChunkedLabel.from_label(Label.send_default())),
+                effective_send=self.engine.canon(ChunkedLabel.from_label(Label.send_default())),
                 ds=_TOP,
                 v=_TOP,
                 dr=_BOTTOM,

@@ -28,6 +28,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Mirror",
     "MetricsScope",
     "NullInstrument",
     "NULL",
@@ -102,6 +103,23 @@ class Histogram:
         }
 
 
+class Mirror:
+    """A read-through view of a counter another object already keeps:
+    ``snapshot`` reads ``source.attr`` when the registry is read, so the
+    registry cannot fall behind the owner and the owner's hot path syncs
+    nothing.  A ``None`` source (an optional feature that is off) reads 0."""
+
+    __slots__ = ("source", "attr")
+    kind = "counter"
+
+    def __init__(self, source: Any, attr: str) -> None:
+        self.source = source
+        self.attr = attr
+
+    def snapshot(self) -> int:
+        return getattr(self.source, self.attr, 0)
+
+
 class NullInstrument:
     """The shared no-op instrument a disabled registry hands out."""
 
@@ -124,7 +142,7 @@ class NullInstrument:
 #: The singleton null instrument.
 NULL = NullInstrument()
 
-Instrument = Union[Counter, Gauge, Histogram, NullInstrument]
+Instrument = Union[Counter, Gauge, Histogram, Mirror, NullInstrument]
 
 
 class MetricsRegistry:
@@ -166,6 +184,11 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Instrument:
         return self._get(name, Histogram)
 
+    def mirror(self, name: str, source: Any, attr: str) -> None:
+        """Publish ``source.attr`` under *name* (see :class:`Mirror`)."""
+        if self.enabled:
+            self._instruments[name] = Mirror(source, attr)
+
     def scope(self, prefix: str) -> "MetricsScope":
         """A view that prefixes every name with ``prefix.`` — how each
         OKWS component gets its own metric subtree."""
@@ -206,6 +229,9 @@ class MetricsScope:
 
     def histogram(self, name: str) -> Instrument:
         return self._registry.histogram(f"{self.prefix}.{name}")
+
+    def mirror(self, name: str, source: Any, attr: str) -> None:
+        self._registry.mirror(f"{self.prefix}.{name}", source, attr)
 
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self._registry, f"{self.prefix}.{prefix}")

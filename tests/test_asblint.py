@@ -165,7 +165,7 @@ def test_cli_analyze_exit_codes(capsys):
 
 
 def test_cli_analyze_json(capsys):
-    assert cli.main(["analyze", "--json", str(FIXTURES / "bad_declassify.py")]) == 1
+    assert cli.main(["analyze", "--format", "json", str(FIXTURES / "bad_declassify.py")]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["total_findings"] == 1
 

@@ -293,7 +293,7 @@ def test_cli_check_json_and_policy_override(tmp_path, capsys):
     policy.write_text(json.dumps([{"kind": "dead-edge", "edges": ["worker_u->front"]}]))
     assert cli.main(["check", "--topology", leaky, "--policy", str(policy)]) == 0
     capsys.readouterr()  # drain the text report
-    assert cli.main(["check", "--topology", leaky, "--json"]) == 1
+    assert cli.main(["check", "--topology", leaky, "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["tool"] == "asbcheck"
 

@@ -2,7 +2,7 @@
 
 The model checker claims its Figure 4 is the kernel's Figure 4.  These
 tests make that falsifiable: every counterexample trace is re-executed
-through ``Kernel._sys_send`` / ``Kernel._deliver`` (under the
+through ``Kernel._sys_send`` / ``Kernel._try_deliver`` (under the
 differential sanitizer) and must reproduce the same deliveries, the same
 drop reasons, and the same receiver labels, hop for hop.
 """

@@ -1,11 +1,13 @@
-"""The unified CLI surface: shared options, exit codes, legacy aliases."""
+"""The unified CLI surface: shared options, exit codes, one spelling each."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.cli import build_parser, main
 
 SUBCOMMANDS = ("tour", "analyze", "check", "explore", "run", "chaos", "bench")
@@ -38,15 +40,18 @@ def test_sarif_is_a_usage_error_outside_the_analysis_commands(command):
     assert main([command, *extra, "--format", "sarif"]) == 2
 
 
-def test_legacy_json_flags_still_parse():
-    parser = build_parser()
-    for command in ("analyze", "check", "explore"):
-        assert parser.parse_args([command, "--json"]).json is True
-    # chaos --json FILE was "write the chaos-report here": now an alias
-    # for --out.
-    assert parser.parse_args(["chaos", "--plan", "p", "--json", "report.json"]).out == (
-        "report.json"
-    )
+def test_pre_unification_json_flags_are_gone():
+    # One spelling per option: `--json` (and `chaos --json FILE`) were
+    # hidden aliases for --format json / --out FILE until PR 12.
+    for argv in (
+        ["analyze", "--json", "src"],
+        ["check", "--okws", "--json"],
+        ["explore", "--okws", "--json"],
+        ["chaos", "--plan", "p", "--json", "report.json"],
+    ):
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(argv)
+        assert usage.value.code == 2
 
 
 def test_analyze_writes_report_to_out(tmp_path):
@@ -126,3 +131,14 @@ def test_chaos_seed_feeds_the_single_campaign(monkeypatch):
         == 0
     )
     assert seen["seed"] == 99
+
+
+def test_package_version_is_single_sourced():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+    root = Path(repro.__file__).resolve().parents[2]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    # No literal to drift: the build reads repro.__version__.
+    assert "version" not in pyproject["project"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"
+    }

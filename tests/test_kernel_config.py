@@ -1,4 +1,4 @@
-"""KernelConfig: validation, env precedence, and the legacy-kwarg shim."""
+"""KernelConfig: validation, env precedence, and how it drives the kernel."""
 
 import pytest
 
@@ -73,23 +73,10 @@ def test_from_env_overrides_beat_environment():
 
 
 def test_from_env_none_override_means_unset():
-    # The legacy Kernel(sanitize=None) contract: None consults the env.
+    # A None override means "not given": the environment still decides.
     env = {"REPRO_SANITIZE": "1"}
     config = KernelConfig.from_env(env=env, sanitize=None)
     assert config.sanitize is True
-
-
-def test_legacy_kwargs_warn_and_work():
-    with pytest.warns(DeprecationWarning):
-        kernel = Kernel(trace=True, sanitize=True)
-    assert kernel.trace is True
-    assert kernel.config.sanitize is True
-    assert kernel.sanitizer is not None
-
-
-def test_legacy_kwargs_conflict_with_config():
-    with pytest.raises(ValueError):
-        Kernel(trace=True, config=KernelConfig())
 
 
 def test_config_drives_kernel():
