@@ -50,7 +50,7 @@ from repro.core.labels import (
 )
 from repro.core.levels import L0, L3, Level, level_name, parse_level
 
-__all__ = [  # parse_level re-exported: it lived here before moving to core.levels
+__all__ = [
     "EdgeSpec",
     "LabelStore",
     "PortSpec",
@@ -60,7 +60,6 @@ __all__ = [  # parse_level re-exported: it lived here before moving to core.leve
     "from_json",
     "load",
     "loads",
-    "parse_level",
 ]
 
 #: Where auto-minted symbolic handles start; far above the tiny literals

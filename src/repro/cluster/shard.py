@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.interning import global_intern_table
 from repro.cluster.wire import WireDecoder, WireEncoder
 from repro.kernel.kernel import Kernel
+from repro.kernel.message import QueuedMessage
 from repro.kernel.ports import RemoteRoute
 from repro.okws.sharding import (
     build_shard_site,
@@ -91,29 +92,29 @@ class ShardRuntime:
         table = global_intern_table()
         self.encoder = WireEncoder(table, src=spec.shard_id)
         self.decoder = WireDecoder(table)
-        self._outbox: List[Tuple[int, Dict[str, Any]]] = []
+        self._outbox: List[Tuple[int, QueuedMessage]] = []
         self.kernel.xshard_out = self._on_xshard_out
         self._drops_mark = 0
 
     # -- egress ----------------------------------------------------------
 
-    def _on_xshard_out(self, route: RemoteRoute, message: Dict[str, Any]) -> None:
-        self._outbox.append((route.shard, message))
+    def _on_xshard_out(self, route: RemoteRoute, qmsg: QueuedMessage) -> None:
+        self._outbox.append((route.shard, qmsg))
 
     def take_outbox(self) -> List[Dict[str, Any]]:
         """Encode and drain everything queued for other shards."""
         docs = [
             self.encoder.encode(
                 dst=dst,
-                port=message["port"],
-                payload=message["payload"],
-                es=message["effective_send"],
-                ds=message["ds"],
-                v=message["v"],
-                dr=message["dr"],
-                sender=message["sender_name"],
+                port=qmsg.port,
+                payload=qmsg.payload,
+                es=qmsg.effective_send,
+                ds=qmsg.decontaminate_send,
+                v=qmsg.verify,
+                dr=qmsg.decontaminate_receive,
+                sender=qmsg.sender_name,
             )
-            for dst, message in self._outbox
+            for dst, qmsg in self._outbox
         ]
         self._outbox.clear()
         return docs

@@ -40,11 +40,11 @@ T2 (``*`` passes checks).  An ES entry at ``*`` can never fail
     ``ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR``.  Stripping it reverts the handle to
     ES's default, which also passes whenever every level on the
     right-hand side's lowering components (QR, V, pR — DR only ever
-    *raises* the bound) is ≥ ES's default.  Under that side condition the
-    verdict is a pure function of the ⋆-free ES, so the check may key on
-    it.  Sends that rely on a ``*`` capability against a pinned-low port
-    label (``pR(uC) = 0``) fail the side condition and take the exact
-    path — capability checks are never cached across connections.
+    *raises* the bound) is ≥ ES's default: one O(1) test on their
+    minima.  Under that side condition the verdict is a pure function of
+    the ⋆-free ES, so the check may key on it.  Sends that rely on a
+    ``*`` capability against a pinned-low port label (``pR(uC) = 0``)
+    fail the side condition and are left to T4 or their exact key.
 
 T3 (``⊔`` absorbs ``*``).  ``max(q, *) = q``, so QR's ``*`` entries
     survive ``QR ⊔ DR`` verbatim and can be overlaid back onto a result
@@ -375,13 +375,11 @@ def check_plan(
     # T2: an ES entry at ⋆ always passes; stripping it reverts the
     # handle to ES's default, which passes too iff the bound
     # min(max(QR, DR), V, pR) stays ≥ that default at the handle.  So
-    # the verdict is a pure function of the ⋆-free ES whenever that
-    # holds at *every* ES star.  Tested by walking whichever side is
-    # smaller — the ES star set, or the explicit entries of the
-    # right-hand side plus one comparison at the defaults (the
-    # conservative variant).  A capability send against a pinned-low
-    # port label (pR(uC) = 0) genuinely depends on the ⋆ and fails
-    # both walks: it is checked exactly, uncached.
+    # the verdict is a pure function of the ⋆-free ES whenever nothing
+    # on the right-hand side dips below ES's default anywhere — one O(1)
+    # test on the operands' minima.  A capability send against a
+    # pinned-low port label (pR(uC) = 0) genuinely depends on the ⋆ and
+    # fails it: T4 below keys it, or it is checked on its exact key.
     es_key = es          # key component for the ES position
     exec_es = es         # what labelops runs on if we miss
     pr_key: Any = pr.intern_id
@@ -390,52 +388,32 @@ def check_plan(
         e0 = es.default
         qr_ok = min(qr.default, qr.explicit_min) >= e0
         v_ok = min(v.default, v.explicit_min) >= e0
+        # Interned whether or not it ends up in the key: the core memo keeps
+        # it alive, and which labels stay alive decides later intern ids,
+        # cache hits and so billed cycles (BENCH_fig8).
+        core = table.star_core(es)
         if qr_ok and v_ok and min(pr.default, pr.explicit_min) >= e0:
-            # Global gate: nothing on the right-hand side dips below
-            # ES's default anywhere, so every star strips (O(1)).
-            es_key = exec_es = table.star_core(es)
-        else:
-            core = table.star_core(es)
-            n_stars = len(es) - len(core)
-            if n_stars <= 16:
-                if all(
-                    lvl != STAR
-                    or e0 <= min(max(qr(h), dr(h)), v(h), pr(h))
-                    for h, lvl in es.iter_entries()
-                ):
-                    es_key = exec_es = core
-            elif len(qr) + len(dr) + len(v) + len(pr) <= _DISJOINT_LIMIT:
-                if e0 <= min(
-                    max(qr.default, dr.default), v.default, pr.default
-                ) and all(
-                    es(h) != STAR
-                    or e0 <= min(max(qr(h), dr(h)), v(h), pr(h))
-                    for label in (qr, dr, v, pr)
-                    for h, _ in label.iter_entries()
-                ):
-                    es_key = exec_es = core
-            if es_key is es and qr_ok and v_ok and pr.default >= e0 and len(pr) <= 8:
-                # T4: the capability send that T2 refuses.  When only
-                # pR's explicit entries can push the bound below ES's
-                # default, a low entry covered by a held ES star (the
-                # pinned-port pin, pR(uC) = 0 against ⋆(uC)) is exempt
-                # from the check and its fresh handle appears nowhere
-                # else the verdict can see — so the verdict is
-                # invariant under renaming it.  Key on pR with those
-                # pins abstracted to their bare levels (plus ES's
-                # core); the miss still computes on the exact full
-                # operands.
-                high = []
-                lows = []
-                for h, lvl in pr.iter_entries():
-                    if lvl < e0 and es(h) == STAR:
-                        lows.append(lvl)
-                    else:
-                        high.append((h, lvl))
-                if lows:
-                    es_key = core
-                    pr_key = (pr.default, tuple(high), tuple(sorted(lows)))
-                    abstracted = True
+            es_key = exec_es = core
+        elif qr_ok and v_ok and pr.default >= e0 and len(pr) <= 8:
+            # T4: the capability send that T2 refuses.  When only pR's
+            # explicit entries can push the bound below ES's default, a
+            # low entry covered by a held ES star (the pinned-port pin,
+            # pR(uC) = 0 against ⋆(uC)) is exempt from the check and its
+            # fresh handle appears nowhere else the verdict can see — so
+            # the verdict is invariant under renaming it.  Key on pR with
+            # those pins abstracted to their bare levels (plus ES's
+            # core); the miss still computes on the exact full operands.
+            high = []
+            lows = []
+            for h, lvl in pr.iter_entries():
+                if lvl < e0 and es(h) == STAR:
+                    lows.append(lvl)
+                else:
+                    high.append((h, lvl))
+            if lows:
+                es_key = core
+                pr_key = (pr.default, tuple(high), tuple(sorted(lows)))
+                abstracted = True
     key = (
         _CHECK,
         es_key.intern_id,

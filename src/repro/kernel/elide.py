@@ -254,18 +254,66 @@ class VerifiedFlowTable:
         self.quarantines += 1
         self.invalidate(f"sanitizer: {reason}")
 
-    # -- invalidation-event predicates (used by the kernel's hooks) ---------
+    # -- invalidation events ------------------------------------------------
+    # The kernel reports what happened; whether it stales the proofs'
+    # worldview is decided here, beside the epoch it bumps.  All four are
+    # no-ops once the table is invalid.  A port dying is deliberately not
+    # an event: handle values never repeat within a boot (the allocator is
+    # a cipher over a monotonic counter), so no future delivery can probe
+    # a dead port's stubs — the edge simply stops being exercised.
 
-    def covers_port(self, handle: int) -> bool:
-        return handle in self.proofs.covered_ports
+    def port_passed(self, handle: int) -> None:
+        """A port's receive rights left their owner with a message: a
+        covered port changing hands is a topology change the proofs
+        assumed away."""
+        if self.valid and handle in self.proofs.covered_ports:
+            self.invalidate(f"port passage {handle:#x}")
 
-    def covers_task(self, name: str) -> bool:
-        return name in self.proofs.covered_tasks
+    def port_relabelled(self, handle: int, label: ChunkedLabel) -> None:
+        """``set_port_label``.  Rewriting a covered port's label *outside
+        the values the proofs assumed* invalidates them; rewriting it to
+        an assumed value (boot-time bring-up replaying the recorded
+        world) is exactly what the proofs describe and keeps them."""
+        if not self.valid or handle not in self.proofs.covered_ports:
+            return
+        assumed = self.proofs.port_labels.get(handle, ())
+        if self.table.intern(label).intern_id not in assumed:
+            self.invalidate(f"set_port_label {handle:#x}")
 
-    def expected_realm(self, name: str) -> bool:
-        return name in self.proofs.expected_realms
+    def task_relabelled(
+        self,
+        name: str,
+        old_qs: ChunkedLabel,
+        old_qr: ChunkedLabel,
+        new_qs: ChunkedLabel,
+        new_qr: ChunkedLabel,
+    ) -> None:
+        """A committed ``change_label``.  Proofs only assumed the label
+        values the exploration saw; a covered task writing its labels
+        *outside* that set is an invalidating event (writes inside it —
+        e.g. reasserting the fixed point — are exactly what the proofs
+        describe)."""
+        if not self.valid or name not in self.proofs.covered_tasks:
+            return
+        assumed = self._core_assumed
+        if (assumed(name, old_qs) and not assumed(name, new_qs)) or (
+            assumed(name, old_qr) and not assumed(name, new_qr)
+        ):
+            self.invalidate(f"change_label {name}")
 
-    def core_assumed(self, task_name: str, label: ChunkedLabel) -> bool:
+    def realm_created(self, name: str) -> None:
+        """``ep_checkpoint``.  A covered task becoming an EP realm the
+        proofs did not observe is a topology change; realms the proofs
+        expected (their fork-marked ports) are the normal EP mechanism
+        and do not bump."""
+        if (
+            self.valid
+            and name in self.proofs.covered_tasks
+            and name not in self.proofs.expected_realms
+        ):
+            self.invalidate(f"ep_checkpoint {name}")
+
+    def _core_assumed(self, task_name: str, label: ChunkedLabel) -> bool:
         """Whether *label*'s ⋆-free core is among the QS/QR values the
         proofs assumed for *task_name* specifically."""
         assumed = self.proofs.assumed_cores.get(task_name)
@@ -273,13 +321,6 @@ class VerifiedFlowTable:
             return False
         core = self.table.star_core(self.table.intern(label))
         return core.intern_id in assumed
-
-    def port_label_assumed(self, handle: int, label: ChunkedLabel) -> bool:
-        """Whether *label* is one of the pR values assumed for *handle*."""
-        assumed = self.proofs.port_labels.get(handle)
-        if assumed is None:
-            return False
-        return self.table.intern(label).intern_id in assumed
 
     # -- reporting ----------------------------------------------------------
 

@@ -68,16 +68,11 @@ class DropLog:
     """
 
     records: List[Tuple[str, str, str]] = field(default_factory=list)
-    enabled: bool = True
 
     def record(self, reason: str, sender: str, port: str) -> None:
-        if self.enabled:
-            self.records.append((reason, sender, port))
+        self.records.append((reason, sender, port))
 
     def count(self, reason: str = "") -> int:
         if not reason:
             return len(self.records)
         return sum(1 for r, _, _ in self.records if r == reason)
-
-    def clear(self) -> None:
-        self.records.clear()

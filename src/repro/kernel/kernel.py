@@ -35,6 +35,7 @@ from typing import (
     Generator,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -97,9 +98,7 @@ def _payload_bytes(payload: Any) -> int:
     """Cheap size model for message payloads."""
     if payload is None:
         return 8
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, str):
+    if isinstance(payload, (bytes, bytearray, str)):
         return len(payload)
     if isinstance(payload, (int, float)):
         return 8
@@ -239,10 +238,8 @@ class Kernel:
         # Proof-guided check elision (repro.kernel.elide, DESIGN.md §15):
         # a loaded proofs/v1 table of asbcheck-proven always-allowed
         # edges, probed before the Figure 4 machinery.  elide_checks
-        # without a proof_path is a kernel that probes nothing
-        # (flow_table stays None) — the configuration is valid so
-        # REPRO_ELIDE can sweep a whole test suite whether or not proofs
-        # exist.
+        # without a proof_path is valid and is just an interning kernel:
+        # it probes nothing (flow_table stays None).
         self.flow_table = None
         if config.elide_checks and config.proof_path:
             from repro.kernel.elide import VerifiedFlowTable
@@ -267,16 +264,20 @@ class Kernel:
             )
         self.engine = engine
         self._mirror_counters()
+        #: ES of every kernel-born message (wire injection, exit obituary):
+        #: the send label of a maximally untainted sender.
+        self._default_es = engine.canon(ChunkedLabel.from_label(Label.send_default()))
+        self._syscalls = self._syscall_table()
 
         # -- cross-shard routing (repro.cluster) -----------------------------
         #: Handles that live on another shard: handle → RemoteRoute.  Only
         #: the cluster runtime populates this; a standalone kernel never
         #: pays more than one falsy check on the send path.
         self.remote_routes: Dict[Handle, RemoteRoute] = {}
-        #: Egress hook set by the shard runtime: called with
-        #: (route, message-kwargs) for each send whose port resolves to a
-        #: RemoteRoute; the runtime serializes it as wire/v1 and ships it.
-        self.xshard_out: Optional[Callable[[RemoteRoute, Dict[str, Any]], None]] = None
+        #: Egress hook set by the shard runtime: called with (route, qmsg)
+        #: for each send whose port resolves to a RemoteRoute; the runtime
+        #: serializes it as wire/v1 and ships it.
+        self.xshard_out: Optional[Callable[[RemoteRoute, QueuedMessage], None]] = None
 
         # -- kernel timers (Recv timeout / Deadline) ------------------------
         # Min-heap of (deadline_cycles, serial, task_key, token).  The token
@@ -289,10 +290,10 @@ class Kernel:
         # -- fault injection (repro.faults) ---------------------------------
         # Opt in via KernelConfig(faults=FaultPlan(...)) or REPRO_FAULTS=
         # <plan.json>.  Delayed messages live in a min-heap of
-        # (release_step, serial, enqueue-kwargs) and re-enter _enqueue
+        # (release_step, serial, message) and re-enter _enqueue
         # fault-exempt when their round comes up.
         self.faults = None
-        self._delayed: List[Tuple[int, int, Dict[str, Any]]] = []
+        self._delayed: List[Tuple[int, int, QueuedMessage]] = []
         self._delay_serial = 0
         if config.faults is not None:
             from repro.faults.injector import FaultInjector
@@ -368,14 +369,20 @@ class Kernel:
             self._m_injected.inc()
         if self.hooks:
             self._hook("on_inject", port, payload)
-        return self._enqueue(
+        self._enqueue(self._kernel_message(port, payload, "<wire>"))
+        return True
+
+    def _kernel_message(self, port: Handle, payload: Any, sender_name: str) -> QueuedMessage:
+        """A message born in the kernel, not in a task: default labels, so
+        it contaminates nobody and ordinary delivery checks apply."""
+        return QueuedMessage(
             port=port,
             payload=payload,
-            effective_send=self.engine.canon(ChunkedLabel.from_label(Label.send_default())),
-            ds=_TOP,
-            v=_TOP,
-            dr=_BOTTOM,
-            sender_name="<wire>",
+            effective_send=self._default_es,
+            decontaminate_send=_TOP,
+            verify=_TOP,
+            decontaminate_receive=_BOTTOM,
+            sender_name=sender_name,
         )
 
     def enqueue_external(
@@ -401,16 +408,19 @@ class Kernel:
         """
         if self._obs:
             self._m_xshard_in.inc()
-        return self._enqueue(
-            port=port,
-            payload=payload,
-            effective_send=self.engine.canon(effective_send),
-            ds=self.engine.canon(ds),
-            v=self.engine.canon(v),
-            dr=self.engine.canon(dr),
-            sender_name=sender_name,
-            external=True,
+        self._enqueue(
+            QueuedMessage(
+                port=port,
+                payload=payload,
+                effective_send=self.engine.canon(effective_send),
+                decontaminate_send=self.engine.canon(ds),
+                verify=self.engine.canon(v),
+                decontaminate_receive=self.engine.canon(dr),
+                sender_name=sender_name,
+                external=True,
+            )
         )
+        return True
 
     # -- the run loop ----------------------------------------------------------------
 
@@ -455,9 +465,9 @@ class Kernel:
         """Nothing runnable: release the next deferred message or jump the
         clock to the earliest live timer.  Returns False at quiescence."""
         if self._delayed:
-            release_step, _, kwargs = heapq.heappop(self._delayed)
+            release_step, _, qmsg = heapq.heappop(self._delayed)
             self._steps = max(self._steps, release_step)
-            self._enqueue(fault_exempt=True, **kwargs)
+            self._enqueue(qmsg, fault_exempt=True)
             return True
         while self._timers:
             deadline, _, key, token = self._timers[0]
@@ -499,12 +509,8 @@ class Kernel:
 
     def _release_due_messages(self) -> None:
         while self._delayed and self._delayed[0][0] <= self._steps:
-            _, _, kwargs = heapq.heappop(self._delayed)
-            self._enqueue(fault_exempt=True, **kwargs)
-
-    def _defer_enqueue(self, rounds: int, kwargs: Dict[str, Any]) -> None:
-        self._delay_serial += 1
-        heapq.heappush(self._delayed, (self._steps + rounds, self._delay_serial, kwargs))
+            _, _, qmsg = heapq.heappop(self._delayed)
+            self._enqueue(qmsg, fault_exempt=True)
 
     def _step(self) -> None:
         if self.nondet is None:
@@ -598,101 +604,96 @@ class Kernel:
                 self._task_finished(task, crashed=True)
                 return
             self.clock.charge(OTHER, self.clock.cost.syscall_base)
-            again = self._dispatch(task, request)
-            if not again:
+            if not self._dispatch(task, request):
                 return
 
+    def _syscall_table(self) -> Dict[type, Callable[[Task, Any], bool]]:
+        """Exact request type → handler.  Every handler sets ``task.pending``
+        itself and returns True to keep advancing the same task inline
+        (cheap syscalls), False when the task blocked, exited, or should
+        round-robin.  No syscall class is subclassed, so the exact type
+        decides."""
+        return {
+            sc.Send: self._sys_send,
+            sc.Recv: self._sys_recv,
+            sc.NewHandle: self._sys_new_handle,
+            sc.NewPort: self._sys_new_port,
+            sc.SetPortLabel: self._sys_set_port_label,
+            sc.DissociatePort: self._sys_dissociate_port,
+            sc.ChangeLabel: self._sys_change_label,
+            sc.GetLabels: self._sys_get_labels,
+            sc.GetEnv: self._sys_get_env,
+            sc.Spawn: self._sys_spawn,
+            sc.Compute: self._sys_compute,
+            sc.Deadline: self._sys_deadline,
+            sc.Exit: self._sys_exit,
+            sc.EpCheckpoint: self._sys_ep_checkpoint,
+            sc.EpYield: self._sys_ep_yield,
+            sc.EpClean: self._sys_ep_clean,
+            sc.EpExit: self._sys_ep_exit,
+        }
+
     def _dispatch(self, task: Task, request: sc.Syscall) -> bool:
-        """Execute one syscall.  Returns True to keep advancing the same
-        task inline (cheap syscalls), False when the task blocked, exited,
-        or should round-robin."""
+        """Execute one syscall through the table; loud kernel errors come
+        back to the caller as an exception at its next resume."""
+        handler = self._syscalls.get(type(request))
+        if handler is None:
+            raise SimulationError(f"{task.name} yielded a non-syscall: {request!r}")
         try:
-            if isinstance(request, sc.Send):
-                task.pending = self._sys_send(task, request)
-                return True
-            if isinstance(request, sc.Recv):
-                return self._sys_recv(task, request)
-            if isinstance(request, sc.NewHandle):
-                task.pending = self._sys_new_handle(task)
-                return True
-            if isinstance(request, sc.NewPort):
-                task.pending = self._sys_new_port(task, request.label)
-                return True
-            if isinstance(request, sc.SetPortLabel):
-                task.pending = self._sys_set_port_label(task, request)
-                return True
-            if isinstance(request, sc.DissociatePort):
-                if request.port not in task.owned_ports:
-                    raise NotOwner(f"dissociate: port {request.port:#x} not owned")
-                if self.hooks:
-                    self._hook("on_port_touch", task, request.port)
-                self._dissociate_port(request.port)
-                task.pending = True
-                return True
-            if isinstance(request, sc.ChangeLabel):
-                task.pending = self._sys_change_label(task, request)
-                return True
-            if isinstance(request, sc.GetLabels):
-                task.pending = (task.send_label.to_label(), task.receive_label.to_label())
-                return True
-            if isinstance(request, sc.GetEnv):
-                env = task.env if isinstance(task, Process) else task.base.env  # type: ignore[attr-defined]
-                task.pending = dict(env)
-                return True
-            if isinstance(request, sc.Spawn):
-                child = self.spawn(
-                    request.body,
-                    request.name,
-                    component=request.component or task.component,
-                    env=request.env,
-                    parent=task,
-                    inherit_labels=request.inherit_labels,
-                    notify_exit=request.notify_exit,
-                )
-                task.pending = child.pid
-                return True
-            if isinstance(request, sc.Compute):
-                self.clock.charge(request.category or task.component, request.cycles)
-                task.pending = None
-                return True
-            if isinstance(request, sc.Deadline):
-                if request.cycles <= 0:
-                    task.pending = None
-                    return True
-                task.state = TaskState.BLOCKED
-                task.blocked_on = request
-                self._arm_timer(task, request, self.clock.now + request.cycles)
-                return False
-            if isinstance(request, sc.Exit):
-                self._task_finished(task, explicit_exit=True)
-                return False
-            if isinstance(request, sc.EpCheckpoint):
-                return self._sys_ep_checkpoint(task, request)
-            if isinstance(request, sc.EpYield):
-                return self._sys_ep_yield(task)
-            if isinstance(request, sc.EpClean):
-                task.pending = self._sys_ep_clean(task, request)
-                return True
-            if isinstance(request, sc.EpExit):
-                self._sys_ep_exit(task)
-                return False
+            return handler(task, request)
         except (InvalidArgument, NotOwner, ResourceExhausted) as err:
             task.pending_exc = err
             return True
-        raise SimulationError(f"{task.name} yielded a non-syscall: {request!r}")
+
+    def _sys_get_labels(self, task: Task, request: sc.GetLabels) -> bool:
+        task.pending = (task.send_label.to_label(), task.receive_label.to_label())
+        return True
+
+    def _sys_get_env(self, task: Task, request: sc.GetEnv) -> bool:
+        env = task.env if isinstance(task, Process) else task.base.env  # type: ignore[attr-defined]
+        task.pending = dict(env)
+        return True
+
+    def _sys_spawn(self, task: Task, request: sc.Spawn) -> bool:
+        child = self.spawn(
+            request.body,
+            request.name,
+            component=request.component or task.component,
+            env=request.env,
+            parent=task,
+            inherit_labels=request.inherit_labels,
+            notify_exit=request.notify_exit,
+        )
+        task.pending = child.pid
+        return True
+
+    def _sys_compute(self, task: Task, request: sc.Compute) -> bool:
+        self.clock.charge(request.category or task.component, request.cycles)
+        task.pending = None
+        return True
+
+    def _sys_deadline(self, task: Task, request: sc.Deadline) -> bool:
+        if request.cycles <= 0:
+            task.pending = None
+            return True
+        task.state = TaskState.BLOCKED
+        task.blocked_on = request
+        self._arm_timer(task, request, self.clock.now + request.cycles)
+        return False
+
+    def _sys_exit(self, task: Task, request: sc.Exit) -> bool:
+        self._task_finished(task, explicit_exit=True)
+        return False
 
     def _task_finished(
         self, task: Task, crashed: bool = False, explicit_exit: bool = False
     ) -> None:
         if isinstance(task, EventProcess):
-            if explicit_exit:
+            if explicit_exit or crashed:
                 # Process-wide exit from inside an EP kills the whole base
-                # process (Section 6.1).
-                self._terminate_process(task.base)
-            elif crashed:
-                # A crashing event body takes the whole process down, like
-                # a fault in any thread of a real process.
-                self._terminate_process(task.base, crashed=True)
+                # process (Section 6.1); a crashing event body takes it
+                # down too, like a fault in any thread of a real process.
+                self._terminate_process(task.base, crashed=crashed)
             else:
                 # Returning from the event body behaves like ep_exit.
                 self._destroy_ep(task)
@@ -738,7 +739,8 @@ class Kernel:
         self._bill(stats, work)
         if not ok:
             self._drop(DROP_DECONT_PRIVILEGE, task.name, f"{request.port:#x}")
-            return True  # unreliable send: the sender cannot observe the drop
+            task.pending = True  # unreliable send: the sender cannot observe the drop
+            return True
 
         # Transferred receive rights leave the sender immediately; they
         # land on the receiver at delivery, or die with a dropped message.
@@ -747,126 +749,77 @@ class Kernel:
             if handle not in task.owned_ports:
                 raise NotOwner(f"transfer of unowned port {handle:#x}")
         for handle in transfer:
-            # Port passage: a covered port changing hands is a topology
-            # change the proofs assumed away — quarantine them.
-            self._proofs_invalidate("port passage", port=handle)
+            if self.flow_table is not None:
+                self.flow_table.port_passed(handle)
             task.owned_ports.discard(handle)
             task.ready_ports.discard(handle)
             entry = self.ports.get(handle)
             if entry is not None:
                 entry.owner = "<in-transit>"
 
-        return self._enqueue(
-            port=request.port,
-            payload=request.payload,
-            effective_send=es,
-            ds=ds,
-            v=v,
-            dr=dr,
-            sender_name=task.name,
-            transfer=transfer,
+        self._enqueue(
+            QueuedMessage(
+                port=request.port,
+                payload=request.payload,
+                effective_send=es,
+                decontaminate_send=ds,
+                verify=v,
+                decontaminate_receive=dr,
+                sender_name=task.name,
+                transfer=transfer,
+            )
         )
+        task.pending = True
+        return True
 
-    def _enqueue(
-        self,
-        port: Handle,
-        payload: Any,
-        effective_send: ChunkedLabel,
-        ds: ChunkedLabel,
-        v: ChunkedLabel,
-        dr: ChunkedLabel,
-        sender_name: str,
-        transfer: Tuple[Handle, ...] = (),
-        fault_exempt: bool = False,
-        external: bool = False,
-    ) -> bool:
+    def _enqueue(self, qmsg: QueuedMessage, fault_exempt: bool = False) -> None:
+        """Queue *qmsg* on its port — or delay it, ship it to the shard
+        that owns the port, or drop it.  The sender sees none of this."""
+        port = qmsg.port
         if self.faults is not None and not fault_exempt:
-            action = self.faults.on_send(sender_name, port, self._steps)
+            action = self.faults.on_send(qmsg.sender_name, port, self._steps)
             if action is not None:
                 what, rounds = action
                 if what == "drop":
                     # Injected unreliability: indistinguishable from a
                     # label-check drop to every simulated program.
-                    self._drop(DROP_FAULT, sender_name, f"{port:#x}")
-                    self._kill_transferred(transfer)
-                    return True
-                self._defer_enqueue(
-                    rounds,
-                    dict(
-                        port=port,
-                        payload=payload,
-                        effective_send=effective_send,
-                        ds=ds,
-                        v=v,
-                        dr=dr,
-                        sender_name=sender_name,
-                        transfer=transfer,
-                        external=external,
-                    ),
-                )
-                return True
+                    self._drop_unqueued(DROP_FAULT, qmsg)
+                    return
+                self._delay_serial += 1
+                heapq.heappush(self._delayed, (self._steps + rounds, self._delay_serial, qmsg))
+                return
         entry = self.ports.get(port)
         if entry is None or not entry.alive:
-            if entry is None and self.remote_routes:
+            # Receive rights cannot cross a shard boundary — wire/v1 has no
+            # port-migration protocol — so a remote send carrying them
+            # drops, and the in-transit rights die, exactly like a send to
+            # a dead port.
+            if entry is None and self.remote_routes and not qmsg.transfer:
                 route = self.remote_routes.get(port)
                 if route is not None and self.xshard_out is not None:
-                    if transfer:
-                        # Receive rights cannot cross a shard boundary —
-                        # wire/v1 has no port-migration protocol — so the
-                        # message drops and the in-transit rights die,
-                        # exactly like a send to a dead port.
-                        self._drop(DROP_DEAD_PORT, sender_name, f"{port:#x}")
-                        self._kill_transferred(transfer)
-                        return True
-                    # Send-time checks (requirements 2 and 3) already
-                    # passed above; ship (message, labels, effects) to the
-                    # owning shard, where delivery-time checks and effects
-                    # run against its own interned labels.
-                    self.xshard_out(
-                        route,
-                        dict(
-                            port=port,
-                            payload=payload,
-                            effective_send=effective_send,
-                            ds=ds,
-                            v=v,
-                            dr=dr,
-                            sender_name=sender_name,
-                        ),
-                    )
+                    # Send-time checks (requirements 2 and 3) already passed;
+                    # the owning shard runs the delivery-time checks and
+                    # effects against its own interned labels.
+                    self.xshard_out(route, qmsg)
                     if self._obs:
                         self._m_xshard_out.inc()
-                    return True
-            self._drop(DROP_DEAD_PORT, sender_name, f"{port:#x}")
-            self._kill_transferred(transfer)
-            return True
+                    return
+            self._drop_unqueued(DROP_DEAD_PORT, qmsg)
+            return
         self._seq += 1
-        qmsg = QueuedMessage(
-            seq=self._seq,
-            port=port,
-            payload=payload,
-            effective_send=effective_send,
-            decontaminate_send=ds,
-            verify=v,
-            decontaminate_receive=dr,
-            sender_name=sender_name,
-            payload_bytes=_payload_bytes(payload),
-            transfer=transfer,
-            external=external,
-        )
+        qmsg.seq = self._seq
+        qmsg.payload_bytes = _payload_bytes(qmsg.payload)
         if self.faults is not None:
-            squeeze = self.faults.queue_limit(sender_name, port, self._steps)
+            squeeze = self.faults.queue_limit(qmsg.sender_name, port, self._steps)
             if squeeze is not None and len(entry.queue) >= squeeze[0]:
                 # Injected queue pressure: behaves exactly like hitting the
                 # real queue limit, but with the squeezed bound.
-                self.faults.note_squeeze_drop(squeeze[1], sender_name, port)
-                self._drop(DROP_QUEUE_LIMIT, sender_name, f"{port:#x}")
-                self._kill_transferred(transfer)
-                return True
+                self.faults.note_squeeze_drop(squeeze[1], qmsg.sender_name, port)
+                self._drop_unqueued(DROP_QUEUE_LIMIT, qmsg)
+                return
         if not entry.enqueue(qmsg):
-            self._drop(DROP_QUEUE_LIMIT, sender_name, f"{port:#x}")
-            self._kill_transferred(transfer)
-            return True
+            self._drop_unqueued(DROP_QUEUE_LIMIT, qmsg)
+            return
         if self._obs:
             self._m_enqueued.inc()
         if self.spans is not None:
@@ -874,46 +827,33 @@ class Kernel:
                 "msg",
                 qmsg.seq,
                 self.clock.now,
-                sender=sender_name,
+                sender=qmsg.sender_name,
                 port=f"{port:#x}",
             )
+        # Mark the port ready and wake whoever will receive from it.
         owner = self.tasks.get(entry.owner)
-        if owner is not None:
-            owner.ready_ports.add(port)
-        if isinstance(owner, EventProcess):
-            owner.base.ready_realm_ports.add(port)
-        elif isinstance(owner, Process) and owner.state == TaskState.EP_REALM:
-            owner.ready_realm_ports.add(port)
-        self._wake_owner(entry.owner)
-        return True
-
-    def _kill_transferred(self, transfer: Tuple[Handle, ...]) -> None:
-        """In-transit receive rights on a dropped message are destroyed —
-        returning them to the sender would reveal the drop."""
-        for handle in transfer:
-            entry = self.ports.get(handle)
-            if entry is not None:
-                entry.dissociate()
-                del self.ports[handle]
-                vnode = self.vnodes.get(handle)
-                if vnode is not None:
-                    vnode.dissociated = True
-                    self.vnodes.decref(handle)
-
-    def _wake_owner(self, owner_key: str) -> None:
-        task = self.tasks.get(owner_key)
-        if task is None:
+        if owner is None:
             return
-        if isinstance(task, EventProcess):
-            base = task.base
+        owner.ready_ports.add(port)
+        if isinstance(owner, EventProcess):
             # The base process is the schedulable identity for its realm.
+            base = owner.base
+            base.ready_realm_ports.add(port)
             if base.state == TaskState.EP_REALM:
                 self.scheduler.enqueue(base.key)
-            return
-        if task.state in (TaskState.BLOCKED, TaskState.RUNNABLE):
-            self.scheduler.enqueue(task.key)
-        elif task.state == TaskState.EP_REALM:
-            self.scheduler.enqueue(task.key)
+        elif owner.state == TaskState.EP_REALM:
+            owner.ready_realm_ports.add(port)
+            self.scheduler.enqueue(owner.key)
+        elif owner.state in (TaskState.BLOCKED, TaskState.RUNNABLE):
+            self.scheduler.enqueue(owner.key)
+
+    def _drop_unqueued(self, reason: str, qmsg: QueuedMessage) -> None:
+        """Drop a message that never joined a queue (it has no span).  Any
+        in-transit receive rights die with it — returning them to the
+        sender would reveal the drop."""
+        self._drop(reason, qmsg.sender_name, f"{qmsg.port:#x}")
+        for handle in qmsg.transfer:
+            self._dissociate_port(handle)
 
     # -- delivery (Figure 4 requirements 1 & 4, then the effects) ---------------------------
 
@@ -963,7 +903,8 @@ class Kernel:
                 )
         else:
             self._drop(verdict.drop, qmsg.sender_name, task.name, seq=qmsg.seq)
-            self._kill_transferred(qmsg.transfer)
+            for handle in qmsg.transfer:
+                self._dissociate_port(handle)
         if self.hooks:
             self._hook("on_deliver", task, entry, qmsg, delivered)
         return delivered
@@ -975,24 +916,6 @@ class Kernel:
             KERNEL_IPC, bill(work, stats, self.clock.cost, self.config.label_cost_mode)
         )
         self.label_stats.merge(stats)
-
-    def _proofs_invalidate(self, reason: str, port: Optional[Handle] = None) -> None:
-        """A system-level event made the loaded proofs' worldview stale.
-
-        Bumps the verified-flow epoch, which quarantines the whole table
-        for the rest of the run (DESIGN.md §15): every later delivery
-        falls back to the PR 5 interned path.  Idempotent once invalid.
-        With *port*, the event only counts if the proofs cover that port.
-        """
-        table = self.flow_table
-        if table is None or not table.valid:
-            return
-        if port is not None:
-            if not table.covers_port(port):
-                return
-            reason = f"{reason} {port:#x}"
-        table.invalidate(reason)
-        self.debug_log("elide", f"proofs invalidated: {reason}")
 
     def _mirror_counters(self) -> None:
         """Publish the counters the label engine's parts already keep as
@@ -1014,11 +937,8 @@ class Kernel:
 
     def _sys_recv(self, task: Task, request: sc.Recv) -> bool:
         if request.port is not None and request.port not in task.owned_ports:
-            task.pending_exc = NotOwner(f"recv on port {request.port:#x} not owned")
-            return True
-        if self.hooks:
-            self._hook("on_recv", task, request)
-        delivered = self._pick_and_deliver(task, request.port)
+            raise NotOwner(f"recv on port {request.port:#x} not owned")
+        delivered = self._pick_and_deliver(task, request)
         if delivered is not None:
             task.pending = delivered
             return True
@@ -1039,9 +959,7 @@ class Kernel:
             return True
         if isinstance(request, sc.Deadline):
             return False  # only the timer wakes a sleeper
-        if self.hooks:
-            self._hook("on_recv", task, request)
-        delivered = self._pick_and_deliver(task, request.port)
+        delivered = self._pick_and_deliver(task, request)
         if delivered is None:
             return False
         task.pending = delivered
@@ -1049,30 +967,16 @@ class Kernel:
         task.blocked_on = None
         return True
 
-    def _pick_and_deliver(self, task: Task, port: Optional[Handle]) -> Optional[Message]:
-        """Deliver the oldest deliverable message on *port* (or any owned
-        port).  Messages failing their check are dropped permanently.
-
-        Only ports with queued traffic (the kernel-maintained ready set)
-        are examined, so a server owning thousands of idle connection
-        ports pays nothing for them here."""
+    def _pick_and_deliver(self, task: Task, request: sc.Recv) -> Optional[Message]:
+        """One receive attempt: deliver the oldest deliverable message on
+        the requested port (or any owned port).  Messages failing their
+        check are dropped permanently."""
+        if self.hooks:
+            self._hook("on_recv", task, request)
         while True:
-            best: Optional[Tuple[int, Port]] = None
-            stale: List[Handle] = []
-            candidates = [port] if port is not None else list(task.ready_ports)
-            for handle in candidates:
-                entry = self.ports.get(handle)
-                if entry is None or not entry.alive or not entry.queue:
-                    stale.append(handle)
-                    continue
-                seq = entry.queue[0].seq
-                if best is None or seq < best[0]:
-                    best = (seq, entry)
-            for handle in stale:
-                task.ready_ports.discard(handle)
-            if best is None:
+            entry = self._oldest_head(task.ready_ports, request.port)
+            if entry is None:
                 return None
-            entry = best[1]
             qmsg = entry.queue.popleft()
             if not entry.queue:
                 task.ready_ports.discard(entry.handle)
@@ -1080,9 +984,38 @@ class Kernel:
                 return qmsg.to_message()
             # dropped; look again
 
+    def _oldest_head(
+        self, ready: Set[Handle], port: Optional[Handle] = None, realm: bool = False
+    ) -> Optional[Port]:
+        """The live port whose queued head is oldest, among the handles in
+        *ready* (or just *port*); handles with nothing queued are pruned
+        from *ready*.  Only ports with traffic (the kernel-maintained ready
+        sets) are examined, so a server owning thousands of idle connection
+        ports, or a realm with thousands of dormant event processes, pays
+        nothing for them here.  With *realm*, a port owned by an active or
+        blocked EP is passed over: that EP consumes its own queue."""
+        best: Optional[Port] = None
+        best_seq = 0
+        stale: List[Handle] = []
+        for handle in ready if port is None else (port,):
+            entry = self.ports.get(handle)
+            if entry is None or not entry.alive or not entry.queue:
+                stale.append(handle)
+                continue
+            if realm:
+                owner = self.tasks.get(entry.owner)
+                if isinstance(owner, EventProcess) and owner.state != TaskState.DORMANT:
+                    continue
+            seq = entry.queue[0].seq
+            if best is None or seq < best_seq:
+                best, best_seq = entry, seq
+        for handle in stale:
+            ready.discard(handle)
+        return best
+
     # -- handles, ports, labels ---------------------------------------------------------------
 
-    def _sys_new_handle(self, task: Task) -> Handle:
+    def _sys_new_handle(self, task: Task, request: sc.NewHandle) -> bool:
         self.clock.charge(KERNEL_IPC, self.clock.cost.handle_alloc)
         handle = self.allocator.fresh()
         self.vnodes.create(handle)
@@ -1093,13 +1026,15 @@ class Kernel:
         self._bill(stats)
         if self.hooks:
             self._hook("on_new_handle", task, handle)
-        return handle
+        task.pending = handle
+        return True
 
-    def _sys_new_port(self, task: Task, label: Optional[Label]) -> Handle:
+    def _sys_new_port(self, task: Task, request: sc.NewPort) -> bool:
         self.clock.charge(KERNEL_IPC, self.clock.cost.port_alloc)
         handle = self.allocator.fresh()
         self.vnodes.create(handle, is_port=True, owner=task.key)
-        base = ChunkedLabel.from_label(label if label is not None else DEFAULT_PORT_LABEL)
+        label = request.label if request.label is not None else DEFAULT_PORT_LABEL
+        base = ChunkedLabel.from_label(label)
         stats = OpStats()
         # Figure 4: pR ← L, then pR(p) ← 0.
         port_label = self.engine.canon(labelops.sparse_update(base, {handle: L0}, stats))
@@ -1112,122 +1047,102 @@ class Kernel:
         self._bill(stats)
         if self.hooks:
             self._hook("on_new_port", task, handle)
-        return handle
+        task.pending = handle
+        return True
 
     def _sys_set_port_label(self, task: Task, request: sc.SetPortLabel) -> bool:
         entry = self.ports.get(request.port)
         if entry is None or request.port not in task.owned_ports:
             raise NotOwner(f"set_port_label: port {request.port:#x} not owned")
         # Unlike new_port, the input is used verbatim (Section 5.5).
-        new_label = self.engine.canon(ChunkedLabel.from_label(request.label))
-        if (
-            self.flow_table is not None
-            and self.flow_table.covers_port(request.port)
-            and not self.flow_table.port_label_assumed(request.port, new_label)
-        ):
-            # Rewriting a covered port's label *outside the values the
-            # proofs assumed* invalidates them; rewriting it to an
-            # assumed value (boot-time bring-up replaying the recorded
-            # world) is exactly what the proofs describe and keeps them.
-            self._proofs_invalidate(f"set_port_label {request.port:#x}")
-        entry.label = new_label
+        entry.label = self.engine.canon(ChunkedLabel.from_label(request.label))
+        if self.flow_table is not None:
+            self.flow_table.port_relabelled(request.port, entry.label)
         if self.hooks:
             self._hook("on_port_touch", task, request.port)
+        task.pending = True
+        return True
+
+    def _sys_dissociate_port(self, task: Task, request: sc.DissociatePort) -> bool:
+        if request.port not in task.owned_ports:
+            raise NotOwner(f"dissociate: port {request.port:#x} not owned")
+        if self.hooks:
+            self._hook("on_port_touch", task, request.port)
+        self._dissociate_port(request.port)
+        task.pending = True
         return True
 
     def _sys_change_label(self, task: Task, request: sc.ChangeLabel) -> bool:
-        table = self.flow_table
-        watch = (
-            table is not None and table.valid and table.covers_task(task.name)
-        )
-        if watch:
-            # Proofs only assumed the label values the exploration saw;
-            # a covered task writing its labels *outside* that set is an
-            # invalidating event (writes inside it — e.g. reasserting the
-            # fixed point — are exactly what the proofs describe).
-            old_send_assumed = table.core_assumed(task.name, task.send_label)
-            old_recv_assumed = table.core_assumed(task.name, task.receive_label)
-        try:
-            return self._change_label_checked(task, request)
-        finally:
-            if watch and table.valid:
-                if (
-                    old_send_assumed
-                    and not table.core_assumed(task.name, task.send_label)
-                ) or (
-                    old_recv_assumed
-                    and not table.core_assumed(task.name, task.receive_label)
-                ):
-                    self._proofs_invalidate(f"change_label {task.name}")
-
-    def _change_label_checked(self, task: Task, request: sc.ChangeLabel) -> bool:
+        """All-or-nothing: both new labels are computed aside and become
+        the task's only once every clause has passed, so a rejected
+        request leaves no partial effect.  The scan is billed either way."""
+        send, recv = task.send_label, task.receive_label
         stats = OpStats()
-        if request.drop_send:
-            updates = {}
-            default = task.send_label.default
-            for handle in request.drop_send:
-                current = task.send_label(handle)
-                if current > default:
-                    self._bill(stats)
+        try:
+            if request.drop_send:
+                updates = {}
+                default = send.default
+                for handle in request.drop_send:
+                    if send(handle) > default:
+                        raise InvalidArgument(
+                            f"drop_send of {handle:#x} would lower the send label "
+                            "(declassification); only * and sub-default credentials "
+                            "can be dropped"
+                        )
+                    updates[handle] = default
+                send = labelops.sparse_update(send, updates, stats)
+            if request.raise_receive:
+                updates = {}
+                for handle, level in request.raise_receive.items():
+                    current = recv(handle)
+                    if level > current and send(handle) != STAR:
+                        raise InvalidArgument(
+                            f"raising receive level of {handle:#x} requires "
+                            "declassification privilege"
+                        )
+                    if level != current:
+                        updates[handle] = level
+                if updates:
+                    recv = labelops.sparse_update(recv, updates, stats)
+            if request.send is not None:
+                new = ChunkedLabel.from_label(request.send)
+                # Raising only (self-contamination, including dropping own ⋆).
+                if not send.leq(new, stats):
                     raise InvalidArgument(
-                        f"drop_send of {handle:#x} would lower the send label "
-                        "(declassification); only * and sub-default credentials "
-                        "can be dropped"
+                        "change_label: send label may only be raised "
+                        "(self-contamination); lowering requires receiving a "
+                        "decontaminating message from a * holder"
                     )
-                updates[handle] = default
-            task.send_label = labelops.sparse_update(task.send_label, updates, stats)
-        if request.raise_receive:
-            updates = {}
-            for handle, level in request.raise_receive.items():
-                current = task.receive_label(handle)
-                if level > current and task.send_label(handle) != STAR:
-                    self._bill(stats)
+                send = new
+            if request.receive is not None:
+                new = ChunkedLabel.from_label(request.receive)
+                # Raising any component requires ⋆ for that handle.
+                handles = {h for h, _ in new.iter_entries()}
+                handles.update(h for h, _ in recv.iter_entries())
+                for handle in handles:
+                    stats.entries_scanned += 1
+                    if new(handle) > recv(handle) and send(handle) != STAR:
+                        raise InvalidArgument(
+                            f"change_label: raising receive level of {handle:#x} "
+                            "requires declassification privilege"
+                        )
+                if new.default > recv.default and send.max_level != STAR:
                     raise InvalidArgument(
-                        f"raising receive level of {handle:#x} requires "
-                        "declassification privilege"
+                        "change_label: raising the receive default requires "
+                        "universal declassification privilege"
                     )
-                if level != current:
-                    updates[handle] = level
-            if updates:
-                task.receive_label = labelops.sparse_update(
-                    task.receive_label, updates, stats
-                )
-        if request.send is not None:
-            new = ChunkedLabel.from_label(request.send)
-            # Raising only (self-contamination, including dropping own ⋆).
-            if not task.send_label.leq(new, stats):
-                self._bill(stats)
-                raise InvalidArgument(
-                    "change_label: send label may only be raised "
-                    "(self-contamination); lowering requires receiving a "
-                    "decontaminating message from a * holder"
-                )
-            task.send_label = new
-        if request.receive is not None:
-            new = ChunkedLabel.from_label(request.receive)
-            old = task.receive_label
-            # Raising any component requires ⋆ for that handle.
-            handles = {h for h, _ in new.iter_entries()}
-            handles.update(h for h, _ in old.iter_entries())
-            for handle in handles:
-                stats.entries_scanned += 1
-                if new(handle) > old(handle) and task.send_label(handle) != STAR:
-                    self._bill(stats)
-                    raise InvalidArgument(
-                        f"change_label: raising receive level of {handle:#x} "
-                        "requires declassification privilege"
-                    )
-            if new.default > old.default and task.send_label.max_level != STAR:
-                raise InvalidArgument(
-                    "change_label: raising the receive default requires "
-                    "universal declassification privilege"
-                )
-            task.receive_label = new
-        self._bill(stats)
-        task.send_label = self.engine.canon(task.send_label)
-        task.receive_label = self.engine.canon(task.receive_label)
+                recv = new
+        finally:
+            self._bill(stats)
+        send, recv = self.engine.canon(send), self.engine.canon(recv)
+        if self.flow_table is not None:
+            self.flow_table.task_relabelled(
+                task.name, task.send_label, task.receive_label, send, recv
+            )
+        task.send_label, task.receive_label = send, recv
         if self.hooks:
             self._hook("on_change_label", task, request)
+        task.pending = True
         return True
 
     def _user_label(self, label: Optional[Label], default: ChunkedLabel) -> ChunkedLabel:
@@ -1244,23 +1159,15 @@ class Kernel:
             raise SimulationError("ep_checkpoint from inside an event process")
         if task.event_body is not None:
             raise SimulationError("ep_checkpoint called twice")
-        if (
-            self.flow_table is not None
-            and self.flow_table.covers_task(task.name)
-            and not self.flow_table.expected_realm(task.name)
-        ):
-            # A covered task becoming an EP realm the proofs did not
-            # observe is a topology change; realms the proofs expected
-            # (their fork-marked ports) are the normal EP mechanism and
-            # do not bump.
-            self._proofs_invalidate(f"ep_checkpoint {task.name}")
+        if self.flow_table is not None:
+            self.flow_table.realm_created(task.name)
         task.event_body = request.event_body
         task.state = TaskState.EP_REALM
         task.gen = None  # the base process never runs again (Section 6.1)
         self._schedule_realm_if_work(task)
         return False
 
-    def _sys_ep_yield(self, task: Task) -> bool:
+    def _sys_ep_yield(self, task: Task, request: sc.EpYield) -> bool:
         if not isinstance(task, EventProcess):
             raise SimulationError("ep_yield outside an event process")
         base = task.base
@@ -1270,23 +1177,25 @@ class Kernel:
         self._schedule_realm_if_work(base)
         return False
 
-    def _sys_ep_clean(self, task: Task, request: sc.EpClean) -> int:
+    def _sys_ep_clean(self, task: Task, request: sc.EpClean) -> bool:
         if not isinstance(task, EventProcess):
             raise SimulationError("ep_clean outside an event process")
         if request.keep is not None:
-            return task.view.clean_all_except(tuple(request.keep))
-        if request.region is not None:
-            return task.view.clean_region(request.region)
-        if request.start is None or request.length is None:
+            task.pending = task.view.clean_all_except(tuple(request.keep))
+        elif request.region is not None:
+            task.pending = task.view.clean_region(request.region)
+        elif request.start is None or request.length is None:
             raise InvalidArgument("ep_clean needs a region name, a range, or keep=")
-        return task.view.clean(request.start, request.length)
+        else:
+            task.pending = task.view.clean(request.start, request.length)
+        return True
 
-    def _sys_ep_exit(self, task: Task) -> None:
+    def _sys_ep_exit(self, task: Task, request: sc.EpExit) -> bool:
         if not isinstance(task, EventProcess):
             raise SimulationError("ep_exit outside an event process")
-        base = task.base
         self._destroy_ep(task)
-        self._schedule_realm_if_work(base)
+        self._schedule_realm_if_work(task.base)
+        return False
 
     def _destroy_ep(self, ep: EventProcess) -> None:
         ep.state = TaskState.EXITED
@@ -1313,44 +1222,19 @@ class Kernel:
                 self._schedule_realm_if_work(process)
                 return
         # No active EP: find the oldest deliverable message in the realm.
-        activated = self._activate_next_ep(process)
-        if activated:
+        if self._activate_next_ep(process):
             self._schedule_realm_if_work(process)
-
-    def _realm_ports(self, process: Process) -> List[Tuple[int, Port, Optional[EventProcess]]]:
-        """(seq, port, owner-EP-or-None) for every non-empty realm port,
-        oldest head first.  Maintained via ``ready_realm_ports`` so the
-        cost is the number of ports with traffic, not the number of
-        dormant event processes."""
-        heads: List[Tuple[int, Port, Optional[EventProcess]]] = []
-        stale: List[Handle] = []
-        for handle in process.ready_realm_ports:
-            entry = self.ports.get(handle)
-            if entry is None or not entry.alive or not entry.queue:
-                stale.append(handle)
-                continue
-            owner = self.tasks.get(entry.owner)
-            if isinstance(owner, EventProcess):
-                if owner.state != TaskState.DORMANT:
-                    continue  # active/blocked EP consumes its own queue
-                heads.append((entry.queue[0].seq, entry, owner))
-            else:
-                heads.append((entry.queue[0].seq, entry, None))
-        for handle in stale:
-            process.ready_realm_ports.discard(handle)
-        heads.sort(key=lambda item: item[0])
-        return heads
 
     def _activate_next_ep(self, process: Process) -> bool:
         """Deliver the oldest deliverable realm message, creating or
         resuming an event process.  Returns True if an EP ran."""
         while True:
-            heads = self._realm_ports(process)
-            if not heads:
+            entry = self._oldest_head(process.ready_realm_ports, realm=True)
+            if entry is None:
                 return False
-            _, entry, ep = heads[0]
+            ep = self.tasks.get(entry.owner)
             qmsg = entry.queue.popleft()
-            if ep is None:
+            if not isinstance(ep, EventProcess):
                 if self._deliver_to_new_ep(process, entry, qmsg):
                     return True
                 continue  # dropped; try the next head
@@ -1424,9 +1308,9 @@ class Kernel:
                 self.scheduler.enqueue(process.key)
                 return
             if ep is not None and ep.state == TaskState.BLOCKED:
-                # Re-tried when a message arrives (wake_owner).
+                # Re-tried when a message arrives (_enqueue wakes the base).
                 return
-        if self._realm_ports(process):
+        if self._oldest_head(process.ready_realm_ports, realm=True) is not None:
             self.scheduler.enqueue(process.key)
 
     # -- teardown -----------------------------------------------------------------------------
@@ -1435,10 +1319,6 @@ class Kernel:
         entry = self.ports.get(handle)
         if entry is None:
             return
-        # A covered port dying needs no proof invalidation: handle values
-        # never repeat within a boot (the allocator is a cipher over a
-        # monotonic counter), so no future delivery can ever probe this
-        # port's stubs again — the dead edge simply stops being exercised.
         entry.dissociate()
         vnode = self.vnodes.get(handle)
         if vnode is not None:
@@ -1466,19 +1346,14 @@ class Kernel:
             # Fault-exempt: the injector models unreliable *user* IPC; the
             # kernel's own exit notification is the mechanism supervision
             # (and chaos recovery itself) is built on.
+            obituary = {
+                "type": "EXITED",
+                "pid": process.pid,
+                "name": process.name,
+                "crashed": crashed,
+            }
             self._enqueue(
-                port=process.notify_exit,
-                payload={
-                    "type": "EXITED",
-                    "pid": process.pid,
-                    "name": process.name,
-                    "crashed": crashed,
-                },
-                effective_send=self.engine.canon(ChunkedLabel.from_label(Label.send_default())),
-                ds=_TOP,
-                v=_TOP,
-                dr=_BOTTOM,
-                sender_name="<kernel>",
+                self._kernel_message(process.notify_exit, obituary, "<kernel>"),
                 fault_exempt=True,
             )
 

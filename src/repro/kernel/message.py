@@ -43,9 +43,13 @@ class QueuedMessage:
     Captures the sender's effective labels at *send* time; the receiver-
     dependent checks (Figure 4 requirements 1 and 4) run at delivery time
     against whatever the receiver's labels are then.
+
+    Built once, where the message is born, and carried as that one object
+    through fault delay, cross-shard egress and the port queue; ``seq``
+    and ``payload_bytes`` are stamped by ``Kernel._enqueue`` only when
+    the message actually joins a queue.
     """
 
-    seq: int                              # global arrival order
     port: Handle
     payload: Any
     effective_send: ChunkedLabel          # ES = PS ⊔ CS, snapshotted at send
@@ -53,6 +57,7 @@ class QueuedMessage:
     verify: ChunkedLabel                  # V
     decontaminate_receive: ChunkedLabel   # DR
     sender_name: str                      # diagnostics only (drop log)
+    seq: int = 0                          # global arrival order
     payload_bytes: int = 0                # modelled message size
     #: Receive rights travelling with this message (Section 4).
     transfer: tuple = ()

@@ -27,6 +27,7 @@ runs against each other.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -932,6 +933,10 @@ def run_bench(
     paths: List[str] = []
     for figure in selected:
         echo(f"bench: {figure}")
+        # A dead kernel is cyclic garbage: its labels linger in the weak,
+        # process-wide intern table until the collector happens to run, and
+        # that changes which interned lookups hit.  Start each figure clean.
+        gc.collect()
         runner = _RUNNERS[figure]
         if figure in ("fig7", "fig9"):
             doc = runner(quick, sweep=sweep)

@@ -10,9 +10,9 @@ import pytest
 from repro.analysis import cli
 from repro.analysis import rules as R
 from repro.analysis.check import Engine, link_lint_findings, run_check
-from repro.analysis.model import LabelStore, Topology, load, loads, parse_level
+from repro.analysis.model import LabelStore, Topology, load, loads
 from repro.core.labels import Label
-from repro.core.levels import L0, L1, L2, L3, STAR
+from repro.core.levels import L0, L1, L2, L3, STAR, parse_level
 from repro.kernel.errors import (
     DROP_DECONT_PRIVILEGE,
     DROP_LABEL_CHECK,

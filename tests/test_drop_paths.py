@@ -1,6 +1,6 @@
 """Silent-drop bookkeeping: every DROP_* branch must destroy in-transit
-receive rights (``_kill_transferred``), and exit obituaries must survive
-even a drop-everything fault plan.
+receive rights (``_dissociate_port`` per handle), and exit obituaries must
+survive even a drop-everything fault plan.
 
 Returning transferred rights to the sender after a drop would hand it a
 delivery-notification channel — exactly the covert channel the silent-

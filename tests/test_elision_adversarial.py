@@ -33,8 +33,16 @@ from repro.analysis.sanitizer import SanitizerViolation
 from repro.core.chunks import ChunkedLabel
 from repro.core.interning import InternTable
 from repro.core.labels import Label
-from repro.core.levels import L1, L2, L3
-from repro.kernel import NewPort, Recv, Send, SetPortLabel
+from repro.core.levels import L1, L2, L3, STAR
+from repro.kernel import (
+    ChangeLabel,
+    EpCheckpoint,
+    EpExit,
+    NewPort,
+    Recv,
+    Send,
+    SetPortLabel,
+)
 from repro.kernel.config import KernelConfig
 from repro.kernel.kernel import Kernel
 from repro.sim.runner import build_echo_site
@@ -202,7 +210,7 @@ def test_stale_proofs_stop_eliding_and_fail_closed():
         )
         site = build_echo_site(4, config=config)
         table = site.kernel.flow_table
-        site.kernel._proofs_invalidate("simulated staleness")
+        table.invalidate("simulated staleness")
         # Boot bring-up may have hit send stubs already; the point is
         # that nothing elides *after* the proofs go stale.
         hits_at_staleness = table.deliver_hits + table.send_hits
@@ -305,25 +313,54 @@ def test_pingpong_baseline_elides_without_invalidating():
     assert table.invalidations == 0
 
 
-def test_port_label_rewrite_outside_assumed_set_invalidates():
+def _rewrite_port_label(inbox, _helper):
+    yield SetPortLabel(inbox, Label({50: L2}, L3))
+
+
+def _leave_assumed_labels(inbox, _helper):
+    # Self-contamination: a send-label core the exploration never saw.
+    yield ChangeLabel(send=Label({inbox: STAR, 50: L2}, L1))
+
+
+def _become_realm(_inbox, _helper):
+    def event_body(ctx, msg):
+        if msg.payload != "stop":
+            ctx.env["got"].append(msg.payload)
+        yield EpExit()
+
+    yield EpCheckpoint(event_body)
+
+
+def _assert_twist_invalidates(twist, reason, arrived=8):
     doc = _pingpong_proofs(8)
-
-    def rewrite(inbox, _helper):
-        yield SetPortLabel(inbox, Label({50: L2}, L3))
-
     with tempfile.TemporaryDirectory(prefix="repro-elide-adv-") as scratch:
         path = os.path.join(scratch, "proofs.json")
         write_proofs(doc, path)
-        kernel, srv, _ = _elided_pingpong(path, 8, twist=rewrite)
+        kernel, srv, _ = _elided_pingpong(path, 8, twist=twist)
     table = kernel.flow_table
-    # The rewrite is a real in-simulation event on a covered port whose
-    # new value the proofs never assumed: the hook must bump the epoch,
-    # and every message must still arrive via the full checked path.
-    assert srv.env["got"] == [f"m{i}" for i in range(8)]
+    # The twist is a real in-simulation event by a covered task that the
+    # proofs never assumed: the flow table must bump the epoch and record
+    # why, and messages must still arrive via the full checked path.
+    assert srv.env["got"] == [f"m{i}" for i in range(arrived)]
     assert table.valid is False
     assert table.invalidations == 1
-    assert any("set_port_label" in r for r in table.invalidation_reasons)
+    assert [r.split()[0] for r in table.invalidation_reasons] == [reason]
     assert table.quarantines == 0
+
+
+def test_port_label_rewrite_outside_assumed_set_invalidates():
+    _assert_twist_invalidates(_rewrite_port_label, "set_port_label")
+
+
+def test_labels_leaving_the_assumed_set_invalidate():
+    _assert_twist_invalidates(_leave_assumed_labels, "change_label")
+
+
+def test_unexpected_realm_invalidates():
+    # Messages already queued on a base port at the checkpoint wait for
+    # the next arrival there (ready_realm_ports only learns of traffic
+    # that comes after); the client is done by then.
+    _assert_twist_invalidates(_become_realm, "ep_checkpoint", arrived=2)
 
 
 def test_covered_port_passage_invalidates():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.chunks import ChunkedLabel
 from repro.core.labels import Label
+from repro.faults import FaultPlan, FaultRule
 from repro.kernel import (
     EpCheckpoint,
     EpYield,
@@ -13,11 +14,15 @@ from repro.kernel import (
     NewHandle,
     NewPort,
     Recv,
+    Send,
     SetPortLabel,
+    syscalls,
 )
 from repro.kernel.clock import CostModel, CycleClock, KERNEL_IPC, NETWORK
+from repro.kernel.errors import DROP_DEAD_PORT
 from repro.kernel.message import QueuedMessage
-from repro.kernel.ports import Port
+from repro.kernel.ports import Port, RemoteRoute
+from repro.kernel.syscalls import Syscall
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.vnodes import VNODE_BYTES, VnodeTable
 
@@ -106,6 +111,116 @@ def test_port_queue_limit():
     assert port.enqueue(_qmsg(1))
     assert port.enqueue(_qmsg(2))
     assert not port.enqueue(_qmsg(3))
+
+
+# -- the syscall table and the message record --------------------------------------------------
+
+
+def test_every_syscall_class_has_a_handler():
+    concrete = {
+        cls
+        for cls in vars(syscalls).values()
+        if isinstance(cls, type) and issubclass(cls, Syscall) and cls is not Syscall
+    }
+    assert len(concrete) >= 17
+    assert set(Kernel(config=KernelConfig())._syscalls) == concrete
+
+
+class _Enqueued:
+    """Records every ``_enqueue`` call as (message, its seq on entry,
+    fault_exempt), and every delivery, on one kernel."""
+
+    def __init__(self, kernel):
+        self.calls = []
+        self.delivered = []
+        inner = kernel._enqueue
+
+        def spy(qmsg, fault_exempt=False):
+            self.calls.append((qmsg, qmsg.seq, fault_exempt))
+            inner(qmsg, fault_exempt)
+
+        kernel._enqueue = spy
+        kernel.hooks.append(self)
+
+    def on_deliver(self, task, entry, qmsg, delivered):
+        self.delivered.append((qmsg, delivered))
+
+
+def _parked_receiver(kernel):
+    def receiver(ctx):
+        port = yield NewPort()
+        yield SetPortLabel(port, Label.top())
+        ctx.env["port"] = port
+        while True:
+            yield Recv(port=port)
+
+    proc = kernel.spawn(receiver, "rx")
+    kernel.run()
+    return proc
+
+
+def test_fault_delayed_message_is_the_record_its_origin_built():
+    plan = FaultPlan.of(FaultRule(kind="delay", id="lag", match="tx*", p=1.0, rounds=3))
+    kernel = Kernel(config=KernelConfig(faults=plan, fault_seed=0))
+    rx = _parked_receiver(kernel)
+    seen = _Enqueued(kernel)
+
+    def sender(ctx):
+        moved = yield NewPort()
+        ctx.env["moved"] = moved
+        yield Send(rx.env["port"], "local", transfer=(moved,))
+
+    tx = kernel.spawn(sender, "tx")
+    bottom, top = ChunkedLabel.from_label(Label.bottom()), ChunkedLabel.from_label(Label.top())
+    kernel.enqueue_external(
+        rx.env["port"], "remote", effective_send=bottom, ds=top, v=top, dr=bottom,
+        sender_name="tx@shard1",
+    )
+    kernel.run()
+
+    # Each message entered _enqueue twice — delayed, then released
+    # fault-exempt — as one object, unstamped until it joined the queue.
+    assert kernel.faults.summary() == {"delay": 2}
+    assert [(seq, exempt) for _, seq, exempt in seen.calls] == [(0, False)] * 2 + [(0, True)] * 2
+    born = [qmsg for qmsg, _, exempt in seen.calls if not exempt]
+    released = [qmsg for qmsg, _, exempt in seen.calls if exempt]
+    assert all(any(r is b for b in born) for r in released)
+    assert all(any(d is b for b in born) and ok for d, ok in seen.delivered)
+    by_payload = {qmsg.payload: qmsg for qmsg, _ in seen.delivered}
+    local, remote = by_payload["local"], by_payload["remote"]
+    assert local.transfer == (tx.env["moved"],) and not local.external
+    assert tx.env["moved"] in rx.owned_ports  # the rights landed
+    assert remote.external and remote.transfer == ()
+    assert sorted((local.seq, remote.seq)) == [kernel._seq - 1, kernel._seq]
+    assert local.payload_bytes == len("local")
+
+
+def test_cross_shard_egress_is_the_record_its_origin_built():
+    kernel = Kernel(config=KernelConfig())
+    seen = _Enqueued(kernel)
+    shipped = []
+    kernel.xshard_out = lambda route, qmsg: shipped.append((route, qmsg))
+    route = RemoteRoute(shard=1, name="board")
+    kernel.remote_routes[0xBEEF] = route
+
+    def sender(ctx):
+        yield Send(0xBEEF, "over the wire")
+        moved = yield NewPort()
+        ctx.env["moved"] = moved
+        yield Send(0xBEEF, "with rights", transfer=(moved,))
+
+    tx = kernel.spawn(sender, "tx")
+    queued_before = kernel._seq
+    kernel.run()
+
+    assert len(shipped) == 1 and shipped[0][0] is route
+    qmsg = shipped[0][1]
+    assert qmsg is seen.calls[0][0] and qmsg.payload == "over the wire"
+    # Never queued here: no seq, no size, and the kernel's count is unmoved.
+    assert (qmsg.seq, qmsg.payload_bytes, kernel._seq) == (0, 0, queued_before)
+    # Receive rights cannot cross: that send dropped and the rights died.
+    assert kernel.drop_log.records == [(DROP_DEAD_PORT, "tx", f"{0xBEEF:#x}")]
+    assert tx.env["moved"] not in kernel.ports
 
 
 # -- clock -------------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 contamination, decontamination, verification, port labels, and the
 unreliable-send discipline (paper Sections 4 and 5)."""
 
+import pytest
 
 from repro.core.labels import Label
 from repro.core.levels import L0, L1, L2, L3, STAR
@@ -526,6 +527,66 @@ def test_drop_send_cannot_declassify(kernel):
     kernel.spawn(prog, "prog")
     kernel.run()
     assert caught == [True]
+
+
+# Each request passes an earlier clause (drop_send → raise_receive → send
+# → receive) and fails a later one.  h and g are held at ⋆; OTHER is not.
+OTHER = 12345
+MULTI_CLAUSE_REJECTIONS = {
+    "drop_send then raise_receive": lambda h, g: ChangeLabel(
+        drop_send=(h,), raise_receive={OTHER: L3}
+    ),
+    "drop_send then send": lambda h, g: ChangeLabel(
+        drop_send=(h,), send=Label({}, L0)
+    ),
+    "drop_send then receive default": lambda h, g: ChangeLabel(
+        drop_send=(h,), receive=Label({}, L3)
+    ),
+    "raise_receive then send": lambda h, g: ChangeLabel(
+        raise_receive={h: L3}, send=Label({}, L0)
+    ),
+    "raise_receive then receive": lambda h, g: ChangeLabel(
+        raise_receive={h: L3}, receive=Label({OTHER: L3}, L2)
+    ),
+    "send then receive default": lambda h, g: ChangeLabel(
+        send=Label({h: L3, g: STAR}, L1), receive=Label({h: L1}, L3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_CLAUSE_REJECTIONS))
+def test_rejected_change_label_is_atomic(kernel, case):
+    seen = []
+
+    def prog(ctx):
+        h = yield NewHandle()
+        g = yield NewHandle()
+        before = yield GetLabels()
+        try:
+            yield MULTI_CLAUSE_REJECTIONS[case](h, g)
+        except InvalidArgument:
+            seen.append("rejected")
+        seen.append((yield GetLabels()) == before)
+
+    kernel.spawn(prog, "prog")
+    kernel.run()
+    assert seen == ["rejected", True]
+
+
+def test_rejected_receive_default_raise_is_billed_for_its_scan(kernel):
+    scanned = []
+
+    def prog(ctx):
+        h = yield NewHandle()
+        scanned.append(kernel.label_stats.entries_scanned)
+        try:
+            yield ChangeLabel(receive=Label({h: L1}, L3))
+        except InvalidArgument:
+            scanned.append(kernel.label_stats.entries_scanned)
+
+    kernel.spawn(prog, "prog")
+    kernel.run()
+    assert scanned[1] > scanned[0]
 
 
 def test_new_handle_grants_star(kernel):
