@@ -25,6 +25,7 @@ from repro.core.chunks import ChunkedLabel, OpStats
 from repro.core.labels import Label
 from repro.core.levels import L1, L2, L3, STAR
 from repro.kernel.clock import KERNEL_IPC
+from repro.kernel.config import KernelConfig
 
 
 def _big(n, level=L3, default=L1):
@@ -80,8 +81,10 @@ def test_ablation_paper_vs_fused_costs(benchmark, report):
     from repro.sim.runner import run_session_sweep
 
     grid = [100, 1000] if not FULL else [100, 1000, 5000]
-    paper_mode = run_session_sweep(grid, label_cost_mode="paper")
-    fused_mode = run_session_sweep(grid, label_cost_mode="fused")
+    paper_mode, fused_mode = (
+        run_session_sweep(grid, config=KernelConfig.from_env(label_cost_mode=mode))
+        for mode in ("paper", "fused")
+    )
 
     report.header("Ablation — Kernel IPC Kcycles/connection: 2005 costs vs fused ops")
     report.line(f"\n  {'sessions':>8} {'paper-mode':>12} {'fused-mode':>12} {'saved':>8}")

@@ -26,7 +26,7 @@ seeded fixtures in ``examples/topologies`` are built to replay exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.chunks import ChunkedLabel
 from repro.core.labels import Label
@@ -76,21 +76,22 @@ def _receive_loop(ctx: Any) -> Any:
         yield sc.Recv()
 
 
-def build_kernel(topology: Topology, kernel: Optional[Any] = None) -> Any:
-    """A live kernel in the topology's initial state: one process per
-    ProcSpec (with its exact labels) and one Port per PortSpec (with its
-    exact handle and label)."""
-    if kernel is None:
-        from repro.kernel.kernel import Kernel
-
-        kernel = Kernel()
+def install_topology(
+    kernel: Any, topology: Topology, body_for: Callable[[str], Callable]
+) -> Dict[str, Any]:
+    """Put *kernel* in the topology's initial state, white-box: one process
+    per ProcSpec running ``body_for(name)`` with its exact labels, and one
+    Port per PortSpec with its exact handle and label — canonicalised by
+    the kernel's engine like every other kernel-resident label.  Returns
+    the processes by name."""
+    canon = kernel.engine.canon
     tasks = {}
     for name, spec in topology.processes.items():
         if name == WIRE:
             continue
-        process = kernel.spawn(_receive_loop, name=name)
-        process.send_label = ChunkedLabel.from_label(spec.send)
-        process.receive_label = ChunkedLabel.from_label(spec.receive)
+        process = kernel.spawn(body_for(name), name=name)
+        process.send_label = canon(ChunkedLabel.from_label(spec.send))
+        process.receive_label = canon(ChunkedLabel.from_label(spec.receive))
         tasks[name] = process
     for pname, port in topology.ports.items():
         owner = tasks.get(port.owner)
@@ -98,10 +99,21 @@ def build_kernel(topology: Topology, kernel: Optional[Any] = None) -> Any:
             raise ReplayError(f"port {pname!r} owned by unreplayable {port.owner!r}")
         kernel.ports[port.handle] = Port(
             handle=port.handle,
-            label=ChunkedLabel.from_label(port.label),
+            label=canon(ChunkedLabel.from_label(port.label)),
             owner=owner.key,
         )
         owner.owned_ports.add(port.handle)
+    return tasks
+
+
+def build_kernel(topology: Topology, kernel: Optional[Any] = None) -> Any:
+    """A live kernel in the topology's initial state, every process
+    parked on a blocking Recv."""
+    if kernel is None:
+        from repro.kernel.kernel import Kernel
+
+        kernel = Kernel()
+    tasks = install_topology(kernel, topology, lambda name: _receive_loop)
     kernel.run()  # park every receive loop on its blocking Recv
     kernel._replay_tasks = tasks  # noqa: SLF001 - replay-only bookkeeping
     return kernel
@@ -129,7 +141,7 @@ def replay_trace(
                 "not replayable (it would spawn a fresh event process)"
             )
         receiver = tasks[port.owner]
-        drops_before = len(kernel.drop_log.records)
+        drops_before = kernel.drop_log.count()
         if edge.sender == WIRE:
             kernel.inject(port.handle, {"replay": step.index})
         else:
@@ -145,9 +157,8 @@ def replay_trace(
                 ),
             )
         kernel.run()
-        new_drops = kernel.drop_log.records[drops_before:]
-        delivered = not new_drops
-        drop = new_drops[-1][0] if new_drops else None
+        delivered = kernel.drop_log.count() == drops_before
+        drop = None if delivered else kernel.drop_log.records[-1][0]
         actual = ReplayStep(
             index=step.index,
             edge=step.edge,

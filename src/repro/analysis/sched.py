@@ -50,6 +50,7 @@ from repro.kernel.process import Task
 
 from repro.analysis.extract import WIRE
 from repro.analysis.model import Topology
+from repro.analysis.replay import install_topology
 from repro.policies.assertions import Policy, policies_from_json
 from repro.policies.runtime import PolicyBreach, RuntimeMonitor
 
@@ -171,7 +172,9 @@ class _Observer:
         if request.port is not None:
             self._touch(("port", request.port))
 
-    def on_deliver(self, task: Task, entry: Port, qmsg: Any, delivered: bool) -> None:
+    def on_deliver(
+        self, task: Task, entry: Port, qmsg: Any, delivered: bool, qs: Any, qr: Any
+    ) -> None:
         self._touch(("port", entry.handle), ("inbox", self._base_key(task)))
         if delivered and self.monitor is not None:
             payload = qmsg.payload
@@ -356,7 +359,7 @@ def scenario_from_topology(
     """Animate *topology* as live kernel processes.
 
     Each process owns its PortSpec ports (exact handles and labels,
-    installed white-box exactly as :mod:`repro.analysis.replay` does) and
+    installed white-box by :func:`repro.analysis.replay.install_topology`) and
     runs a body that fires its EdgeSpec sends in order, polling its inbox
     before each send so delivery-before-send interleavings contaminate it
     exactly as the model predicts.  ``<wire>`` edges are injected once at
@@ -376,30 +379,16 @@ def scenario_from_topology(
         edges_by_sender: Dict[str, List[Any]] = {}
         for edge in topology.edges:
             edges_by_sender.setdefault(edge.sender, []).append(edge)
-        tasks: Dict[str, Any] = {}
-        for pname, spec in topology.processes.items():
-            if pname == WIRE:
-                continue
-            pairs = [
-                (topology.ports[edge.port].handle, edge)
-                for edge in edges_by_sender.get(pname, [])
-            ]
-            process = kernel.spawn(_edge_body(pairs), name=pname)
-            process.send_label = ChunkedLabel.from_label(spec.send)
-            process.receive_label = ChunkedLabel.from_label(spec.receive)
-            tasks[pname] = process
-        for port in topology.ports.values():
-            owner = tasks.get(port.owner)
-            if owner is None:
-                raise SchedError(
-                    f"port {port.name!r} owned by unexplorable {port.owner!r}"
-                )
-            kernel.ports[port.handle] = Port(
-                handle=port.handle,
-                label=ChunkedLabel.from_label(port.label),
-                owner=owner.key,
+
+        def body_for(pname: str) -> Callable[[Any], Any]:
+            return _edge_body(
+                [
+                    (topology.ports[edge.port].handle, edge)
+                    for edge in edges_by_sender.get(pname, [])
+                ]
             )
-            owner.owned_ports.add(port.handle)
+
+        tasks = install_topology(kernel, topology, body_for)
         for port in topology.ports.values():
             if port.fork:
                 owner = tasks[port.owner]

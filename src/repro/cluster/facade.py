@@ -12,12 +12,14 @@ This is the one import a user needs for multi-shard runs:
         cluster.run_courier()
         report = cluster.report()
 
-``n_shards=1`` is the identity: the facade drives the ordinary in-process
-:class:`~repro.kernel.Kernel` directly — same boot key, same schedule,
-same drop log, no worker processes and no wire codec — so a single-shard
+Every shard count takes the same path through
+:class:`~repro.cluster.router.Router`.  ``n_shards=1`` is still the
+identity: the router's one endpoint is an in-process
+:class:`~repro.cluster.shard.InlineShard` over the ordinary
+:class:`~repro.kernel.Kernel` — same boot key, same schedule, same drop
+log, no worker processes, no pipes and no wire codec — so a single-shard
 cluster run is bit-identical to the pre-cluster API.  Only ``n_shards>1``
-brings in :class:`~repro.cluster.router.Router`, per-shard OS processes,
-and the ``wire/v1`` cross-shard path.
+brings in per-shard OS processes and the ``wire/v1`` cross-shard path.
 
 Sharding is by user (:func:`repro.okws.sharding.shard_of_user`): each
 shard boots a complete OKWS stack over its user partition, including its
@@ -34,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.config import KernelConfig
 from repro.cluster.router import ClusterError, Router, requests_by_shard
-from repro.cluster.shard import ShardRuntime, ShardSpec
+from repro.cluster.shard import ShardSpec
 from repro.okws.sharding import (
     SERVICES,
     courier_targets,
@@ -157,21 +159,13 @@ class Cluster:
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.n_shards = config.n_shards
-        self._runtime: Optional[ShardRuntime] = None
-        self._router: Optional[Router] = None
-        self._routed = 0
         self._closed = False
-        if self.n_shards == 1:
-            self._runtime = ShardRuntime(config.shard_specs()[0])
-            self.boards = {0: self._runtime.board_env["board_port"]}
-            self._runtime.install_peers(self.boards)
-        else:
-            self._router = Router(config.shard_specs())
-            try:
-                self.boards = self._router.boot()
-            except BaseException:
-                self._router.stop()
-                raise
+        self._router = Router(config.shard_specs())
+        try:
+            self.boards = self._router.boot()
+        except BaseException:
+            self._router.stop()
+            raise
 
     # -- lifecycle -------------------------------------------------------
 
@@ -179,8 +173,7 @@ class Cluster:
         if self._closed:
             return
         self._closed = True
-        if self._router is not None:
-            self._router.stop()
+        self._router.stop()
 
     def __enter__(self) -> "Cluster":
         return self
@@ -197,14 +190,6 @@ class Cluster:
         """Drive *requests* through the cluster, routing each to the shard
         owning its user, and drain any cross-shard traffic they cause."""
         requests = list(requests)
-        if self._runtime is not None:
-            reply = self._runtime.run_batch(requests, self.config.concurrency)
-            return BatchResult(
-                outcomes=[tuple(o) for o in reply["outcomes"]],
-                busy_cycles=(reply["busy_cycles"],),
-                routed=0,
-            )
-        assert self._router is not None
         parts = requests_by_shard(requests, self.n_shards)
         # Remember each request's (shard, position) so per-shard replies
         # can be stitched back into the original order.
@@ -224,7 +209,6 @@ class Cluster:
             busy.append(reply["busy_cycles"])
             docs.extend(reply["outbox"])
         routed = self._router.pump(docs)
-        self._routed += routed
         return BatchResult(
             outcomes=outcomes, busy_cycles=tuple(busy), routed=routed
         )
@@ -238,18 +222,6 @@ class Cluster:
         the number of wire documents routed shard-to-shard.
         """
         all_users = [name for name, _ in self.config.users]
-        if self._runtime is not None:
-            targets = courier_targets(
-                [name for name, _ in self._runtime.spec.users],
-                all_users,
-                self.boards,
-                1,
-            )
-            reply = self._runtime.run_courier(targets)
-            if reply["outbox"]:  # pragma: no cover - no peers to route to
-                raise ClusterError("single-shard courier produced cross-shard traffic")
-            return 0
-        assert self._router is not None
         commands = []
         for spec in self._router.specs:
             targets = courier_targets(
@@ -261,29 +233,19 @@ class Cluster:
             commands.append(("courier", targets))
         replies = self._router.call_all(commands)
         docs = [doc for reply in replies for doc in reply["outbox"]]
-        routed = self._router.pump(docs)
-        self._routed += routed
-        return routed
+        return self._router.pump(docs)
 
     # -- accounting ------------------------------------------------------
 
     def mark(self) -> None:
         """Start a drop-accounting phase on every shard (excludes boot
         noise from the next :meth:`report`)."""
-        if self._runtime is not None:
-            self._runtime.mark_drops()
-        else:
-            assert self._router is not None
-            self._router.call_all([("mark",)] * self.n_shards)
+        self._router.call_all([("mark",)] * self.n_shards)
 
     def report(self) -> Dict[str, Any]:
         """Aggregate per-shard accounting: drops by reason, board logs,
         sanitizer verdicts, simulated clocks, cross-shard traffic."""
-        if self._runtime is not None:
-            shards = [self._runtime.snapshot()]
-        else:
-            assert self._router is not None
-            shards = self._router.call_all([("snapshot",)] * self.n_shards)
+        shards = self._router.call_all([("snapshot",)] * self.n_shards)
         drops: Dict[str, int] = {}
         violations: Optional[int] = None
         board_log: List[Any] = []
@@ -299,5 +261,5 @@ class Cluster:
             "drops": drops,
             "sanitizer_violations": violations,
             "board_log": board_log,
-            "routed": self._routed,
+            "routed": self._router.routed,
         }

@@ -1,11 +1,13 @@
-"""The cluster router: shard processes, pipes, and message routing.
+"""The cluster router: shard endpoints and message routing.
 
-The :class:`Router` owns the worker processes.  It is deliberately dumb:
-shards never talk to each other directly — every ``wire/v1`` document a
-shard emits comes back to the router, which forwards it to the owning
-shard's pipe.  That keeps the transport a star (N pipes, no N² mesh), and
-it makes cross-shard traffic observable in one place, which is what the
-tests and the scale bench count.
+The :class:`Router` owns the shard endpoints — one forked worker process
+behind a pipe per shard, or, for a one-shard cluster, a single
+:class:`~repro.cluster.shard.InlineShard` in this process.  It is
+deliberately dumb: shards never talk to each other directly — every
+``wire/v1`` document a shard emits comes back to the router, which
+forwards it to the owning shard's endpoint.  That keeps the transport a
+star (N pipes, no N² mesh), and it makes cross-shard traffic observable
+in one place, which is what the tests and the scale bench count.
 
 Requests fan out with :meth:`Router.call_all` — commands are written to
 *every* pipe before any reply is read, so shard kernels genuinely run
@@ -21,7 +23,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.shard import ShardSpec, shard_main
+from repro.cluster.shard import InlineShard, ShardSpec, shard_main
 from repro.okws.sharding import shard_of_user
 
 __all__ = ["ClusterError", "Router", "requests_by_shard"]
@@ -44,12 +46,11 @@ def requests_by_shard(
 
 
 class Router:
-    """Owns the shard worker processes and their pipes."""
+    """Owns the shard endpoints (and the worker processes behind them)."""
 
     def __init__(self, specs: Sequence[ShardSpec]) -> None:
         self.specs = list(specs)
         self.n_shards = len(self.specs)
-        self._context = multiprocessing.get_context("fork")
         self._processes: List[Any] = []
         self._pipes: List[Any] = []
         #: shard id → board port handle, filled in by :meth:`boot`.
@@ -61,9 +62,23 @@ class Router:
 
     def boot(self) -> Dict[int, int]:
         """Start every shard, collect board ports, broadcast the peer map."""
+        if self.n_shards == 1:
+            self._pipes.append(InlineShard(self.specs[0]))
+        else:
+            self._fork_workers()
+        for shard, pipe in enumerate(self._pipes):
+            status, payload = pipe.recv()
+            if status != "ready":
+                raise ClusterError(f"shard {shard} failed to boot: {payload}")
+            self.boards[shard] = payload["board_port"]
+        self.call_all([("peers", self.boards)] * self.n_shards)
+        return dict(self.boards)
+
+    def _fork_workers(self) -> None:
+        context = multiprocessing.get_context("fork")
         for spec in self.specs:
-            parent_end, child_end = self._context.Pipe()
-            process = self._context.Process(
+            parent_end, child_end = context.Pipe()
+            process = context.Process(
                 target=shard_main,
                 args=(child_end, spec),
                 name=f"repro-shard-{spec.shard_id}",
@@ -73,13 +88,6 @@ class Router:
             child_end.close()
             self._processes.append(process)
             self._pipes.append(parent_end)
-        for shard, pipe in enumerate(self._pipes):
-            status, payload = pipe.recv()
-            if status != "ready":
-                raise ClusterError(f"shard {shard} failed to boot: {payload}")
-            self.boards[shard] = payload["board_port"]
-        self.call_all([("peers", self.boards)] * self.n_shards)
-        return dict(self.boards)
 
     def stop(self) -> None:
         for pipe in self._pipes:

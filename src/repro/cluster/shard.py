@@ -1,10 +1,12 @@
-"""The shard worker: one kernel, one OKWS partition, one OS process.
+"""The shard worker: one kernel, one OKWS partition, one endpoint.
 
-:func:`shard_main` is the child-process entry point.  It boots a full
-per-partition OKWS site (netd → demux → workers, plus this shard's slice
-of the logical idd/dbproxy and its cross-shard board), then serves
-commands from the parent :class:`~repro.cluster.router.Router` over a
-``multiprocessing`` pipe until told to stop.
+A :class:`ShardRuntime` boots a full per-partition OKWS site (netd →
+demux → workers, plus this shard's slice of the logical idd/dbproxy and
+its cross-shard board); :func:`dispatch` serves it one command of the
+parent :class:`~repro.cluster.router.Router` at a time.  The router
+reaches it through a pipe-shaped endpoint: :func:`shard_main`, the
+child-process entry point behind a ``multiprocessing`` pipe, or — for a
+one-shard cluster — :class:`InlineShard` in the router's own process.
 
 Protocol (request → reply, both plain tuples):
 
@@ -15,13 +17,14 @@ Protocol (request → reply, both plain tuples):
                              delta, latencies, and any cross-shard outbox
 ``("courier", targets)``     run the cross-shard courier over *targets*
 ``("xsend", docs)``          decode wire/v1 *docs*, re-intern, deliver
-``("snapshot", phase)``      drop/label/sanitizer accounting
+``("mark",)``                start a drop-accounting phase
+``("snapshot",)``            drop/label/sanitizer accounting
 ``("stop",)``                clean shutdown
 =========================== =============================================
 
-Every reply is ``("ok", payload)`` or ``("error", message)``; an
-unexpected exception is reported rather than silently killing the child,
-so the parent never blocks on a dead pipe.
+Every reply is ``("ok", payload)`` or ``("error", message)``; a child
+reports an unexpected exception rather than dying silently, so the
+parent never blocks on a dead pipe (inline, it simply propagates).
 
 Shards are deterministic in simulated time: a shard's clock advances only
 with its own work, so the cluster-level throughput measure (total
@@ -32,6 +35,7 @@ host OS schedules the worker processes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.interning import global_intern_table
@@ -46,7 +50,7 @@ from repro.okws.sharding import (
 )
 from repro.sim.workload import HttpClient
 
-__all__ = ["ShardSpec", "ShardRuntime", "shard_main"]
+__all__ = ["InlineShard", "ShardSpec", "ShardRuntime", "dispatch", "shard_main"]
 
 
 class ShardSpec:
@@ -72,11 +76,8 @@ class ShardSpec:
 
 
 class ShardRuntime:
-    """The in-process half of a shard: kernel + site + wire codecs.
-
-    Also usable directly (no child process) — the facade's ``n_shards=1``
-    path and the unit tests drive it inline.
-    """
+    """One shard's kernel + site + wire codecs, in whichever process
+    hosts it."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
@@ -94,7 +95,7 @@ class ShardRuntime:
         self.decoder = WireDecoder(table)
         self._outbox: List[Tuple[int, QueuedMessage]] = []
         self.kernel.xshard_out = self._on_xshard_out
-        self._drops_mark = 0
+        self._drops_mark: Dict[str, int] = {}
 
     # -- egress ----------------------------------------------------------
 
@@ -175,13 +176,12 @@ class ShardRuntime:
 
     def mark_drops(self) -> None:
         """Start a drop-accounting phase (e.g. after boot, before load)."""
-        self._drops_mark = len(self.kernel.drop_log.records)
+        self._drops_mark = dict(self.kernel.drop_log.by_reason)
 
     def snapshot(self) -> Dict[str, Any]:
         kernel = self.kernel
-        drops: Dict[str, int] = {}
-        for reason, _, _ in kernel.drop_log.records[self._drops_mark :]:
-            drops[reason] = drops.get(reason, 0) + 1
+        # Counter subtraction keeps only the reasons that moved since the mark.
+        drops = dict(Counter(kernel.drop_log.by_reason) - Counter(self._drops_mark))
         sanitizer = kernel.sanitizer
         return {
             "shard": self.spec.shard_id,
@@ -201,6 +201,46 @@ class ShardRuntime:
         }
 
 
+#: Router verb → the :class:`ShardRuntime` method that serves it.
+_VERBS = {
+    "peers": ShardRuntime.install_peers,
+    "batch": ShardRuntime.run_batch,
+    "courier": ShardRuntime.run_courier,
+    "xsend": ShardRuntime.deliver,
+    "mark": ShardRuntime.mark_drops,
+    "snapshot": ShardRuntime.snapshot,
+    "stop": lambda runtime: None,  # the endpoint, not the runtime, shuts down
+}
+
+
+def dispatch(runtime: ShardRuntime, command: Tuple[Any, ...]) -> Any:
+    """Run one router command against *runtime*; returns the reply payload."""
+    handler = _VERBS.get(command[0])
+    if handler is None:
+        raise ValueError(f"unknown shard command: {command[0]!r}")
+    return handler(runtime, *command[1:])
+
+
+class InlineShard:
+    """A one-shard cluster's endpoint: the pipe's ``send``/``recv`` over a
+    live :class:`ShardRuntime` — no fork, no pipe, no pickling, and (with
+    no peer to address) no wire codec, so the run stays bit-identical to
+    the bare kernel's."""
+
+    def __init__(self, spec: ShardSpec) -> None:
+        self.runtime = ShardRuntime(spec)
+        self._reply: Any = ("ready", {"board_port": self.runtime.board_env["board_port"]})
+
+    def send(self, command: Tuple[Any, ...]) -> None:
+        self._reply = ("ok", dispatch(self.runtime, command))
+
+    def recv(self) -> Any:
+        return self._reply
+
+    def close(self) -> None:
+        pass
+
+
 def shard_main(conn, spec: ShardSpec) -> None:
     """Child-process entry point: boot, announce the board, serve commands."""
     try:
@@ -215,29 +255,10 @@ def shard_main(conn, spec: ShardSpec) -> None:
             command = conn.recv()
         except EOFError:
             break
-        verb = command[0]
         try:
-            if verb == "peers":
-                runtime.install_peers(command[1])
-                reply: Any = None
-            elif verb == "batch":
-                reply = runtime.run_batch(command[1], command[2])
-            elif verb == "courier":
-                reply = runtime.run_courier(command[1])
-            elif verb == "xsend":
-                reply = runtime.deliver(command[1])
-            elif verb == "mark":
-                runtime.mark_drops()
-                reply = None
-            elif verb == "snapshot":
-                reply = runtime.snapshot()
-            elif verb == "stop":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("error", f"unknown shard command: {verb!r}"))
-                continue
-            conn.send(("ok", reply))
+            conn.send(("ok", dispatch(runtime, command)))
         except BaseException as err:  # noqa: BLE001 - reported to the parent
-            conn.send(("error", f"shard {spec.shard_id} {verb} failed: {err!r}"))
+            conn.send(("error", f"shard {spec.shard_id} {command[0]} failed: {err!r}"))
+        if command[0] == "stop":
+            break
     conn.close()

@@ -18,7 +18,7 @@ Errors fall into two classes with very different security treatment:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 
 class KernelError(Exception):
@@ -57,6 +57,15 @@ DROP_DEAD_PORT = "dead-port"              # receiver exited / port dissociated
 DROP_QUEUE_LIMIT = "queue-limit"          # resource exhaustion
 DROP_FAULT = "fault-injected"             # repro.faults injected drop
 
+DROP_REASONS = (
+    DROP_LABEL_CHECK,
+    DROP_DECONT_PRIVILEGE,
+    DROP_PORT_LABEL,
+    DROP_DEAD_PORT,
+    DROP_QUEUE_LIMIT,
+    DROP_FAULT,
+)
+
 
 @dataclass
 class DropLog:
@@ -64,15 +73,25 @@ class DropLog:
 
     Only the experiment harness and the test suite read this; simulated
     programs have no syscall that exposes it (it would otherwise be a
-    storage channel).
+    storage channel).  ``by_reason`` counts every drop exactly; ``records``
+    is bounded: past :data:`LIMIT` ``(reason, sender, port)`` triples the
+    oldest half goes, and ``dropped`` says how many went.
     """
 
+    LIMIT = 10_000
+
     records: List[Tuple[str, str, str]] = field(default_factory=list)
+    by_reason: Dict[str, int] = field(default_factory=dict)
+    dropped: int = 0
 
     def record(self, reason: str, sender: str, port: str) -> None:
+        self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
         self.records.append((reason, sender, port))
+        if len(self.records) > self.LIMIT:
+            self.dropped += self.LIMIT // 2
+            del self.records[: self.LIMIT // 2]
 
     def count(self, reason: str = "") -> int:
         if not reason:
-            return len(self.records)
-        return sum(1 for r, _, _ in self.records if r == reason)
+            return len(self.records) + self.dropped
+        return self.by_reason.get(reason, 0)

@@ -62,9 +62,8 @@ from repro.kernel.errors import (
     DROP_DEAD_PORT,
     DROP_DECONT_PRIVILEGE,
     DROP_FAULT,
-    DROP_LABEL_CHECK,
-    DROP_PORT_LABEL,
     DROP_QUEUE_LIMIT,
+    DROP_REASONS,
     DropLog,
     InvalidArgument,
     NotOwner,
@@ -144,14 +143,12 @@ class Kernel:
         #: Covert-channel mitigation hook (Section 8): called before each
         #: spawn; returning False denies process creation.
         self.fork_limiter: Optional[Callable[[Process], bool]] = None
-        #: Passive observers (repro.analysis.extract, repro.analysis.sched):
-        #: objects whose ``on_spawn``/``on_send``/``on_inject``/
-        #: ``on_ep_create``/``on_new_handle``/``on_new_port``/
-        #: ``on_change_label``/``on_step``/``on_recv``/``on_deliver``/
-        #: ``on_port_touch`` methods (all optional) are called at the
-        #: matching kernel events.  The hot paths guard every dispatch
-        #: behind ``if self.hooks:`` so an unobserved kernel pays one
-        #: falsy check.
+        #: Passive observers — the one mechanism for watching the kernel
+        #: (topology extraction, asbsched, the flow tracer, span tracing):
+        #: objects whose optional ``on_<event>`` methods are called at the
+        #: matching kernel events; DESIGN.md §5 lists events and arguments.
+        #: The hot paths guard every dispatch behind ``if self.hooks:`` so
+        #: an unobserved kernel pays one falsy check.
         self.hooks: List[Any] = []
         #: Pluggable scheduling nondeterminism (repro.kernel.nondet): when
         #: set, every scheduler pick and every timer-vs-task wake order is
@@ -160,57 +157,35 @@ class Kernel:
         #: interleavings.  None — the default, and the only configuration
         #: production runs use — is plain FIFO round-robin.
         self.nondet: Optional[Any] = None
+        # Counts the kernel keeps whether or not anyone reads them;
+        # _mirror_counters publishes them (``_pid`` is processes spawned).
         self._pid = 0
         self._seq = 0
         self._steps = 0
+        self._sends = self._injected = self._enqueued = self._delivered = 0
+        self._xshard_in = self._xshard_out = 0
+        self._ep_created = self._ep_switched = 0
         # Import deferred to avoid a cycle at module load.
         from repro.kernel.vnodes import VnodeTable
 
         self.vnodes = VnodeTable()
 
-        # -- observability (repro.obs) -------------------------------------
-        # The hot paths guard every metric/span touch behind these two
-        # plain attribute checks, so a kernel with observability disabled
-        # pays (nearly) nothing.
+        # -- observability (repro.obs, DESIGN.md §8) -------------------------
+        # Counts are mirrors (read through the registry, never pushed) and
+        # watchers are hooks (span tracing is one more observer), so the
+        # hot paths carry no metric or span code to guard.
         from repro.obs.metrics import MetricsRegistry
-        from repro.obs.spans import SpanRecorder
+        from repro.obs.spans import KernelSpans, SpanRecorder
 
         self.metrics = MetricsRegistry(enabled=config.metrics)
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder(limit=config.span_limit) if config.spans else None
+        #: The one sampled (not counted) instrument; None when metrics are off.
+        self._queue_depth = (
+            self.metrics.histogram("kernel.sched.queue_depth") if config.metrics else None
         )
-        if self.spans is None:
-            # Skip the span-wrapping frame entirely on the hottest path:
-            # an instance binding shadows the wrapper method, so a kernel
-            # without span tracing resumes generators with zero extra
-            # frames per activation.
-            self._advance = self._advance_inner  # type: ignore[method-assign]
-        self._obs = config.metrics
-        ipc = self.metrics.scope("kernel.ipc")
-        self._m_sends = ipc.counter("sends")
-        self._m_injected = ipc.counter("injected")
-        self._m_enqueued = ipc.counter("enqueued")
-        self._m_delivered = ipc.counter("delivered")
-        self._m_xshard_out = ipc.counter("xshard_out")
-        self._m_xshard_in = ipc.counter("xshard_in")
-        self._m_drops = {
-            reason: ipc.counter(f"drops.{reason}")
-            for reason in (
-                DROP_LABEL_CHECK,
-                DROP_DECONT_PRIVILEGE,
-                DROP_PORT_LABEL,
-                DROP_DEAD_PORT,
-                DROP_QUEUE_LIMIT,
-                DROP_FAULT,
-            )
-        }
-        sched = self.metrics.scope("kernel.sched")
-        self._m_steps = sched.counter("steps")
-        self._m_queue_depth = sched.histogram("queue_depth")
-        procs = self.metrics.scope("kernel.proc")
-        self._m_spawns = procs.counter("spawned")
-        self._m_ep_created = procs.counter("ep_created")
-        self._m_ep_switches = procs.counter("ep_switched")
+        self.spans: Optional[SpanRecorder] = None
+        if config.spans:
+            self.spans = SpanRecorder(limit=config.span_limit)
+            self.hooks.append(KernelSpans(self.spans, self.clock))
 
         # -- the label engine (repro.kernel.engine) -------------------------
         # Every Figure 4 decision goes through self.engine; the optional
@@ -355,8 +330,6 @@ class Kernel:
         self.processes[process.key] = process
         self.clock.charge(OTHER, self.clock.cost.spawn)
         self.scheduler.enqueue(process.key)
-        if self._obs:
-            self._m_spawns.inc()
         if self.hooks:
             self._hook("on_spawn", process)
         return process
@@ -365,8 +338,7 @@ class Kernel:
         """Enqueue a message from *outside* the label system — the network
         wire.  Labels are the defaults of a maximally untainted sender, so
         the receiver is not contaminated and ordinary receive checks apply."""
-        if self._obs:
-            self._m_injected.inc()
+        self._injected += 1
         if self.hooks:
             self._hook("on_inject", port, payload)
         self._enqueue(self._kernel_message(port, payload, "<wire>"))
@@ -406,8 +378,7 @@ class Kernel:
         :meth:`inject`, the caller supplies real labels — cross-shard
         taint and decontamination propagate.
         """
-        if self._obs:
-            self._m_xshard_in.inc()
+        self._xshard_in += 1
         self._enqueue(
             QueuedMessage(
                 port=port,
@@ -526,9 +497,8 @@ class Kernel:
         if task is None or task.state == TaskState.EXITED:
             return
         self._steps += 1
-        if self._obs:
-            self._m_steps.inc()
-            self._m_queue_depth.observe(len(self.scheduler))
+        if self._queue_depth is not None:
+            self._queue_depth.observe(len(self.scheduler))
         if self.faults is not None:
             self.faults.on_step(self, self._steps)
             if self._delayed:
@@ -560,52 +530,48 @@ class Kernel:
     def _advance(self, task: Task) -> None:
         """Resume *task*'s generator until it blocks, exits, or exhausts
         its inline budget (then it re-queues, preempted)."""
-        if self.spans is not None:
-            self.spans.begin("activate", task.name, self.clock.now)
-            try:
-                self._advance_inner(task)
-            finally:
-                self.spans.end("activate", task.name, self.clock.now)
-            return
-        self._advance_inner(task)
-
-    def _advance_inner(self, task: Task) -> None:
-        budget = self.INLINE_SYSCALL_BUDGET
-        while True:
-            budget -= 1
-            if budget < 0:
-                self.scheduler.enqueue(
-                    task.base.key if isinstance(task, EventProcess) else task.key
-                )
-                return
-            try:
-                if task.pending_exc is not None:
-                    exc = task.pending_exc
-                    task.pending_exc = None
-                    request = task.gen.throw(exc)
-                else:
-                    value, task.pending = task.pending, None
-                    request = task.gen.send(value)
-            except StopIteration:
-                self._task_finished(task)
-                return
-            except Exception as exc:  # program crashed
-                self.debug_log(task.name, f"crashed: {exc!r}")
-                if self.trace:
-                    raise
-                self._task_finished(task, crashed=True)
-                return
-            if self.faults is not None and self.faults.on_syscall(
-                task.key, task.name, self._steps
-            ):
-                # Injected crash: the program dies mid-syscall, exactly as
-                # if its body had raised.
-                self.debug_log(task.name, "crashed: fault injection")
-                self._task_finished(task, crashed=True)
-                return
-            self.clock.charge(OTHER, self.clock.cost.syscall_base)
-            if not self._dispatch(task, request):
-                return
+        if self.hooks:
+            self._hook("on_activate", task)
+        try:
+            budget = self.INLINE_SYSCALL_BUDGET
+            while True:
+                budget -= 1
+                if budget < 0:
+                    self.scheduler.enqueue(
+                        task.base.key if isinstance(task, EventProcess) else task.key
+                    )
+                    return
+                try:
+                    if task.pending_exc is not None:
+                        exc = task.pending_exc
+                        task.pending_exc = None
+                        request = task.gen.throw(exc)
+                    else:
+                        value, task.pending = task.pending, None
+                        request = task.gen.send(value)
+                except StopIteration:
+                    self._task_finished(task)
+                    return
+                except Exception as exc:  # program crashed
+                    self.debug_log(task.name, f"crashed: {exc!r}")
+                    if self.trace:
+                        raise
+                    self._task_finished(task, crashed=True)
+                    return
+                if self.faults is not None and self.faults.on_syscall(
+                    task.key, task.name, self._steps
+                ):
+                    # Injected crash: the program dies mid-syscall, exactly as
+                    # if its body had raised.
+                    self.debug_log(task.name, "crashed: fault injection")
+                    self._task_finished(task, crashed=True)
+                    return
+                self.clock.charge(OTHER, self.clock.cost.syscall_base)
+                if not self._dispatch(task, request):
+                    return
+        finally:
+            if self.hooks:
+                self._hook("on_activate_end", task)
 
     def _syscall_table(self) -> Dict[type, Callable[[Task, Any], bool]]:
         """Exact request type → handler.  Every handler sets ``task.pending``
@@ -704,23 +670,16 @@ class Kernel:
     # -- send ------------------------------------------------------------------------------
 
     def _drop(self, reason: str, sender: str, where: str, seq: Optional[int] = None) -> None:
-        """Record a silent message drop: the out-of-band log, the metrics
-        counter, and the end of the message's span (if it had one)."""
+        """Record a silent message drop in the out-of-band log (which
+        counts it) and tell the observers; *seq* is set when the message
+        had joined a queue."""
         self.drop_log.record(reason, sender, where)
-        if self._obs:
-            self._m_drops[reason].inc()
-        if self.spans is not None:
-            if seq is not None:
-                self.spans.async_end(
-                    "msg", seq, self.clock.now, delivered=False, reason=reason
-                )
-            else:
-                self.spans.instant("drop", sender, self.clock.now, reason=reason)
+        if self.hooks:
+            self._hook("on_drop", reason, sender, where, seq)
 
     def _sys_send(self, task: Task, request: sc.Send) -> bool:
         self.clock.charge(KERNEL_IPC, self.clock.cost.send_base)
-        if self._obs:
-            self._m_sends.inc()
+        self._sends += 1
         if self.hooks:
             self._hook("on_send", task, request)
         stats = OpStats()
@@ -801,8 +760,7 @@ class Kernel:
                     # the owning shard runs the delivery-time checks and
                     # effects against its own interned labels.
                     self.xshard_out(route, qmsg)
-                    if self._obs:
-                        self._m_xshard_out.inc()
+                    self._xshard_out += 1
                     return
             self._drop_unqueued(DROP_DEAD_PORT, qmsg)
             return
@@ -820,16 +778,9 @@ class Kernel:
         if not entry.enqueue(qmsg):
             self._drop_unqueued(DROP_QUEUE_LIMIT, qmsg)
             return
-        if self._obs:
-            self._m_enqueued.inc()
-        if self.spans is not None:
-            self.spans.async_begin(
-                "msg",
-                qmsg.seq,
-                self.clock.now,
-                sender=qmsg.sender_name,
-                port=f"{port:#x}",
-            )
+        self._enqueued += 1
+        if self.hooks:
+            self._hook("on_enqueue", qmsg)
         # Mark the port ready and wake whoever will receive from it.
         owner = self.tasks.get(entry.owner)
         if owner is None:
@@ -863,6 +814,7 @@ class Kernel:
         stats = OpStats()
         # Decided on the labels as they stand before the effects; proofs
         # may not speak for receive-right passage or cross-shard ingress.
+        qs, qr = task.send_label, task.receive_label
         verdict = self.engine.deliver(
             entry.handle,
             qmsg.effective_send,
@@ -870,8 +822,8 @@ class Kernel:
             qmsg.verify,
             qmsg.decontaminate_receive,
             entry.label,
-            task.send_label,
-            task.receive_label,
+            qs,
+            qr,
             stats,
             not (qmsg.transfer or qmsg.external),
             qmsg.sender_name,
@@ -895,18 +847,13 @@ class Kernel:
                     vnode = self.vnodes.get(handle)
                     if vnode is not None:
                         vnode.owner = task.key
-            if self._obs:
-                self._m_delivered.inc()
-            if self.spans is not None:
-                self.spans.async_end(
-                    "msg", qmsg.seq, self.clock.now, delivered=True, receiver=task.name
-                )
+            self._delivered += 1
         else:
             self._drop(verdict.drop, qmsg.sender_name, task.name, seq=qmsg.seq)
             for handle in qmsg.transfer:
                 self._dissociate_port(handle)
         if self.hooks:
-            self._hook("on_deliver", task, entry, qmsg, delivered)
+            self._hook("on_deliver", task, entry, qmsg, delivered, qs, qr)
         return delivered
 
     def _bill(self, stats: OpStats, work: Work = LOCAL) -> None:
@@ -918,10 +865,20 @@ class Kernel:
         self.label_stats.merge(stats)
 
     def _mirror_counters(self) -> None:
-        """Publish the counters the label engine's parts already keep as
-        read-through registry names: they cannot drift from ``label_stats``,
-        ``labelop_cache`` or ``flow_table`` however a run ends, and the hot
+        """Publish every count the kernel, its drop log and the label
+        engine's parts already keep as read-through registry names: they
+        cannot drift from their owners however a run ends, and the hot
         path carries no metric syncing.  A feature that is off reads 0."""
+        ipc = self.metrics.scope("kernel.ipc")
+        for name in ("sends", "injected", "enqueued", "delivered", "xshard_in", "xshard_out"):
+            ipc.mirror(name, self, f"_{name}")
+        for reason in DROP_REASONS:
+            ipc.mirror(f"drops.{reason}", self.drop_log.by_reason, reason)
+        self.metrics.mirror("kernel.sched.steps", self, "_steps")
+        procs = self.metrics.scope("kernel.proc")
+        procs.mirror("spawned", self, "_pid")
+        procs.mirror("ep_created", self, "_ep_created")
+        procs.mirror("ep_switched", self, "_ep_switched")
         labels = self.metrics.scope("kernel.labels")
         for name in ("fast_path", "full_merges", "entries_scanned"):
             labels.mirror(name, self.label_stats, name)
@@ -1240,8 +1197,7 @@ class Kernel:
                 continue  # dropped; try the next head
             if self._try_deliver(ep, entry, qmsg):
                 self.clock.charge(OTHER, self.clock.cost.ep_switch)
-                if self._obs:
-                    self._m_ep_switches.inc()
+                self._ep_switched += 1
                 self._touch_stack(ep)
                 # A cleaned EP dropped its message-queue page; receiving a
                 # message brings it back.
@@ -1267,8 +1223,7 @@ class Kernel:
         if not self._try_deliver(ep, entry, qmsg):
             return False  # never existed
         self.clock.charge(OTHER, self.clock.cost.ep_create)
-        if self._obs:
-            self._m_ep_created.inc()
+        self._ep_created += 1
         self.tasks[ep.key] = ep
         process.event_processes[ep.key] = ep
         process.active_ep = ep.key

@@ -76,10 +76,9 @@ class Context:
         Out-of-band like :meth:`log` — nothing a simulated program can
         read back, so it cannot become a label-bypassing channel.
         """
-        if self._kernel._obs:
-            self._kernel.metrics.counter(
-                f"app.{self._task.component}.{name}"
-            ).inc(n)
+        metrics = self._kernel.metrics
+        if metrics.enabled:
+            metrics.counter(f"app.{self._task.component}.{name}").inc(n)
 
     @property
     def now(self) -> int:

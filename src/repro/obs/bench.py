@@ -224,11 +224,11 @@ def run_fig6(quick: bool) -> Dict[str, Any]:
     )
 
 
-def _sweep(quick: bool, label_cost_mode: str = "paper", config=None):
+def _sweep(quick: bool):
     from repro.sim.runner import run_session_sweep
 
     grid = [1, 100, 500] if quick else [1, 1000, 3000]
-    return grid, run_session_sweep(grid, label_cost_mode=label_cost_mode, config=config)
+    return grid, run_session_sweep(grid)
 
 
 def _interning_speedup(sessions: int) -> Dict[str, Any]:
@@ -715,8 +715,10 @@ def run_labelops(quick: bool) -> Dict[str, Any]:
     from repro.sim.runner import run_session_sweep
 
     grid = [50, 200] if quick else [100, 1000]
-    paper_mode = run_session_sweep(grid, label_cost_mode="paper")
-    fused_mode = run_session_sweep(grid, label_cost_mode="fused")
+    paper_mode, fused_mode = (
+        run_session_sweep(grid, config=KernelConfig.from_env(label_cost_mode=mode))
+        for mode in ("paper", "fused")
+    )
     growth_paper = (
         paper_mode[-1].components_kcycles[KERNEL_IPC]
         - paper_mode[0].components_kcycles[KERNEL_IPC]

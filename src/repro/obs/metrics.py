@@ -5,9 +5,10 @@ Design constraints, in order:
 
 1. **Near-zero overhead when disabled.**  A disabled registry hands out a
    single shared :data:`NULL` instrument whose mutators are no-ops, and
-   the kernel additionally guards its hot-path increments behind one
-   boolean attribute check, so a kernel with ``metrics=False`` pays
-   nothing measurable (the Figure 7 acceptance bound is < 3%).
+   the kernel pushes nothing at all: its counts are plain ints it keeps
+   anyway, published as :class:`Mirror` views, so a kernel with
+   ``metrics=False`` pays nothing measurable (the Figure 7 acceptance
+   bound is < 3%).
 2. **Out-of-band.**  Like the drop log, nothing inside the simulation can
    observe a metric — programs have no syscall for it.  Metrics are for
    the harness, the bench runner and the tests.
@@ -105,9 +106,10 @@ class Histogram:
 
 class Mirror:
     """A read-through view of a counter another object already keeps:
-    ``snapshot`` reads ``source.attr`` when the registry is read, so the
-    registry cannot fall behind the owner and the owner's hot path syncs
-    nothing.  A ``None`` source (an optional feature that is off) reads 0."""
+    ``snapshot`` reads ``source.attr`` (``source[attr]`` for a dict of
+    counts) when the registry is read, so the registry cannot fall behind
+    the owner and the owner's hot path syncs nothing.  A ``None`` source
+    (an optional feature that is off) or a missing key reads 0."""
 
     __slots__ = ("source", "attr")
     kind = "counter"
@@ -117,6 +119,8 @@ class Mirror:
         self.attr = attr
 
     def snapshot(self) -> int:
+        if isinstance(self.source, dict):
+            return self.source.get(self.attr, 0)
         return getattr(self.source, self.attr, 0)
 
 
@@ -264,10 +268,7 @@ def kernel_snapshot(kernel) -> Dict[str, Any]:
             "now_cycles": kernel.clock.now,
             "by_category": dict(kernel.clock.by_category),
         },
-        "drops": {
-            reason: kernel.drop_log.count(reason)
-            for reason in sorted({r for r, _, _ in kernel.drop_log.records})
-        },
+        "drops": dict(sorted(kernel.drop_log.by_reason.items())),
         "label_ops": {
             "operations": stats.operations,
             "entries_scanned": stats.entries_scanned,

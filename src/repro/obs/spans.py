@@ -12,6 +12,10 @@ paper's 2.8 GHz):
   lifetimes overlap arbitrarily — enqueue order is not delivery order —
   which is exactly what Chrome's async events model.
 
+The kernel knows none of this vocabulary: :class:`KernelSpans` is an
+ordinary observer on ``Kernel.hooks`` that turns kernel events into
+recorder calls.
+
 Export is the Chrome ``trace_event`` JSON array format: load the file in
 ``chrome://tracing`` / Perfetto, or feed it to any trace_event consumer.
 Like the drop log and the metrics registry this is out-of-band: nothing
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-__all__ = ["SpanRecorder", "CHROME_PID"]
+__all__ = ["KernelSpans", "SpanRecorder", "CHROME_PID"]
 
 #: The whole simulated machine is one "process" in the Chrome trace.
 CHROME_PID = 1
@@ -203,3 +207,44 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+class KernelSpans:
+    """The ``Kernel.hooks`` observer behind ``KernelConfig(spans=True)``:
+    it alone maps kernel events to the ``"activate"``/``"msg"``/``"drop"``
+    span vocabulary, stamping each with the kernel's virtual clock."""
+
+    def __init__(self, recorder: SpanRecorder, clock: Any):
+        self.recorder = recorder
+        self.clock = clock
+
+    def on_activate(self, task: Any) -> None:
+        self.recorder.begin("activate", task.name, self.clock.now)
+
+    def on_activate_end(self, task: Any) -> None:
+        self.recorder.end("activate", task.name, self.clock.now)
+
+    def on_enqueue(self, qmsg: Any) -> None:
+        self.recorder.async_begin(
+            "msg",
+            qmsg.seq,
+            self.clock.now,
+            sender=qmsg.sender_name,
+            port=f"{qmsg.port:#x}",
+        )
+
+    def on_deliver(self, task: Any, entry: Any, qmsg: Any, delivered: bool, *labels: Any) -> None:
+        if delivered:  # a refused delivery ends its span in on_drop
+            self.recorder.async_end(
+                "msg", qmsg.seq, self.clock.now, delivered=True, receiver=task.name
+            )
+
+    def on_drop(self, reason: str, sender: str, where: str, seq: Optional[int]) -> None:
+        """A queued message (it has a *seq*) ends its span; one that never
+        joined a queue leaves an instant on the sender's track."""
+        if seq is not None:
+            self.recorder.async_end(
+                "msg", seq, self.clock.now, delivered=False, reason=reason
+            )
+        else:
+            self.recorder.instant("drop", sender, self.clock.now, reason=reason)

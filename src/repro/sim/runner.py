@@ -33,21 +33,11 @@ def _users(n: int) -> List[Tuple[str, str]]:
     return [(f"u{i}", f"pw{i}") for i in range(n)]
 
 
-def build_echo_site(
-    n_users: int,
-    label_cost_mode: str = "paper",
-    config: Optional[KernelConfig] = None,
-) -> OkwsSite:
-    """An OKWS instance running the Section 9.2 echo service.
-
-    Pass *config* to control every kernel option (observability included);
-    *label_cost_mode* is honoured only when *config* is not given.
-    """
-    if config is None:
-        config = KernelConfig.from_env(label_cost_mode=label_cost_mode)
-    kernel = Kernel(config=config)
+def build_echo_site(n_users: int, config: Optional[KernelConfig] = None) -> OkwsSite:
+    """An OKWS instance running the Section 9.2 echo service; *config*
+    controls every kernel option (default: from the environment)."""
     return launch(
-        kernel=kernel,
+        kernel=Kernel(config=config),
         services=[ServiceConfig("echo", echo_handler)],
         users=_users(n_users),
     )
@@ -141,7 +131,6 @@ def run_session_sweep(
     rounds: int = 4,
     concurrency: int = 16,
     min_connections: int = 64,
-    label_cost_mode: str = "paper",
     config: Optional[KernelConfig] = None,
 ) -> List[SweepPoint]:
     """The Section 9.2.1 throughput experiment.
@@ -155,7 +144,7 @@ def run_session_sweep(
     """
     points: List[SweepPoint] = []
     for count in session_counts:
-        site = build_echo_site(count, label_cost_mode=label_cost_mode, config=config)
+        site = build_echo_site(count, config=config)
         client = HttpClient(site)
         effective_rounds = max(rounds, -(-min_connections // count))
         requests = [

@@ -50,35 +50,33 @@ class FlowEvent:
 
 
 class FlowTracer:
-    """Wraps a kernel's delivery path and records every attempt."""
+    """A ``Kernel.hooks`` observer that records every delivery attempt."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.events: List[FlowEvent] = []
         self.names: Dict[Handle, str] = {}
         self._seq = 0
-        self._original = kernel._try_deliver
-        kernel._try_deliver = self._traced_deliver  # type: ignore[method-assign]
+        #: Sanitizer violations already attributed (or predating the tracer).
+        self._violations_seen = len(kernel.sanitizer.violations) if kernel.sanitizer else 0
+        kernel.hooks.append(self)
 
     def detach(self) -> None:
-        self.kernel._try_deliver = self._original  # type: ignore[method-assign]
+        self.kernel.hooks.remove(self)
 
     def name_handle(self, handle: Handle, name: str) -> None:
         """Register a symbolic name for a handle (e.g. ``uT``)."""
         self.names[handle] = name
 
-    # -- the wrapper ---------------------------------------------------------------
+    # -- the kernel hook --------------------------------------------------------------
 
-    def _traced_deliver(self, task, entry, qmsg):
-        send_before = task.send_label.to_label()
-        receive_before = task.receive_label.to_label()
-        sanitizer = self.kernel.sanitizer
-        violations_before = len(sanitizer.violations) if sanitizer else 0
-        delivered = self._original(task, entry, qmsg)
+    def on_deliver(self, task, entry, qmsg, delivered, qs_before, qr_before):
         self._seq += 1
-        new_violations = (
-            list(sanitizer.violations[violations_before:]) if sanitizer else []
-        )
+        sanitizer = self.kernel.sanitizer
+        violations = sanitizer.violations if sanitizer else []
+        seen, self._violations_seen = self._violations_seen, len(violations)
+        # Send-time violations since the last delivery name no receiver.
+        new_violations = [v for v in violations[seen:] if v.receiver == task.name]
         self.events.append(
             FlowEvent(
                 seq=self._seq,
@@ -88,14 +86,13 @@ class FlowTracer:
                 delivered=delivered,
                 effective_send=qmsg.effective_send.to_label(),
                 verify=qmsg.verify.to_label(),
-                send_before=send_before,
+                send_before=qs_before.to_label(),
                 send_after=task.send_label.to_label() if delivered else None,
-                receive_before=receive_before,
+                receive_before=qr_before.to_label(),
                 receive_after=task.receive_label.to_label() if delivered else None,
                 violations=new_violations,
             )
         )
-        return delivered
 
     # -- queries -----------------------------------------------------------------------
 

@@ -125,6 +125,38 @@ def test_single_shard_cluster_runs_inline_and_deterministically():
     assert report_a["drops"].get("label-check", 0) == len(USERS) // 2
 
 
+def test_single_shard_cluster_forks_nothing_and_encodes_nothing():
+    """In a fresh interpreter: a one-shard run goes through the Router but
+    never opens a multiprocessing pipe nor touches the wire codec."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from repro.cluster import Cluster, ClusterConfig, WireEncoder\n"
+        "from repro.cluster.router import Router\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('wire codec used at n_shards=1')\n"
+        "WireEncoder.encode = refuse\n"
+        "users = tuple((f'user{i}', f'pw{i}') for i in range(4))\n"
+        "requests = [(u, p, 'echo', None, {'length': 5}) for u, p in users]\n"
+        "with Cluster(ClusterConfig(n_shards=1, users=users)) as cluster:\n"
+        "    assert isinstance(cluster._router, Router)\n"
+        "    cluster.mark()\n"
+        "    assert all(o[2] == 'xxxxx' for o in cluster.run_batch(requests).outcomes)\n"
+        "    assert cluster.run_courier() == 0\n"
+        "    assert len(cluster.report()['board_log']) == len(users)\n"
+        "assert 'multiprocessing.connection' not in sys.modules, 'pipes imported'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_single_shard_sampled_sanitizer_is_clean():
     config = ClusterConfig(
         n_shards=1,

@@ -202,3 +202,19 @@ def test_obituaries_survive_a_drop_everything_plan():
     assert [o["crashed"] for o in obituaries] == [False, True]
     # The plan ate nothing else: the supervisor never sent user IPC.
     assert kernel.drop_log.count(DROP_FAULT) == 0
+
+
+def test_drop_log_is_bounded_and_counts_stay_exact():
+    from repro.kernel.errors import DropLog
+
+    log = DropLog()
+    for i in range(DropLog.LIMIT + 1):
+        log.record(DROP_FAULT if i % 2 else DROP_QUEUE_LIMIT, f"tx{i}", "0x1")
+    assert log.count() == DropLog.LIMIT + 1
+    assert log.count(DROP_FAULT) == DropLog.LIMIT // 2
+    assert log.count(DROP_QUEUE_LIMIT) == DropLog.LIMIT // 2 + 1
+    # Trimmed in halves: the newest records survive, the oldest half is counted.
+    assert len(log.records) <= DropLog.LIMIT
+    assert log.dropped == DropLog.LIMIT // 2
+    assert log.dropped + len(log.records) == log.count()
+    assert log.records[-1] == (DROP_QUEUE_LIMIT, f"tx{DropLog.LIMIT}", "0x1")

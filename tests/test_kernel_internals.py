@@ -142,7 +142,7 @@ class _Enqueued:
         kernel._enqueue = spy
         kernel.hooks.append(self)
 
-    def on_deliver(self, task, entry, qmsg, delivered):
+    def on_deliver(self, task, entry, qmsg, delivered, qs, qr):
         self.delivered.append((qmsg, delivered))
 
 

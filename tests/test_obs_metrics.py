@@ -186,6 +186,60 @@ def test_disabled_kernel_records_nothing():
     assert kernel.spans is None
 
 
+#: Every ``kernel.*`` series a metrics-enabled kernel publishes.  A name
+#: added, lost or renamed must be a deliberate edit here (and DESIGN §8.1).
+KERNEL_SERIES = sorted(
+    [f"kernel.elide.{n}" for n in (
+        "batch_drains", "batched_messages", "deliver_stub_hits",
+        "invalidations", "send_stub_hits")]
+    + [f"kernel.ipc.{n}" for n in (
+        "delivered", "enqueued", "injected", "sends", "xshard_in", "xshard_out")]
+    + [f"kernel.ipc.drops.{r}" for r in (
+        "dead-port", "decont-privilege", "fault-injected", "label-check",
+        "port-label", "queue-limit")]
+    + [f"kernel.labels.{n}" for n in (
+        "cache_evictions", "cache_hits", "cache_misses", "entries_scanned",
+        "fast_path", "full_merges")]
+    + [f"kernel.proc.{n}" for n in ("ep_created", "ep_switched", "spawned")]
+    + ["kernel.sched.queue_depth", "kernel.sched.steps"]
+)
+
+
+def _okws_round(config):
+    from repro.okws import ServiceConfig, launch
+    from repro.okws.services import echo_handler
+    from repro.sim.workload import HttpClient
+
+    site = launch(
+        kernel=Kernel(config=config),
+        services=[ServiceConfig("echo", echo_handler)],
+        users=[("alice", "pw-a"), ("bob", "pw-b")],
+    )
+    client = HttpClient(site)
+    for user, password in (("alice", "pw-a"), ("bob", "pw-b")):
+        assert client.request(user, password, "echo", args={"length": 5}).ok
+    return site.kernel
+
+
+def test_kernel_series_catalogue_is_pinned():
+    kernel = _okws_round(KernelConfig(metrics=True))
+    snap = kernel.metrics.snapshot()
+    assert sorted(n for n in snap if n.startswith("kernel.")) == KERNEL_SERIES
+    assert snap["kernel.ipc.delivered"] == kernel._delivered > 0
+    assert snap["kernel.proc.spawned"] == len(kernel.processes)
+    assert snap["kernel.sched.queue_depth"]["count"] == snap["kernel.sched.steps"]
+
+
+def test_counts_are_kept_with_metrics_off():
+    on = _okws_round(KernelConfig(metrics=True))
+    off = _okws_round(KernelConfig())
+    assert len(off.metrics) == 0 and off.metrics.snapshot() == {}
+    for attr in ("_sends", "_injected", "_enqueued", "_delivered", "_steps",
+                 "_pid", "_ep_created", "_ep_switched"):
+        assert getattr(off, attr) == getattr(on, attr), attr
+    assert off._sends > 0 and off._ep_created == 2
+
+
 def test_kernel_snapshot_shape():
     kernel = _obs_kernel()
 

@@ -3,9 +3,11 @@ balanced begin/end pairs, and the kernel threads message lifetimes
 through enqueue → delivery."""
 
 import json
+from pathlib import Path
 
 from repro.core.labels import Label
-from repro.kernel import Kernel, KernelConfig, NewPort, Recv, Send, SetPortLabel
+from repro.core.levels import L3, STAR
+from repro.kernel import Kernel, KernelConfig, NewHandle, NewPort, Recv, Send, SetPortLabel
 from repro.obs.spans import CHROME_PID, SpanRecorder
 
 
@@ -168,3 +170,75 @@ def test_flowtracer_chrome_trace_requires_spans():
     tracer = FlowTracer(kernel)
     with pytest.raises(ValueError):
         tracer.chrome_trace()
+
+
+def _span_scenario(kernel):
+    """One of each message fate: delivered, refused by the label check,
+    sent to a dead port, and left queued on a port nobody reads."""
+    state = {}
+
+    def receiver(ctx):
+        port = yield NewPort()
+        yield SetPortLabel(port, Label.top())
+        idle = yield NewPort()
+        yield SetPortLabel(idle, Label.top())
+        state.update(port=port, idle=idle)
+        while True:
+            yield Recv(port=port)
+
+    def sender(ctx):
+        taint = yield NewHandle()
+        yield Send(state["port"], "clean")
+        yield Send(state["port"], "hot", cs=Label({taint: L3}, STAR))
+        yield Send(0xBEEF, "nobody home")
+        yield Send(state["idle"], "never read")
+
+    kernel.spawn(receiver, "receiver")
+    kernel.run()
+    kernel.spawn(sender, "sender")
+    kernel.run()
+
+
+def test_span_recording_matches_the_pre_observer_kernel():
+    """The recording is event-for-event what the kernel produced when it
+    called the recorder from its own send/deliver/drop paths."""
+    kernel = Kernel(config=KernelConfig(spans=True, boot_key=b"span-fixture"))
+    _span_scenario(kernel)
+    recorded = json.loads(
+        (Path(__file__).parent / "fixtures" / "span_recording.json").read_text()
+    )
+    assert json.loads(json.dumps(kernel.spans.events)) == recorded["events"]
+    assert kernel.spans.open_spans() == recorded["open"]
+
+
+def test_observers_share_the_hook_list_and_each_sees_every_delivery():
+    from repro.analysis.extract import TopologyRecorder
+    from repro.sim.trace import FlowTracer
+
+    kernel = Kernel(config=KernelConfig(spans=True))
+    before = list(kernel.hooks)  # the span observer
+
+    class Spy:
+        seen = 0
+
+        def on_deliver(self, task, entry, qmsg, delivered, qs, qr):
+            Spy.seen += 1
+
+    recorder = TopologyRecorder(kernel)
+    tracer = FlowTracer(kernel)
+    kernel.hooks.append(Spy())
+    _span_scenario(kernel)
+
+    attempts = kernel._delivered + kernel.drop_log.count("label-check")
+    assert attempts == 2 == Spy.seen == len(tracer.events)
+    msg_ends = [e for e in kernel.spans.events if e["ph"] == "e"]
+    assert len(msg_ends) == attempts
+    assert {"receiver", "sender"} <= set(recorder.build().processes)
+    assert [e.delivered for e in tracer.events] == [True, False]
+    # Pre-effect labels reach observers: the refused delivery changed nothing.
+    assert tracer.events[1].send_before == tracer.events[0].send_after
+
+    tracer.detach()
+    kernel.hooks.remove(recorder)
+    del kernel.hooks[-1]
+    assert kernel.hooks == before
