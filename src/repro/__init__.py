@@ -81,7 +81,6 @@ __all__ = [
     # the interned-label fast path (repro.core.interning, DESIGN.md §11)
     "InternTable",
     "LabelOpCache",
-    "global_intern_table",
     # the labeled durable store (repro.store, DESIGN.md §14)
     "LabeledStore",
     "RecoveryReport",
@@ -105,7 +104,6 @@ _LAZY = {
     "record_okws_topology": ("repro.okws.topology", "record_okws_topology"),
     "InternTable": ("repro.core.interning", "InternTable"),
     "LabelOpCache": ("repro.core.interning", "LabelOpCache"),
-    "global_intern_table": ("repro.core.interning", "global_intern_table"),
     "FaultPlan": ("repro.faults", "FaultPlan"),
     "load_plan": ("repro.faults", "load_plan"),
     "run_campaign": ("repro.faults", "run_campaign"),

@@ -381,21 +381,19 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if _reject_sarif("run", args):
         return 2
-    # The kernel is constructed deep inside okws.launch; the environment
-    # variable is how the sanitizer flag crosses that distance (and how a
-    # whole test suite is swept under the sanitizer, cf. CI).
-    if args.sanitize:
-        os.environ["REPRO_SANITIZE"] = "1"
-        os.environ["REPRO_SANITIZE_STRICT"] = "1" if args.strict else "0"
-
     from repro.analysis.sanitizer import SanitizerViolation
+    from repro.kernel import Kernel, KernelConfig
     from repro.okws import ServiceConfig, launch
     from repro.okws.services import notes_handler, session_cache_handler
     from repro.sim.trace import FlowTracer
     from repro.sim.workload import HttpClient
 
+    config = KernelConfig.from_env()
+    if args.sanitize:
+        config = config.replace(sanitize=True, sanitize_strict=args.strict)
     try:
         site = launch(
+            kernel=Kernel(config=config),
             services=[
                 ServiceConfig("cache", session_cache_handler),
                 ServiceConfig("notes", notes_handler),
@@ -413,7 +411,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"repro run: {violation}", file=sys.stderr)
         return 1
     sanitizer = site.kernel.sanitizer
-    violations = list(sanitizer.violations) if sanitizer is not None else []
+    violations = sanitizer.total if sanitizer is not None else 0
     if args.format == "json":
         import json
 
@@ -422,7 +420,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "bob": bob.body,
             "drops": {"label-check": site.kernel.drop_log.count("label-check")},
             "sanitized": sanitizer is not None,
-            "sanitizer_violations": len(violations),
+            "sanitizer_violations": violations,
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
         return 1 if violations else 0
@@ -435,7 +433,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         lines.append(tracer.format(last=args.trace_last))
     if sanitizer is not None:
         lines.append(sanitizer.summary())
-        lines.extend(v.format() for v in violations)
+        lines.extend(v.format() for v in sanitizer.violations)
     _emit("\n".join(lines), args.out)
     return 1 if violations else 0
 

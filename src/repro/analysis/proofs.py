@@ -51,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Set, Tuple, Union
 
 from repro.core import labelops
 from repro.core.chunks import ChunkedLabel
@@ -61,7 +61,6 @@ from repro.core.interning import (
     apply_raise_tail,
     check_plan,
     effects_plan,
-    global_intern_table,
     raise_plan,
 )
 
@@ -117,19 +116,16 @@ class _Pool:
         }
 
 
-def compile_proofs(
-    topology: Topology,
-    max_states: int = 200_000,
-    table: Optional[InternTable] = None,
-) -> Dict[str, Any]:
+def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, Any]:
     """Explore *topology* and compile its always-allowed edges.
 
     Returns the ``proofs/v1`` document (a JSON-ready dict).  Raises
     :class:`ProofError` if the exploration truncates — a truncated state
-    space cannot support an "always allowed" claim.
+    space cannot support an "always allowed" claim.  Labels are interned
+    in a table private to this compilation; the document names them by
+    content fingerprint only.
     """
-    if table is None:
-        table = global_intern_table()
+    table = InternTable()
     engine = Engine(topology)
     live = Exploration(engine, set(), exact=False, max_states=max_states)
     if live.truncated:
@@ -382,10 +378,11 @@ def _pool_from_json(doc: Dict[str, Any], table: InternTable) -> Dict[str, Chunke
 
 
 def load_proofs(
-    source: Union[str, Path, Dict[str, Any]],
-    table: Optional[InternTable] = None,
+    source: Union[str, Path, Dict[str, Any]], table: InternTable
 ) -> LoadedProofs:
-    """Load and index a ``proofs/v1`` document.
+    """Load and index a ``proofs/v1`` document against *table* — the one
+    the probing kernel interns its live labels into, since stub keys are
+    intern-id tuples.
 
     Every label body is verified against its content fingerprint via
     :meth:`InternTable.from_wire`; stub keys are recomputed from the
@@ -393,8 +390,6 @@ def load_proofs(
     cores are resolved from the (verified) pool but deliberately not
     re-derived — see the class docstring.
     """
-    if table is None:
-        table = global_intern_table()
     if isinstance(source, (str, Path)):
         try:
             doc = json.loads(Path(source).read_text(encoding="utf-8"))

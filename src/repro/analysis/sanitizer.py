@@ -88,24 +88,34 @@ class DeliverySnapshot:
 
 
 class LabelSanitizer:
-    """Cross-checks every IPC against the naive Label operators."""
+    """Cross-checks every IPC against the naive Label operators.
+
+    ``total`` counts every violation exactly (and numbers them);
+    ``violations`` keeps the newest: past :data:`LIMIT` records the oldest
+    half goes, as in :class:`~repro.kernel.errors.DropLog`.  Only a
+    non-strict run (chaos campaigns, asbsched) can get that far.
+    """
+
+    LIMIT = 10_000
 
     def __init__(self, kernel: "Kernel", strict: bool = True):
         self.kernel = kernel
         self.strict = strict
         self.violations: List[Violation] = []
+        self.total = 0
         self.checked_sends = 0
         self.checked_deliveries = 0
-        self._seq = 0
 
     # -- recording ----------------------------------------------------------------
 
     def _record(
         self, kind: str, sender: str, receiver: str, port: int, detail: str
     ) -> None:
-        self._seq += 1
-        violation = Violation(self._seq, kind, sender, receiver, port, detail)
+        self.total += 1
+        violation = Violation(self.total, kind, sender, receiver, port, detail)
         self.violations.append(violation)
+        if len(self.violations) > self.LIMIT:
+            del self.violations[: self.LIMIT // 2]
         self.kernel.debug_log("sanitizer", violation.format())
         if self.strict:
             raise SanitizerViolation(violation.format())
@@ -235,5 +245,5 @@ class LabelSanitizer:
         return (
             f"sanitizer: {self.checked_sends} sends and "
             f"{self.checked_deliveries} deliveries cross-checked, "
-            f"{len(self.violations)} violations"
+            f"{self.total} violations"
         )

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.interning import global_intern_table
+from repro.core.interning import InternTable
 from repro.cluster.wire import WireDecoder, WireEncoder
 from repro.kernel.kernel import Kernel
 from repro.kernel.message import QueuedMessage
@@ -90,7 +90,11 @@ class ShardRuntime:
             network=spec.network,
         )
         self.client = HttpClient(self.site)
-        table = global_intern_table()
+        # Label identity is the kernel's; a kernel that does not intern
+        # leaves the codecs a table of their own.
+        table = self.kernel.intern_table
+        if table is None:
+            table = InternTable()
         self.encoder = WireEncoder(table, src=spec.shard_id)
         self.decoder = WireDecoder(table)
         self._outbox: List[Tuple[int, QueuedMessage]] = []
@@ -189,9 +193,7 @@ class ShardRuntime:
             "drops": drops,
             "board_log": list(self.board_env.get("log", ())),
             "board_port": self.board_env.get("board_port"),
-            "sanitizer_violations": (
-                len(sanitizer.violations) if sanitizer is not None else None
-            ),
+            "sanitizer_violations": sanitizer.total if sanitizer is not None else None,
             "clock_now": kernel.clock.now,
             "labelop_cache": (
                 kernel.labelop_cache.counters()

@@ -156,12 +156,14 @@ class ChunkedLabel:
         "level_mask",
         "_size",
         "_nonstar_cache",
-        # Hash-consing support (repro.core.interning): the process-unique
-        # id of this label's canonical instance, or None while the label
-        # has never been interned.  The weakref slot lets the intern
-        # table hold canonical labels without keeping dead kernels'
-        # labels alive.
+        # Hash-consing support (repro.core.interning): the table this
+        # instance is canonical in and the process-unique id that table
+        # gave it (both None while the label has never been interned),
+        # and its wire/v1 content fingerprint once one was computed.  The
+        # weakref slot lets the table hold canonical labels weakly.
         "intern_id",
+        "intern_table",
+        "fingerprint",
         "__weakref__",
     )
 
@@ -193,7 +195,7 @@ class ChunkedLabel:
         self.level_mask: int = mask
         self._size = size
         self._nonstar_cache: Optional[Tuple[Tuple[Handle, Level], ...]] = None
-        self.intern_id: Optional[int] = None
+        self.intern_id = self.intern_table = self.fingerprint = None
 
     # -- construction -----------------------------------------------------------
 

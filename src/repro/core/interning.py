@@ -9,9 +9,9 @@ ideas to the *live* kernel:
 - :class:`InternTable` hash-conses :class:`~repro.core.chunks.ChunkedLabel`
   instances: structurally equal labels (same canonical entry tuple and
   default) share one canonical instance carrying a process-unique integer
-  ``intern_id``.  Labels are immutable, so canonical instances are safe to
-  share between every kernel in the process — and safe to key caches on
-  forever, because a given id can never come to mean a different label.
+  ``intern_id``.  Labels are immutable, so a canonical instance is safe
+  to key caches on forever: a given id can never come to mean a
+  different label.
 - :class:`LabelOpCache` is a bounded LRU over interned ids for the three
   Figure 4 operations on the IPC hot path — the :func:`~repro.core.
   labelops.check_send` delivery verdict, the :func:`~repro.core.labelops.
@@ -80,10 +80,14 @@ O(users) label merges.  The overlay itself is an artifact of the
 simulation: a kernel that adopted this design would *store* labels in
 factored form and never materialise the union (DESIGN.md §11).
 
-The table holds its canonical labels through weak references, so labels
-whose last kernel dies are garbage collected with it; ids are issued from
-a module-wide counter, so no two labels ever share an id even across
-distinct tables.
+A table belongs to one kernel (a shard runtime, a proof compilation):
+"canonical" is a fact about a *(label, table)* pair, recorded in the
+label's ``intern_table`` slot, and labels cross between tables only by
+value.  The table holds its canonical labels through weak references, so
+inside a kernel a label lives exactly as long as something references it
+and everything dies with the kernel.  Ids are issued from a module-wide
+counter all the same: should two tables ever be mixed up, their labels'
+ids differ and id-keyed lookups miss instead of answering wrongly.
 """
 
 from __future__ import annotations
@@ -110,7 +114,6 @@ __all__ = [
     "apply_raise_tail",
     "check_plan",
     "effects_plan",
-    "global_intern_table",
     "label_fingerprint",
     "overlay_stars",
     "raise_plan",
@@ -149,11 +152,11 @@ _DISJOINT_LIMIT = 128
 class InternTable:
     """Hash-conses chunked labels to canonical, id-carrying instances.
 
-    ``intern`` is idempotent and cheap for already-interned labels (one
-    attribute test); a first-time intern costs one pass over the label's
-    entries to build the canonical key.  Canonical instances are held
-    weakly: a label referenced by no live kernel is collectable, and a
-    later intern of the same value simply issues a fresh id.
+    ``intern`` is idempotent and cheap for labels already canonical here
+    (one attribute test); a first-time intern costs one pass over the
+    label's entries to build the canonical key.  Canonical instances are
+    held weakly: a label nothing references is collectable, and a later
+    intern of the same value simply issues a fresh id.
 
     The table also memoizes each interned label's ⋆-free core (its
     :meth:`~repro.core.chunks.ChunkedLabel.without_stars` projection,
@@ -169,8 +172,6 @@ class InternTable:
             weakref.WeakValueDictionary()
         )
         self._cores: "OrderedDict[int, ChunkedLabel]" = OrderedDict()
-        #: intern_id → content fingerprint (memo for :meth:`fingerprint`).
-        self._fingerprints: Dict[int, int] = {}
         #: fingerprint → canonical label, weak like ``_canonical`` so a
         #: shard that stops talking about a label lets it die.
         self._by_fingerprint: "weakref.WeakValueDictionary[int, ChunkedLabel]" = (
@@ -182,15 +183,20 @@ class InternTable:
         self.lookups = 0
 
     def intern(self, label: ChunkedLabel) -> ChunkedLabel:
-        """Return the canonical instance for *label*'s value."""
-        if label.intern_id is not None:
+        """Return this table's canonical instance for *label*'s value."""
+        if label.intern_table is self:
             return label
         self.lookups += 1
         key = (label.default, tuple(label.iter_entries()))
         canonical = self._canonical.get(key)
         if canonical is not None:
             return canonical
+        if label.intern_table is not None:
+            # Canonical in another table, which owns that object and its
+            # id: ours is a copy sharing the (immutable) chunks.
+            label = ChunkedLabel(label.chunks, label.default)
         label.intern_id = next(_ids)
+        label.intern_table = self
         self._canonical[key] = label
         self.interned += 1
         return label
@@ -204,16 +210,17 @@ class InternTable:
     def fingerprint(self, label: ChunkedLabel) -> int:
         """The stable cross-process id of *label* (interning it first).
 
-        Memoized per ``intern_id``; the first call walks the entries once.
-        Fingerprinted labels become resolvable via :meth:`from_wire`, so a
-        shard can name a label to a peer by id alone once the full body
-        has been shipped.
+        Memoized on the canonical label (so it dies with it); the first
+        call walks the entries once.  Fingerprinted labels become
+        resolvable via :meth:`from_wire`, so a shard can name a label to a
+        peer by id alone once the full body has been shipped.
         """
         label = self.intern(label)
-        fp = self._fingerprints.get(label.intern_id)
+        fp = label.fingerprint
         if fp is None:
-            fp = label_fingerprint(label.default, label.iter_entries())
-            self._fingerprints[label.intern_id] = fp
+            fp = label.fingerprint = label_fingerprint(
+                label.default, label.iter_entries()
+            )
             self._by_fingerprint[fp] = label
         return fp
 
@@ -269,14 +276,6 @@ class InternTable:
 
     def __len__(self) -> int:
         return len(self._canonical)
-
-
-_GLOBAL = InternTable()
-
-
-def global_intern_table() -> InternTable:
-    """The process-wide intern table every interning kernel shares."""
-    return _GLOBAL
 
 
 #: Distinguishes "not cached" from a cached ``False`` verdict.
@@ -572,15 +571,11 @@ class LabelOpCache:
     bills the executed operation, not the full operands.
     """
 
-    def __init__(
-        self,
-        size: int = DEFAULT_CACHE_SIZE,
-        table: Optional[InternTable] = None,
-    ) -> None:
+    def __init__(self, table: InternTable, size: int = DEFAULT_CACHE_SIZE) -> None:
         if size <= 0:
             raise ValueError(f"cache size must be positive, got {size}")
         self.size = size
-        self.table = table if table is not None else global_intern_table()
+        self.table = table
         self._memo: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -28,7 +28,7 @@ fused results against the naive operators on random labels.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.chunks import (

@@ -187,9 +187,7 @@ def run_campaign(
     drop_fault_logged = site.kernel.drop_log.count(DROP_FAULT)
     squeeze_logged = site.kernel.drop_log.count(DROP_QUEUE_LIMIT)
     metrics_injected = _counter_value(site.kernel, "kernel.faults.injected")
-    violations = (
-        len(site.kernel.sanitizer.violations) if site.kernel.sanitizer else 0
-    )
+    violations = site.kernel.sanitizer.total if site.kernel.sanitizer else 0
 
     result = CampaignResult(
         plan=plan,

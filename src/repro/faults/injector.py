@@ -22,7 +22,7 @@ Every fired fault is recorded three ways:
 
 The injector is *armed* or not: campaigns boot the site with the injector
 disarmed (launch traffic stays reliable), then arm it for the measured
-phase.  ``REPRO_FAULTS``-configured kernels arm at boot.
+phase.  A kernel simply given ``KernelConfig(faults=...)`` is armed from boot.
 """
 
 from __future__ import annotations

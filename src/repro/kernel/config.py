@@ -12,13 +12,6 @@ Environment variables (all optional; explicit arguments win):
 ``REPRO_SANITIZE``        enable the differential label sanitizer
 ``REPRO_SANITIZE_STRICT`` raise on the first sanitizer violation
 ``REPRO_SANITIZE_SAMPLE`` check every Nth IPC only (``64`` or ``1/64``)
-``REPRO_TRACE``           keep the kernel debug log, re-raise crashes
-``REPRO_LABEL_COST_MODE`` ``paper`` or ``fused`` cycle billing
-``REPRO_RAM_BYTES``       cap simulated RAM (bytes)
-``REPRO_METRICS``         enable the observability metrics registry
-``REPRO_SPANS``           enable span tracing (Chrome trace export)
-``REPRO_FAULTS``          path to a ``faultplan/v1`` JSON fault plan
-``REPRO_FAULT_SEED``      PRNG seed for the fault injector
 ``REPRO_STORE``           path to ok-dbproxy's ``wal/v1`` store file
 ``REPRO_INTERN_LABELS``   hash-cons labels + memoize Figure 4 hot ops
 ``REPRO_LABELOP_CACHE``   bound on the label-op cache (entries)
@@ -108,7 +101,7 @@ class KernelConfig:
       it at boot); ``None`` (the default) keeps the bit-identical
       in-memory path and never imports :mod:`repro.store`;
     - the interned-label fast path (DESIGN.md §11): ``intern_labels``
-      hash-conses every kernel-resident label through the process-wide
+      hash-conses every kernel-resident label through the kernel's own
       :class:`~repro.core.interning.InternTable` and memoizes the three
       Figure 4 hot operations in a bounded LRU
       :class:`~repro.core.interning.LabelOpCache` of
@@ -184,31 +177,6 @@ class KernelConfig:
         sample = env.get("REPRO_SANITIZE_SAMPLE", "").strip()
         if sample:
             values["sanitize_sample"] = parse_sample(sample)
-        trace = _env_bool(env, "REPRO_TRACE")
-        if trace is not None:
-            values["trace"] = trace
-        metrics = _env_bool(env, "REPRO_METRICS")
-        if metrics is not None:
-            values["metrics"] = metrics
-        spans = _env_bool(env, "REPRO_SPANS")
-        if spans is not None:
-            values["spans"] = spans
-        mode = env.get("REPRO_LABEL_COST_MODE", "").strip()
-        if mode:
-            values["label_cost_mode"] = mode
-        ram = _env_int(env, "REPRO_RAM_BYTES")
-        if ram is not None:
-            values["ram_bytes"] = ram
-        plan_path = env.get("REPRO_FAULTS", "").strip()
-        if plan_path:
-            # Deferred import: repro.faults pulls in kernel-adjacent
-            # modules, and config must stay importable first.
-            from repro.faults.plan import load_plan
-
-            values["faults"] = load_plan(plan_path)
-        seed = _env_int(env, "REPRO_FAULT_SEED")
-        if seed is not None:
-            values["fault_seed"] = seed
         store_path = env.get("REPRO_STORE", "").strip()
         if store_path:
             values["store_path"] = store_path
@@ -225,7 +193,7 @@ class KernelConfig:
         if proof_path:
             values["proof_path"] = proof_path
         for key, value in overrides.items():
-            if value is None and key not in ("ram_bytes",):
+            if value is None:
                 continue  # "unset": keep the env/default resolution
             values[key] = value
         return cls(**values)

@@ -262,7 +262,7 @@ class SanitizingEngine:
         return self._tick == 0
 
     def _fail_closed(self, work: Work, seen: int, what: str, port: int) -> None:
-        if work.stub and len(self.sanitizer.violations) > seen:
+        if work.stub and self.sanitizer.total > seen:
             self.flows.quarantine(f"elided {what} diverged on {port:#x}")
 
     def send_join(
@@ -271,7 +271,7 @@ class SanitizingEngine:
     ) -> Tuple[ChunkedLabel, Work]:
         es, work = self.inner.send_join(ps, cs, stats)
         if self._due():
-            seen = len(self.sanitizer.violations)
+            seen = self.sanitizer.total
             try:
                 self.sanitizer.check_effective_send(sender, port, ps, cs, es)
             finally:
@@ -286,7 +286,7 @@ class SanitizingEngine:
         verdict = self.inner.deliver(port, es, ds, v, dr, pl, qs, qr, stats, elidable)
         drop, new_qs, new_qr, work = verdict
         if self._due() or work.first_use:
-            seen = len(self.sanitizer.violations)
+            seen = self.sanitizer.total
             try:
                 snapshot = self.sanitizer.before_deliver(es, ds, v, dr, pl, qs, qr)
                 self.sanitizer.after_deliver(

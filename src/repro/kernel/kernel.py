@@ -89,9 +89,6 @@ from repro.kernel.process import (
 )
 from repro.kernel.scheduler import Scheduler
 
-_BOTTOM = ChunkedLabel.from_label(Label.bottom())
-_TOP = ChunkedLabel.from_label(Label.top())
-
 
 def _payload_bytes(payload: Any) -> int:
     """Cheap size model for message payloads."""
@@ -117,7 +114,7 @@ class Kernel:
 
     A bare ``Kernel()`` resolves its config from the environment
     (``KernelConfig.from_env()``), which is how whole test suites are
-    swept under the sanitizer or metrics without touching call sites.
+    swept under the sanitizer or interning without touching call sites.
     """
 
     def __init__(self, *, config: Optional[KernelConfig] = None):
@@ -193,21 +190,19 @@ class Kernel:
         engine: Any = Figure4Engine()
 
         # Interned-label fast path (repro.core.interning): labels are
-        # hash-consed through the process-wide intern table and the three
+        # hash-consed through this kernel's own intern table and the three
         # Figure 4 hot operations are memoized in a bounded LRU keyed on
         # interned ids.  Immutability makes the cache invalidation free;
         # the disabled path is byte-identical to a pre-cache kernel.
         self.intern_table = None
         self.labelop_cache = None
         if config.intern_labels or config.elide_checks:
-            from repro.core.interning import LabelOpCache, global_intern_table
+            from repro.core.interning import InternTable, LabelOpCache
 
-            self.intern_table = global_intern_table()
+            self.intern_table = InternTable()
             self.labelop_cache = LabelOpCache(
-                size=config.labelop_cache_size, table=self.intern_table
+                self.intern_table, size=config.labelop_cache_size
             )
-            self.intern_table.intern(_BOTTOM)
-            self.intern_table.intern(_TOP)
             engine = Figure4Engine(self.labelop_cache)
 
         # Proof-guided check elision (repro.kernel.elide, DESIGN.md §15):
@@ -239,6 +234,10 @@ class Kernel:
             )
         self.engine = engine
         self._mirror_counters()
+        # Kernel-born constants, canonical in this kernel like any other
+        # resident label: what an omitted CS/DR (⊥) and DS/V (⊤) default to.
+        self._bottom = engine.canon(ChunkedLabel.from_label(Label.bottom()))
+        self._top = engine.canon(ChunkedLabel.from_label(Label.top()))
         #: ES of every kernel-born message (wire injection, exit obituary):
         #: the send label of a maximally untainted sender.
         self._default_es = engine.canon(ChunkedLabel.from_label(Label.send_default()))
@@ -263,10 +262,9 @@ class Kernel:
         self._timer_serial = 0
 
         # -- fault injection (repro.faults) ---------------------------------
-        # Opt in via KernelConfig(faults=FaultPlan(...)) or REPRO_FAULTS=
-        # <plan.json>.  Delayed messages live in a min-heap of
-        # (release_step, serial, message) and re-enter _enqueue
-        # fault-exempt when their round comes up.
+        # Opt in via KernelConfig(faults=FaultPlan(...)).  Delayed messages
+        # live in a min-heap of (release_step, serial, message) and
+        # re-enter _enqueue fault-exempt when their round comes up.
         self.faults = None
         self._delayed: List[Tuple[int, int, QueuedMessage]] = []
         self._delay_serial = 0
@@ -351,9 +349,9 @@ class Kernel:
             port=port,
             payload=payload,
             effective_send=self._default_es,
-            decontaminate_send=_TOP,
-            verify=_TOP,
-            decontaminate_receive=_BOTTOM,
+            decontaminate_send=self._top,
+            verify=self._top,
+            decontaminate_receive=self._bottom,
             sender_name=sender_name,
         )
 
@@ -684,10 +682,10 @@ class Kernel:
             self._hook("on_send", task, request)
         stats = OpStats()
         ps = task.send_label
-        cs = self._user_label(request.cs, _BOTTOM)
-        ds = self._user_label(request.ds, _TOP)
-        v = self._user_label(request.v, _TOP)
-        dr = self._user_label(request.dr, _BOTTOM)
+        cs = self._user_label(request.cs, self._bottom)
+        ds = self._user_label(request.ds, self._top)
+        v = self._user_label(request.v, self._top)
+        dr = self._user_label(request.dr, self._bottom)
 
         es, work = self.engine.send_join(ps, cs, stats, task.name, request.port)
         # Requirements (2) and (3) are checked live on every send — no

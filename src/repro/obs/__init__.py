@@ -14,7 +14,7 @@ Three pieces, all out-of-band with respect to the simulated label system
   ``BENCH_*.json`` perf-trajectory files.
 
 Enable per kernel with ``Kernel(config=KernelConfig(metrics=True,
-spans=True))`` or globally with ``REPRO_METRICS=1`` / ``REPRO_SPANS=1``.
+spans=True))``.
 """
 
 from repro.obs.metrics import (

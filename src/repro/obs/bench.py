@@ -27,7 +27,6 @@ runs against each other.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import time
@@ -935,10 +934,6 @@ def run_bench(
     paths: List[str] = []
     for figure in selected:
         echo(f"bench: {figure}")
-        # A dead kernel is cyclic garbage: its labels linger in the weak,
-        # process-wide intern table until the collector happens to run, and
-        # that changes which interned lookups hit.  Start each figure clean.
-        gc.collect()
         runner = _RUNNERS[figure]
         if figure in ("fig7", "fig9"):
             doc = runner(quick, sweep=sweep)
@@ -993,7 +988,8 @@ def guard_files(
     actually catches a label-op slowdown instead of rewarding it.  The
     CI use is pinning fig7 throughput (and the interning/elision speedup
     series) so machinery riding along in the kernel hot path cannot
-    quietly tax it.
+    quietly tax it.  A series the fresh run emits and the baseline lacks
+    also fails: an unguarded series means a stale baseline.
 
     Returns a list of human-readable problems (empty = guard passes).
     """
@@ -1009,6 +1005,10 @@ def guard_files(
         except (OSError, json.JSONDecodeError) as err:
             problems.append(f"{name}: {err}")
             continue
+        for series in sorted(set(fresh.get("series", {})) - set(base.get("series", {}))):
+            problems.append(
+                f"{name}: series {series!r} is not in the baseline (regenerate it)"
+            )
         for series, base_ser in base.get("series", {}).items():
             fresh_ser = fresh.get("series", {}).get(series)
             if fresh_ser is None:

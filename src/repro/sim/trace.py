@@ -58,7 +58,7 @@ class FlowTracer:
         self.names: Dict[Handle, str] = {}
         self._seq = 0
         #: Sanitizer violations already attributed (or predating the tracer).
-        self._violations_seen = len(kernel.sanitizer.violations) if kernel.sanitizer else 0
+        self._violations_seen = kernel.sanitizer.total if kernel.sanitizer else 0
         kernel.hooks.append(self)
 
     def detach(self) -> None:
@@ -73,10 +73,14 @@ class FlowTracer:
     def on_deliver(self, task, entry, qmsg, delivered, qs_before, qr_before):
         self._seq += 1
         sanitizer = self.kernel.sanitizer
-        violations = sanitizer.violations if sanitizer else []
-        seen, self._violations_seen = self._violations_seen, len(violations)
-        # Send-time violations since the last delivery name no receiver.
-        new_violations = [v for v in violations[seen:] if v.receiver == task.name]
+        new_violations = []
+        fresh = sanitizer.total - self._violations_seen if sanitizer else 0
+        if fresh:
+            self._violations_seen = sanitizer.total
+            # Send-time violations since the last delivery name no receiver.
+            new_violations = [
+                v for v in sanitizer.violations[-fresh:] if v.receiver == task.name
+            ]
         self.events.append(
             FlowEvent(
                 seq=self._seq,

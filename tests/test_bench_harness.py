@@ -139,7 +139,12 @@ def test_guard_keeps_the_floor_for_benefit_series(tmp_path):
 
 def test_guard_flags_missing_series_and_grid_changes(tmp_path):
     base = {"a": {"x": [1], "y": [1.0], "unit": "x"}, "b": {"x": [1], "y": [1.0], "unit": "x"}}
-    fresh = {"a": {"x": [1, 2], "y": [1.0, 1.0], "unit": "x"}}
+    fresh = {
+        "a": {"x": [1, 2], "y": [1.0, 1.0], "unit": "x"},
+        "c": {"x": [1], "y": [1.0], "unit": "x"},  # emitted, never guarded: stale baseline
+    }
     problems = _guard_pair(tmp_path, "BENCH_fig7.json", base, fresh)
+    assert len(problems) == 3
     assert any("x-grid changed" in p for p in problems)
-    assert any("missing from fresh run" in p for p in problems)
+    assert any("'b' missing from fresh run" in p for p in problems)
+    assert any("'c' is not in the baseline" in p for p in problems)

@@ -183,6 +183,19 @@ def test_from_wire_returns_the_canonical_instance():
         table.from_wire(fp ^ 1)
 
 
+def test_a_dead_fingerprinted_label_leaves_nothing_in_the_table():
+    table = InternTable()
+    label = table.intern(_chunked(Label({7: 3}, 1)))
+    fp = table.fingerprint(label)
+    assert label.fingerprint == fp and table.from_wire(fp) is label
+    del label
+    # No strong reference, no cycle: the label died with its last referent,
+    # and took its fingerprint with it.
+    assert all(not held for held in vars(table).values() if hasattr(held, "__len__"))
+    with pytest.raises(KeyError):
+        table.from_wire(fp)
+
+
 def test_interning_survives_sanitize_sample_config():
     # parse/validation of the sampling knob lives next to the codec's
     # users; pin the contract here.

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import labelops as lo
 from repro.core.chunks import ChunkedLabel, OpStats
-from repro.core.interning import InternTable, LabelOpCache, global_intern_table
+from repro.core.interning import InternTable, LabelOpCache
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L1, L2, L3, STAR
 from repro.kernel.config import KernelConfig
@@ -58,7 +58,7 @@ def _c(label: Label) -> ChunkedLabel:
 
 
 def _cache(size: int = 8) -> LabelOpCache:
-    return LabelOpCache(size=size, table=global_intern_table())
+    return LabelOpCache(InternTable(), size=size)
 
 
 # -- 1. property tests: cache == reference on miss AND on hit -----------------------
@@ -104,7 +104,7 @@ def test_cached_raise_receive_matches_reference(qr, dr):
 # One cache shared across all examples: keys from earlier examples stay
 # resident (or get evicted), so ⋆-factored keys from *different* operand
 # tuples must never alias to the wrong result.
-_SHARED = LabelOpCache(size=16, table=global_intern_table())
+_SHARED = LabelOpCache(InternTable(), size=16)
 
 
 @given(labels, labels, labels, labels, labels)
@@ -210,7 +210,7 @@ def test_seeded_differential_sweep_under_eviction():
         return Label(entries, rng.choice(pool))
 
     table = InternTable()
-    cache = LabelOpCache(size=64, table=table)
+    cache = LabelOpCache(table, size=64)
     for i in range(3500):
         es, qr, dr, v, pr = (rand_label() for _ in range(5))
         got, _ = cache.check_send(

@@ -104,7 +104,7 @@ def test_forged_label_body_is_rejected_at_load():
     # Flip the label's default without recomputing the fingerprint.
     tampered["labels"][fp] = dict(body, default=int(L2))
     with pytest.raises(ProofError):
-        load_proofs(tampered)
+        load_proofs(tampered, InternTable())
 
 
 def test_dangling_label_reference_is_rejected_at_load():
@@ -113,13 +113,13 @@ def test_dangling_label_reference_is_rejected_at_load():
     assert tampered["delivers"], "expected at least one deliver stub"
     tampered["delivers"][0]["qr"] = "f" * 16
     with pytest.raises(ProofError):
-        load_proofs(tampered)
+        load_proofs(tampered, InternTable())
 
 
 def test_unknown_schema_is_rejected_at_load():
     doc = _compile_echo_proofs(3)
     with pytest.raises(ProofError):
-        load_proofs(dict(doc, schema="proofs/v999"))
+        load_proofs(dict(doc, schema="proofs/v999"), InternTable())
 
 
 # -- corrupted effect deltas: caught on first use, fail closed ----------------------

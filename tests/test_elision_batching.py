@@ -16,7 +16,7 @@ import os
 import tempfile
 
 from repro.analysis.extract import TopologyRecorder
-from repro.core.interning import global_intern_table
+from repro.core.interning import InternTable
 from repro.analysis.proofs import compile_proofs, write_proofs
 from repro.kernel.config import KernelConfig
 from repro.sim.runner import build_echo_site
@@ -72,7 +72,7 @@ def _run(path, tweak=None):
 def _pinned_interning():
     """Hold a strong reference to every label interned while active.
 
-    The process-wide intern table is weak: a label with no strong refs is
+    A kernel's intern table is weak: a label with no strong refs is
     collected and re-interning the same value issues a fresh id.  Which
     labels stay alive is a host-side allocation question — and batching
     changes it, because streak continuations skip plan recomputation and
@@ -84,20 +84,19 @@ def _pinned_interning():
     identical cache-key sequences and their clocks compare cycle for
     cycle.
     """
-    table = global_intern_table()
-    orig = table.intern
+    orig = InternTable.intern
     pins = []
 
-    def pin(label):
-        result = orig(label)
+    def pin(table, label):
+        result = orig(table, label)
         pins.append(result)
         return result
 
-    table.intern = pin
+    InternTable.intern = pin
     try:
         yield
     finally:
-        del table.intern
+        InternTable.intern = orig
 
 
 def _unbatch(kernel):

@@ -91,7 +91,7 @@ def _proven(table, ps, cs, es, ds, v, dr, pl, qs, qr):
 
 def _engines(flows):
     def interned():
-        return Figure4Engine(LabelOpCache(size=8, table=flows.table))
+        return Figure4Engine(LabelOpCache(flows.table, size=8))
 
     bare = {
         "plain": (Figure4Engine(), None),
@@ -147,7 +147,7 @@ def test_elided_engine_hits_its_stubs_and_honours_elidable():
     es, qs, qr = Label({6: L3}, L1), Label({}, L1), Label({6: L3}, L2)
     top, bottom = Label({}, L3), Label({}, STAR)
     flows = _proven(InternTable(), ps, cs, es, top, top, bottom, top, qs, qr)
-    engine = ElidedEngine(flows, Figure4Engine(LabelOpCache(table=flows.table)))
+    engine = ElidedEngine(flows, Figure4Engine(LabelOpCache(flows.table)))
     args = [_c(x) for x in (es, top, top, bottom, top, qs, qr)]
     first = engine.deliver(PORT, *args, OpStats()).work
     again = engine.deliver(PORT, *args, OpStats()).work
@@ -161,6 +161,31 @@ def test_elided_engine_hits_its_stubs_and_honours_elidable():
     flows.invalidate("test")  # a quarantined table answers nothing
     assert not engine.deliver(PORT, *args, OpStats()).work.stub
     assert not engine.send_join(_c(ps), _c(cs), OpStats())[1].stub
+
+
+def test_a_bad_stub_is_quarantined_even_when_the_violation_list_is_at_its_cap():
+    ps, cs = Label({5: STAR}, L1), Label({6: L3}, STAR)
+    es, qs, qr = Label({6: L3}, L1), Label({}, L1), Label({6: L3}, L2)
+    top, bottom = Label({}, L3), Label({}, STAR)
+    flows = _proven(InternTable(), ps, cs, es, top, top, bottom, top, qs, qr)
+    (stub,) = flows.proofs.deliver.values()
+    stub.new_qr_core = flows.table.intern(_c(Label({9: L3}, L2)))  # a forged delta
+    kernel = types.SimpleNamespace(debug_log=lambda who, line: None)
+    sanitizer = LabelSanitizer(kernel, strict=False)  # observe mode, as in chaos runs
+    for _ in range(LabelSanitizer.LIMIT):
+        sanitizer.check_effective_send("tx", PORT, _c(ps), _c(cs), _c(ps))
+    assert len(sanitizer.violations) == sanitizer.total == LabelSanitizer.LIMIT
+    inner = ElidedEngine(flows, Figure4Engine(LabelOpCache(flows.table)))
+    engine = SanitizingEngine(inner, sanitizer, 1, flows)
+    args = [_c(x) for x in (es, top, top, bottom, top, qs, qr)]
+    assert engine.deliver(PORT, *args, OpStats(), True, "tx", "rx").work.stub
+    # The divergence overflowed the list, which shed its older half — the
+    # exact total is what says something new went wrong.
+    assert sanitizer.total > LabelSanitizer.LIMIT
+    assert len(sanitizer.violations) == sanitizer.total - LabelSanitizer.LIMIT // 2
+    assert sanitizer.violations[-1].seq == sanitizer.total
+    assert flows.quarantines == 1 and not flows.valid
+    assert not engine.deliver(PORT, *args, OpStats(), True, "tx", "rx").work.stub
 
 
 # -- 2. bill() == the cycles the pre-seam kernel charged ----------------------------
@@ -210,7 +235,7 @@ _PARENT_SEND = {
 
 
 def _paths():
-    cache = LabelOpCache(size=64, table=InternTable())
+    cache = LabelOpCache(InternTable(), size=64)
     interned = Figure4Engine(cache)
     return (("plain", Figure4Engine()), ("interned-miss", interned), ("interned-hit", interned))
 

@@ -1,0 +1,148 @@
+"""A kernel is a closed world: label identity is owned by the kernel.
+
+Every interning kernel has its own :class:`InternTable` (DESIGN.md §11.1),
+so what one kernel interns, caches and bills can depend on nothing another
+kernel in the interpreter did — not on whether it is still alive, not on
+the order they ran in, not on when the cycle collector fired.
+"""
+
+import gc
+import json
+
+import pytest
+
+from repro.analysis.extract import TopologyRecorder
+from repro.analysis.proofs import compile_proofs, write_proofs
+from repro.core.interning import InternTable
+from repro.core.labels import Label
+from repro.core.levels import L1, L3, STAR
+from repro.kernel.config import KernelConfig
+from repro.sim.runner import build_echo_site
+from repro.sim.workload import HttpClient
+
+N_USERS = 12
+WAVE = 6
+ROUNDS = 3
+
+
+def _waves(n_users=N_USERS):
+    requests = [(f"u{i}", f"pw{i}", "echo", None, {"length": 11}) for i in range(n_users)]
+    for _ in range(ROUNDS):
+        for start in range(0, n_users, WAVE):
+            yield requests[start : start + WAVE]
+
+
+def _drive(client, n_users=N_USERS):
+    for wave in _waves(n_users):
+        client.run_batch(wave, concurrency=WAVE)
+
+
+@pytest.fixture(scope="module")
+def topology():
+    site = build_echo_site(N_USERS, config=KernelConfig())
+    client = HttpClient(site)
+    _drive(client)
+    recorder = TopologyRecorder(site.kernel)
+    _drive(client)
+    return recorder.build("isolation")
+
+
+@pytest.fixture(scope="module")
+def proofs_path(topology, tmp_path_factory):
+    path = tmp_path_factory.mktemp("isolation") / "proofs.json"
+    write_proofs(compile_proofs(topology), path)
+    return str(path)
+
+
+def _elided_site(proofs_path):
+    config = KernelConfig(intern_labels=True, elide_checks=True, proof_path=proofs_path)
+    return build_echo_site(N_USERS, config=config)
+
+
+def _observed(kernel):
+    return {
+        "clock": kernel.clock.snapshot(),
+        "drops": list(kernel.drop_log.records),
+        "cache": kernel.labelop_cache.counters(),
+        "flows": kernel.flow_table.counters() if kernel.flow_table else None,
+    }
+
+
+# -- (a) canonical is a fact about a (label, table) pair -----------------------------
+
+
+def test_foreign_canonical_label_is_interned_by_value():
+    a, b = InternTable(), InternTable()
+    value = Label({1: STAR, 2: L3}, L1)
+    in_a = a.intern_label(value)
+    a_id = in_a.intern_id
+    in_b = b.intern(in_a)
+    # B answers with its own instance for the value, never A's object...
+    assert in_b is not in_a
+    assert in_b is b.intern_label(value)
+    assert b.intern(in_b) is in_b
+    assert in_b.to_label() == in_a.to_label() == value
+    assert all(x is y for x, y in zip(in_b.chunks, in_a.chunks))
+    assert in_b.intern_id != a_id
+    # ...and A's instance is neither re-stamped nor displaced.
+    assert in_a.intern_id == a_id
+    assert a.intern(in_a) is in_a
+    assert len(a) == len(b) == 1
+
+
+# -- (b) two live kernels, stepped alternately ---------------------------------------
+
+
+def test_two_live_elided_sites_each_behave_as_if_alone(proofs_path):
+    alone = _elided_site(proofs_path)
+    _drive(HttpClient(alone))
+    want = _observed(alone.kernel)
+    # The site really elides: what a foreign table used to zero out.
+    assert want["flows"]["deliver_hits"] > 0 and want["flows"]["send_hits"] > 0
+
+    first, second = _elided_site(proofs_path), _elided_site(proofs_path)
+    clients = HttpClient(first), HttpClient(second)
+    for wave in _waves():
+        for client in clients:
+            client.run_batch(wave, concurrency=WAVE)
+    assert first.kernel.intern_table is not second.kernel.intern_table
+    assert _observed(first.kernel) == want
+    assert _observed(second.kernel) == want
+
+
+# -- (c) order and collector independence --------------------------------------------
+
+
+def _bill(config, n_users):
+    """Run one site to completion and drop it: only its bill survives."""
+    site = build_echo_site(n_users, config=config)
+    _drive(HttpClient(site), n_users)
+    return site.kernel.clock.snapshot()
+
+
+@pytest.mark.parametrize("collector_off", [False, True])
+def test_run_order_never_changes_a_bill(proofs_path, collector_off):
+    interned = (KernelConfig(intern_labels=True), 8)
+    elided = (
+        KernelConfig(intern_labels=True, elide_checks=True, proof_path=proofs_path),
+        N_USERS,
+    )
+    was_enabled = gc.isenabled()
+    if collector_off:
+        gc.disable()  # dead kernels (cyclic garbage) now linger throughout
+    try:
+        a_first = (_bill(*interned), _bill(*elided))
+        b_first = (_bill(*elided), _bill(*interned))
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert a_first == b_first[::-1]
+
+
+# -- (d) proof compilation is a pure function of the topology ------------------------
+
+
+def test_compile_proofs_twice_is_byte_identical(topology):
+    first = json.dumps(compile_proofs(topology), sort_keys=True)
+    second = json.dumps(compile_proofs(topology), sort_keys=True)
+    assert first == second

@@ -39,37 +39,51 @@ def test_replace():
 
 def test_from_env_reads_environment():
     env = {
-        "REPRO_SANITIZE": "1",
+        "REPRO_SANITIZE": "yes",
         "REPRO_SANITIZE_STRICT": "0",
-        "REPRO_TRACE": "yes",
-        "REPRO_METRICS": "1",
-        "REPRO_SPANS": "on",
-        "REPRO_LABEL_COST_MODE": "fused",
-        "REPRO_RAM_BYTES": "4096",
+        "REPRO_SANITIZE_SAMPLE": "1/8",
+        "REPRO_ELIDE": "on",
+        "REPRO_PROOFS": "/tmp/proofs.json",
+        "REPRO_STORE": "/tmp/wal.log",
     }
     config = KernelConfig.from_env(env=env)
     assert config.sanitize is True
     assert config.sanitize_strict is False
-    assert config.trace is True
-    assert config.metrics is True
-    assert config.spans is True
-    assert config.label_cost_mode == "fused"
-    assert config.ram_bytes == 4096
+    assert config.sanitize_sample == 8
+    assert config.elide_checks is True
+    assert config.proof_path == "/tmp/proofs.json"
+    assert config.store_path == "/tmp/wal.log"
+
+
+def test_from_env_reads_only_the_variables_somebody_sets():
+    # Eight knobs cross the environment (CI sweeps, README); everything
+    # else is configured by constructing a KernelConfig.
+    env = {
+        "REPRO_TRACE": "1",
+        "REPRO_METRICS": "1",
+        "REPRO_SPANS": "1",
+        "REPRO_LABEL_COST_MODE": "fused",
+        "REPRO_RAM_BYTES": "4096",
+        "REPRO_FAULTS": "/nonexistent/plan.json",
+        "REPRO_FAULT_SEED": "7",
+    }
+    assert KernelConfig.from_env(env=env) == KernelConfig()
 
 
 def test_from_env_falsy_values():
-    env = {"REPRO_SANITIZE": "0", "REPRO_TRACE": "false", "REPRO_METRICS": "off"}
+    env = {"REPRO_SANITIZE": "0", "REPRO_SANITIZE_STRICT": "false", "REPRO_ELIDE": "off"}
     config = KernelConfig.from_env(env=env)
     assert config.sanitize is False
-    assert config.trace is False
-    assert config.metrics is False
+    assert config.sanitize_strict is False
+    assert config.elide_checks is False
 
 
 def test_from_env_overrides_beat_environment():
-    env = {"REPRO_TRACE": "1", "REPRO_LABEL_COST_MODE": "fused"}
-    config = KernelConfig.from_env(env=env, trace=False, label_cost_mode="paper")
-    assert config.trace is False
-    assert config.label_cost_mode == "paper"
+    env = {"REPRO_SANITIZE": "1", "REPRO_STORE": "/tmp/wal.log"}
+    config = KernelConfig.from_env(env=env, sanitize=False, label_cost_mode="fused")
+    assert config.sanitize is False
+    assert config.store_path == "/tmp/wal.log"
+    assert config.label_cost_mode == "fused"
 
 
 def test_from_env_none_override_means_unset():
