@@ -29,7 +29,7 @@ Quick tour of the public surface:
   :class:`~repro.cluster.Cluster` runs N kernels as parallel OS
   processes behind one facade, exchanging ``wire/v1`` messages with
   full Figure 4 checks re-run on the receiving shard (DESIGN.md §13);
-  ``python -m repro bench --scale`` measures the scaling.
+  ``python -m repro bench --only scale`` measures the scaling.
 
 The stable, re-exported surface is exactly ``repro.__all__`` below (see
 the API table in README.md); anything else may move between releases.

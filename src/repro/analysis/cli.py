@@ -12,7 +12,7 @@ Subcommands::
     python -m repro chaos --plan FILE [--seeds N,N...]
     python -m repro crashcheck [--broken-recovery] [--plan-out FILE]
                                [--replay PLAN] [--wal FILE] [--dir DIR]
-    python -m repro bench [--quick] [--only FIGS] [--scale] [--guard BASELINE...]
+    python -m repro bench [--quick] [--only FIGS] [--guard BASELINE...]
     python -m repro bench --validate <BENCH_*.json...>
 
 Every subcommand shares one option surface (a common argparse parent):
@@ -51,11 +51,11 @@ label operators.  ``crashcheck`` records a write workload into the
 all torn-tail prefixes), and proves recovery preserves durability and
 IFC monotonicity at each one — ``--broken-recovery`` swaps in the naive
 redo recovery, which must be caught and minimized to a byte-identically
-replayable ``faultplan/v1`` counterexample (``--plan-out``/``--replay``).  ``bench`` regenerates the paper's figures headlessly
-as ``BENCH_<figure>.json`` documents; ``--scale`` selects the sharded
-``repro.cluster`` scaling bench (DESIGN.md §13), ``--validate`` checks
-existing documents instead, and ``--guard`` fails on regressions
-against committed baselines.
+replayable ``faultplan/v1`` counterexample (``--plan-out``/``--replay``).  ``bench`` regenerates the paper's numbers headlessly
+as ``BENCH_<figure>.json`` documents (``--only scale`` selects the sharded
+``repro.cluster`` scaling bench, DESIGN.md §13); ``--validate`` checks
+existing documents instead, and ``--guard`` fails on any difference from
+committed baselines.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _cmd_tour() -> int:
         f"   throughput: {point.throughput:.0f} conn/s at 1 session "
         "(paper regime: OKWS ≈ half of Mod-Apache, above Apache)"
     )
-    print("\nSee examples/ for full walkthroughs and benchmarks/ for the figures.")
+    print("\nSee examples/ for full walkthroughs and `python -m repro bench` for the figures.")
     return 0
 
 
@@ -516,34 +516,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     if args.validate:
         results = bench.validate_files(args.validate)
-        bad = False
         for path, problems in results.items():
-            if problems:
-                bad = True
-                for problem in problems:
-                    print(f"{path}: {problem}", file=sys.stderr)
-            else:
+            for problem in problems:
+                print(f"{path}: {problem}", file=sys.stderr)
+            if not problems:
                 print(f"{path}: ok")
-        return 1 if bad else 0
+        return 1 if any(results.values()) else 0
 
     only = None
     if args.only:
         only = [f.strip() for f in args.only.split(",") if f.strip()]
-    if args.scale:
-        # --scale selects the cluster scaling figure; combined with
-        # --only it adds "scale" to the selection.
-        only = (only or []) + ["scale"] if only else ["scale"]
     out_dir = args.out or "."
     try:
         paths = bench.run_bench(out_dir=out_dir, quick=args.quick, only=only)
     except ValueError as err:
         print(f"repro bench: {err}", file=sys.stderr)
         return 2
-    guard_problems: Optional[List[str]] = None
-    if args.guard:
-        guard_problems = bench.guard_files(
-            args.guard, out_dir, tolerance=args.tolerance
-        )
+    guard_problems = bench.guard_files(args.guard, out_dir) if args.guard else None
     if args.format == "json":
         print(
             json.dumps(
@@ -554,21 +543,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     else:
         print(f"repro bench: {len(paths)} document(s) written")
-    if guard_problems is not None:
-        if guard_problems:
-            for problem in guard_problems:
-                print(f"repro bench: guard: {problem}", file=sys.stderr)
-            print(
-                f"repro bench: guard FAILED ({len(guard_problems)} regression(s) "
-                f"beyond {args.tolerance:.0%})",
-                file=sys.stderr,
-            )
-            return 1
-        if args.format != "json":
-            print(
-                f"repro bench: guard passed ({len(args.guard)} baseline(s) "
-                f"within {args.tolerance:.0%})"
-            )
+    if guard_problems:
+        for problem in guard_problems:
+            print(f"repro bench: guard: {problem}", file=sys.stderr)
+        print(
+            f"repro bench: guard FAILED ({len(guard_problems)} difference(s) from the baseline)",
+            file=sys.stderr,
+        )
+        return 1
+    if args.guard and args.format != "json":
+        print(f"repro bench: guard passed ({len(args.guard)} baseline(s) identical)")
     return 0
 
 
@@ -972,24 +956,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         parents=[common],
-        help="regenerate the paper's figures as BENCH_*.json",
+        help="regenerate the paper's numbers as BENCH_*.json",
     )
     # NB: no set_defaults(out=...) here — parents=[common] shares the
     # action objects, so a subparser-level default would leak into every
     # other command.  bench resolves None to "." in its handler.
     bench.add_argument(
-        "--quick", action="store_true", help="CI-scale grids (tens of seconds)"
+        "--quick",
+        action="store_true",
+        help="CI-scale grids (about a minute) instead of the paper's",
     )
     bench.add_argument(
         "--only",
         metavar="FIGS",
-        help="comma-separated subset of fig6,fig7,fig8,fig9,labelops,scale",
-    )
-    bench.add_argument(
-        "--scale",
-        action="store_true",
-        help="run the sharded repro.cluster scaling bench (BENCH_scale.json); "
-        "combined with --only, adds it to the selection",
+        help="comma-separated subset of fig6,fig7,fig8,fig9,labelops,eventproc "
+        "(the default run) and scale (the sharded repro.cluster bench)",
     )
     bench.add_argument(
         "--validate",
@@ -1001,15 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--guard",
         nargs="+",
         metavar="BASELINE",
-        help="after running, fail if any series in these committed "
-        "baselines regresses beyond --tolerance in the fresh documents",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.02,
-        metavar="F",
-        help="allowed per-point regression for --guard (default: 0.02)",
+        help="after running, fail if the fresh documents differ from these "
+        "committed baselines anywhere (simulated numbers are deterministic)",
     )
     return parser
 

@@ -442,7 +442,8 @@ def check_send_reference(
 # operand sizes in O(1).  The fused ops still execute (the semantics are
 # identical and the Python simulation stays fast); only the *bill* models
 # the 2005 implementation.  ``KernelConfig(label_cost_mode="fused")`` bills
-# the fused counts instead — the ablation measured by bench_label_ops.
+# the fused counts instead — the ablation ``repro bench --only labelops``
+# measures.
 
 
 class _Approx:

@@ -142,6 +142,7 @@ def run_campaign(
     # the kernel (KernelConfig type-checks against it).
     from repro.kernel.config import KernelConfig
     from repro.kernel.errors import DROP_FAULT, DROP_QUEUE_LIMIT
+    from repro.sim.runner import echo_requests
     from repro.sim.workload import HttpClient
 
     config = KernelConfig(
@@ -161,11 +162,7 @@ def run_campaign(
     injector.arm()
 
     client = HttpClient(site)
-    batch = [
-        (f"u{i}", f"pw{i}", "echo", None, {"length": 11})
-        for _ in range(rounds)
-        for i in range(users)
-    ]
+    batch = echo_requests(users, rounds * users)
     responses = client.run_batch(batch, concurrency=concurrency)
     # Let in-flight restarts, retries and delayed messages finish.
     site.kernel.run()

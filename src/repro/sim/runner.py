@@ -11,8 +11,12 @@ One function per experiment family:
 - :func:`run_latency_experiment` — Figure 8: request latencies at
   concurrency 4 for a given number of cached sessions.
 
-Results are plain dataclasses so the benchmarks can print the paper's
-rows/series and the tests can assert on shapes.
+Results are plain dataclasses so ``python -m repro bench`` can write the
+paper's rows/series and the tests can assert on shapes.
+
+Each workload is said once: :func:`echo_requests` is the Section 9.2
+echo request mix and :func:`warm_window` the "warm, then measure one
+round through a clock window" protocol every cycle figure uses.
 """
 
 from __future__ import annotations
@@ -33,6 +37,38 @@ def _users(n: int) -> List[Tuple[str, str]]:
     return [(f"u{i}", f"pw{i}") for i in range(n)]
 
 
+#: The Section 9.2 request: an 11-byte echo, 144 bytes on the wire.
+ECHO_ARGS = {"length": 11}
+
+
+def echo_requests(
+    n_users: int, n_requests: Optional[int] = None, args: Optional[dict] = ECHO_ARGS
+) -> List[tuple]:
+    """*n_requests* echo-service requests (``HttpClient.run_batch``
+    tuples), round-robin over users ``u0 … u{n_users-1}``; default one
+    per user.  ``args=None`` is the Figure 8 bare request."""
+    count = n_users if n_requests is None else n_requests
+    return [
+        (f"u{i % n_users}", f"pw{i % n_users}", "echo", None, args)
+        for i in range(count)
+    ]
+
+
+def warm_window(
+    site: OkwsSite, requests, warm_rounds: int = 2, concurrency: int = 16
+):
+    """Run *requests* *warm_rounds* times unmeasured (so every label
+    reaches its per-user fixed point), then once more through a clock
+    snapshot/delta window.  Returns ``(delta, responses)`` of the
+    measured round: simulated cycles by category, and its responses."""
+    client = HttpClient(site)
+    for _ in range(warm_rounds):
+        client.run_batch(requests, concurrency=concurrency)
+    snap = site.kernel.clock.snapshot()
+    responses = client.run_batch(requests, concurrency=concurrency)
+    return site.kernel.clock.delta(snap), responses
+
+
 def build_echo_site(n_users: int, config: Optional[KernelConfig] = None) -> OkwsSite:
     """An OKWS instance running the Section 9.2 echo service; *config*
     controls every kernel option (default: from the environment)."""
@@ -49,9 +85,8 @@ def build_cache_site(
     config: Optional[KernelConfig] = None,
 ) -> OkwsSite:
     """An OKWS instance running the Section 9.1 session-cache service."""
-    kernel = Kernel(config=config) if config is not None else None
     return launch(
-        kernel=kernel,
+        kernel=Kernel(config=config),
         services=[ServiceConfig("cache", session_cache_handler, no_clean=no_clean)],
         users=_users(n_users),
     )
@@ -144,18 +179,14 @@ def run_session_sweep(
     """
     points: List[SweepPoint] = []
     for count in session_counts:
-        site = build_echo_site(count, config=config)
-        client = HttpClient(site)
         effective_rounds = max(rounds, -(-min_connections // count))
-        requests = [
-            (f"u{i}", f"pw{i}", "echo", None, {"length": 11})
-            for _ in range(effective_rounds)
-            for i in range(count)
-        ]
-        snap = site.kernel.clock.snapshot()
-        responses = client.run_batch(requests, concurrency=concurrency)
-        delta = site.kernel.clock.delta(snap)
-        n = len(requests)
+        n = effective_rounds * count
+        delta, responses = warm_window(
+            build_echo_site(count, config=config),
+            echo_requests(count, n),
+            warm_rounds=0,
+            concurrency=concurrency,
+        )
         total = sum(delta.values())
         points.append(
             SweepPoint(
@@ -188,15 +219,13 @@ def run_latency_experiment(
 ) -> List[float]:
     """Per-request latencies for OKWS with *sessions* cached sessions, at
     the paper's measurement concurrency of four."""
-    site = build_echo_site(max(sessions, 1), config=config)
+    users = max(sessions, 1)
+    site = build_echo_site(users, config=config)
     client = HttpClient(site)
     # Pre-create the cached sessions.
-    warmup = [(f"u{i}", f"pw{i}", "echo", None, None) for i in range(sessions)]
-    client.run_batch(warmup, concurrency=16)
+    client.run_batch(echo_requests(users, sessions, args=None), concurrency=16)
     # Measure over a closed loop of existing sessions.
-    requests = [
-        (f"u{i % max(sessions, 1)}", f"pw{i % max(sessions, 1)}", "echo", None, None)
-        for i in range(n_requests)
-    ]
-    responses = client.run_batch(requests, concurrency=concurrency)
+    responses = client.run_batch(
+        echo_requests(users, n_requests, args=None), concurrency=concurrency
+    )
     return [r.latency_cycles / CPU_HZ * 1e6 for r in responses]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -71,7 +72,7 @@ def test_analyze_writes_report_to_out(tmp_path):
     assert "rules" in doc
 
 
-def test_bench_scale_selects_the_scale_figure(monkeypatch, tmp_path):
+def test_bench_scale_selects_the_scale_figure(monkeypatch, tmp_path, capsys):
     calls = {}
 
     def fake_run_bench(out_dir=".", quick=False, only=None, echo=print):
@@ -82,12 +83,19 @@ def test_bench_scale_selects_the_scale_figure(monkeypatch, tmp_path):
     from repro.obs import bench
 
     monkeypatch.setattr(bench, "run_bench", fake_run_bench)
-    assert main(["bench", "--scale", "--quick", "--out", str(tmp_path)]) == 0
+    assert main(["bench", "--only", "scale", "--quick", "--out", str(tmp_path)]) == 0
     assert calls["only"] == ["scale"]
     assert calls["out_dir"] == str(tmp_path)
-    assert main(["bench", "--scale", "--only", "fig7"]) == 0
+    assert main(["bench", "--only", "fig7,scale"]) == 0
     assert calls["only"] == ["fig7", "scale"]
     assert calls["out_dir"] == "."
+    # One spelling each: four bench flags beside the common three.
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == {
+        "--help", "--format", "--out", "--seed",
+        "--quick", "--only", "--validate", "--guard",
+    }
 
 
 def test_bench_unknown_figure_is_a_usage_error():

@@ -162,8 +162,9 @@ def test_sparse_update_shares_untouched_chunks():
     assert got.to_label() == Label({i * 3: L3 for i in range(200)}, L1).with_entry(
         target, L2
     )
-    # Only the routed chunk is rewritten; the other three are shared by
-    # object identity.
+    # Only the routed chunk is scanned and rewritten; the other three are
+    # shared by object identity.
+    assert stats.entries_scanned == len(label.chunks[2].entries)
     assert stats.chunks_shared == 3
     assert stats.chunks_allocated == 1
     for i in (0, 1, 3):
