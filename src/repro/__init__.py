@@ -31,6 +31,9 @@ Quick tour of the public surface:
   full Figure 4 checks re-run on the receiving shard (DESIGN.md §13);
   ``python -m repro bench --only scale`` measures the scaling.
 
+- :mod:`repro.cli` — the ``python -m repro`` command line: a table of
+  one module per subcommand (README.md §"The command line").
+
 The stable, re-exported surface is exactly ``repro.__all__`` below (see
 the API table in README.md); anything else may move between releases.
 

@@ -25,9 +25,10 @@ Three cooperating layers:
   reduction and counterexample shrinking to a byte-identically
   replayable ``schedule/v1`` file.
 
-All are exposed through ``python -m repro`` (see
-:mod:`repro.analysis.cli`); ``--format sarif`` on the static commands
-emits GitHub code-scanning documents (:mod:`repro.analysis.sarif`).
+All are exposed through ``python -m repro`` (:mod:`repro.cli`, which is
+not part of this package: bench, chaos and crashcheck are not analysis);
+``--format sarif`` emits GitHub code-scanning documents
+(:mod:`repro.analysis.sarif`).
 """
 
 from repro.analysis.asblint import (

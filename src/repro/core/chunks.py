@@ -27,7 +27,7 @@ minimum of 32 (44 + 16 + 32*8 = 316 bytes for the smallest label).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.handles import Handle
 from repro.core.labels import Label
@@ -142,8 +142,9 @@ class ChunkedLabel:
     """The kernel-resident form of a :class:`~repro.core.labels.Label`.
 
     Semantically identical to ``Label``; structurally a sorted tuple of
-    shareable chunks.  All operators take an optional :class:`OpStats` to
-    record the work done.
+    shareable chunks.  Only ⊑ lives here; the Figure 4 operations that
+    build labels (⊔, ⊓, the send effects) are the fused ones in
+    :mod:`repro.core.labelops`, and the naive ``Label`` is their spec.
     """
 
     __slots__ = (
@@ -288,7 +289,12 @@ class ChunkedLabel:
         """
         if self.default == STAR or not (self.level_mask & level_bit(STAR)):
             return self
-        return _build(self.nonstar_entries(), self.default, None)
+        entries = self.nonstar_entries()
+        chunks = [
+            Chunk(entries[i : i + CHUNK_CAPACITY])
+            for i in range(0, len(entries), CHUNK_CAPACITY)
+        ]
+        return ChunkedLabel(chunks, self.default)
 
     def memory_bytes(self) -> int:
         """Bytes of kernel memory for this label, counting shared chunks in
@@ -305,7 +311,7 @@ class ChunkedLabel:
     def __repr__(self) -> str:
         return f"<ChunkedLabel {self._size} entries in {len(self.chunks)} chunks, default {self.default}>"
 
-    # -- lattice operations ----------------------------------------------------------
+    # -- the partial order ----------------------------------------------------------
 
     def leq(self, other: "ChunkedLabel", stats: Optional[OpStats] = None) -> bool:
         """The partial order ⊑, with min/max short-circuits."""
@@ -341,135 +347,11 @@ class ChunkedLabel:
             stats.entries_scanned += scanned
         return True
 
-    def lub(self, other: "ChunkedLabel", stats: Optional[OpStats] = None) -> "ChunkedLabel":
-        """Least upper bound ⊔ with the paper's short-circuit: if other's
-        max level is no larger than self's min level (and defaults agree),
-        the result *is* self and no new memory is allocated."""
-        if stats is not None:
-            stats.operations += 1
-        # Sound because min_level/max_level incorporate the default: if
-        # every level in `other` (default included) is <= every level in
-        # `self` (default included), then other(h) <= self(h) pointwise.
-        if other.max_level <= self.min_level:
-            if stats is not None:
-                stats.chunks_skipped += len(other.chunks)
-                stats.chunks_shared += len(self.chunks)
-                stats.fast_path += 1
-            return self
-        if self.max_level <= other.min_level:
-            if stats is not None:
-                stats.chunks_skipped += len(self.chunks)
-                stats.chunks_shared += len(other.chunks)
-                stats.fast_path += 1
-            return other
-        if stats is not None:
-            stats.full_merges += 1
-        return _merge(self, other, max, stats)
-
-    def glb(self, other: "ChunkedLabel", stats: Optional[OpStats] = None) -> "ChunkedLabel":
-        """Greatest lower bound ⊓."""
-        if stats is not None:
-            stats.operations += 1
-        if other.min_level >= self.max_level:
-            if stats is not None:
-                stats.chunks_skipped += len(other.chunks)
-                stats.chunks_shared += len(self.chunks)
-                stats.fast_path += 1
-            return self
-        if self.min_level >= other.max_level:
-            if stats is not None:
-                stats.chunks_skipped += len(self.chunks)
-                stats.chunks_shared += len(other.chunks)
-                stats.fast_path += 1
-            return other
-        if stats is not None:
-            stats.full_merges += 1
-        return _merge(self, other, min, stats)
-
-    def stars(self, stats: Optional[OpStats] = None) -> "ChunkedLabel":
-        """The stars-only projection ``L*``."""
-        if stats is not None:
-            stats.operations += 1
-        if self.min_level > STAR:
-            # No stars anywhere: L* is the constant {3}.
-            if stats is not None:
-                stats.chunks_skipped += len(self.chunks)
-            return ChunkedLabel((), L3)
-        default = STAR if self.default == STAR else L3
-        entries = []
-        for handle, level in self.iter_entries():
-            if stats is not None:
-                stats.entries_scanned += 1
-            mapped = STAR if level == STAR else L3
-            if mapped != default:
-                entries.append((handle, mapped))
-        return _build(entries, default, stats)
-
 
 def _handle_set(label: ChunkedLabel) -> frozenset:
     # Small helper for leq's default-comparison pass.  Cached per call site
     # would be premature; leq over disjoint handle sets is rare in practice.
     return frozenset(handle for handle, _ in label.iter_entries())
-
-
-def _merge(a: ChunkedLabel, b: ChunkedLabel, combine, stats: Optional[OpStats]) -> ChunkedLabel:
-    """Pointwise merge of two chunked labels — the linear-cost path."""
-    default = combine(a.default, b.default)
-    result: List[Tuple[Handle, Level]] = []
-    ai = list(a.iter_entries())
-    bi = list(b.iter_entries())
-    i = j = 0
-    scanned = 0
-    while i < len(ai) or j < len(bi):
-        scanned += 1
-        if j >= len(bi) or (i < len(ai) and ai[i][0] < bi[j][0]):
-            handle, level = ai[i]
-            merged = combine(level, b.default)
-            i += 1
-        elif i >= len(ai) or bi[j][0] < ai[i][0]:
-            handle, level = bi[j]
-            merged = combine(a.default, level)
-            j += 1
-        else:
-            handle = ai[i][0]
-            merged = combine(ai[i][1], bi[j][1])
-            i += 1
-            j += 1
-        if merged != default:
-            result.append((handle, merged))
-    if stats is not None:
-        stats.entries_scanned += scanned
-    return _build(result, default, stats, reuse_from=(a, b))
-
-
-def _build(
-    entries: Sequence[Tuple[Handle, Level]],
-    default: Level,
-    stats: Optional[OpStats],
-    reuse_from: Tuple[ChunkedLabel, ...] = (),
-) -> ChunkedLabel:
-    """Re-chunk *entries*, reusing (sharing) any input chunk whose entry run
-    is reproduced verbatim — the copy-on-write path of Section 5.6."""
-    pool: Dict[Tuple[Tuple[Handle, Level], ...], Chunk] = {}
-    for source in reuse_from:
-        for chunk in source.chunks:
-            pool.setdefault(chunk.entries, chunk)
-    chunks: List[Chunk] = []
-    entries = tuple(entries)
-    for i in range(0, len(entries), CHUNK_CAPACITY):
-        run = entries[i : i + CHUNK_CAPACITY]
-        shared = pool.get(run)
-        if shared is not None:
-            chunks.append(shared)
-            if stats is not None:
-                stats.chunks_shared += 1
-        else:
-            chunks.append(Chunk(run))
-            if stats is not None:
-                stats.chunks_allocated += 1
-    if stats is not None:
-        stats.labels_allocated += 1
-    return ChunkedLabel(chunks, default)
 
 
 def shared_memory_bytes(labels: Iterable[ChunkedLabel]) -> int:

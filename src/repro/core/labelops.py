@@ -3,9 +3,10 @@
 A series of label operations accompanies every IPC (Section 5.6), and in a
 loaded server some of the labels involved are huge — netd's receive label
 accumulates one taint-handle entry per user, idd's send label two.  The
-naive operators in :mod:`repro.core.chunks` are linear in the *total* size
-of their inputs; these fused operations exploit the structure of the
-Figure 4 rules so the common case touches only the *small* labels, using:
+naive operators on :class:`~repro.core.labels.Label` are linear in the
+*total* size of their inputs; these fused operations exploit the structure
+of the Figure 4 rules so the common case touches only the *small* labels,
+using:
 
 - **level masks**: each label knows the set of levels occurring among its
   explicit entries, so "would this pointwise function change any entry?"

@@ -8,16 +8,16 @@ It is the only way to configure a kernel.
 
 Environment variables (all optional; explicit arguments win):
 
-======================== ==============================================
-``REPRO_SANITIZE``        enable the differential label sanitizer
-``REPRO_SANITIZE_STRICT`` raise on the first sanitizer violation
-``REPRO_SANITIZE_SAMPLE`` check every Nth IPC only (``64`` or ``1/64``)
-``REPRO_STORE``           path to ok-dbproxy's ``wal/v1`` store file
-``REPRO_INTERN_LABELS``   hash-cons labels + memoize Figure 4 hot ops
-``REPRO_LABELOP_CACHE``   bound on the label-op cache (entries)
-``REPRO_ELIDE``           consult verified-flow proofs to elide checks
-``REPRO_PROOFS``          path to the ``proofs/v1`` document to load
-======================== ==============================================
+======================= ==============================================
+``REPRO_SANITIZE``       enable the differential label sanitizer
+``REPRO_STORE``          path to ok-dbproxy's ``wal/v1`` store file
+``REPRO_INTERN_LABELS``  hash-cons labels + memoize Figure 4 hot ops
+``REPRO_ELIDE``          consult verified-flow proofs to elide checks
+``REPRO_PROOFS``         path to the ``proofs/v1`` document to load
+======================= ==============================================
+
+Every other option (``sanitize_strict``, ``sanitize_sample``,
+``labelop_cache_size``, ...) is set in code.
 """
 
 from __future__ import annotations
@@ -41,36 +41,6 @@ def _env_bool(env: Mapping[str, str], name: str) -> Optional[bool]:
     if name not in env:
         return None
     return env[name].strip().lower() not in _TRUTHY_OFF
-
-
-def _env_int(env: Mapping[str, str], name: str) -> Optional[int]:
-    raw = env.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from err
-
-
-def parse_sample(raw: str) -> int:
-    """Parse a sanitizer sampling period: ``"64"`` and ``"1/64"`` both
-    mean "check one IPC in 64"; ``"1"`` (or ``"1/1"``) means every IPC."""
-    text = raw.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if num.strip() != "1":
-            raise ValueError(
-                f"sanitize sample must be 1/N or N, got {raw!r}"
-            )
-        text = den.strip()
-    try:
-        period = int(text)
-    except ValueError as err:
-        raise ValueError(f"sanitize sample must be 1/N or N, got {raw!r}") from err
-    if period <= 0:
-        raise ValueError(f"sanitize sample must be positive, got {raw!r}")
-    return period
 
 
 @dataclass(frozen=True)
@@ -171,21 +141,12 @@ class KernelConfig:
         sanitize = _env_bool(env, "REPRO_SANITIZE")
         if sanitize is not None:
             values["sanitize"] = sanitize
-        strict = _env_bool(env, "REPRO_SANITIZE_STRICT")
-        if strict is not None:
-            values["sanitize_strict"] = strict
-        sample = env.get("REPRO_SANITIZE_SAMPLE", "").strip()
-        if sample:
-            values["sanitize_sample"] = parse_sample(sample)
         store_path = env.get("REPRO_STORE", "").strip()
         if store_path:
             values["store_path"] = store_path
         intern = _env_bool(env, "REPRO_INTERN_LABELS")
         if intern is not None:
             values["intern_labels"] = intern
-        cache_size = _env_int(env, "REPRO_LABELOP_CACHE")
-        if cache_size is not None:
-            values["labelop_cache_size"] = cache_size
         elide = _env_bool(env, "REPRO_ELIDE")
         if elide is not None:
             values["elide_checks"] = elide

@@ -37,10 +37,6 @@ class ResourceExhausted(KernelError):
     """The simulated machine is out of memory (or another hard resource)."""
 
 
-class ProcessDied(KernelError):
-    """Internal: a process body raised; converted to an exit by the kernel."""
-
-
 class SimulationError(Exception):
     """A bug in simulation harness usage (not a modelled kernel error):
     e.g. yielding a non-syscall object, or calling ep_yield outside an

@@ -90,21 +90,6 @@ from repro.kernel.process import (
 from repro.kernel.scheduler import Scheduler
 
 
-def _payload_bytes(payload: Any) -> int:
-    """Cheap size model for message payloads."""
-    if payload is None:
-        return 8
-    if isinstance(payload, (bytes, bytearray, str)):
-        return len(payload)
-    if isinstance(payload, (int, float)):
-        return 8
-    if isinstance(payload, dict):
-        return 16 + sum(_payload_bytes(k) + _payload_bytes(v) for k, v in payload.items())
-    if isinstance(payload, (list, tuple)):
-        return 16 + sum(_payload_bytes(v) for v in payload)
-    return 64
-
-
 class Kernel:
     """The simulated machine: CPU clock, RAM, handle space, tasks, ports.
 
@@ -764,7 +749,6 @@ class Kernel:
             return
         self._seq += 1
         qmsg.seq = self._seq
-        qmsg.payload_bytes = _payload_bytes(qmsg.payload)
         if self.faults is not None:
             squeeze = self.faults.queue_limit(qmsg.sender_name, port, self._steps)
             if squeeze is not None and len(entry.queue) >= squeeze[0]:

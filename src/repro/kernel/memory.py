@@ -194,12 +194,6 @@ class AddressSpace(MemoryView):
             page[offset : offset + run] = data[pos : pos + run]
             pos += run
 
-    # -- accounting ------------------------------------------------------------------
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self.pages)
-
 
 class EpView(MemoryView):
     """An event process's copy-on-write view of a base address space.

@@ -46,8 +46,8 @@ class QueuedMessage:
 
     Built once, where the message is born, and carried as that one object
     through fault delay, cross-shard egress and the port queue; ``seq``
-    and ``payload_bytes`` are stamped by ``Kernel._enqueue`` only when
-    the message actually joins a queue.
+    is stamped by ``Kernel._enqueue`` only when the message actually
+    joins a queue.
     """
 
     port: Handle
@@ -58,7 +58,6 @@ class QueuedMessage:
     decontaminate_receive: ChunkedLabel   # DR
     sender_name: str                      # diagnostics only (drop log)
     seq: int = 0                          # global arrival order
-    payload_bytes: int = 0                # modelled message size
     #: Receive rights travelling with this message (Section 4).
     transfer: tuple = ()
     #: True for cross-shard ingress (``Kernel.enqueue_external``): the

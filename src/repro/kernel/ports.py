@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque
+from typing import Any, Deque
 
 from repro.core.chunks import ChunkedLabel
 from repro.core.handles import Handle
@@ -48,6 +48,21 @@ class RemoteRoute:
     name: str = ""
 
 
+def _payload_bytes(payload: Any) -> int:
+    """Cheap size model for message payloads."""
+    if payload is None:
+        return 8
+    if isinstance(payload, (bytes, bytearray, str)):
+        return len(payload)
+    if isinstance(payload, (int, float)):
+        return 8
+    if isinstance(payload, dict):
+        return 16 + sum(_payload_bytes(k) + _payload_bytes(v) for k, v in payload.items())
+    if isinstance(payload, (list, tuple)):
+        return 16 + sum(_payload_bytes(v) for v in payload)
+    return 64
+
+
 @dataclass
 class Port:
     """Kernel port state."""
@@ -73,7 +88,8 @@ class Port:
 
     @property
     def queued_bytes(self) -> int:
-        return sum(m.payload_bytes for m in self.queue)
+        """Modelled size of the messages queued right now."""
+        return sum(_payload_bytes(m.payload) for m in self.queue)
 
     def memory_bytes(self) -> int:
         return PORT_STRUCT_BYTES + self.queued_bytes

@@ -204,13 +204,6 @@ def run_session_sweep(
 # -- Figure 8 ----------------------------------------------------------------------------
 
 
-@dataclass
-class LatencyResult:
-    label: str
-    median_us: float
-    p90_us: float
-
-
 def run_latency_experiment(
     sessions: int,
     n_requests: int = 400,

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -23,35 +22,3 @@ def percentile(values: Sequence[float], pct: float) -> float:
         return float(ordered[lo])
     frac = rank - lo
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """median / p90 / mean / min / max of *values*."""
-    return {
-        "median": percentile(values, 50),
-        "p90": percentile(values, 90),
-        "mean": sum(values) / len(values),
-        "min": float(min(values)),
-        "max": float(max(values)),
-    }
-
-
-@dataclass
-class Series:
-    """An (x, y) series with a name — the unit the figure benches emit."""
-
-    name: str
-    xs: List[float] = field(default_factory=list)
-    ys: List[float] = field(default_factory=list)
-
-    def add(self, x: float, y: float) -> None:
-        self.xs.append(x)
-        self.ys.append(y)
-
-    def rows(self) -> Iterable[str]:
-        for x, y in zip(self.xs, self.ys):
-            yield f"{x:>10g}  {y:>14.2f}"
-
-    def format(self) -> str:
-        header = f"# {self.name}\n{'x':>10}  {'y':>14}"
-        return "\n".join([header, *self.rows()])

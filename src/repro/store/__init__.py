@@ -17,7 +17,6 @@ from repro.store.store import (
     LabelViolation,
     RecoveryReport,
     StoreCrash,
-    StoreError,
     image_digest,
     policy_problem,
     replay_image,
@@ -29,7 +28,6 @@ __all__ = [
     "LabelViolation",
     "RecoveryReport",
     "StoreCrash",
-    "StoreError",
     "image_digest",
     "policy_problem",
     "replay_image",

@@ -69,10 +69,6 @@ class StoreCrash(RuntimeError):
     """An injected crash at a log-append boundary (``crash_at_io``)."""
 
 
-class StoreError(RuntimeError):
-    """A store-level invariant failure that is not a torn tail."""
-
-
 @dataclass(frozen=True)
 class LabelViolation:
     """One write record that failed the recovery label check."""

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import asblint, cli
+from repro import cli
+from repro.analysis import asblint
 from repro.analysis import rules as R
 from repro.analysis.intervals import (
     AbstractLabel,

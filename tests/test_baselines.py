@@ -4,7 +4,7 @@ throughput plateaus for Apache+CGI and Mod-Apache."""
 import pytest
 
 from repro.baselines import ApacheCgiModel, ModApacheModel
-from repro.sim.stats import percentile, summarize
+from repro.sim.stats import percentile
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +88,3 @@ def test_percentile_errors():
         percentile([1], 150)
 
 
-def test_summarize():
-    s = summarize([1.0, 2.0, 3.0, 4.0])
-    assert s["median"] == 2.5
-    assert s["mean"] == 2.5
-    assert s["min"] == 1.0 and s["max"] == 4.0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import cli
+from repro import cli
 from repro.analysis import rules as R
 from repro.analysis.check import Engine, link_lint_findings, run_check
 from repro.analysis.model import LabelStore, Topology, load, loads

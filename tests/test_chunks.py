@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.chunks import CHUNK_CAPACITY, Chunk, ChunkedLabel, OpStats, shared_memory_bytes
+from repro.core.labelops import apply_send_effects, raise_receive, sparse_update
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L1, L2, L3, STAR
 
@@ -78,13 +79,11 @@ def test_memory_grows_with_entries():
 
 def test_shared_memory_counts_shared_chunks_once():
     base = ChunkedLabel.from_label(big_label(200))
-    stats = OpStats()
-    # A lub that short-circuits shares every chunk.
-    other = ChunkedLabel.from_label(Label({}, STAR))
-    merged = base.lub(other, stats)
-    assert merged is base
-    total_shared = shared_memory_bytes([base, merged])
-    assert total_shared < 2 * base.memory_bytes()
+    # A one-handle update rewrites one chunk and shares the other three.
+    updated = sparse_update(base, {1: STAR}, OpStats())
+    assert sum(a is b for a, b in zip(base.chunks, updated.chunks)) == 3
+    total_shared = shared_memory_bytes([base, updated])
+    assert total_shared < base.memory_bytes() + updated.memory_bytes()
     assert total_shared >= base.memory_bytes()
 
 
@@ -96,49 +95,32 @@ def test_leq_matches_reference(a, b):
     assert ChunkedLabel.from_label(a).leq(ChunkedLabel.from_label(b)) == (a <= b)
 
 
-@given(labels, labels)
-def test_lub_matches_reference(a, b):
-    got = ChunkedLabel.from_label(a).lub(ChunkedLabel.from_label(b))
-    assert got.to_label() == (a | b)
-
-
-@given(labels, labels)
-def test_glb_matches_reference(a, b):
-    got = ChunkedLabel.from_label(a).glb(ChunkedLabel.from_label(b))
-    assert got.to_label() == (a & b)
-
-
-@given(labels)
-def test_stars_matches_reference(a):
-    assert ChunkedLabel.from_label(a).stars().to_label() == a.stars()
-
-
-# -- the paper's short-circuit -----------------------------------------------------------
+# -- the paper's short-circuit, on the ⊔ and ⊓ the kernel runs (core.labelops) ---------
 
 
 def test_lub_short_circuit_returns_operand():
     # "if L2's maximum level is no larger than L1's minimum level, then
     # L1 ⊔ L2 = L1 by definition" — and no memory is allocated.
-    big = ChunkedLabel.from_label(big_label(300, level=L2, default=L2))
-    low = ChunkedLabel.from_label(Label({7: L1, 9: STAR}, STAR))
+    big = ChunkedLabel.from_label(big_label(300, level=L3, default=L2))
+    low = ChunkedLabel.from_label(Label({8: L1, 15: L2}, STAR))
     stats = OpStats()
-    assert big.lub(low, stats) is big
-    assert stats.chunks_allocated == 0
-    assert stats.entries_scanned == 0
+    assert raise_receive(big, low, stats) is big  # QR ⊔ DR
+    assert (stats.fast_path, stats.chunks_allocated) == (1, 0)
+    assert stats.entries_scanned == 2  # DR's two handles, none of QR's 300
 
 
 def test_glb_short_circuit_returns_operand():
-    big = ChunkedLabel.from_label(big_label(300, level=L1, default=L1))
-    high = ChunkedLabel.from_label(Label({7: L3}, L3))
+    # (QS ⊓ {3}) ⊔ (ES ⊓ QS*) with ES below QS's floor: QS itself.
+    big = ChunkedLabel.from_label(big_label(300, level=L3, default=L1))
+    top = ChunkedLabel.from_label(Label.top())
+    low = ChunkedLabel.from_label(Label({8: L1}, STAR))
     stats = OpStats()
-    assert big.glb(high, stats) is big
-    assert stats.chunks_allocated == 0
+    assert apply_send_effects(big, low, top, stats) is big
+    assert (stats.fast_path, stats.chunks_allocated) == (1, 0)
 
 
 def test_merge_shares_unchanged_chunks():
     # Updating one handle in a 5-chunk label reuses the untouched chunks.
-    from repro.core.labelops import sparse_update
-
     big = ChunkedLabel.from_label(big_label(CHUNK_CAPACITY * 5))
     stats = OpStats()
     updated = sparse_update(big, {1: STAR}, stats)

@@ -9,17 +9,17 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
-SUBCOMMANDS = ("tour", "analyze", "check", "explore", "run", "chaos", "bench")
+#: chaos is the one command with a required option.
+REQUIRED = {"chaos": ["--plan", "p.json"]}
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("command", [name for name, _, _ in COMMANDS])
 def test_every_subcommand_accepts_the_common_options(command):
-    parser = build_parser()
-    extra = ["--plan", "p.json"] if command == "chaos" else []
-    args = parser.parse_args(
-        [command, *extra, "--format", "json", "--out", "somewhere", "--seed", "7"]
+    required = REQUIRED.get(command, [])
+    args = build_parser().parse_args(
+        [command, *required, "--format", "json", "--out", "somewhere", "--seed", "7"]
     )
     assert args.format == "json"
     assert args.out == "somewhere"
@@ -35,10 +35,49 @@ def test_out_default_is_none_everywhere():
         assert parser.parse_args([command]).out is None
 
 
-@pytest.mark.parametrize("command", ["run", "chaos", "bench"])
-def test_sarif_is_a_usage_error_outside_the_analysis_commands(command):
-    extra = ["--plan", "nonexistent.json"] if command == "chaos" else []
-    assert main([command, *extra, "--format", "sarif"]) == 2
+@pytest.mark.parametrize("command", [name for name, _, sarif in COMMANDS if not sarif])
+def test_sarif_is_a_usage_error_outside_the_analysis_commands(command, monkeypatch, capsys):
+    # Rejected from the table, before the command does any work.
+    def entered(args):
+        raise AssertionError(f"{command} ran under --format sarif")
+
+    (module,) = [module for name, module, _ in COMMANDS if name == command]
+    monkeypatch.setattr(module, "run", entered)
+    assert main([command, *REQUIRED.get(command, []), "--format", "sarif"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {command}: --format sarif is only supported by")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],                                  # no topology
+        ["explore", "--okws", "--plan", "/no/such/plan.json"],
+        ["bench", "--only", "fig99"],               # unknown figure
+        ["analyze", "src", "--select", "nope"],     # unknown rule
+        ["analyze"],                                # no paths
+        ["crashcheck", "--wal", "/no/such/wal"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_usage_errors_share_one_shape(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {argv[0]}: ") and captured.err.count("\n") == 1
+
+
+def test_explore_replay_honours_format_json(tmp_path, capsys):
+    race = "examples/topologies/race_site.json"
+    assert main(["explore", "--topology", race, "--out", str(tmp_path)]) == 1
+    schedule = str(tmp_path / "race-site.schedule.json")
+    capsys.readouterr()
+    assert main(["explore", "--topology", race, "--replay", schedule, "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["scenario"] == "race-site" and doc["breaches"]
+    # A replay has no SARIF producer: refused, not silently printed as text.
+    assert main(["explore", "--topology", race, "--replay", schedule, "--format", "sarif"]) == 2
 
 
 def test_pre_unification_json_flags_are_gone():

@@ -197,17 +197,8 @@ def test_a_dead_fingerprinted_label_leaves_nothing_in_the_table():
 
 
 def test_interning_survives_sanitize_sample_config():
-    # parse/validation of the sampling knob lives next to the codec's
-    # users; pin the contract here.
-    from repro.kernel.config import parse_sample
-
-    assert parse_sample("64") == 64
-    assert parse_sample("1/64") == 64
-    assert parse_sample(" 1 / 8 ") == 8
-    assert parse_sample("1") == 1
-    for bad in ("0", "-3", "2/64", "x", "1/0"):
-        with pytest.raises(ValueError):
-            parse_sample(bad)
+    # The sampling period is set in code (the cluster, hostbench); what is
+    # pinned here is its validation.
     with pytest.raises(ValueError):
         KernelConfig(sanitize_sample=0)
-    assert KernelConfig.from_env({"REPRO_SANITIZE_SAMPLE": "1/64"}).sanitize_sample == 64
+    assert KernelConfig(sanitize_sample=64).sanitize_sample == 64

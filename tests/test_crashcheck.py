@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.analysis.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.faults.plan import FaultPlan
 from repro.store import crashcheck as CC
 from repro.store import wal

@@ -318,7 +318,7 @@ def test_mirrored_metrics_track_counters_when_a_run_ends_on_a_miss():
         message = QueuedMessage(
             seq=1, port=PORT, payload=None, effective_send=_c(es),
             decontaminate_send=_c(top), verify=_c(top),
-            decontaminate_receive=_c(bottom), sender_name="tx", payload_bytes=8,
+            decontaminate_receive=_c(bottom), sender_name="tx",
         )
         assert kernel._try_deliver(task, entry, message)
 

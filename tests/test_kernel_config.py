@@ -40,25 +40,24 @@ def test_replace():
 def test_from_env_reads_environment():
     env = {
         "REPRO_SANITIZE": "yes",
-        "REPRO_SANITIZE_STRICT": "0",
-        "REPRO_SANITIZE_SAMPLE": "1/8",
         "REPRO_ELIDE": "on",
         "REPRO_PROOFS": "/tmp/proofs.json",
         "REPRO_STORE": "/tmp/wal.log",
     }
     config = KernelConfig.from_env(env=env)
     assert config.sanitize is True
-    assert config.sanitize_strict is False
-    assert config.sanitize_sample == 8
     assert config.elide_checks is True
     assert config.proof_path == "/tmp/proofs.json"
     assert config.store_path == "/tmp/wal.log"
 
 
 def test_from_env_reads_only_the_variables_somebody_sets():
-    # Eight knobs cross the environment (CI sweeps, README); everything
+    # Five knobs cross the environment (CI sweeps, README); everything
     # else is configured by constructing a KernelConfig.
     env = {
+        "REPRO_SANITIZE_STRICT": "0",
+        "REPRO_SANITIZE_SAMPLE": "1/8",
+        "REPRO_LABELOP_CACHE": "512",
         "REPRO_TRACE": "1",
         "REPRO_METRICS": "1",
         "REPRO_SPANS": "1",
@@ -71,10 +70,9 @@ def test_from_env_reads_only_the_variables_somebody_sets():
 
 
 def test_from_env_falsy_values():
-    env = {"REPRO_SANITIZE": "0", "REPRO_SANITIZE_STRICT": "false", "REPRO_ELIDE": "off"}
+    env = {"REPRO_SANITIZE": "0", "REPRO_ELIDE": "off"}
     config = KernelConfig.from_env(env=env)
     assert config.sanitize is False
-    assert config.sanitize_strict is False
     assert config.elide_checks is False
 
 
@@ -119,10 +117,9 @@ def test_interning_validation():
 
 
 def test_interning_from_env_round_trip():
-    env = {"REPRO_INTERN_LABELS": "1", "REPRO_LABELOP_CACHE": "512"}
-    config = KernelConfig.from_env(env=env)
+    config = KernelConfig.from_env(env={"REPRO_INTERN_LABELS": "1"})
     assert config.intern_labels is True
-    assert config.labelop_cache_size == 512
+    assert config.labelop_cache_size == 4096
 
 
 def test_interning_env_falsy_and_unset():
@@ -133,7 +130,7 @@ def test_interning_env_falsy_and_unset():
 
 
 def test_interning_explicit_overrides_beat_environment():
-    env = {"REPRO_INTERN_LABELS": "1", "REPRO_LABELOP_CACHE": "512"}
+    env = {"REPRO_INTERN_LABELS": "1"}
     config = KernelConfig.from_env(env=env, intern_labels=False, labelop_cache_size=64)
     assert config.intern_labels is False
     assert config.labelop_cache_size == 64

@@ -89,7 +89,6 @@ def _qmsg(seq=1, port=1):
         verify=top,
         decontaminate_receive=bottom,
         sender_name="t",
-        payload_bytes=100,
     )
 
 
@@ -192,7 +191,6 @@ def test_fault_delayed_message_is_the_record_its_origin_built():
     assert tx.env["moved"] in rx.owned_ports  # the rights landed
     assert remote.external and remote.transfer == ()
     assert sorted((local.seq, remote.seq)) == [kernel._seq - 1, kernel._seq]
-    assert local.payload_bytes == len("local")
 
 
 def test_cross_shard_egress_is_the_record_its_origin_built():
@@ -216,8 +214,8 @@ def test_cross_shard_egress_is_the_record_its_origin_built():
     assert len(shipped) == 1 and shipped[0][0] is route
     qmsg = shipped[0][1]
     assert qmsg is seen.calls[0][0] and qmsg.payload == "over the wire"
-    # Never queued here: no seq, no size, and the kernel's count is unmoved.
-    assert (qmsg.seq, qmsg.payload_bytes, kernel._seq) == (0, 0, queued_before)
+    # Never queued here: no seq, and the kernel's count is unmoved.
+    assert (qmsg.seq, kernel._seq) == (0, queued_before)
     # Receive rights cannot cross: that send dropped and the rights died.
     assert kernel.drop_log.records == [(DROP_DEAD_PORT, "tx", f"{0xBEEF:#x}")]
     assert tx.env["moved"] not in kernel.ports
@@ -275,6 +273,25 @@ def test_memory_report_structure(kernel):
     assert report["kernel_bytes"] == sum(
         report[k] for k in ("process_bytes", "ep_bytes", "port_bytes", "label_bytes", "vnode_bytes")
     )
+
+
+def test_memory_report_sizes_messages_while_they_are_queued(kernel):
+    def prog(ctx):
+        port = yield NewPort()
+        yield SetPortLabel(port, Label.top())
+        ctx.env["port"] = port
+        while True:  # stay alive: an exited process takes its port with it
+            ctx.env["got"] = (yield Recv(port=port)).payload
+
+    proc = kernel.spawn(prog, "prog")
+    kernel.run()
+    empty = kernel.memory_report()["port_bytes"]
+    kernel.inject(proc.env["port"], {"body": b"x" * 500})
+    # 16 for the dict + len("body") + 500: sized now, because it is queued now.
+    assert kernel.memory_report()["port_bytes"] == empty + 520
+    kernel.run()
+    assert proc.env["got"] == {"body": b"x" * 500}
+    assert kernel.memory_report()["port_bytes"] == empty
 
 
 def test_memory_report_counts_eps(kernel):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis import asblint, cli, sarif
+from repro import cli
+from repro.analysis import asblint, sarif
 from repro.analysis.check import run_check
 from repro.analysis.model import load
 

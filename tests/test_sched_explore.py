@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import sched
-from repro.analysis.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.analysis.model import load as load_topology
 from repro.analysis.sarif import sched_sarif
 from repro.core.labels import Label

@@ -11,7 +11,7 @@ from repro.sim.runner import (
     run_memory_experiment,
     run_session_sweep,
 )
-from repro.sim.stats import Series, percentile
+from repro.sim.stats import percentile
 from repro.sim.workload import HttpClient, HttpResponse
 
 
@@ -118,9 +118,3 @@ def test_a_thousand_cached_sessions_cost_real_latency():
     assert big > 0.55 * apache
 
 
-def test_series_formatting():
-    series = Series("test", [1, 2], [3.0, 4.0])
-    text = series.format()
-    assert "test" in text and "3.00" in text
-    series.add(5, 6.0)
-    assert series.xs[-1] == 5
