@@ -9,8 +9,9 @@ This package implements the label machinery of the paper's Section 5:
 - :mod:`repro.core.handles` -- the 61-bit handle namespace, allocated by
   encrypting a counter so that handle values are unpredictable but never
   repeat (closing the handle-count covert channel, Section 8).
-- :mod:`repro.core.chunks` -- the kernel's chunked, reference-counted,
-  copy-on-write label representation (Section 5.6).
+- :mod:`repro.core.chunks` -- the kernel's chunked, copy-on-write label
+  representation (Section 5.6): packed buffers, chunks shared by identity.
+- :mod:`repro.core.labelops` -- the fused Figure 4 operations on it.
 """
 
 from repro.core.levels import STAR, L0, L1, L2, L3, Level, level_name

@@ -7,11 +7,22 @@ design, reproduced here:
 - a label points to a sorted array of *chunks*;
 - each chunk is a sorted array of up to 64 vnode pointers whose low 3 bits
   (free because pointers are 8-byte aligned) encode the level;
-- labels and chunks are reference counted and updated copy-on-write, so
-  multiple labels can share chunks;
+- labels and chunks are immutable and updated copy-on-write, so multiple
+  labels share chunks (by identity: one chunk object, many directories);
 - each chunk (and each label) caches the minimum and maximum of its levels,
   enabling short-circuits such as: if L2's maximum level is no larger than
   L1's minimum level, then ``L1 ⊔ L2 = L1`` by definition.
+
+**Packed layout.**  A chunk stores no per-entry object: its entries are
+two parallel buffers, ``handles`` (a sorted tuple of ints) and ``levels``
+(``bytes`` of ``level + 1``, so ``*`` is 0), plus ``lo`` (its first
+handle), ``size`` and a five-bit ``level_mask`` of the levels present.  Minimum
+and maximum are read off the mask through a 32-entry table.  A label is
+its chunk directory, a parallel tuple of the chunks' lowest handles, and
+three integers (default, size, mask); every other hint derives from
+those.  Lookup is two ``bisect`` calls, iteration is a ``zip`` over the
+buffers, and :func:`repro.core.labelops.sparse_update` splices the
+directory instead of rebuilding it.
 
 Worst-case ⊑/⊔/⊓ remain linear in label size — exactly the linear scaling
 the paper observes in Figure 9 — and :class:`OpStats` counts the entries
@@ -21,24 +32,29 @@ an analytic estimate.
 Memory accounting mirrors the paper's "smallest label is about 300 bytes,
 including space for one chunk": a 44-byte label header plus chunks of
 16-byte header + 8 bytes per slot, slots allocated in powers of two with a
-minimum of 32 (44 + 16 + 32*8 = 316 bytes for the smallest label).
+minimum of 32 (44 + 16 + 32*8 = 316 bytes for the smallest label).  It is
+accounting for the modelled kernel, not a measurement of the Python
+objects above.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.handles import Handle
 from repro.core.labels import Label
-from repro.core.levels import L3, STAR, Level
+from repro.core.levels import ALL_LEVELS, L3, STAR, Level
 
 #: Maximum vnode pointers per chunk.
 CHUNK_CAPACITY = 64
-#: Bytes of per-label bookkeeping (default level, chunk directory, refcount,
-#: cached min/max).
+#: Accounted bytes of the modelled kernel's per-label bookkeeping (default
+#: level, chunk directory, its reference count, cached min/max).
 LABEL_HEADER_BYTES = 44
-#: Bytes of per-chunk bookkeeping (length, capacity, refcount, min/max).
+#: Accounted bytes of its per-chunk bookkeeping (length, capacity,
+#: reference count, min/max).
 CHUNK_HEADER_BYTES = 16
 #: Bytes per vnode-pointer slot.
 SLOT_BYTES = 8
@@ -102,40 +118,104 @@ def level_bit(level: Level) -> int:
     return 1 << (level + 1)
 
 
+#: The mask of a chunk or label whose explicit entries are all ``*``.
+_STAR_BIT = level_bit(STAR)
+
+#: ``levels`` byte (``level + 1``) → level.
+_DECODE = ALL_LEVELS.__getitem__
+#: level → ``levels`` byte.
+_ENCODE = (1).__add__
+
+
+def _mask_table(pick, empty: Level) -> Tuple[Level, ...]:
+    return tuple(
+        pick([lvl for lvl in ALL_LEVELS if mask & level_bit(lvl)] or [empty])
+        for mask in range(1 << len(ALL_LEVELS))
+    )
+
+
+#: Levels-present mask → lowest / highest level present.  An empty mask
+#: reads as the identity of the fold: 3 for the minimum, ``*`` for the
+#: maximum.
+_MASK_MIN = _mask_table(min, L3)
+_MASK_MAX = _mask_table(max, STAR)
+
+
 class Chunk:
-    """An immutable sorted run of (handle, level) entries, shareable between
-    labels via reference counting."""
+    """An immutable sorted run of up to 64 (handle, level) entries, stored
+    as two parallel buffers and shared between labels by identity."""
 
-    __slots__ = ("entries", "min_level", "max_level", "level_mask", "refcount")
+    __slots__ = ("handles", "levels", "lo", "size", "level_mask")
 
-    def __init__(self, entries: Tuple[Tuple[Handle, Level], ...]):
+    def __init__(self, entries: Sequence[Tuple[Handle, Level]]):
         if len(entries) > CHUNK_CAPACITY:
             raise ValueError(f"chunk overflow: {len(entries)} > {CHUNK_CAPACITY}")
-        self.entries = entries
-        levels = [level for _, level in entries]
-        self.min_level: Level = min(levels) if levels else L3
-        self.max_level: Level = max(levels) if levels else STAR
-        self.level_mask: int = 0
-        for level in levels:
-            self.level_mask |= level_bit(level)
-        self.refcount = 0  # maintained by ChunkedLabel for accounting
+        handles, levels = zip(*entries) if entries else ((), ())
+        self._fill(handles, bytes(map(_ENCODE, levels)))
+
+    @classmethod
+    def packed(cls, handles: Tuple[Handle, ...], levels: bytes) -> "Chunk":
+        """A chunk over buffers that are already sorted, parallel, and at
+        most 64 long (what every in-kernel producer holds)."""
+        chunk = cls.__new__(cls)
+        chunk._fill(handles, levels)
+        return chunk
+
+    def _fill(self, handles: Tuple[Handle, ...], levels: bytes) -> None:
+        self.handles = handles
+        self.levels = levels
+        self.size = len(handles)
+        if handles:
+            self.lo = handles[0]
+        mask = 0
+        for code in set(levels):
+            mask |= 1 << code
+        self.level_mask = mask
 
     @property
-    def lo(self) -> Handle:
-        return self.entries[0][0]
+    def min_level(self) -> Level:
+        return _MASK_MIN[self.level_mask]
 
     @property
-    def hi(self) -> Handle:
-        return self.entries[-1][0]
+    def max_level(self) -> Level:
+        return _MASK_MAX[self.level_mask]
+
+    @property
+    def entries(self) -> Tuple[Tuple[Handle, Level], ...]:
+        """The run as ``(handle, level)`` pairs — a derived view, built on
+        every read; the kernel's own code reads the buffers."""
+        return tuple(zip(self.handles, map(_DECODE, self.levels)))
 
     def memory_bytes(self) -> int:
-        return CHUNK_HEADER_BYTES + SLOT_BYTES * _slots_for(len(self.entries))
+        return CHUNK_HEADER_BYTES + SLOT_BYTES * _slots_for(self.size)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.size
 
     def __repr__(self) -> str:
-        return f"<Chunk {len(self.entries)} entries, levels {self.min_level}..{self.max_level}>"
+        return f"<Chunk {self.size} entries, levels {self.min_level}..{self.max_level}>"
+
+
+def pack_chunks(entries: Sequence[Tuple[Handle, Level]]) -> List[Chunk]:
+    """Sorted ``(handle, level)`` pairs as full 64-entry chunks (the last
+    one takes the remainder)."""
+    handles, levels = zip(*entries) if entries else ((), ())
+    codes = bytes(map(_ENCODE, levels))
+    return [
+        Chunk.packed(handles[i : i + CHUNK_CAPACITY], codes[i : i + CHUNK_CAPACITY])
+        for i in range(0, len(handles), CHUNK_CAPACITY)
+    ]
+
+
+def unpack_chunks(chunks: Sequence[Chunk]) -> Tuple[Tuple[Handle, ...], bytes]:
+    """The chunks' buffers end to end — the chunking erased.  One chunk
+    gives back its own two objects."""
+    if len(chunks) == 1:
+        return chunks[0].handles, chunks[0].levels
+    return (
+        tuple(chain.from_iterable(chunk.handles for chunk in chunks)),
+        b"".join(chunk.levels for chunk in chunks),
+    )
 
 
 class ChunkedLabel:
@@ -145,18 +225,27 @@ class ChunkedLabel:
     shareable chunks.  Only ⊑ lives here; the Figure 4 operations that
     build labels (⊔, ⊓, the send effects) are the fused ones in
     :mod:`repro.core.labelops`, and the naive ``Label`` is their spec.
+
+    Stored: the chunk directory, ``_los`` (each chunk's lowest handle, the
+    index lookups bisect), the default, the entry count and the mask of
+    levels occurring explicitly.  ``explicit_min`` / ``explicit_max``
+    (bounds over the explicit entries) and ``min_level`` / ``max_level``
+    (bounds over the whole function, default included) derive from the
+    mask.
     """
 
     __slots__ = (
         "chunks",
         "default",
-        "min_level",
-        "max_level",
-        "explicit_min",
-        "explicit_max",
         "level_mask",
+        "_los",
         "_size",
+        # Lazily filled views of an immutable value: the non-star entries,
+        # the expanded Label, and the (size, min, max) the paper-mode bill
+        # reads.
         "_nonstar_cache",
+        "_label",
+        "_summary",
         # Hash-consing support (repro.core.interning): the table this
         # instance is canonical in and the process-unique id that table
         # gave it (both None while the label has never been interned),
@@ -169,87 +258,123 @@ class ChunkedLabel:
     )
 
     def __init__(self, chunks: Sequence[Chunk], default: Level):
-        self.chunks: Tuple[Chunk, ...] = tuple(chunks)
-        self.default: Level = default
-        # One pass over the chunk directory: refcounts, explicit bounds,
-        # level mask, size.  (This constructor runs on every label update
-        # in the kernel's hottest path.)
-        emin: Level = L3
-        emax: Level = STAR
-        mask = 0
-        size = 0
-        for chunk in self.chunks:
-            chunk.refcount += 1
-            if chunk.min_level < emin:
-                emin = chunk.min_level
-            if chunk.max_level > emax:
-                emax = chunk.max_level
+        los = []
+        size = mask = 0
+        for chunk in chunks:
+            los.append(chunk.lo)
+            size += chunk.size
             mask |= chunk.level_mask
-            size += len(chunk.entries)
-        # Explicit-entry bounds (exclude the default)...
-        self.explicit_min: Level = emin
-        self.explicit_max: Level = emax
-        # ...and whole-function bounds (include it).
-        self.min_level: Level = min(emin, default)
-        self.max_level: Level = max(emax, default) if self.chunks else default
-        # Bitmask of levels occurring explicitly (default not included).
+        self._carry(tuple(chunks), default, tuple(los), size, mask)
+
+    @classmethod
+    def carried(
+        cls,
+        chunks: Tuple[Chunk, ...],
+        default: Level,
+        los: Tuple[Handle, ...],
+        size: int,
+        mask: int,
+    ) -> "ChunkedLabel":
+        """A label whose aggregates the caller carried forward from the
+        label it updated (``sparse_update``'s splice) instead of having
+        the constructor walk the directory for them."""
+        label = cls.__new__(cls)
+        label._carry(chunks, default, los, size, mask)
+        return label
+
+    def _carry(
+        self,
+        chunks: Tuple[Chunk, ...],
+        default: Level,
+        los: Tuple[Handle, ...],
+        size: int,
+        mask: int,
+    ) -> None:
+        self.chunks: Tuple[Chunk, ...] = chunks
+        self.default: Level = default
+        #: Bitmask of levels occurring explicitly (default not included).
         self.level_mask: int = mask
+        self._los = los
         self._size = size
-        self._nonstar_cache: Optional[Tuple[Tuple[Handle, Level], ...]] = None
+        self._nonstar_cache = self._label = self._summary = None
         self.intern_id = self.intern_table = self.fingerprint = None
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
     def from_label(cls, label: Label, stats: Optional[OpStats] = None) -> "ChunkedLabel":
-        entries = tuple(label.entries())
-        chunks = [
-            Chunk(entries[i : i + CHUNK_CAPACITY])
-            for i in range(0, len(entries), CHUNK_CAPACITY)
-        ]
+        chunks = pack_chunks(tuple(label.entries()))
         if stats is not None:
             stats.labels_allocated += 1
             stats.chunks_allocated += len(chunks)
-        return cls(chunks, label.default)
+        chunked = cls(chunks, label.default)
+        chunked._label = label
+        return chunked
 
     def to_label(self) -> Label:
-        entries: Dict[Handle, Level] = {}
-        for chunk in self.chunks:
-            entries.update(chunk.entries)
-        return Label(entries, self.default)
+        """The naive :class:`Label` with this value.  Both are immutable,
+        so the expansion is built once and kept."""
+        label = self._label
+        if label is None:
+            entries: Dict[Handle, Level] = {}
+            for chunk in self.chunks:
+                entries.update(zip(chunk.handles, map(_DECODE, chunk.levels)))
+            label = self._label = Label(entries, self.default)
+        return label
 
     # -- inspection ---------------------------------------------------------------
+
+    @property
+    def explicit_min(self) -> Level:
+        """Lowest level among the explicit entries (3 when there are none)."""
+        return _MASK_MIN[self.level_mask]
+
+    @property
+    def explicit_max(self) -> Level:
+        """Highest level among the explicit entries (``*`` when there are none)."""
+        return _MASK_MAX[self.level_mask]
+
+    @property
+    def min_level(self) -> Level:
+        return _MASK_MIN[self.level_mask | (1 << (self.default + 1))]
+
+    @property
+    def max_level(self) -> Level:
+        return _MASK_MAX[self.level_mask | (1 << (self.default + 1))]
+
+    @property
+    def summary(self) -> Tuple[int, Level, Level]:
+        """``(size, min_level, max_level)`` — all the 2005 cost model
+        (``labelops.paper_cost_*``) reads of an operand."""
+        summary = self._summary
+        if summary is None:
+            summary = self._summary = (self._size, self.min_level, self.max_level)
+        return summary
 
     def __len__(self) -> int:
         return self._size
 
     def __call__(self, handle: Handle) -> Level:
-        """Evaluate at *handle* via binary search over chunk ranges."""
-        lo, hi = 0, len(self.chunks) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            chunk = self.chunks[mid]
-            if handle < chunk.lo:
-                hi = mid - 1
-            elif handle > chunk.hi:
-                lo = mid + 1
-            else:
-                clo, chi = 0, len(chunk.entries) - 1
-                while clo <= chi:
-                    cmid = (clo + chi) // 2
-                    h, level = chunk.entries[cmid]
-                    if handle == h:
-                        return level
-                    if handle < h:
-                        chi = cmid - 1
-                    else:
-                        clo = cmid + 1
-                return self.default
+        """Evaluate at *handle*: bisect the directory, then the chunk."""
+        idx = bisect_right(self._los, handle) - 1
+        if idx >= 0:
+            chunk = self.chunks[idx]
+            handles = chunk.handles
+            pos = bisect_left(handles, handle)
+            if pos < chunk.size and handles[pos] == handle:
+                return chunk.levels[pos] - 1
         return self.default
 
-    def iter_entries(self) -> Iterable[Tuple[Handle, Level]]:
+    def iter_entries(self) -> Iterator[Tuple[Handle, Level]]:
         for chunk in self.chunks:
-            yield from chunk.entries
+            yield from zip(chunk.handles, map(_DECODE, chunk.levels))
+
+    def value_key(self) -> Tuple[Any, ...]:
+        """``(default, handles, levels)`` with the chunking erased: equal
+        exactly when two labels are equal as functions, however each came
+        to be chunked.  A one-chunk label's key is the chunk's own two
+        buffers, so keying a table on it allocates nothing per entry."""
+        return (self.default, *unpack_chunks(self.chunks))
 
     def nonstar_entries(self) -> Tuple[Tuple[Handle, Level], ...]:
         """The explicit entries whose level is not ``*``, cached.
@@ -262,17 +387,18 @@ class ChunkedLabel:
         immutable, so the tuple is computed once; all-star chunks are
         skipped wholesale via their level masks.
         """
-        if self._nonstar_cache is None:
-            star_bit = level_bit(STAR)
-            entries = []
-            for chunk in self.chunks:
-                if chunk.level_mask == star_bit:
-                    continue
-                entries.extend(
-                    (handle, level) for handle, level in chunk.entries if level != STAR
-                )
-            self._nonstar_cache = tuple(entries)
-        return self._nonstar_cache
+        cached = self._nonstar_cache
+        if cached is None:
+            # An all-star label answers from its own mask, without a walk.
+            chunks = () if self.level_mask == _STAR_BIT else self.chunks
+            cached = self._nonstar_cache = tuple(
+                (handle, code - 1)
+                for chunk in chunks
+                if chunk.level_mask != _STAR_BIT
+                for handle, code in zip(chunk.handles, chunk.levels)
+                if code
+            )
+        return cached
 
     def without_stars(self) -> "ChunkedLabel":
         """This label with its explicit ``*`` entries dropped (those handles
@@ -287,14 +413,9 @@ class ChunkedLabel:
         ``*`` default there is nothing to drop (canonical labels carry no
         explicit entry equal to their default).
         """
-        if self.default == STAR or not (self.level_mask & level_bit(STAR)):
+        if self.default == STAR or not (self.level_mask & _STAR_BIT):
             return self
-        entries = self.nonstar_entries()
-        chunks = [
-            Chunk(entries[i : i + CHUNK_CAPACITY])
-            for i in range(0, len(entries), CHUNK_CAPACITY)
-        ]
-        return ChunkedLabel(chunks, self.default)
+        return ChunkedLabel(pack_chunks(self.nonstar_entries()), self.default)
 
     def memory_bytes(self) -> int:
         """Bytes of kernel memory for this label, counting shared chunks in
@@ -336,22 +457,18 @@ class ChunkedLabel:
                 if stats is not None:
                     stats.entries_scanned += scanned
                 return False
-        own_handles = _handle_set(self)
+        # Handles explicit only in `other` take self's default on the left
+        # (the ones explicit in both passed above and pass again).
+        default = self.default
         for handle, level in other.iter_entries():
             scanned += 1
-            if handle not in own_handles and self.default > level:
+            if default > level and self(handle) > level:
                 if stats is not None:
                     stats.entries_scanned += scanned
                 return False
         if stats is not None:
             stats.entries_scanned += scanned
         return True
-
-
-def _handle_set(label: ChunkedLabel) -> frozenset:
-    # Small helper for leq's default-comparison pass.  Cached per call site
-    # would be premature; leq over disjoint handle sets is rare in practice.
-    return frozenset(handle for handle, _ in label.iter_entries())
 
 
 def shared_memory_bytes(labels: Iterable[ChunkedLabel]) -> int:

@@ -7,9 +7,9 @@ of label algebra into sub-second runs.  This module brings the same two
 ideas to the *live* kernel:
 
 - :class:`InternTable` hash-conses :class:`~repro.core.chunks.ChunkedLabel`
-  instances: structurally equal labels (same canonical entry tuple and
-  default) share one canonical instance carrying a process-unique integer
-  ``intern_id``.  Labels are immutable, so a canonical instance is safe
+  instances: labels equal as values (same default, handles and levels,
+  however each came to be chunked) share one canonical instance carrying a
+  process-unique integer ``intern_id``.  Labels are immutable, so a canonical instance is safe
   to key caches on forever: a given id can never come to mean a
   different label.
 - :class:`LabelOpCache` is a bounded LRU over interned ids for the three
@@ -153,8 +153,9 @@ class InternTable:
     """Hash-conses chunked labels to canonical, id-carrying instances.
 
     ``intern`` is idempotent and cheap for labels already canonical here
-    (one attribute test); a first-time intern costs one pass over the
-    label's entries to build the canonical key.  Canonical instances are
+    (one attribute test); a first-time intern builds the value key from
+    the label's packed buffers (a one-chunk label's key is the chunk's own
+    two objects; a larger one costs one concatenation).  Canonical instances are
     held weakly: a label nothing references is collectable, and a later
     intern of the same value simply issues a fresh id.
 
@@ -187,7 +188,7 @@ class InternTable:
         if label.intern_table is self:
             return label
         self.lookups += 1
-        key = (label.default, tuple(label.iter_entries()))
+        key = label.value_key()
         canonical = self._canonical.get(key)
         if canonical is not None:
             return canonical

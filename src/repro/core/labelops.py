@@ -13,7 +13,19 @@ using:
   is answerable in O(1);
 - **chunk-granular copy-on-write**: an update that touches k handles
   rewrites only the chunks containing them and shares the rest, exactly
-  the sharing design the paper describes.
+  the sharing design the paper describes.  :func:`sparse_update` *splices*
+  the chunk directory — ``chunks[:i] + fresh + chunks[i + 1:]``, the
+  untouched runs copied as slices, with the label's size, level mask and
+  lookup index carried forward — so an update to a 6,000-entry label
+  costs the touched chunks plus a C-level copy of the directory, not
+  three interpreted passes over all ≈ 100 chunks.
+
+Chunks are packed buffers (:mod:`repro.core.chunks`): everything here is
+``bisect``, slices and set/bytes operations on ``chunk.handles`` /
+``chunk.levels``.  The :class:`~repro.core.chunks.OpStats` a call leaves
+behind are *computed* from chunk sizes, not counted by loop iteration;
+the cycle model bills from them, so they are part of the contract (the
+golden-count test in ``tests/test_labelops.py`` pins them).
 
 The three entry points mirror Figure 4:
 
@@ -29,8 +41,9 @@ fused results against the naive operators on random labels.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.chunks import (
     CHUNK_CAPACITY,
@@ -38,30 +51,20 @@ from repro.core.chunks import (
     ChunkedLabel,
     OpStats,
     level_bit,
+    unpack_chunks,
 )
 from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L3, STAR, Level
 
 
-def _star3(level: Level) -> Level:
-    """The pointwise form of the stars-only projection L*."""
-    return STAR if level == STAR else L3
-
-
-def _levels_in(label: ChunkedLabel) -> List[Level]:
-    """Distinct levels occurring in *label* (explicit entries + default)."""
-    mask = label.level_mask | level_bit(label.default)
-    return [lvl for lvl in ALL_LEVELS if mask & level_bit(lvl)]
-
-
-def _explicit_handles(*labels: ChunkedLabel) -> List[Handle]:
-    """Sorted union of the labels' explicit handles."""
-    handles = set()
+def _explicit_handles(*labels: ChunkedLabel) -> Set[Handle]:
+    """Union of the labels' explicit handles."""
+    handles: Set[Handle] = set()
     for label in labels:
-        for handle, _ in label.iter_entries():
-            handles.add(handle)
-    return sorted(handles)
+        for chunk in label.chunks:
+            handles.update(chunk.handles)
+    return handles
 
 
 # -- requirement (1): the delivery check ------------------------------------------
@@ -86,20 +89,15 @@ def check_send(
         stats.operations += 1
     scanned = 0
 
-    def rhs(h: Handle) -> Level:
-        return min(max(qr(h), dr(h)), v(h), pr(h))
-
     # ES entries at * can never violate the check (⋆ is the global
     # minimum), so only its non-star entries need inspection — privileged
     # senders like netd carry one * per user and would otherwise make this
     # loop O(users).
-    small = {h for h, _ in es.nonstar_entries()}
-    for label in (dr, v, pr):
-        small.update(h for h, _ in label.iter_entries())
-    small_handles = sorted(small)
-    for handle in small_handles:
+    small = _explicit_handles(dr, v, pr)
+    small.update(h for h, _ in es.nonstar_entries())
+    for handle in sorted(small):
         scanned += 1
-        if es(handle) > rhs(handle):
+        if es(handle) > min(max(qr(handle), dr(handle)), v(handle), pr(handle)):
             if stats is not None:
                 stats.entries_scanned += scanned
             return False
@@ -173,6 +171,32 @@ def decontamination_privileged(
 
 # -- contamination / decontamination effects ------------------------------------------
 
+#: Figure 4's send-label effect, pointwise, as a table over the 125
+#: ``(q, e, d)`` triples: ``max(min(q, d), min(e, * if q == * else 3))`` —
+#: contaminate with ES and grant DS, but a receiver's ``*`` entries are
+#: immune to contamination.
+_EFFECT: Dict[Tuple[Level, Level, Level], Level] = {
+    (q, e, d): max(min(q, d), min(e, STAR if q == STAR else L3))
+    for q in ALL_LEVELS
+    for e in ALL_LEVELS
+    for d in ALL_LEVELS
+}
+
+
+@lru_cache(maxsize=None)
+def _effect_is_identity(mask: int, q0: Level, e0: Level, d0: Level) -> bool:
+    """Whether the effect leaves alone every handle neither ES nor DS
+    names non-trivially: the pointwise function must be the identity on
+    every level present in QS (explicit *mask* and default *q0*) both for
+    ES's default and for an explicit ES ``*`` (a skipped entry — that
+    matters when DS's default grants below 3).  4,000 possible keys."""
+    present = mask | level_bit(q0)
+    return all(
+        _EFFECT[lvl, e0, d0] == lvl and _EFFECT[lvl, STAR, d0] == lvl
+        for lvl in ALL_LEVELS
+        if present & level_bit(lvl)
+    )
+
 
 def apply_send_effects(
     qs: ChunkedLabel,
@@ -182,33 +206,16 @@ def apply_send_effects(
 ) -> ChunkedLabel:
     """Compute ``(QS ⊓ DS) ⊔ (ES ⊓ QS*)`` — Figure 4's send-label effect.
 
-    Pointwise this is ``f(qs(h), es(h), ds(h))`` with::
-
-        f(q, e, d) = max(min(q, d), min(e, * if q == * else 3))
-
-    i.e. contaminate with ES and grant DS, but a receiver's ``*`` entries
-    are immune to contamination.  The fast path applies when the function
-    is the identity on every level actually present in QS (checked exactly
-    via the level mask) for the *default* levels of ES and DS — then only
-    the handles explicit in ES or DS can change, and QS's chunks are
-    rewritten copy-on-write at exactly those handles.
+    Pointwise this is ``_EFFECT[qs(h), es(h), ds(h)]``.  The fast path
+    applies when that function is the identity on every level actually
+    present in QS (checked exactly via the level mask) for the *default*
+    levels of ES and DS — then only the handles explicit in ES or DS can
+    change, and QS's chunks are rewritten copy-on-write at exactly those
+    handles.
     """
+    fast = _effect_is_identity(qs.level_mask, qs.default, es.default, ds.default)
     if stats is not None:
         stats.operations += 1
-
-    def f(q: Level, e: Level, d: Level) -> Level:
-        return max(min(q, d), min(e, _star3(q)))
-
-    new_default = f(qs.default, es.default, ds.default)
-
-    fast = new_default == qs.default and all(
-        # f must be the identity on every level present in QS both for
-        # ES's default and for an explicit ES * (skipped-entry) value —
-        # the latter matters when DS's default grants below 3.
-        f(lvl, es.default, ds.default) == lvl and f(lvl, STAR, ds.default) == lvl
-        for lvl in _levels_in(qs)
-    )
-    if stats is not None:
         if fast:
             stats.fast_path += 1
         else:
@@ -219,19 +226,17 @@ def apply_send_effects(
         # ⊔ absorbs (the fast-path precondition already guarantees the
         # identity at every level present in QS, and at QS's default for
         # handles QS leaves implicit).
-        touched_set = {h for h, _ in es.nonstar_entries()}
-        touched_set.update(h for h, _ in ds.iter_entries())
-        touched = sorted(touched_set)
+        touched = _explicit_handles(ds)
+        touched.update(h for h, _ in es.nonstar_entries())
         updates: Dict[Handle, Level] = {}
         changed = False
         for handle in touched:
-            if stats is not None:
-                stats.entries_scanned += 1
             old = qs(handle)
-            new = f(old, es(handle), ds(handle))
-            updates[handle] = new
+            new = updates[handle] = _EFFECT[old, es(handle), ds(handle)]
             if new != old:
                 changed = True
+        if stats is not None:
+            stats.entries_scanned += len(touched)
         if not changed:
             if stats is not None:
                 stats.chunks_shared += len(qs.chunks)
@@ -240,11 +245,11 @@ def apply_send_effects(
 
     # Slow path: full pointwise merge (star entries of ES included — with
     # a changed default they can matter).
-    entries: Dict[Handle, Level] = {}
-    for handle in set(_explicit_handles(qs, es, ds)):
-        if stats is not None:
-            stats.entries_scanned += 1
-        entries[handle] = f(qs(handle), es(handle), ds(handle))
+    handles = _explicit_handles(qs, es, ds)
+    if stats is not None:
+        stats.entries_scanned += len(handles)
+    entries = {h: _EFFECT[qs(h), es(h), ds(h)] for h in handles}
+    new_default = _EFFECT[qs.default, es.default, ds.default]
     return _from_entries(entries, new_default, stats, reuse=(qs,))
 
 
@@ -255,14 +260,12 @@ def raise_receive(
 ) -> ChunkedLabel:
     """Compute ``QR ⊔ DR``, sparsely when DR is small (the common case: one
     decontaminate-receive entry per message)."""
-    if stats is not None:
-        stats.operations += 1
     new_default = max(qr.default, dr.default)
     fast = new_default == qr.default and (
         not qr.chunks or dr.default <= qr.explicit_min
     )
-    touched = _explicit_handles(dr)
     if stats is not None:
+        stats.operations += 1
         if fast:
             stats.fast_path += 1
         else:
@@ -270,42 +273,37 @@ def raise_receive(
     if fast:
         updates: Dict[Handle, Level] = {}
         changed = False
-        for handle in touched:
-            if stats is not None:
-                stats.entries_scanned += 1
+        for handle, level in dr.iter_entries():
             old = qr(handle)
-            new = max(old, dr(handle))
-            updates[handle] = new
+            new = updates[handle] = max(old, level)
             if new != old:
                 changed = True
+        if stats is not None:
+            stats.entries_scanned += len(updates)
         if not changed:
             if stats is not None:
                 stats.chunks_shared += len(qr.chunks)
             return qr
         return sparse_update(qr, updates, stats)
 
-    entries: Dict[Handle, Level] = {}
-    for handle in set(_explicit_handles(qr)) | set(touched):
-        if stats is not None:
-            stats.entries_scanned += 1
-        entries[handle] = max(qr(handle), dr(handle))
+    handles = _explicit_handles(qr, dr)
+    if stats is not None:
+        stats.entries_scanned += len(handles)
+    entries = {h: max(qr(h), dr(h)) for h in handles}
     return _from_entries(entries, new_default, stats, reuse=(qr,))
 
 
 # -- chunk-granular copy-on-write update ------------------------------------------------
 
 
-def _balanced_runs(
-    entries: Sequence[Tuple[Handle, Level]]
-) -> List[Tuple[Tuple[Handle, Level], ...]]:
-    """Split *entries* into the minimum number of chunk runs, sized evenly."""
-    entries = tuple(entries)
-    if not entries:
-        return []
+def _balanced_runs(entries: Sequence) -> List[Sequence]:
+    """Split *entries* (any sliceable run: handles, level bytes, pairs)
+    into the minimum number of chunk runs, sized evenly."""
+    if len(entries) <= CHUNK_CAPACITY:
+        return [entries] if entries else []
     n_chunks = -(-len(entries) // CHUNK_CAPACITY)
-    base = len(entries) // n_chunks
-    extra = len(entries) % n_chunks
-    runs: List[Tuple[Tuple[Handle, Level], ...]] = []
+    base, extra = divmod(len(entries), n_chunks)
+    runs: List[Sequence] = []
     pos = 0
     for i in range(n_chunks):
         size = base + (1 if i < extra else 0)
@@ -327,65 +325,91 @@ def sparse_update(
     """
     if not updates:
         return label
-    if not label.chunks:
-        entries = {h: lvl for h, lvl in updates.items() if lvl != label.default}
-        return _from_entries(entries, label.default, stats, reuse=())
+    chunks, default = label.chunks, label.default
+    if not chunks:
+        entries = {h: lvl for h, lvl in updates.items() if lvl != default}
+        return _from_entries(entries, default, stats, reuse=())
 
     # Route each updated handle to a chunk index: the chunk whose range
     # contains it, else the nearest chunk to its insertion point.
-    los = [chunk.lo for chunk in label.chunks]
-    per_chunk: Dict[int, Dict[Handle, Level]] = {}
-    for handle, level in updates.items():
+    los = label._los
+    routed: Dict[int, List[Handle]] = {}
+    for handle in updates:
         idx = bisect_right(los, handle) - 1
-        if idx < 0:
-            idx = 0
-        per_chunk.setdefault(idx, {})[handle] = level
+        routed.setdefault(idx if idx > 0 else 0, []).append(handle)
 
-    new_chunks: List[Chunk] = []
-    for idx, chunk in enumerate(label.chunks):
-        todo = per_chunk.get(idx)
-        if todo is None:
-            new_chunks.append(chunk)
-            if stats is not None:
-                stats.chunks_shared += 1
-            continue
-        merged: List[Tuple[Handle, Level]] = []
-        existing = {h: lvl for h, lvl in chunk.entries}
-        if stats is not None:
-            stats.entries_scanned += len(chunk.entries)
-        existing.update(todo)
-        for handle in sorted(existing):
-            level = existing[handle]
-            if level != label.default:
-                merged.append((handle, level))
+    # Splice: the runs of untouched chunks between the routed ones are
+    # copied as slices of the directory (and of its index), never visited.
+    default_code = default + 1
+    spliced: List[Chunk] = []
+    spliced_los: List[Handle] = []
+    size = len(label)
+    scanned = allocated = reshared = gone = new = done = 0
+    for idx in sorted(routed):
+        spliced += chunks[done:idx]
+        spliced_los += los[done:idx]
+        done = idx + 1
+        chunk = chunks[idx]
+        scanned += chunk.size
+        gone |= chunk.level_mask
+        handles, levels = list(chunk.handles), bytearray(chunk.levels)
+        for handle in routed[idx]:
+            code = updates[handle] + 1
+            pos = bisect_left(handles, handle)
+            if pos < len(handles) and handles[pos] == handle:
+                if code == default_code:
+                    del handles[pos], levels[pos]
+                else:
+                    levels[pos] = code
+            elif code != default_code:
+                handles.insert(pos, handle)
+                levels.insert(pos, code)
+        size += len(handles) - chunk.size
         # Re-chunk this run.  Overflowing runs split *evenly* — a [64, 1]
         # split would leave a near-empty chunk owning half the handle
         # range, and repeated inserts then fragment the label (B-tree
-        # median splits, same reason).
-        for run in _balanced_runs(merged):
-            if run == chunk.entries:
-                new_chunks.append(chunk)
-                if stats is not None:
-                    stats.chunks_shared += 1
+        # median splits, same reason).  A run that comes out as it went
+        # in shares the old chunk.
+        for run in zip(_balanced_runs(tuple(handles)), _balanced_runs(bytes(levels))):
+            if run[0] == chunk.handles and run[1] == chunk.levels:
+                reshared += 1
             else:
-                new_chunks.append(Chunk(run))
-                if stats is not None:
-                    stats.chunks_allocated += 1
+                chunk = Chunk.packed(*run)
+                allocated += 1
+            spliced.append(chunk)
+            spliced_los.append(chunk.lo)
+            new |= chunk.level_mask
+    spliced += chunks[done:]
+    spliced_los += los[done:]
     if stats is not None:
+        stats.chunks_shared += len(chunks) - len(routed) + reshared
+        stats.entries_scanned += scanned
+        stats.chunks_allocated += allocated
         stats.labels_allocated += 1
-    kept = [c for c in new_chunks if len(c)]
-    total = sum(len(c) for c in kept)
-    if len(kept) > 3 and total < len(kept) * (CHUNK_CAPACITY // 3):
+
+    if len(spliced) > 3 and size < len(spliced) * (CHUNK_CAPACITY // 3):
         # Deletions (capability releases) have fragmented the label;
         # rebalance it wholesale.
-        entries = []
-        for chunk in kept:
-            entries.extend(chunk.entries)
-        kept = [Chunk(run) for run in _balanced_runs(entries)]
+        handles, levels = unpack_chunks(spliced)
+        rebalanced = [
+            Chunk.packed(*run)
+            for run in zip(_balanced_runs(handles), _balanced_runs(levels))
+        ]
         if stats is not None:
-            stats.chunks_allocated += len(kept)
-            stats.entries_scanned += total
-    return ChunkedLabel(kept, label.default)
+            stats.chunks_allocated += len(rebalanced)
+            stats.entries_scanned += size
+        return ChunkedLabel(rebalanced, default)
+
+    # Carry the mask forward.  It is exact: a level some rewritten chunk
+    # held and no chunk replacing it holds may have left the label
+    # altogether, so only then is it recomputed from the directory.
+    if gone & ~new:
+        mask = 0
+        for chunk in spliced:
+            mask |= chunk.level_mask
+    else:
+        mask = label.level_mask | new
+    return ChunkedLabel.carried(tuple(spliced), default, tuple(spliced_los), size, mask)
 
 
 def _from_entries(
@@ -396,23 +420,22 @@ def _from_entries(
 ) -> ChunkedLabel:
     """Build a chunked label from an entries dict, sharing any chunk from
     *reuse* whose run is reproduced verbatim."""
-    pool: Dict[Tuple[Tuple[Handle, Level], ...], Chunk] = {}
+    pool: Dict[Tuple[Tuple[Handle, ...], bytes], Chunk] = {}
     for source in reuse:
         for chunk in source.chunks:
-            pool.setdefault(chunk.entries, chunk)
-    normalised = tuple(
-        (h, entries[h]) for h in sorted(entries) if entries[h] != default
-    )
+            pool.setdefault((chunk.handles, chunk.levels), chunk)
+    handles = tuple(sorted(h for h, lvl in entries.items() if lvl != default))
+    levels = bytes(entries[h] + 1 for h in handles)
     chunks: List[Chunk] = []
-    for i in range(0, len(normalised), CHUNK_CAPACITY):
-        run = normalised[i : i + CHUNK_CAPACITY]
+    for i in range(0, len(handles), CHUNK_CAPACITY):
+        run = handles[i : i + CHUNK_CAPACITY], levels[i : i + CHUNK_CAPACITY]
         shared = pool.get(run)
         if shared is not None:
             chunks.append(shared)
             if stats is not None:
                 stats.chunks_shared += 1
         else:
-            chunks.append(Chunk(run))
+            chunks.append(Chunk.packed(*run))
             if stats is not None:
                 stats.chunks_allocated += 1
     if stats is not None:
@@ -447,43 +470,35 @@ def check_send_reference(
 # measures.
 
 
-class _Approx:
-    """(size, min, max) abstraction of a label flowing through the
-    modelled operator chain.  Result sizes use max() — the operand handle
-    sets overlap almost entirely in practice — and the min/max bounds are
-    sound in the direction that matters (they may only *enable* extra
-    short-circuits, modelling a competent implementation)."""
-
-    __slots__ = ("size", "lo", "hi")
-
-    def __init__(self, size: int, lo: Level, hi: Level):
-        self.size = size
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def of(cls, label: ChunkedLabel) -> "_Approx":
-        return cls(len(label), label.min_level, label.max_level)
+#: ``(size, min level, max level)`` — the abstraction of a label flowing
+#: through the modelled operator chain (an operand's is cached on it:
+#: ``ChunkedLabel.summary``).  Result sizes use max() — the operand handle
+#: sets overlap almost entirely in practice — and the min/max bounds are
+#: sound in the direction that matters (they may only *enable* extra
+#: short-circuits, modelling a competent implementation).
+_Approx = Tuple[int, Level, Level]
 
 
 def _lub_cost(a: _Approx, b: _Approx) -> Tuple[int, _Approx]:
     """(entries scanned, result) for the paper's a ⊔ b; the min/max hint
     skips the merge when one operand dominates the other."""
-    if b.hi <= a.lo:
+    a_size, a_lo, a_hi = a
+    b_size, b_lo, b_hi = b
+    if b_hi <= a_lo:
         return 0, a
-    if a.hi <= b.lo:
+    if a_hi <= b_lo:
         return 0, b
-    merged = _Approx(max(a.size, b.size), max(a.lo, b.lo), max(a.hi, b.hi))
-    return a.size + b.size, merged
+    return a_size + b_size, (max(a_size, b_size), max(a_lo, b_lo), max(a_hi, b_hi))
 
 
 def _glb_cost(a: _Approx, b: _Approx) -> Tuple[int, _Approx]:
-    if b.lo >= a.hi:
+    a_size, a_lo, a_hi = a
+    b_size, b_lo, b_hi = b
+    if b_lo >= a_hi:
         return 0, a
-    if a.lo >= b.hi:
+    if a_lo >= b_hi:
         return 0, b
-    merged = _Approx(max(a.size, b.size), min(a.lo, b.lo), min(a.hi, b.hi))
-    return a.size + b.size, merged
+    return a_size + b_size, (max(a_size, b_size), min(a_lo, b_lo), min(a_hi, b_hi))
 
 
 def paper_cost_check_send(
@@ -499,10 +514,10 @@ def paper_cost_check_send(
     ⊑ of a label against a bound whose minimum dominates the label's
     default only inspects the label's own entries (the same min/max hint
     family as ⊔/⊓)."""
-    scanned, rhs = _lub_cost(_Approx.of(qr), _Approx.of(dr))
-    cost, rhs = _glb_cost(rhs, _Approx.of(v))
+    scanned, rhs = _lub_cost(qr.summary, dr.summary)
+    cost, rhs = _glb_cost(rhs, v.summary)
     scanned += cost
-    cost, rhs = _glb_cost(rhs, _Approx.of(pr))
+    cost, rhs = _glb_cost(rhs, pr.summary)
     scanned += cost
     # Requirement (4): DR ⊑ pR.
     scanned += len(dr)
@@ -511,8 +526,9 @@ def paper_cost_check_send(
     # ES ⊑ rhs: always scans ES; scans the rhs only when ES's default is
     # not already bounded by the rhs's minimum.
     scanned += len(es)
-    if es.default > rhs.lo:
-        scanned += rhs.size
+    rhs_size, rhs_min, _ = rhs
+    if es.default > rhs_min:
+        scanned += rhs_size
     return scanned
 
 
@@ -527,14 +543,12 @@ def paper_cost_apply_effects(
     (the optimisation the paper explicitly defers), so a receiver like
     netd with one ⋆ per user pays O(users) on every delivery."""
     scanned = 0
+    rhs = es.summary                             # QS* = {3}; ES ⊓ {3} = ES
     if qs.min_level == STAR:
         scanned += len(qs)                       # compute QS* by scanning
-        stars = _Approx(len(qs), STAR, L3)
-        cost, rhs = _glb_cost(_Approx.of(es), stars)
+        cost, rhs = _glb_cost(rhs, (len(qs), STAR, L3))
         scanned += cost
-    else:
-        rhs = _Approx.of(es)                     # QS* = {3}; ES ⊓ {3} = ES
-    cost, t1 = _glb_cost(_Approx.of(qs), _Approx.of(ds))
+    cost, t1 = _glb_cost(qs.summary, ds.summary)
     scanned += cost
     cost, _ = _lub_cost(t1, rhs)
     scanned += cost
@@ -542,8 +556,7 @@ def paper_cost_apply_effects(
 
 
 def paper_cost_raise_receive(qr: ChunkedLabel, dr: ChunkedLabel) -> int:
-    cost, _ = _lub_cost(_Approx.of(qr), _Approx.of(dr))
-    return cost
+    return _lub_cost(qr.summary, dr.summary)[0]
 
 
 def apply_send_effects_reference(qs: Label, es: Label, ds: Label) -> Label:

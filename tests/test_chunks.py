@@ -30,6 +30,19 @@ def test_roundtrip():
     assert ChunkedLabel.from_label(lab).to_label() == lab
 
 
+def test_to_label_is_expanded_once():
+    # Both forms are immutable, so the expansion is a slot on the label:
+    # the sanitizer converts up to nine operands per IPC, nearly all of
+    # them unchanged since the last one.
+    grown = sparse_update(
+        ChunkedLabel.from_label(big_label(100)), {5: STAR, 8: L1, 9: L2}, OpStats()
+    )
+    expanded = grown.to_label()
+    assert grown.to_label() is expanded
+    assert expanded == Label(dict(grown.iter_entries()), grown.default)
+    assert expanded == big_label(100).with_entry(5, STAR).without(8).with_entry(9, L2)
+
+
 def test_chunking_splits_at_capacity():
     lab = big_label(CHUNK_CAPACITY * 2 + 5)
     cl = ChunkedLabel.from_label(lab)

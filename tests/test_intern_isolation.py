@@ -13,6 +13,8 @@ import pytest
 
 from repro.analysis.extract import TopologyRecorder
 from repro.analysis.proofs import compile_proofs, write_proofs
+from repro.core import labelops
+from repro.core.chunks import ChunkedLabel
 from repro.core.interning import InternTable
 from repro.core.labels import Label
 from repro.core.levels import L1, L3, STAR
@@ -88,6 +90,24 @@ def test_foreign_canonical_label_is_interned_by_value():
     assert in_a.intern_id == a_id
     assert a.intern(in_a) is in_a
     assert len(a) == len(b) == 1
+
+
+def test_chunking_is_erased_from_a_labels_identity():
+    # Equal as functions, chunked differently: one cut at every 64th entry
+    # by from_label, one grown past that by sparse_update (even splits,
+    # a rebalance) and shrunk back.  The intern key and the fingerprint
+    # read the value, not the directory.
+    value = Label({h: L3 for h in range(0, 300, 2)}, L1)
+    cut = ChunkedLabel.from_label(value)
+    grown = ChunkedLabel.from_label(Label({}, L1))
+    for h in range(300):
+        grown = labelops.sparse_update(grown, {h: L3}, None)
+    grown = labelops.sparse_update(grown, {h: L1 for h in range(1, 300, 2)}, None)
+    assert grown.to_label() == value
+    assert [len(c) for c in grown.chunks] != [len(c) for c in cut.chunks]
+    table = InternTable()
+    assert table.intern(grown) is table.intern(cut)
+    assert table.fingerprint(grown) == InternTable().fingerprint(cut)
 
 
 # -- (b) two live kernels, stepped alternately ---------------------------------------

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core import labelops
-from repro.core.chunks import CHUNK_CAPACITY, ChunkedLabel, OpStats
+from repro.core.chunks import CHUNK_CAPACITY, ChunkedLabel, OpStats, level_bit
 from repro.core.labels import Label
-from repro.core.levels import ALL_LEVELS, STAR
+from repro.core.levels import ALL_LEVELS, L3, STAR
 
 levels = st.sampled_from(ALL_LEVELS)
 handles = st.integers(min_value=0, max_value=400)
@@ -52,6 +52,23 @@ class LabelLifecycle(RuleBasedStateMachine):
             else:
                 self.model[handle] = level
 
+    @rule(start=handles, count=st.integers(CHUNK_CAPACITY + 1, 150), level=levels)
+    def fill_a_range(self, start, count, level):
+        # More neighbours than a chunk holds: the routed chunk overflows
+        # and splits, and the label goes (or stays) multi-chunk.
+        self.sparse_update_batch({start + i: level for i in range(count)})
+
+    @rule(level=levels)
+    def retire_a_level(self, level):
+        # All but one entry at *level* go, then the last one on its own:
+        # sparse_update carries the level mask forward, and this is where a
+        # level leaves the label while other chunks carry on untouched.
+        holders = sorted(h for h, lvl in self.model.items() if lvl == level)
+        if holders:
+            self.sparse_update_batch({h: self.default for h in holders[:-1]})
+            self.aggregates_match_a_recompute()
+            self.sparse_update(holders[-1], self.default)
+
     @rule(es=small_labels, ds=small_labels)
     def apply_effects(self, es, ds):
         self.label = labelops.apply_send_effects(
@@ -88,12 +105,22 @@ class LabelLifecycle(RuleBasedStateMachine):
                 assert level != self.label.default  # normalised
 
     @invariant()
-    def hints_are_correct(self):
-        levels_present = [lvl for _, lvl in self.label.iter_entries()]
-        if levels_present:
-            assert self.label.explicit_min == min(levels_present)
-            assert self.label.explicit_max == max(levels_present)
-        assert self.label.min_level == min(levels_present + [self.label.default])
+    def aggregates_match_a_recompute(self):
+        # What sparse_update's splice carries forward instead of walking
+        # the directory for it, against that walk.
+        label, chunks = self.label, self.label.chunks
+        assert label._los == tuple(chunk.lo for chunk in chunks)
+        assert len(label) == sum(len(chunk) for chunk in chunks) == len(self.model)
+        mask = 0
+        for level in self.model.values():
+            mask |= level_bit(level)
+        assert label.level_mask == mask
+        present = sorted(set(self.model.values()))
+        assert label.explicit_min == (present[0] if present else L3)
+        assert label.explicit_max == (present[-1] if present else STAR)
+        assert label.min_level == min(present + [label.default])
+        assert label.max_level == max(present + [label.default])
+        assert label.summary == (len(self.model), label.min_level, label.max_level)
 
     @invariant()
     def nonstar_view_is_consistent(self):

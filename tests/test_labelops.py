@@ -1,12 +1,15 @@
 """Property tests: the fused kernel label operations are exactly
 equivalent to the naive Figure 4 reference semantics."""
 
+import dataclasses
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import labelops as lo
 from repro.core.chunks import ChunkedLabel, OpStats
 from repro.core.labels import Label
-from repro.core.levels import ALL_LEVELS, L1, L2, L3, STAR
+from repro.core.levels import ALL_LEVELS, L0, L1, L2, L3, STAR
 
 levels = st.sampled_from(ALL_LEVELS)
 labels = st.builds(
@@ -204,3 +207,115 @@ def test_balanced_runs_ceil_boundaries():
         assert len(runs) == -(-n // CHUNK_CAPACITY)
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
+
+
+# -- the billed counts, pinned -----------------------------------------------------------
+#
+# ``OpStats`` is what ``label_cost_mode="fused"`` and BENCH_labelops bill
+# from, and chunk boundaries are what Figure 6's shared-chunk accounting
+# reads.  This is the host-time-free twin of the BENCH_labelops guard: one
+# seeded lifetime of a label under every kind of update the kernel makes,
+# held to the counts the tuple-of-pairs representation (PR 17) produced.
+# A representation change must reproduce them; a change that means to move
+# a bill re-records them, beside the BENCH baselines it regenerates.
+
+GOLDEN_STATS = {
+    "entries_scanned": 275459,
+    "chunks_skipped": 0,
+    "labels_allocated": 1803,
+    "chunks_allocated": 5165,
+    "chunks_shared": 22174,
+    "operations": 447,
+    "fast_path": 322,
+    "full_merges": 125,
+}
+GOLDEN_CHUNK_SIZES = [33, 32, 58, 59, 47, 47, 33, 32, 64, 33, 32, 64, 64, 24]
+
+
+def test_seeded_label_lifetime_reproduces_the_recorded_counts():
+    rng = random.Random(2005)
+    stats = OpStats()
+    label = _c(Label({}, L1))
+    live = []  # handles believed explicit; going stale is part of the mix
+    peak = 0
+
+    def fresh():
+        return rng.randrange(1, 1 << 24)
+
+    def level_not(default):
+        return rng.choice([lvl for lvl in ALL_LEVELS if lvl != default])
+
+    for step in range(2000):
+        grow = step < 1000 or step >= 1500
+        roll = rng.random()
+        if roll < 0.12:
+            # Figure 4 effects: contaminate with a small ES, grant with a small DS.
+            es = Label(
+                {
+                    rng.choice(live) if live and rng.random() < 0.5 else fresh(): L3
+                    for _ in range(rng.randrange(0, 3))
+                },
+                rng.choice([STAR, L0, L1, L1] if step < 1700 else [L1, L2]),
+            )
+            ds = Label(
+                {
+                    rng.choice(live): rng.choice([STAR, L0, L1])
+                    for _ in range(rng.randrange(0, 2))
+                    if live
+                },
+                L3,
+            )
+            label = lo.apply_send_effects(label, _c(es), _c(ds), stats)
+        elif roll < 0.22:
+            dr = Label(
+                {
+                    rng.choice(live) if live and rng.random() < 0.5 else fresh(): rng.choice(
+                        [L2, L3]
+                    )
+                    for _ in range(rng.randrange(0, 3))
+                },
+                STAR if rng.random() < 0.97 else L1,
+            )
+            label = lo.raise_receive(label, _c(dr), stats)
+        elif roll < 0.245:
+            # A burst of neighbouring handles: overflows one chunk, forcing
+            # an even split.
+            base = fresh()
+            burst = {
+                base + i: level_not(label.default) for i in range(rng.randrange(66, 80))
+            }
+            label = lo.sparse_update(label, burst, stats)
+            live.extend(burst)
+        elif roll < 0.40:
+            # Multi-handle update: inserts, overwrites and deletes together.
+            updates = {}
+            for _ in range(rng.randrange(2, 9)):
+                if live and rng.random() < 0.6:
+                    updates[rng.choice(live)] = rng.choice(ALL_LEVELS)
+                else:
+                    handle = fresh()
+                    updates[handle] = rng.choice(ALL_LEVELS)
+                    live.append(handle)
+            label = lo.sparse_update(label, updates, stats)
+        elif roll < (0.75 if grow else 0.45):
+            handle = fresh()
+            live.append(handle)
+            label = lo.sparse_update(label, {handle: level_not(label.default)}, stats)
+        elif roll < (0.85 if grow else 0.55) and live:
+            label = lo.sparse_update(
+                label, {rng.choice(live): level_not(label.default)}, stats
+            )
+        elif live:
+            # Delete-to-default; in the shrink phase whole swathes go, which
+            # fragments the label until the wholesale rebalance fires.
+            count = 1 if grow else rng.randrange(1, 40)
+            gone = {
+                live.pop(rng.randrange(len(live))): label.default
+                for _ in range(min(count, len(live)))
+            }
+            label = lo.sparse_update(label, gone, stats)
+        peak = max(peak, len(label))
+
+    assert peak > 1000  # the mix reaches the sizes it claims to cover
+    assert dataclasses.asdict(stats) == GOLDEN_STATS
+    assert [len(chunk) for chunk in label.chunks] == GOLDEN_CHUNK_SIZES
