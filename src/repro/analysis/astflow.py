@@ -76,8 +76,8 @@ SYSCALL_NAMES = frozenset(
 #: Level constants resolvable in label literals.
 LEVEL_CONSTS = {"STAR": STAR, "L0": 0, "L1": L1, "L2": L2, "L3": L3}
 
-#: Positional argument order of the Send dataclass (short Figure 4 names;
-#: the long spellings are accepted as keyword aliases below).
+#: Positional argument order of the Send dataclass, which is also the
+#: leading signature of ``Channel.call`` / ``Channel.call_nowait``.
 SEND_FIELDS = (
     "port",
     "payload",
@@ -87,6 +87,9 @@ SEND_FIELDS = (
     "dr",
     "transfer",
 )
+
+#: ``Channel`` methods that send before they receive.
+CHANNEL_SENDS = ("call", "call_nowait")
 
 MAX_LOOP_ITERATIONS = 8
 
@@ -237,10 +240,14 @@ def _own_nodes(fn: ast.FunctionDef):
 
 
 def _yields_syscalls(fn: ast.FunctionDef) -> bool:
+    """True when *fn* yields a syscall itself or sends through
+    ``yield from <channel>.call(...)``."""
     for node in _own_nodes(fn):
-        if isinstance(node, ast.Yield) and isinstance(node.value, ast.Call):
-            name = _callee_name(node.value)
-            if name in SYSCALL_NAMES:
+        if isinstance(node, (ast.Yield, ast.YieldFrom)) and isinstance(
+            node.value, ast.Call
+        ):
+            names = SYSCALL_NAMES if isinstance(node, ast.Yield) else CHANNEL_SENDS
+            if _callee_name(node.value) in names:
                 return True
     return False
 
@@ -518,10 +525,18 @@ class ProgramAnalyzer:
 
     def apply_yield_from(self, node: ast.YieldFrom, state: FlowState) -> Value:
         """``yield from`` a sub-generator.  ``Channel.open`` is modelled
-        exactly (new port, opened, ⋆ held); everything else may receive
-        messages on our behalf, so the state is widened."""
+        exactly (new port, opened, ⋆ held) and ``<channel>.call`` /
+        ``.call_nowait`` is a ``Send`` of its leading arguments followed by
+        a receive; everything else may receive messages on our behalf, so
+        the state is widened."""
         call = node.value
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            if call.func.attr in CHANNEL_SENDS and isinstance(
+                self.resolve(call.func.value, state), ChannelVal
+            ):
+                self.apply_send(call, state)
+                state.abstract = state.abstract.after_receive()
+                return UNKNOWN
             if (
                 call.func.attr == "open"
                 and isinstance(call.func.value, ast.Name)
@@ -644,10 +659,10 @@ class ProgramAnalyzer:
         args = self._bind_args(call, SEND_FIELDS)
         port_val = self.resolve(args.get("port"), state)
 
-        cs = self._label_arg(args.get("cs", args.get("contaminate")), state)
-        ds = self._label_arg(args.get("ds", args.get("decontaminate_send")), state)
-        v = self._label_arg(args.get("v", args.get("verify")), state)
-        dr = self._label_arg(args.get("dr", args.get("decontaminate_receive")), state)
+        cs = self._label_arg(args.get("cs"), state)
+        ds = self._label_arg(args.get("ds"), state)
+        v = self._label_arg(args.get("v"), state)
+        dr = self._label_arg(args.get("dr"), state)
 
         ps = state.abstract.ps
         es = ps.join(cs) if cs is not None else ps
@@ -696,9 +711,9 @@ class ProgramAnalyzer:
                     call,
                     R.TAINT_CREEP,
                     f"send label provably carries taint above the default "
-                    f"({pretty}) but the send states no contaminate=; the "
+                    f"({pretty}) but the send states no cs=; the "
                     "receiver is contaminated implicitly (taint creep) — "
-                    "declare the contamination or exclude it with verify=",
+                    "declare the contamination or exclude it with v=",
                 )
 
         # ASB003: decontamination without ⋆.
@@ -744,7 +759,7 @@ class ProgramAnalyzer:
                     self.emit(
                         call,
                         R.DECLASSIFY_NO_STAR,
-                        f"decontaminate_send grants {self.describe(token)} "
+                        f"ds= grants {self.describe(token)} "
                         f"below 3, which requires PS({self.describe(token)}) "
                         "= *; this process provably holds no * for it — the "
                         "kernel will silently drop the send",
@@ -753,7 +768,7 @@ class ProgramAnalyzer:
                 self.emit(
                     call,
                     R.DECLASSIFY_NO_STAR,
-                    "decontaminate_send lowers its default below 3, which "
+                    "ds= lowers its default below 3, which "
                     "requires * at every handle; this process provably "
                     "cannot hold that — the kernel will silently drop the "
                     "send",
@@ -764,7 +779,7 @@ class ProgramAnalyzer:
                     self.emit(
                         call,
                         R.DECLASSIFY_NO_STAR,
-                        f"decontaminate_receive raises {self.describe(token)} "
+                        f"dr= raises {self.describe(token)} "
                         f"above *, which requires PS({self.describe(token)}) "
                         "= *; this process provably holds no * for it — the "
                         "kernel will silently drop the send",
@@ -773,7 +788,7 @@ class ProgramAnalyzer:
                 self.emit(
                     call,
                     R.DECLASSIFY_NO_STAR,
-                    "decontaminate_receive raises its default above *, which "
+                    "dr= raises its default above *, which "
                     "requires * at every handle; this process provably "
                     "cannot hold that — the kernel will silently drop the "
                     "send",

@@ -2,7 +2,7 @@
 
 ``asblint`` reasons about programs *before* they run, so it never knows a
 label exactly: the process send label depends on which messages arrived,
-a ``verify=`` argument may be computed, handle values are allocated at
+a ``v=`` argument may be computed, handle values are allocated at
 runtime.  What it can know is *bounds*.  The domain here abstracts each
 label as a function from **symbolic handles** (tokens naming source-level
 values: "the port bound to ``session_port``", "the expression

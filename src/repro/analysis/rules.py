@@ -10,22 +10,21 @@ to warn on possibilities.
 - **ASB001 never-pass**: the Figure 4 delivery check
   ``ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR`` cannot pass: the lower bound of the
   effective send label exceeds the upper bound of the right-hand side at
-  some handle (usually because ``verify=`` pins V below taint the sender
+  some handle (usually because ``v=`` pins V below taint the sender
   provably carries, or the target port's label is still the closed
   ``{p 0}``).  The kernel will drop the message silently, forever.
 
 - **ASB002 taint-creep**: a send provably carries taint above the
   default send level (the program raised its own label with
-  ``ChangeLabel(send=...)``) but passes no ``contaminate=``: every
-  receiver is contaminated implicitly.  The paper's discipline is that
+  ``ChangeLabel(send=...)``) but passes no ``cs=``: every receiver is
+  contaminated implicitly.  The paper's discipline is that
   contamination crossing a trust boundary is spelled out as CS (or
-  excluded with ``verify=``); implicit creep is how one mislabeled
+  excluded with ``v=``); implicit creep is how one mislabeled
   worker quietly taints a whole service.
 
-- **ASB003 declassify-no-star**: a decontaminating label —
-  ``decontaminate_send`` below 3, ``decontaminate_receive`` above ⋆, or
-  a ``ChangeLabel(raise_receive=...)`` — at a handle for which the
-  process provably does *not* hold ⋆.  Figure 4's requirements (2)/(3)
+- **ASB003 declassify-no-star**: a decontaminating label — ``ds=``
+  below 3, ``dr=`` above ⋆, or a ``ChangeLabel(raise_receive=...)`` —
+  at a handle for which the process provably does *not* hold ⋆.  Figure 4's requirements (2)/(3)
   make the kernel drop the send (or fault the change_label); since the
   drop is silent, this is the classic "why does my grant never arrive"
   bug.
@@ -67,8 +66,8 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         TAINT_CREEP,
         "taint-creep",
-        "send provably carries self-raised taint but no explicit "
-        "contaminate=; the receiver is contaminated implicitly",
+        "send provably carries self-raised taint but no explicit cs=; the "
+        "receiver is contaminated implicitly",
     ),
     Rule(
         DECLASSIFY_NO_STAR,

@@ -33,7 +33,6 @@ HANDLE_SPACE = 1 << HANDLE_BITS
 # sized to each half.
 _LEFT_BITS = 30
 _RIGHT_BITS = 31
-_LEFT_MASK = (1 << _LEFT_BITS) - 1
 _RIGHT_MASK = (1 << _RIGHT_BITS) - 1
 _ROUNDS = 8
 

@@ -20,7 +20,7 @@ spellings of the same function compare (and hash) equal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.core.handles import HANDLE_SPACE, Handle
 from repro.core.levels import (
@@ -30,9 +30,7 @@ from repro.core.levels import (
     STAR,
     Level,
     check_level,
-    level_from_wire,
     level_name,
-    level_to_wire,
 )
 
 
@@ -208,28 +206,6 @@ class Label:
         """True if this (send) label holds ``*`` for *handle*, i.e. the
         process controls — may declassify within — that compartment."""
         return self(handle) == STAR
-
-    # -- wire encoding (Section 5.6 user-space format) --------------------------
-
-    def to_words(self) -> Tuple[int, ...]:
-        """Pack into 64-bit words: handle in the upper 61 bits, level wire
-        code in the lower 3.  The final word carries handle 0 with the
-        default level (a sentinel mirroring the paper's trailing default)."""
-        words = [
-            (handle << 3) | level_to_wire(level) for handle, level in self.entries()
-        ]
-        words.append(level_to_wire(self._default))
-        return tuple(words)
-
-    @classmethod
-    def from_words(cls, words: Iterable[int]) -> "Label":
-        """Inverse of :meth:`to_words`."""
-        seq = list(words)
-        if not seq:
-            raise ValueError("empty word sequence has no default level")
-        default = level_from_wire(seq[-1] & 0b111)
-        entries = {word >> 3: level_from_wire(word & 0b111) for word in seq[:-1]}
-        return cls(entries, default)
 
     # -- value semantics ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ from repro.ipc.protocol import (
     reply_to,
     request,
 )
-from repro.ipc.rpc import CallTimeout, Channel, serve_forever
+from repro.ipc.rpc import CallTimeout, Channel
 
 __all__ = [
     "CONTROL",
@@ -36,5 +36,4 @@ __all__ = [
     "request",
     "CallTimeout",
     "Channel",
-    "serve_forever",
 ]

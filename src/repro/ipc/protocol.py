@@ -74,7 +74,3 @@ def reply_to(req: Dict[str, Any], msg_type: Optional[str] = None, **fields: Any)
         payload["req"] = req["req"]
     payload.update(fields)
     return payload
-
-
-def is_error(payload: Dict[str, Any]) -> bool:
-    return isinstance(payload, dict) and payload.get("type") == ERROR_R

@@ -4,19 +4,19 @@ These helpers are *sub-generators*: program bodies use them with
 ``yield from``, so every kernel interaction still flows through the
 body's own generator and the scheduler sees each syscall.
 
-A :class:`Channel` owns a reply port and implements the ubiquitous
-call-and-wait-for-reply pattern.  ``serve_forever`` is the standard
-request loop for simple (non-event-process) servers.
+A :class:`Channel` owns a reply port and is the one implementation of the
+reply-wait protocol: stamp a ``req``, send, wait on the reply port with a
+timeout, discard replies echoing another ``req``, re-send.  Servers echo
+``req`` with :func:`repro.ipc.protocol.reply_to`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.core.handles import Handle
 from repro.core.labels import Label
-from repro.kernel.message import Message
-from repro.kernel.syscalls import Deadline, NewPort, Recv, Send, SetPortLabel
+from repro.kernel.syscalls import NewPort, Recv, Send, SetPortLabel
 
 
 class CallTimeout(Exception):
@@ -48,11 +48,10 @@ class Channel:
 
     def __init__(self, port: Handle):
         self.port = port
-        #: Monotonic per-channel request number; stamped into every
-        #: ``call``/``call_nowait`` payload as ``req`` so stale replies
-        #: (from retried or abandoned requests) can be recognised and
-        #: discarded.  Servers echo it via :func:`~repro.ipc.protocol
-        #: .reply_to`.
+        #: Monotonic per-channel request number, stamped into every
+        #: request as ``req``.  One counter per reply port makes the
+        #: replies of everything sharing the port disjoint by
+        #: construction.
         self._req_seq = 0
 
     @classmethod
@@ -60,6 +59,33 @@ class Channel:
         port = yield NewPort()
         yield SetPortLabel(port, port_label if port_label is not None else Label.top())
         return cls(port)
+
+    def _stamp(self, payload: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
+        """A copy of *payload* with ``reply`` pointing here and the next
+        ``req`` number; returns ``(payload, req)``."""
+        self._req_seq += 1
+        payload = dict(payload)
+        payload["reply"] = self.port
+        payload["req"] = self._req_seq
+        return payload, self._req_seq
+
+    def await_reply(self, req: int, timeout: Optional[int]) -> Generator:
+        """The next message on the reply port that answers *req*, or
+        ``None`` once *timeout* cycles pass with nothing deliverable.
+
+        A dict payload echoing a different ``req`` is a stale duplicate —
+        the answer to a request already retried or abandoned — and is
+        skipped.  ``req`` is plumbing, not part of the caller-visible
+        reply, and is popped from the payload.
+        """
+        while True:
+            msg = yield Recv(port=self.port, timeout=timeout)
+            if msg is not None and isinstance(msg.payload, dict):
+                seen = msg.payload.get("req")
+                if seen is not None and seen != req:
+                    continue
+                msg.payload.pop("req", None)
+            return msg
 
     def call(
         self,
@@ -72,14 +98,12 @@ class Channel:
         deadline: Optional[int] = None,
         retries: int = 0,
         backoff: float = 2.0,
-        **aliases: Optional[Label],
     ) -> Generator:
         """Send *payload* (with ``reply`` pointing here) and await the
-        reply.  Returns the reply :class:`Message`.
+        reply.  Returns the reply :class:`~repro.kernel.message.Message`.
 
-        The discretionary labels use the paper's short names ``cs`` /
-        ``ds`` / ``v`` / ``dr`` (the long spellings ``contaminate`` etc.
-        are accepted as aliases, exactly as on :class:`Send`).
+        The discretionary labels are Figure 4's ``cs`` / ``ds`` / ``v`` /
+        ``dr``, exactly as on :class:`~repro.kernel.syscalls.Send`.
 
         Asbestos sends are unreliable: either leg can be silently dropped
         by a label check, a queue limit, or an injected fault, and with
@@ -89,39 +113,21 @@ class Channel:
         the per-attempt deadline growing by ``backoff``× each round, and
         :class:`CallTimeout` is raised when all attempts are exhausted.
 
-        Every call stamps a fresh per-channel ``req`` number into the
-        payload; servers echo it (``reply_to`` copies ``req`` like
-        ``tag``), and replies carrying a stale ``req`` — duplicates from a
-        slow first attempt that was already retried — are discarded here,
-        so a retried call never returns another request's answer.
+        Every attempt of one call carries the same ``req``, so a server
+        can deduplicate a replayed request and a slow answer to an
+        earlier attempt still completes the call; a reply to any *other*
+        call is discarded by :meth:`await_reply`.
         """
-        self._req_seq += 1
-        req = self._req_seq
-        payload = dict(payload)
-        payload["reply"] = self.port
-        payload["req"] = req
+        payload, req = self._stamp(payload)
         attempts = max(1, 1 + retries) if deadline is not None else 1
         timeout = deadline
-        for attempt in range(attempts):
-            yield Send(port, payload, cs=cs, ds=ds, v=v, dr=dr, **aliases)
-            while True:
-                msg = yield Recv(port=self.port, timeout=timeout)
-                if msg is None:
-                    break  # this attempt timed out
-                if isinstance(msg.payload, dict):
-                    seen = msg.payload.get("req")
-                    if seen is not None and seen != req:
-                        continue  # stale duplicate from an earlier request
-                    # The request number is call() plumbing, not part of
-                    # the caller-visible reply.
-                    msg.payload.pop("req", None)
+        for _ in range(attempts):
+            yield Send(port, payload, cs=cs, ds=ds, v=v, dr=dr)
+            msg = yield from self.await_reply(req, timeout)
+            if msg is not None:
                 return msg
-            if deadline is None:
-                # Unbounded call woken spuriously; keep waiting.
-                continue
-            if attempt + 1 < attempts:
-                timeout = int(timeout * backoff)
-        raise CallTimeout(port, attempts, deadline or 0)
+            timeout = int(timeout * backoff)
+        raise CallTimeout(port, attempts, deadline)
 
     def call_nowait(
         self,
@@ -131,59 +137,10 @@ class Channel:
         ds: Optional[Label] = None,
         v: Optional[Label] = None,
         dr: Optional[Label] = None,
-        **aliases: Optional[Label],
     ) -> Generator:
-        """Send *payload* with ``reply``/``req`` stamped like :meth:`call`,
-        but return immediately with the ``req`` number instead of waiting.
-
-        Collect the reply later with ``recv(timeout=...)``, matching its
-        payload's ``req`` against the returned number.  For the common
-        bounded-wait case, prefer ``call(..., deadline=...)`` — the real
-        mechanism is the kernel timer behind ``Recv(timeout=...)``, which
-        both paths share.
-        """
-        self._req_seq += 1
-        req = self._req_seq
-        payload = dict(payload)
-        payload["reply"] = self.port
-        payload["req"] = req
-        yield Send(port, payload, cs=cs, ds=ds, v=v, dr=dr, **aliases)
+        """Send *payload* stamped like :meth:`call`, but return the
+        ``req`` number at once.  Collect the replies — a streamed answer
+        has several — with ``await_reply(req, timeout)``."""
+        payload, req = self._stamp(payload)
+        yield Send(port, payload, cs=cs, ds=ds, v=v, dr=dr)
         return req
-
-    def recv(self, block: bool = True, timeout: Optional[int] = None) -> Generator:
-        msg = yield Recv(port=self.port, block=block, timeout=timeout)
-        return msg
-
-    def sleep(self, cycles: int) -> Generator:
-        """Block for *cycles* of simulated time (retry backoff helper)."""
-        yield Deadline(cycles)
-
-
-def serve_forever(
-    port: Handle,
-    handler: Callable[[Message], Generator],
-) -> Generator:
-    """The standard server loop: receive on *port*, run *handler* (a
-    generator function: it may itself yield syscalls), forever.
-
-    The handler returns the reply payload (or ``None`` for no reply); the
-    reply is sent to the request's ``reply`` port if present.
-    """
-    while True:
-        msg = yield Recv(port=port)
-        result = yield from handler(msg)
-        reply_port = None
-        if isinstance(msg.payload, dict):
-            reply_port = msg.payload.get("reply")
-        if result is not None and reply_port is not None:
-            if (
-                isinstance(msg.payload, dict)
-                and isinstance(result, dict)
-                and "req" in msg.payload
-                and "req" not in result
-            ):
-                # Echo the caller's request number so retried calls can
-                # match replies (handlers using reply_to get this free).
-                result = dict(result)
-                result["req"] = msg.payload["req"]
-            yield Send(reply_port, result)

@@ -70,7 +70,7 @@ class SetPortLabel(Syscall):
     label: Label
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Send(Syscall):
     """Send *payload* to *port* — the full Figure 4 send.
 
@@ -85,12 +85,6 @@ class Send(Syscall):
       the receiving application (proves credentials).
     - ``dr`` (DR): raises the receiver's receive label (requires
       ``PS(h) = *`` wherever DR(h) > *, and DR ⊑ pR).
-
-    The long spellings ``contaminate`` / ``decontaminate_send`` /
-    ``verify`` / ``decontaminate_receive`` are accepted as constructor
-    aliases and exposed as read-only properties; the short names are
-    canonical (they match the paper, :meth:`Channel.call
-    <repro.ipc.rpc.Channel.call>`, and the OKWS helpers).
 
     Result: always ``True`` — sends are asynchronous and *unreliable*;
     a message that fails its delivery-time label check is silently dropped
@@ -109,65 +103,6 @@ class Send(Syscall):
     #: a label check the ports are dissociated — returning them would be
     #: a delivery-notification channel.
     transfer: Tuple[Handle, ...] = ()
-
-    _ALIASES = {
-        "contaminate": "cs",
-        "decontaminate_send": "ds",
-        "verify": "v",
-        "decontaminate_receive": "dr",
-    }
-
-    def __init__(
-        self,
-        port: Handle,
-        payload: Any = None,
-        cs: Optional[Label] = None,
-        ds: Optional[Label] = None,
-        v: Optional[Label] = None,
-        dr: Optional[Label] = None,
-        transfer: Tuple[Handle, ...] = (),
-        **aliases: Optional[Label],
-    ):
-        if aliases:
-            short = {"cs": cs, "ds": ds, "v": v, "dr": dr}
-            for long_name, value in aliases.items():
-                target = self._ALIASES.get(long_name)
-                if target is None:
-                    raise TypeError(
-                        f"Send() got an unexpected keyword argument {long_name!r}"
-                    )
-                if value is not None:
-                    if short[target] is not None:
-                        raise TypeError(
-                            f"Send() got both {long_name!r} and its short "
-                            f"form {target!r}"
-                        )
-                    short[target] = value
-            cs, ds, v, dr = short["cs"], short["ds"], short["v"], short["dr"]
-        set_field = object.__setattr__
-        set_field(self, "port", port)
-        set_field(self, "payload", payload)
-        set_field(self, "cs", cs)
-        set_field(self, "ds", ds)
-        set_field(self, "v", v)
-        set_field(self, "dr", dr)
-        set_field(self, "transfer", transfer)
-
-    @property
-    def contaminate(self) -> Optional[Label]:
-        return self.cs
-
-    @property
-    def decontaminate_send(self) -> Optional[Label]:
-        return self.ds
-
-    @property
-    def verify(self) -> Optional[Label]:
-        return self.v
-
-    @property
-    def decontaminate_receive(self) -> Optional[Label]:
-        return self.dr
 
 
 @dataclass(frozen=True)
@@ -363,7 +298,3 @@ class Compute(Syscall):
 
     cycles: int
     category: Optional[str] = None
-
-
-SyscallResult = Any
-ProgramStep = Tuple[Syscall, SyscallResult]

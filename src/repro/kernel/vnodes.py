@@ -53,11 +53,6 @@ class VnodeTable:
     def get(self, handle: Handle) -> Optional[Vnode]:
         return self.table.get(handle)
 
-    def incref(self, handle: Handle) -> None:
-        vnode = self.table.get(handle)
-        if vnode is not None:
-            vnode.refcount += 1
-
     def decref(self, handle: Handle) -> None:
         vnode = self.table.get(handle)
         if vnode is None:

@@ -4,7 +4,7 @@ Three pieces, all out-of-band with respect to the simulated label system
 (nothing a simulated program can observe — cf. the drop log):
 
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and histograms wired through the kernel hot paths and the OKWS
+  histograms and mirrors wired through the kernel hot paths and the OKWS
   components, with near-zero overhead when disabled;
 - :mod:`repro.obs.spans` — a :class:`SpanRecorder` for the
   syscall→enqueue→delivery chains, exportable as Chrome ``trace_event``
@@ -19,7 +19,6 @@ spans=True))``.
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsScope,
@@ -29,7 +28,6 @@ from repro.obs.spans import SpanRecorder
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsScope",

@@ -1,4 +1,4 @@
-"""The metrics registry — counters, gauges and histograms for the kernel
+"""The metrics registry — counters, histograms and mirrors for the kernel
 and the OKWS components.
 
 Design constraints, in order:
@@ -26,7 +26,6 @@ from typing import Any, Dict, Optional, Union
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Mirror",
@@ -50,22 +49,6 @@ class Counter:
         self.value += n
 
     def snapshot(self) -> int:
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value (set, not accumulated)."""
-
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def snapshot(self) -> float:
         return self.value
 
 
@@ -133,9 +116,6 @@ class NullInstrument:
     def inc(self, n: int = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -146,13 +126,13 @@ class NullInstrument:
 #: The singleton null instrument.
 NULL = NullInstrument()
 
-Instrument = Union[Counter, Gauge, Histogram, Mirror, NullInstrument]
+Instrument = Union[Counter, Histogram, Mirror, NullInstrument]
 
 
 class MetricsRegistry:
     """A flat namespace of named instruments.
 
-    ``counter``/``gauge``/``histogram`` get-or-create; asking for an
+    ``counter``/``histogram`` get-or-create; asking for an
     existing name with a different kind is an error (it would silently
     fork the series).  When the registry is disabled every accessor
     returns :data:`NULL`, so call sites can bind instruments once at
@@ -181,9 +161,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Instrument:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Instrument:
-        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Instrument:
         return self._get(name, Histogram)
@@ -227,9 +204,6 @@ class MetricsScope:
 
     def counter(self, name: str) -> Instrument:
         return self._registry.counter(f"{self.prefix}.{name}")
-
-    def gauge(self, name: str) -> Instrument:
-        return self._registry.gauge(f"{self.prefix}.{name}")
 
     def histogram(self, name: str) -> Instrument:
         return self._registry.histogram(f"{self.prefix}.{name}")

@@ -23,7 +23,7 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L3, STAR
 from repro.ipc import protocol as P
-from repro.ipc.rpc import Channel
+from repro.ipc.rpc import CallTimeout, Channel
 from repro.kernel.clock import NETWORK, OKDB, OKWS
 from repro.kernel.kernel import Kernel
 from repro.kernel.errors import ResourceExhausted
@@ -37,7 +37,7 @@ from repro.kernel.syscalls import (
     Spawn,
 )
 from repro.okws.demux import demux_body
-from repro.okws.worker import make_worker_body
+from repro.okws.worker import RPC_RETRIES, make_worker_body
 from repro.servers.cache import cache_body
 from repro.servers.dbproxy import dbproxy_body
 from repro.servers.idd import idd_body
@@ -124,23 +124,32 @@ def launcher_body(ctx):
     def seed_site():
         """Seed the password table and site schema through the admin
         interface.  Skipped when dbproxy announced recovered state — a
-        store-backed restart must not re-create tables it just replayed."""
-        yield from chan.call(
-            dbproxy_admin,
-            P.request(
-                P.QUERY,
-                sql="CREATE TABLE users (uid INTEGER, name TEXT, password TEXT)",
-            ),
-        )
-        for statement in schema:
-            yield from chan.call(dbproxy_admin, P.request(P.QUERY, sql=statement))
+        store-backed restart must not re-create tables it just replayed.
+
+        Bounded and retried, raising :class:`CallTimeout` when ok-dbproxy
+        stays silent.  The admin port does not deduplicate by ``req``: a
+        replayed CREATE is refused (harmless) and a replayed BULK_INSERT
+        duplicates ``users`` rows, which idd's lookup (``rows[0]``)
+        tolerates."""
         rows = [
             {"uid": uid, "name": name, "password": password}
             for uid, (name, password) in enumerate(users, start=1)
         ]
-        yield from chan.call(
-            dbproxy_admin, P.request("BULK_INSERT", table="users", rows=rows)
-        )
+        for request in (
+            P.request(
+                P.QUERY,
+                sql="CREATE TABLE users (uid INTEGER, name TEXT, password TEXT)",
+            ),
+            *(P.request(P.QUERY, sql=statement) for statement in schema),
+            P.request("BULK_INSERT", table="users", rows=rows),
+        ):
+            yield from chan.call(
+                dbproxy_admin,
+                request,
+                deadline=WORKER_HELLO_TIMEOUT,
+                retries=RPC_RETRIES,
+                backoff=1,
+            )
 
     if not announce.payload.get("recovered"):
         yield from seed_site()
@@ -189,9 +198,28 @@ def launcher_body(ctx):
 
     # --- workers, each with its own verification handle -------------------------------
     configs: Dict[str, ServiceConfig] = {config.name: config for config in services}
-    # Obituaries that arrived while we were pumping for a WORKER_HELLO;
+    # Obituaries that arrived while we were pumping for something else;
     # the supervision loop drains these before blocking again.
     pending_exits: deque = deque()
+
+    def pump(wanted: Callable[[Dict[str, Any]], bool]):
+        """Wait on the main port for the payload *wanted* accepts.  Any
+        message that is not it (an obituary, a stale hello from a
+        predecessor) must not be eaten blindly — under faults message
+        order is not what boot-time code gets to assume: obituaries are
+        kept for the supervision loop, the rest is skipped.  Returns
+        ``None`` after WORKER_HELLO_TIMEOUT of silence."""
+        while True:
+            msg = yield Recv(port=port, timeout=WORKER_HELLO_TIMEOUT)
+            if msg is None:
+                return None
+            payload = msg.payload
+            if not isinstance(payload, dict):
+                continue
+            if payload.get("type") == "EXITED":
+                pending_exits.append(payload)
+            elif wanted(payload):
+                return payload
 
     def start_worker(config: ServiceConfig):
         """Mint a verification handle, tell ok-demux to expect it, spawn
@@ -220,36 +248,27 @@ def launcher_body(ctx):
         except ResourceExhausted:
             ctx.log(f"spawn of worker-{config.name} failed")
             return False
-        # Pump for this worker's hello; any message that is not it (an
-        # obituary, a stale hello from a predecessor) must not be eaten
-        # blindly — under faults message order is not what boot-time code
-        # gets to assume.
-        while True:
-            hello = yield Recv(port=port, timeout=WORKER_HELLO_TIMEOUT)
-            if hello is None:
-                ctx.log(f"worker-{config.name} never said hello")
-                return False
-            payload = hello.payload
-            if not isinstance(payload, dict):
-                continue
-            if payload.get("type") == "EXITED":
-                pending_exits.append(payload)
-                continue
-            if (
-                payload.get("type") == "WORKER_HELLO"
-                and payload.get("service") == config.name
-            ):
-                break
+        hello = yield from pump(
+            lambda p: p.get("type") == "WORKER_HELLO"
+            and p.get("service") == config.name
+        )
+        if hello is None:
+            ctx.log(f"worker-{config.name} never said hello")
+            return False
         # Hand the worker its configuration and the verification handle
         # itself, granted at ⋆ (it is the worker's identity compartment).
+        # The reply echoes the hello's ``req``: a duplicate of it, left on
+        # the worker's channel by a retried hello, must not pass for the
+        # acknowledgement of the REGISTER that follows.
         yield Send(
-            hello.payload["reply"],
-            {
-                "verify_handle": verify_handle,
-                "demux_port": demux_port,
-                "dbproxy_port": dbproxy_port,
-                "cache_port": cache_port,
-            },
+            hello["reply"],
+            P.reply_to(
+                hello,
+                verify_handle=verify_handle,
+                demux_port=demux_port,
+                dbproxy_port=dbproxy_port,
+                cache_port=cache_port,
+            ),
             ds=Label({verify_handle: STAR}, L3),
         )
         return True
@@ -319,21 +338,12 @@ def launcher_body(ctx):
         except ResourceExhausted:
             ctx.log("respawn of ok-dbproxy failed")
             return False
-        # Pump for the replacement's ANNOUNCE; obituaries and stale
-        # worker hellos may interleave, exactly as in start_worker.
-        while True:
-            msg = yield Recv(port=port, timeout=WORKER_HELLO_TIMEOUT)
-            if msg is None:
-                ctx.log("restarted ok-dbproxy never announced")
-                return False
-            payload = msg.payload
-            if not isinstance(payload, dict):
-                continue
-            if payload.get("type") == "EXITED":
-                pending_exits.append(payload)
-                continue
-            if payload.get("type") == "ANNOUNCE" and payload.get("who") == "ok-dbproxy":
-                break
+        payload = yield from pump(
+            lambda p: p.get("type") == "ANNOUNCE" and p.get("who") == "ok-dbproxy"
+        )
+        if payload is None:
+            ctx.log("restarted ok-dbproxy never announced")
+            return False
         ports_out = payload["ports"]
         dbproxy_port = ports_out["dbproxy_port"]
         dbproxy_admin = ports_out["dbproxy_admin_port"]
@@ -341,7 +351,13 @@ def launcher_body(ctx):
         if payload.get("recovered"):
             ctx.env["recoveries"] += 1
         else:
-            yield from seed_site()
+            try:
+                yield from seed_site()
+            except CallTimeout:
+                # The replacement went silent mid-seed; let the restart
+                # budget, not a hang, decide what happens next.
+                ctx.log("restarted ok-dbproxy never took its seed")
+                return False
         # idd still holds every user's handles at ⋆ (and the admin grant
         # from boot): it re-grants the bindings at the new grant port and
         # re-learns the new admin port for password checks.
@@ -364,6 +380,26 @@ def launcher_body(ctx):
                 yield from start_worker(config)
         return True
 
+    def supervise(service: str, now: int, attempt, give_up) -> Any:
+        """The supervision policy, once, for ok-dbproxy and the workers:
+        a restart storm or a spent budget gives the service up
+        (*give_up*); otherwise back off exponentially, on simulated time,
+        and run *attempt* until it reports a configured start."""
+        state = restart_state[service]
+        recent: List[int] = [t for t in state["recent"] if now - t < STORM_WINDOW]
+        recent.append(now)
+        state["recent"] = recent
+        if len(recent) > STORM_THRESHOLD:
+            ctx.log(f"restart storm for {service!r} ({len(recent)} in window)")
+            yield from give_up()
+            return
+        while state["count"] < RESTART_BUDGET:
+            state["count"] += 1
+            yield Deadline(RESTART_BACKOFF_BASE * (2 ** (state["count"] - 1)))
+            if (yield from attempt()):
+                return
+        yield from give_up()
+
     while True:
         if pending_exits:
             payload = pending_exits.popleft()
@@ -374,67 +410,29 @@ def launcher_body(ctx):
             continue
         name = payload.get("name", "")
         if name == "ok-dbproxy":
-            state = restart_state["ok-dbproxy"]
-            if state["failed"]:
-                continue
-            now = ctx.now
-            ctx.env["restarts"].append(
-                {
-                    "service": "ok-dbproxy",
-                    "at": now,
-                    "crashed": bool(payload.get("crashed")),
-                }
-            )
-            recent = [t for t in state["recent"] if now - t < STORM_WINDOW]
-            recent.append(now)
-            state["recent"] = recent
-            if len(recent) > STORM_THRESHOLD:
-                ctx.log(f"restart storm for ok-dbproxy ({len(recent)} in window)")
-                yield from fail_dbproxy()
-                continue
-            restarted = False
-            while not restarted:
-                if state["count"] >= RESTART_BUDGET:
-                    yield from fail_dbproxy()
-                    break
-                state["count"] += 1
-                yield Deadline(RESTART_BACKOFF_BASE * (2 ** (state["count"] - 1)))
-                restarted = yield from restart_dbproxy()
+            service = name
+        elif name.startswith("worker-") and name[len("worker-"):] in configs:
+            service = name[len("worker-"):]
+        else:
             continue
-        if not name.startswith("worker-"):
-            continue
-        service = name[len("worker-"):]
-        config = configs.get(service)
-        if config is None:
-            continue
-        state = restart_state[service]
-        if state["failed"]:
+        if restart_state[service]["failed"]:
             continue
         now = ctx.now
         ctx.env["restarts"].append(
             {"service": service, "at": now, "crashed": bool(payload.get("crashed"))}
         )
+        if name == "ok-dbproxy":
+            yield from supervise(service, now, restart_dbproxy, fail_dbproxy)
+            continue
         # While the replacement comes up, ok-demux answers 503 instead of
         # routing connections at a dead base port.
         yield Send(demux_port, P.request("DOWN", service=service))
-        recent: List[int] = [t for t in state["recent"] if now - t < STORM_WINDOW]
-        recent.append(now)
-        state["recent"] = recent
-        if len(recent) > STORM_THRESHOLD:
-            ctx.log(f"restart storm for {service!r} ({len(recent)} in window)")
-            yield from mark_failed(service)
-            continue
         # A fresh verification handle each time: the dead worker's identity
         # (and any leak of it) dies with it; ok-demux's EXPECT is replaced.
-        # Exponential backoff between attempts, enforced on simulated time.
-        started = False
-        while not started:
-            if state["count"] >= RESTART_BUDGET:
-                yield from mark_failed(service)
-                break
-            state["count"] += 1
-            yield Deadline(RESTART_BACKOFF_BASE * (2 ** (state["count"] - 1)))
-            started = yield from start_worker(config)
+        config = configs[service]
+        yield from supervise(
+            service, now, lambda: start_worker(config), lambda: mark_failed(service)
+        )
 
 
 def launch(

@@ -29,7 +29,7 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L0, L2, L3, STAR
 from repro.ipc import protocol as P
-from repro.ipc.rpc import Channel
+from repro.ipc.rpc import CallTimeout, Channel
 from repro.kernel.memory import PAGE_SIZE
 from repro.kernel.syscalls import (
     DissociatePort,
@@ -38,7 +38,6 @@ from repro.kernel.syscalls import (
     EpExit,
     EpYield,
     NewPort,
-    Recv,
     Send,
 )
 
@@ -86,32 +85,26 @@ class WorkerRequest:
     declassifier: bool = False
 
 
-def _bounded_call(
+def _request(
     chan: Channel,
     port: Handle,
     payload: Dict[str, Any],
-    req: str,
     error: str,
     **labels: Optional[Label],
 ) -> Generator:
-    """Send *payload* (already stamped with ``req``) and await the single
-    reply echoing it, retrying on timeout; replies carrying any other
-    ``req`` are stale leftovers of abandoned requests and are discarded.
-    Raises :class:`DbError` on a server ERROR_R or when every attempt times
-    out.  Streaming exchanges (SELECT) inline their own loop instead."""
-    for _ in range(1 + RPC_RETRIES):
-        yield Send(port, payload, **labels)
-        while True:
-            msg = yield Recv(port=chan.port, timeout=RPC_TIMEOUT)
-            if msg is None:
-                break  # this attempt timed out; send again
-            reply = msg.payload
-            if not isinstance(reply, dict) or reply.get("req") != req:
-                continue
-            if reply.get("type") == P.ERROR_R:
-                raise DbError(reply.get("error", error))
-            return reply
-    raise DbError(f"{error}: timed out")
+    """One bounded, retried exchange for the two clients below; returns
+    the reply payload.  A server ERROR_R, or silence through every
+    attempt, is a :class:`DbError`."""
+    try:
+        msg = yield from chan.call(
+            port, payload, deadline=RPC_TIMEOUT, retries=RPC_RETRIES, backoff=1,
+            **labels,
+        )
+    except CallTimeout:
+        raise DbError(f"{error}: timed out") from None
+    if msg.payload.get("type") == P.ERROR_R:
+        raise DbError(msg.payload.get("error", error))
+    return msg.payload
 
 
 class DbClient:
@@ -143,48 +136,33 @@ class DbClient:
         self._uid = uid
         self._taint = taint
         self._grant = grant
-        self._seq = 0  # "db-N" req namespace, disjoint from cache/read reqs
 
     def _grant_reply_port(self) -> Label:
         return Label({self._chan.port: STAR}, L3)
 
-    def _next_req(self) -> str:
-        self._seq += 1
-        return f"db-{self._seq}"
+    def _query(self, sql: str, params: tuple) -> Dict[str, Any]:
+        return P.request(P.QUERY, sql=sql, params=params, uid=self._uid)
 
     def select(self, sql: str, params: tuple = ()) -> Generator:
         """Run a SELECT; returns the list of visible rows."""
         for _ in range(1 + RPC_RETRIES):
             # Fresh req per attempt: rows of an abandoned attempt that
-            # straggle in later must not be double-counted.
-            req = self._next_req()
-            yield Send(
-                self._dbproxy,
-                P.request(
-                    P.QUERY,
-                    reply=self._chan.port,
-                    sql=sql,
-                    params=params,
-                    uid=self._uid,
-                    req=req,
-                ),
-                ds=self._grant_reply_port(),
+            # straggle in later must be discarded, not double-counted.
+            req = yield from self._chan.call_nowait(
+                self._dbproxy, self._query(sql, params), ds=self._grant_reply_port()
             )
             rows: List[Dict[str, Any]] = []
             while True:
-                msg = yield Recv(port=self._chan.port, timeout=RPC_TIMEOUT)
+                msg = yield from self._chan.await_reply(req, RPC_TIMEOUT)
                 if msg is None:
                     break  # timed out mid-stream; retry from scratch
-                payload = msg.payload
-                if not isinstance(payload, dict) or payload.get("req") != req:
-                    continue  # stale reply from an abandoned request
-                mtype = payload.get("type")
+                mtype = msg.payload.get("type")
                 if mtype == P.ROW_R:
-                    rows.append(payload["row"])
+                    rows.append(msg.payload["row"])
                 elif mtype == P.DONE_R:
                     return rows
                 elif mtype == P.ERROR_R:
-                    raise DbError(payload.get("error", "query failed"))
+                    raise DbError(msg.payload.get("error", "query failed"))
         raise DbError("query timed out")
 
     def write(self, sql: str, params: tuple = ()) -> Generator:
@@ -202,22 +180,14 @@ class DbClient:
         return (yield from self._write(sql, params, verify))
 
     def _write(self, sql: str, params: tuple, verify: Label) -> Generator:
-        # One req across retries: ok-dbproxy deduplicates replayed writes
-        # by (reply port, req), so a retry whose predecessor actually
-        # executed (only its reply was dropped) does not run twice.
-        req = self._next_req()
-        reply = yield from _bounded_call(
+        # One req across retries (Channel.call): ok-dbproxy deduplicates
+        # replayed writes by (reply port, req), so a retry whose
+        # predecessor actually executed (only its reply was dropped) does
+        # not run twice.
+        reply = yield from _request(
             self._chan,
             self._dbproxy,
-            P.request(
-                P.QUERY,
-                reply=self._chan.port,
-                sql=sql,
-                params=params,
-                uid=self._uid,
-                req=req,
-            ),
-            req,
+            self._query(sql, params),
             "write failed",
             v=verify,
             ds=self._grant_reply_port(),
@@ -249,48 +219,28 @@ class CacheClient:
         self._uid = uid
         self._taint = taint
         self._grant = grant
-        self._seq = 0  # "c-N" req namespace, disjoint from db/read reqs
 
     def _grant_reply_port(self) -> Label:
         return Label({self._chan.port: STAR}, L3)
-
-    def _next_req(self) -> str:
-        self._seq += 1
-        return f"c-{self._seq}"
 
     def put(self, key: str, value: Any) -> Generator:
         """Store *value* under this user.  Idempotent, so a retried PUT
         (same ``req``) replaying after a dropped reply is harmless."""
         verify = Label({self._taint: L3, self._grant: L0}, L2)
-        req = self._next_req()
-        yield from _bounded_call(
-            self._chan,
-            self._cache,
-            P.request(
-                "PUT", reply=self._chan.port, key=key, value=value,
-                uid=self._uid, req=req,
-            ),
-            req,
-            "cache put failed",
-            v=verify,
-            ds=self._grant_reply_port(),
-        )
-        return True
+        return (yield from self._put(key, value, verify))
 
     def put_public(self, key: str, value: Any) -> Generator:
         """Declassify *value* into the public cache (requires uT ⋆ — a
         declassifier worker)."""
-        req = self._next_req()
-        yield from _bounded_call(
+        return (yield from self._put(key, value, Label({self._taint: STAR}, L2)))
+
+    def _put(self, key: str, value: Any, verify: Label) -> Generator:
+        yield from _request(
             self._chan,
             self._cache,
-            P.request(
-                "PUT", reply=self._chan.port, key=key, value=value,
-                uid=self._uid, req=req,
-            ),
-            req,
+            P.request("PUT", key=key, value=value, uid=self._uid),
             "cache put failed",
-            v=Label({self._taint: STAR}, L2),
+            v=verify,
             ds=self._grant_reply_port(),
         )
         return True
@@ -298,19 +248,15 @@ class CacheClient:
     def get(self, key: str, owner: Optional[int] = None) -> Generator:
         """Fetch (value, hit) for *key*; ``owner=0`` reads the public
         namespace, default is this user's own entries."""
-        req = self._next_req()
-        reply = yield from _bounded_call(
+        reply = yield from _request(
             self._chan,
             self._cache,
             P.request(
                 "GET",
-                reply=self._chan.port,
                 key=key,
                 uid=self._uid,
                 owner=self._uid if owner is None else owner,
-                req=req,
             ),
-            req,
             "cache get failed",
             ds=self._grant_reply_port(),
         )
@@ -335,21 +281,18 @@ def make_worker_body(service: str, handler: Handler, declassifier: bool = False)
         # Say hello until the launcher's config arrives: either leg can be
         # dropped.  If it never does, exit — our obituary reaches the
         # launcher's supervision loop and we are restarted fresh.
-        cfg = None
-        for _ in range(1 + RPC_RETRIES):
-            yield Send(
+        try:
+            setup = yield from chan.call(
                 launcher_port,
-                P.request("WORKER_HELLO", reply=chan.port, service=service),
+                P.request("WORKER_HELLO", service=service),
+                deadline=RPC_TIMEOUT,
+                retries=RPC_RETRIES,
+                backoff=1,
             )
-            setup = yield Recv(port=chan.port, timeout=RPC_TIMEOUT)
-            if setup is None:
-                continue
-            if isinstance(setup.payload, dict) and "verify_handle" in setup.payload:
-                cfg = setup.payload
-                break
-        if cfg is None:
+        except CallTimeout:
             ctx.log(f"worker {service!r} never configured; exiting for restart")
             return
+        cfg = setup.payload
         verify_handle: Handle = cfg["verify_handle"]  # granted at ⋆ via DS
         demux_port: Handle = cfg["demux_port"]
         dbproxy_port: Handle = cfg["dbproxy_port"]
@@ -366,26 +309,17 @@ def make_worker_body(service: str, handler: Handler, declassifier: bool = False)
         # retried: an unacknowledged REGISTER lost to a drop would leave
         # ok-demux answering 503 for this service forever.
         base_port = yield NewPort()
-        registered = False
-        for _ in range(1 + RPC_RETRIES):
-            yield Send(
+        try:
+            yield from chan.call(
                 demux_port,
-                P.request(
-                    P.REGISTER, service=service, port=base_port,
-                    reply=chan.port, req="reg",
-                ),
+                P.request(P.REGISTER, service=service, port=base_port),
                 v=Label({verify_handle: L0}, L3),
                 ds=Label({base_port: STAR}, L3),
+                deadline=RPC_TIMEOUT,
+                retries=RPC_RETRIES,
+                backoff=1,
             )
-            while not registered:
-                ack = yield Recv(port=chan.port, timeout=RPC_TIMEOUT)
-                if ack is None:
-                    break  # re-send the REGISTER (idempotent: no sessions yet)
-                if isinstance(ack.payload, dict) and ack.payload.get("req") == "reg":
-                    registered = True
-            if registered:
-                break
-        if not registered:
+        except CallTimeout:
             ctx.log(f"worker {service!r} REGISTER never acknowledged; exiting")
             return
         # The config channel is done.  Dissociate it: after EpCheckpoint a
@@ -432,7 +366,6 @@ def make_worker_body(service: str, handler: Handler, declassifier: bool = False)
                 ectx.mem.store("session", {})
 
             msg = first_msg
-            read_seq = 0
             while True:
                 if not isinstance(msg.payload, dict) or "conn" not in msg.payload:
                     # Resumed by a stray late reply, not a CONNECT: wait
@@ -445,28 +378,17 @@ def make_worker_body(service: str, handler: Handler, declassifier: bool = False)
                 # Read the request body from netd over uC, granting netd
                 # the right to reply on our channel (step 8 of Figure 5).
                 # Bounded and retried: a dropped READ (or READ_R) must not
-                # wedge the session forever.  Fresh req per attempt so a
-                # straggler from an abandoned read is recognised as stale.
-                body_msg = None
-                for _ in range(1 + RPC_RETRIES):
-                    read_seq += 1
-                    read_req = f"read-{read_seq}"
-                    yield Send(
+                # wedge the session forever.
+                try:
+                    body_msg = yield from ep_chan.call(
                         conn,
-                        P.request(P.READ, reply=ep_chan.port, req=read_req),
+                        P.request(P.READ),
                         ds=Label({ep_chan.port: STAR}, L3),
+                        deadline=RPC_TIMEOUT,
+                        retries=RPC_RETRIES,
+                        backoff=1,
                     )
-                    while body_msg is None:
-                        reply = yield Recv(port=ep_chan.port, timeout=RPC_TIMEOUT)
-                        if reply is None:
-                            break  # timed out; re-issue the READ
-                        rp = reply.payload
-                        if not isinstance(rp, dict) or rp.get("req") != read_req:
-                            continue  # stale db/cache/read straggler
-                        body_msg = reply
-                    if body_msg is not None:
-                        break
-                if body_msg is None:
+                except CallTimeout:
                     # The connection is unreachable; degrade and move on.
                     ectx.count("read_abandoned")
                     yield Send(conn, P.request(P.WRITE, data=dict(DEGRADED)))

@@ -119,12 +119,6 @@ class DeadEdges:
 
 Policy = Union[Isolation, MandatoryDeclassifier, CapabilityConfinement, DeadEdges]
 
-POLICY_KINDS = {
-    cls.kind: cls
-    for cls in (Isolation, MandatoryDeclassifier, CapabilityConfinement, DeadEdges)
-}
-
-
 def policy_from_json(obj: Mapping[str, Any]) -> Policy:
     kind = obj.get("kind")
     if kind == "isolation":

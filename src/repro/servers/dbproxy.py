@@ -399,7 +399,9 @@ def dbproxy_body(ctx):
             out = P.reply_to(payload, P.QUERY_R, rows_affected=result.rows_affected)
             out_cs = None if declassified else Label({taint: L3}, STAR)
             if req is not None:
-                completed_writes.put((reply, req), (out, out_cs))
+                # A copy: the receiver owns the delivered dict (Channel
+                # pops ``req`` from it), and a replay must still echo it.
+                completed_writes.put((reply, req), (dict(out), out_cs))
             yield Send(reply, out, cs=out_cs)
             continue
 

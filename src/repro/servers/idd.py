@@ -24,13 +24,20 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L3, STAR
 from repro.ipc import protocol as P
-from repro.ipc.rpc import Channel
+from repro.ipc.rpc import CallTimeout, Channel
 from repro.kernel.syscalls import NewHandle, NewPort, Recv, Send, SetPortLabel
 
 #: Cycles of idd application logic per login (parsing, cache handling).
 LOGIN_CYCLES = 45_000
 #: Cycles per binding affirmation.
 AFFIRM_CYCLES = 4_000
+
+#: Per-attempt deadline and extra attempts for the password lookup, in
+#: cycles of simulated time.  All attempts together (2.1 G) stay under
+#: ok-demux's PENDING_DEADLINE (5.6 G), so a lookup that lost one leg is
+#: answered on a retry before ok-demux gives the connection up.
+LOOKUP_TIMEOUT = 700_000_000
+LOOKUP_RETRIES = 2
 
 
 def idd_body(ctx):
@@ -66,14 +73,25 @@ def idd_body(ctx):
 
         if mtype == P.LOGIN:
             ctx.compute(LOGIN_CYCLES)
-            result = yield from chan.call(
-                admin_port,
-                P.request(
-                    P.QUERY,
-                    sql="SELECT uid FROM users WHERE name = ? AND password = ?",
-                    params=(payload.get("user"), payload.get("password")),
-                ),
-            )
+            try:
+                result = yield from chan.call(
+                    admin_port,
+                    P.request(
+                        P.QUERY,
+                        sql="SELECT uid FROM users WHERE name = ? AND password = ?",
+                        params=(payload.get("user"), payload.get("password")),
+                    ),
+                    deadline=LOOKUP_TIMEOUT,
+                    retries=LOOKUP_RETRIES,
+                    backoff=1,
+                )
+            except CallTimeout:
+                # ok-dbproxy is silent (dead, or being restarted).  Give
+                # this login up without a reply — ok-demux's pending sweep
+                # answers 503 — and keep serving, so the launcher's REBIND
+                # is seen.  The lookup is a SELECT: replaying it is safe.
+                ctx.count("lookup_timeouts")
+                continue
             rows = result.payload.get("rows", [])
             if not rows:
                 if reply is not None:

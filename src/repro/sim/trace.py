@@ -14,12 +14,14 @@ log: nothing inside the simulation can observe it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.analysis.sanitizer import Violation
 from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.kernel.kernel import Kernel
+
+if TYPE_CHECKING:  # a plain run imports no checker
+    from repro.analysis.sanitizer import Violation
 
 
 @dataclass

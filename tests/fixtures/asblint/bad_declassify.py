@@ -14,5 +14,5 @@ def overeager_granter(ctx):
     yield Send(  # FINDING
         ctx.env["peer"],
         {"grant": "here you go"},
-        decontaminate_send=Label({ctx.env["db_handle"]: STAR}, L3),
+        ds=Label({ctx.env["db_handle"]: STAR}, L3),
     )

@@ -1,7 +1,7 @@
 """asblint fixture: ASB001 — a send that can never pass the Figure 4 check.
 
 The sender contaminates the message with ``secret`` at level 3 but pins
-``verify=`` to level 0: ES(secret) = 3 can never fit under V(secret) = 0,
+``v=`` to level 0: ES(secret) = 3 can never fit under V(secret) = 0,
 so the kernel drops the message silently on every execution.
 """
 
@@ -15,6 +15,6 @@ def classified_broadcast(ctx):
     yield Send(  # FINDING
         ctx.env["peer"],
         {"classified": True},
-        contaminate=Label({secret: L3}, L0),
-        verify=Label({}, L0),
+        cs=Label({secret: L3}, L0),
+        v=Label({}, L0),
     )

@@ -1,7 +1,7 @@
 """asblint fixture: ASB002 — implicit contamination (taint creep).
 
 The program raises its own send label to carry ``h`` at level 3, then
-keeps sending with no ``contaminate=``: every receiver is silently
+keeps sending with no ``cs=``: every receiver is silently
 contaminated by the floating PS instead of a declared CS.
 """
 

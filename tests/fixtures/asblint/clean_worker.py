@@ -3,7 +3,7 @@
 Every port disclosure is accompanied by an opened label or a ⋆ grant,
 verification credentials are only asserted after the setup message that
 grants them, and all contamination crossing a boundary is an explicit
-``contaminate=``.
+``cs=``.
 """
 
 from repro.core.labels import Label
@@ -25,7 +25,7 @@ def worker_body(ctx):
     yield Send(
         setup.payload["demux_port"],
         {"type": "REGISTER", "port": base},
-        verify=Label({ctx.env["verify_handle"]: L0}, L3),
+        v=Label({ctx.env["verify_handle"]: L0}, L3),
     )
 
     while True:
@@ -36,8 +36,8 @@ def worker_body(ctx):
         yield Send(
             msg.payload["reply"],
             {"type": "OK", "conn": conn},
-            decontaminate_send=Label({conn: STAR}, L3),
-            contaminate=Label({msg.payload["user_taint"]: L3}, STAR),
+            ds=Label({conn: STAR}, L3),
+            cs=Label({msg.payload["user_taint"]: L3}, STAR),
         )
 
 
@@ -46,6 +46,6 @@ def conn_handler(ectx, msg):
     yield Send(
         msg.payload["reply"],
         {"type": "DATA", "body": "hello"},
-        contaminate=Label({msg.payload["taint"]: L3}, STAR),
+        cs=Label({msg.payload["taint"]: L3}, STAR),
     )
     yield EpExit()

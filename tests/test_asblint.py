@@ -65,6 +65,33 @@ def test_clean_worker_has_zero_findings():
     assert "conn_handler" in report.programs
 
 
+UNHELD_GRANT = """
+def granter(ctx):
+    chan = yield from Channel.open()
+    h = ctx.env["h"]
+    {send}(ctx.env["peer"], {{"type": "ASK"}}, ds=Label({{h: STAR}}, L3))
+"""
+
+
+@pytest.mark.parametrize("send", ["yield Send", "yield from chan.call", "yield from chan.call_nowait"])
+def test_chan_call_is_checked_as_the_send_it_makes(send):
+    """A grant of a handle the process provably holds no ⋆ for is ASB003
+    whether the Send is yielded or made inside ``Channel.call``."""
+    report = asblint.analyze_source(UNHELD_GRANT.format(send=send), "<mem>")
+    assert [d.rule for d in report.diagnostics] == [R.DECLASSIFY_NO_STAR]
+
+
+def test_program_whose_only_ipc_is_chan_call_is_discovered():
+    src = (
+        "def asker(ctx, chan):\n"
+        '    reply = yield from chan.call(ctx.env["peer"], {"type": "ASK"})\n'
+        "    return reply.payload\n"
+    )
+    report = asblint.analyze_source(src, "<mem>")
+    assert report.programs == ["asker"]
+    assert report.diagnostics == []
+
+
 def test_shipped_tree_is_clean():
     reports = asblint.analyze_paths([ROOT / "src" / "repro" / "servers", ROOT / "examples"])
     assert asblint.findings(reports) == []

@@ -36,7 +36,7 @@ def bind_user(chan, env, uid):
     yield Send(
         env["cache_grant_port"],
         P.request("BIND", uid=uid, taint=taint, grant=grant),
-        decontaminate_send=Label({taint: STAR, grant: STAR}, L3),
+        ds=Label({taint: STAR, grant: STAR}, L3),
     )
     return taint, grant
 
@@ -48,7 +48,7 @@ def test_put_get_roundtrip(kernel, cache):
         r1 = yield from chan.call(
             env["cache_port"],
             P.request("PUT", key="k", value="v", uid=1),
-            verify=Label({taint: L3, grant: L0}, L2),
+            v=Label({taint: L3, grant: L0}, L2),
         )
         r2 = yield from chan.call(
             env["cache_port"], P.request("GET", key="k", uid=1, owner=1)
@@ -67,7 +67,7 @@ def test_put_unknown_user_rejected(kernel, cache):
         return r.payload
 
     proc = probe(kernel, cache, script)
-    assert P.is_error(proc.env["result"])
+    assert proc.env["result"]["type"] == P.ERROR_R
 
 
 def test_put_with_weak_verify_rejected(kernel, cache):
@@ -80,7 +80,7 @@ def test_put_with_weak_verify_rejected(kernel, cache):
         return r.payload
 
     proc = probe(kernel, cache, script)
-    assert P.is_error(proc.env["result"])
+    assert proc.env["result"]["type"] == P.ERROR_R
 
 
 def test_get_public_miss_and_hit(kernel, cache):
@@ -93,7 +93,7 @@ def test_get_public_miss_and_hit(kernel, cache):
         yield from chan.call(
             env["cache_port"],
             P.request("PUT", key="motd", value="hello world", uid=1),
-            verify=Label({taint: STAR}, L2),
+            v=Label({taint: STAR}, L2),
         )
         hit = yield from chan.call(
             env["cache_port"], P.request("GET", key="motd", uid=1, owner=0)
@@ -113,7 +113,7 @@ def test_get_unknown_owner_is_error(kernel, cache):
         return r.payload
 
     proc = probe(kernel, cache, script)
-    assert P.is_error(proc.env["result"])
+    assert proc.env["result"]["type"] == P.ERROR_R
 
 
 def test_bind_without_star_ignored(kernel, cache):
@@ -129,9 +129,9 @@ def test_bind_without_star_ignored(kernel, cache):
         r = yield from chan.call(
             env["cache_port"],
             P.request("PUT", key="k", value="v", uid=9),
-            verify=Label({taint: L3, grant: L0}, L2),
+            v=Label({taint: L3, grant: L0}, L2),
         )
         return r.payload
 
     proc = probe(kernel, cache, script)
-    assert P.is_error(proc.env["result"])
+    assert proc.env["result"]["type"] == P.ERROR_R

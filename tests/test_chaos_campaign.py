@@ -21,7 +21,12 @@ PLANS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "faultplan
 
 def test_example_plans_parse():
     shipped = sorted(p.name for p in PLANS.glob("*.json"))
-    assert shipped == ["message-drop.json", "queue-squeeze.json", "worker-crash.json"]
+    assert shipped == [
+        "lookup-leg-drop.json",
+        "message-drop.json",
+        "queue-squeeze.json",
+        "worker-crash.json",
+    ]
     for path in PLANS.glob("*.json"):
         plan = load_plan(str(path))
         assert len(plan) >= 1
@@ -38,7 +43,8 @@ def test_empty_plan_campaign_is_perfect():
 
 
 @pytest.mark.parametrize(
-    "plan_file", ["message-drop.json", "worker-crash.json", "queue-squeeze.json"]
+    "plan_file",
+    ["message-drop.json", "worker-crash.json", "queue-squeeze.json", "lookup-leg-drop.json"],
 )
 def test_shipped_plans_pass_at_seed_zero(plan_file):
     plan = load_plan(str(PLANS / plan_file))

@@ -190,8 +190,8 @@ def test_ep_contamination_applies_to_ep_only(kernel):
         yield Send(
             ctx.env["t"],
             {"who": "tainted"},
-            contaminate=Label({h: L3}, STAR),
-            decontaminate_receive=Label({h: L3}, STAR),
+            cs=Label({h: L3}, STAR),
+            dr=Label({h: L3}, STAR),
         )
         yield Send(ctx.env["t"], {"who": "clean"})
 

@@ -54,7 +54,7 @@ def test_read_missing_file(kernel, fs):
         return r.payload
 
     proc = run_admin(kernel, fs, script)
-    assert P.is_error(proc.env["result"])
+    assert proc.env["result"]["type"] == P.ERROR_R
 
 
 def test_create_taint_requires_grant(kernel, fs):
@@ -65,7 +65,7 @@ def test_create_taint_requires_grant(kernel, fs):
         return r.payload
 
     proc = run_admin(kernel, fs, script)
-    assert P.is_error(proc.env["result"])
+    assert proc.env["result"]["type"] == P.ERROR_R
 
 
 def test_tainted_read_contaminates_reader(kernel, fs):
@@ -73,7 +73,7 @@ def test_tainted_read_contaminates_reader(kernel, fs):
         yield from chan.call(
             fs_port,
             P.request(P.CREATE, path="/u/f", taint=uT, data=b"secret"),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         # A default-labelled reader cannot receive the uT-3 reply...
         def reader(rctx):
@@ -95,7 +95,7 @@ def test_cleared_reader_receives_and_is_tainted(kernel, fs):
         yield from chan.call(
             fs_port,
             P.request(P.CREATE, path="/u/f", taint=uT, data=b"secret"),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
 
         def reader(rctx):
@@ -118,7 +118,7 @@ def test_cleared_reader_receives_and_is_tainted(kernel, fs):
         yield from chan.call(
             fs_port,
             P.request(P.CREATE, path="/u/f", taint=uT, data=b"secret"),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         # Raise our own receive (we control uT) and read the file back.
         yield ChangeLabel(raise_receive={uT: L3})
@@ -139,7 +139,7 @@ def test_integrity_write_requires_grant_proof(kernel, fs):
         yield from chan.call(
             fs_port,
             P.request(P.CREATE, path="/u/f", grant=uG, data=b"v1"),
-            decontaminate_send=Label({uG: STAR}, L3),
+            ds=Label({uG: STAR}, L3),
         )
         # Without V: rejected.
         r1 = yield from chan.call(fs_port, P.request(P.WRITE, path="/u/f", data=b"bad"))
@@ -147,14 +147,14 @@ def test_integrity_write_requires_grant_proof(kernel, fs):
         r2 = yield from chan.call(
             fs_port,
             P.request(P.WRITE, path="/u/f", data=b"v2"),
-            verify=Label({uG: L0}, L3),
+            v=Label({uG: L0}, L3),
         )
         r3 = yield from chan.call(fs_port, P.request(P.READ, path="/u/f"))
         return (r1.payload, r2.payload, r3.payload)
 
     proc = run_admin(kernel, fs, script)
     r1, r2, r3 = proc.env["result"]
-    assert P.is_error(r1)
+    assert r1["type"] == P.ERROR_R
     assert r2.get("ok") is True
     assert r3["data"] == b"v2"
 
@@ -168,7 +168,7 @@ def test_integrity_forger_cannot_write(kernel, fs):
         yield from chan.call(
             fs_port,
             P.request(P.CREATE, path="/u/f", grant=uG, data=b"v1"),
-            decontaminate_send=Label({uG: STAR}, L3),
+            ds=Label({uG: STAR}, L3),
         )
 
         def forger(fctx):
@@ -176,7 +176,7 @@ def test_integrity_forger_cannot_write(kernel, fs):
             yield Send(
                 fs_port,
                 dict(P.request(P.WRITE, path="/u/f", data=b"evil"), reply=fchan.port),
-                verify=Label({uG: L0}, L3),   # a lie: forger's ES(uG) = 1 > 0
+                v=Label({uG: L0}, L3),   # a lie: forger's ES(uG) = 1 > 0
             )
             stuck.append("sent")
 
@@ -216,7 +216,7 @@ def test_duplicate_create_rejected(kernel, fs):
         return r.payload
 
     proc = run_admin(kernel, fs, script)
-    assert P.is_error(proc.env["result"])
+    assert proc.env["result"]["type"] == P.ERROR_R
 
 
 def test_list(kernel, fs):

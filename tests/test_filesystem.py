@@ -63,7 +63,7 @@ def test_walk_dotdot_and_missing(kernel, fs):
     proc = run_client(kernel, fs, script)
     path, missing = proc.env["result"]
     assert path == "/"
-    assert P.is_error(missing)
+    assert missing["type"] == P.ERROR_R
 
 
 def test_directory_taint_inherited_by_children(kernel, fs):
@@ -75,7 +75,7 @@ def test_directory_taint_inherited_by_children(kernel, fs):
         yield from chan.call(
             port,
             P.request("CREATE", fid=0, name="u", kind="dir", taint=uT),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         yield from chan.call(port, P.request("WALK", fid=0, newfid=1, names=["u"]))
         yield from chan.call(
@@ -106,7 +106,7 @@ def test_uncleared_reader_never_sees_tainted_file(kernel, fs):
         yield from chan.call(
             port,
             P.request("CREATE", fid=0, name="u", kind="dir", taint=uT),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         yield from chan.call(port, P.request("WALK", fid=0, newfid=1, names=["u"]))
         yield from chan.call(
@@ -142,7 +142,7 @@ def test_listing_filtered_by_clearance(kernel, fs):
         yield from chan.call(
             port,
             P.request("CREATE", fid=0, name="u-home", kind="dir", taint=uT),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         return "ok"
 
@@ -182,13 +182,13 @@ def test_cleared_lister_sees_everything(kernel, fs):
         yield from chan.call(
             port,
             P.request("CREATE", fid=0, name="priv", kind="dir", taint=uT),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         yield ChangeLabel(raise_receive={uT: L3})
         r = yield from chan.call(
             port,
             P.request(P.READ, fid=0),
-            verify=Label({uT: L3}, L2),   # declare clearance for uT
+            v=Label({uT: L3}, L2),   # declare clearance for uT
         )
         results["entries"] = sorted(e["name"] for e in r.payload["entries"])
         return "ok"
@@ -209,7 +209,7 @@ def test_write_and_remove_guarded_by_grant(kernel, fs):
         # Unproven write fails; proven write succeeds.
         r1 = yield from chan.call(port, P.request(P.WRITE, fid=1, data=b"bad"))
         r2 = yield from chan.call(
-            port, P.request(P.WRITE, fid=1, data=b"v2"), verify=Label({uG: L0}, L3)
+            port, P.request(P.WRITE, fid=1, data=b"v2"), v=Label({uG: L0}, L3)
         )
         r3 = yield from chan.call(port, P.request(P.READ, fid=1))
         r4 = yield from chan.call(port, P.request("REMOVE", fid=1))
@@ -222,11 +222,11 @@ def test_write_and_remove_guarded_by_grant(kernel, fs):
 
     proc = run_client(kernel, fs, owner, name="owner")
     r1, r2, r3, r4, r5 = proc.env["result"]
-    assert P.is_error(r1)
+    assert r1["type"] == P.ERROR_R
     assert r2["ok"] is True
     assert r3 == b"v2"
-    assert P.is_error(r4)      # REMOVE without the verify label fails too
-    assert not P.is_error(r5)  # file still there
+    assert r4["type"] == P.ERROR_R      # REMOVE without the verify label fails too
+    assert r5["type"] != P.ERROR_R  # file still there
 
 
 def test_remove_with_grant_proof(kernel, fs):
@@ -238,7 +238,7 @@ def test_remove_with_grant_proof(kernel, fs):
         )
         yield from chan.call(port, P.request("WALK", fid=0, newfid=1, names=["f"]))
         r = yield from chan.call(
-            port, P.request("REMOVE", fid=1), verify=Label({uG: L0}, L3)
+            port, P.request("REMOVE", fid=1), v=Label({uG: L0}, L3)
         )
         gone = yield from chan.call(port, P.request("WALK", fid=0, newfid=2, names=["f"]))
         return (r.payload, gone.payload)
@@ -246,7 +246,7 @@ def test_remove_with_grant_proof(kernel, fs):
     proc = run_client(kernel, fs, owner, name="owner")
     removed, gone = proc.env["result"]
     assert removed["ok"] is True
-    assert P.is_error(gone)
+    assert gone["type"] == P.ERROR_R
 
 
 def test_misc_errors(kernel, fs):
@@ -269,5 +269,5 @@ def test_misc_errors(kernel, fs):
     proc = run_client(kernel, fs, script)
     bad_fid, dup, cif, wdir, rmr, clunk, after = proc.env["result"]
     for r in (bad_fid, dup, cif, wdir, rmr, after):
-        assert P.is_error(r)
+        assert r["type"] == P.ERROR_R
     assert clunk["ok"] is True

@@ -3,7 +3,6 @@
 
 from repro.core.labels import Label
 from repro.ipc import Channel, protocol as P
-from repro.ipc.rpc import serve_forever as serve
 from repro.kernel import NewPort, Recv, Send, SetPortLabel
 
 
@@ -21,18 +20,16 @@ def test_reply_to_explicit_type_and_tag():
     assert rep["tag"] == 42         # correlation tags propagate
 
 
-def test_is_error():
-    assert P.is_error({"type": P.ERROR_R})
-    assert not P.is_error({"type": P.READ_R})
-    assert not P.is_error("garbage")
-
-
 def test_channel_call_roundtrip(kernel):
     def server(ctx):
         port = yield NewPort()
         yield SetPortLabel(port, Label.top())
         ctx.env["port"] = port
-        yield from serve(port, _double_handler)
+        while True:
+            msg = yield Recv(port=port)
+            yield Send(
+                msg.payload["reply"], P.reply_to(msg.payload, n=msg.payload["n"] * 2)
+            )
 
     srv = kernel.spawn(server, "server")
     kernel.run()
@@ -47,40 +44,6 @@ def test_channel_call_roundtrip(kernel):
     kernel.spawn(client, "client", env={"t": srv.env["port"]})
     kernel.run()
     assert results == [6, 10]
-
-
-def _double_handler(msg):
-    return P.reply_to(msg.payload, n=msg.payload["n"] * 2)
-    yield  # pragma: no cover
-
-
-def test_serve_forever_skips_replyless_requests(kernel):
-    seen = []
-
-    def handler(msg):
-        seen.append(msg.payload.get("n"))
-        return P.reply_to(msg.payload, ok=True)
-        yield  # pragma: no cover
-
-    def server(ctx):
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
-        ctx.env["port"] = port
-        yield from serve(port, handler)
-
-    srv = kernel.spawn(server, "server")
-    kernel.run()
-
-    def client(ctx):
-        yield Send(srv.env["port"], {"type": "X", "n": 1})   # no reply port
-        chan = yield from Channel.open()
-        r = yield from chan.call(srv.env["port"], {"type": "X", "n": 2})
-        ctx.env["r"] = r.payload
-
-    c = kernel.spawn(client, "client")
-    kernel.run()
-    assert seen == [1, 2]
-    assert c.env["r"]["ok"] is True
 
 
 def test_channel_open_with_custom_label(kernel):

@@ -59,7 +59,7 @@ def test_vnode_lifecycle():
     v = table.create(42, is_port=True, owner="p1")
     assert table.get(42) is v
     assert table.memory_bytes() == VNODE_BYTES
-    table.incref(42)
+    v.refcount += 1
     table.decref(42)
     assert table.get(42) is not None      # port alive, refs remain
     v.dissociated = True

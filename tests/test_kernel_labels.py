@@ -48,7 +48,7 @@ def test_contamination_taints_receiver(kernel):
         h = yield NewHandle()
         ctx.env["h"] = h
         # CS at level 2 flows to a default receiver (QR default is 2).
-        yield Send(ctx.env["t"], "tainted", contaminate=Label({h: L2}, STAR))
+        yield Send(ctx.env["t"], "tainted", cs=Label({h: L2}, STAR))
 
     s = kernel.spawn(sender, "sender", env={"t": listener.env["port"]})
     kernel.run()
@@ -62,7 +62,7 @@ def test_contamination_level3_blocked_by_default_receive(kernel):
 
     def sender(ctx):
         h = yield NewHandle()
-        yield Send(ctx.env["t"], "secret", contaminate=Label({h: L3}, STAR))
+        yield Send(ctx.env["t"], "secret", cs=Label({h: L3}, STAR))
 
     kernel.spawn(sender, "sender", env={"t": listener.env["port"]})
     kernel.run()
@@ -77,7 +77,7 @@ def test_contamination_needs_no_privilege(kernel):
     foreign = 424242  # a handle value the sender never created
 
     def sender(ctx):
-        yield Send(ctx.env["t"], "x", contaminate=Label({foreign: L2}, STAR))
+        yield Send(ctx.env["t"], "x", cs=Label({foreign: L2}, STAR))
 
     kernel.spawn(sender, "sender", env={"t": listener.env["port"]})
     kernel.run()
@@ -106,8 +106,8 @@ def test_contamination_is_transitive(kernel):
         yield Send(
             ctx.env["relay"],
             {"fwd": ctx.env["c"]},
-            contaminate=Label({h: L3}, STAR),
-            decontaminate_receive=Label({h: L3}, STAR),  # we hold h ⋆
+            cs=Label({h: L3}, STAR),
+            dr=Label({h: L3}, STAR),  # we hold h ⋆
         )
 
     kernel.spawn(
@@ -142,7 +142,7 @@ def test_star_holder_immune_to_contamination(kernel):
     h = holder_proc.env["h"]
 
     def sender(ctx):
-        yield Send(ctx.env["t"], "dirty", contaminate=Label({h: L3}, STAR))
+        yield Send(ctx.env["t"], "dirty", cs=Label({h: L3}, STAR))
 
     kernel.spawn(sender, "sender", env={"t": holder_proc.env["port"]})
     kernel.run()
@@ -159,7 +159,7 @@ def test_grant_star_via_ds(kernel):
     def granter(ctx):
         h = yield NewHandle()
         ctx.env["h"] = h
-        yield Send(ctx.env["t"], "gift", decontaminate_send=Label({h: STAR}, L3))
+        yield Send(ctx.env["t"], "gift", ds=Label({h: STAR}, L3))
 
     g = kernel.spawn(granter, "granter", env={"t": listener.env["port"]})
     kernel.run()
@@ -171,7 +171,7 @@ def test_ds_without_star_is_dropped(kernel):
     foreign = 777777
 
     def imposter(ctx):
-        yield Send(ctx.env["t"], "gift", decontaminate_send=Label({foreign: STAR}, L3))
+        yield Send(ctx.env["t"], "gift", ds=Label({foreign: STAR}, L3))
 
     kernel.spawn(imposter, "imposter", env={"t": listener.env["port"]})
     kernel.run()
@@ -185,7 +185,7 @@ def test_dr_without_star_is_dropped(kernel):
 
     def imposter(ctx):
         yield Send(
-            ctx.env["t"], "x", decontaminate_receive=Label({foreign: L3}, STAR)
+            ctx.env["t"], "x", dr=Label({foreign: L3}, STAR)
         )
 
     kernel.spawn(imposter, "imposter", env={"t": listener.env["port"]})
@@ -200,9 +200,9 @@ def test_dr_raises_receiver_receive_label(kernel):
     def granter(ctx):
         h = yield NewHandle()
         ctx.env["h"] = h
-        yield Send(ctx.env["t"], "one", decontaminate_receive=Label({h: L3}, STAR))
+        yield Send(ctx.env["t"], "one", dr=Label({h: L3}, STAR))
         # Now a level-3 contamination can reach the listener.
-        yield Send(ctx.env["t"], "two", contaminate=Label({h: L3}, STAR))
+        yield Send(ctx.env["t"], "two", cs=Label({h: L3}, STAR))
 
     g = kernel.spawn(granter, "granter", env={"t": listener.env["port"]})
     kernel.run()
@@ -229,8 +229,8 @@ def test_ds_lowers_receiver_send_label(kernel):
     def controller(ctx):
         h = yield NewHandle()
         ctx.env["h"] = h
-        yield Send(ctx.env["t"], "taint", contaminate=Label({h: L2}, STAR))
-        yield Send(ctx.env["t"], "clean", decontaminate_send=Label({h: L1}, L3))
+        yield Send(ctx.env["t"], "taint", cs=Label({h: L2}, STAR))
+        yield Send(ctx.env["t"], "clean", ds=Label({h: L1}, L3))
 
     c = kernel.spawn(controller, "controller", env={"t": victim_proc.env["port"]})
     kernel.run()
@@ -248,7 +248,7 @@ def test_verify_label_passed_up(kernel):
     def sender(ctx):
         h = yield NewHandle()
         ctx.env["h"] = h
-        yield Send(ctx.env["t"], "claim", verify=Label({h: L0}, L3))
+        yield Send(ctx.env["t"], "claim", v=Label({h: L0}, L3))
 
     s = kernel.spawn(sender, "sender", env={"t": listener.env["port"]})
     kernel.run()
@@ -263,7 +263,7 @@ def test_verify_must_bound_senders_label(kernel):
     def sender(ctx):
         h = yield NewHandle()
         yield ChangeLabel(send=Label({h: STAR}, L1).with_entry(h, L2))  # self-taint h 2
-        yield Send(ctx.env["t"], "lie", verify=Label({h: L1}, L3))
+        yield Send(ctx.env["t"], "lie", v=Label({h: L1}, L3))
 
     kernel.spawn(sender, "sender", env={"t": listener.env["port"]})
     kernel.run()
@@ -317,7 +317,7 @@ def test_capability_grant_and_redelegation(kernel):
         q_port = yield from open_port()
         ctx.env["q_hello"] = q_port
         hello = yield Recv(port=q_port)          # Q announces itself
-        yield Send(hello.payload["q"], {"cap": port}, decontaminate_send=Label({port: STAR}, L3))
+        yield Send(hello.payload["q"], {"cap": port}, ds=Label({port: STAR}, L3))
         while True:
             msg = yield Recv(port=port)
             log.append(msg.payload)
@@ -341,7 +341,7 @@ def test_capability_grant_and_redelegation(kernel):
         cap = grant.payload["cap"]
         yield Send(cap, "from-Q")
         # Re-delegate to R: we received p ⋆, so we may grant it onward.
-        yield Send(ctx.env["r"], {"cap": cap}, decontaminate_send=Label({cap: STAR}, L3))
+        yield Send(ctx.env["r"], {"cap": cap}, ds=Label({cap: STAR}, L3))
 
     kernel.spawn(q_body, "Q", env={"p_hello": p.env["q_hello"], "r": r.env["port"]})
     kernel.run()
@@ -426,7 +426,7 @@ def test_dr_bounded_by_port_label(kernel):
     def granter(ctx):
         h = yield NewHandle()
         # DR = {h 3} exceeds pR's {2}: requirement (4) fails, message drops.
-        yield Send(ctx.env["t"], "x", decontaminate_receive=Label({h: L3}, STAR))
+        yield Send(ctx.env["t"], "x", dr=Label({h: L3}, STAR))
 
     kernel.spawn(granter, "granter", env={"t": g.env["port"]})
     kernel.run()

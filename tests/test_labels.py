@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.labels import Label
-from repro.core.levels import ALL_LEVELS, L0, L1, L2, L3, STAR
+from repro.core.levels import ALL_LEVELS, L1, L2, L3, STAR
 
 
 levels = st.sampled_from(ALL_LEVELS)
@@ -74,16 +74,6 @@ def test_with_entry_and_without():
     assert lab.controls(9)
     assert not lab.without(9).controls(9)
     assert lab.without(9) == Label({}, L1)
-
-
-def test_word_encoding_roundtrip():
-    lab = Label({5: STAR, 9: L3, 100: L0}, default=L2)
-    assert Label.from_words(lab.to_words()) == lab
-
-
-def test_word_encoding_empty():
-    with pytest.raises(ValueError):
-        Label.from_words([])
 
 
 def test_format_with_names():

@@ -146,7 +146,7 @@ def test_add_taint_contaminates_reads(kernel, net):
         yield Send(
             ctx.env["netd_port"],
             P.request("ADD_TAINT", conn=conn, taint=uT),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         chan = yield from Channel.open()
         r = yield from chan.call(conn, P.request(P.READ))
@@ -200,14 +200,14 @@ def test_tainted_data_cannot_leave_via_other_connection(kernel, net):
         yield Send(
             ctx.env["netd_port"],
             P.request("ADD_TAINT", conn=u_conn, taint=uT),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         # Writes carrying uT-3 contamination: u's connection admits them
         # (its port label gained uT 3 in the ADD_TAINT), v's does not.
         yield Send(u_conn, P.request(P.WRITE, data=b"for-u"),
-                   contaminate=Label({uT: L3}, STAR))
+                   cs=Label({uT: L3}, STAR))
         yield Send(v_conn, P.request(P.WRITE, data=b"leak-to-v"),
-                   contaminate=Label({uT: L3}, STAR))
+                   cs=Label({uT: L3}, STAR))
         done.append("sent")
 
     kernel.spawn(app, "app", env={"netd_port": netd.env["netd_port"]})

@@ -99,7 +99,7 @@ def test_front_end_firewall_blocks_forged_egress(site):
             yield Send(
                 port,
                 P.request("EGRESS", conn_id=ctx.env["conn"], data=b"forged"),
-                verify=Label({}, L2),
+                v=Label({}, L2),
             )
 
     before_drops = kernel.drop_log.count("label-check")

@@ -67,7 +67,7 @@ def test_connect_to_unlistened_port_fails(kernel, net):
 
     kernel.spawn(client, "client", env={"netd_port": netd.env["netd_port"]})
     kernel.run()
-    assert P.is_error(result[0])
+    assert result[0]["type"] == P.ERROR_R
 
 
 def test_connect_to_remote_host_unroutable(kernel, net):
@@ -83,7 +83,7 @@ def test_connect_to_remote_host_unroutable(kernel, net):
 
     kernel.spawn(client, "client", env={"netd_port": netd.env["netd_port"]})
     kernel.run()
-    assert P.is_error(result[0])
+    assert result[0]["type"] == P.ERROR_R
 
 
 def test_loopback_carries_taint_policy(kernel, net):

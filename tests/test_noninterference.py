@@ -103,7 +103,7 @@ def _run_web(seed: int, taint_level: int):
                 yield Send(
                     route[0],
                     payload,
-                    contaminate=Label({h: taint_level}, STAR),
+                    cs=Label({h: taint_level}, STAR),
                 )
             else:
                 yield Send(route[0], payload)

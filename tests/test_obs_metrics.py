@@ -7,20 +7,17 @@ import pytest
 from repro.core.labels import Label
 from repro.core.levels import L1, L3
 from repro.kernel import Kernel, KernelConfig, NewPort, Recv, Send, SetPortLabel
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, NULL, kernel_snapshot
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, NULL, kernel_snapshot
 
 
 # -- instruments --------------------------------------------------------------------
 
 
-def test_counter_and_gauge():
+def test_counter():
     c = Counter()
     c.inc()
     c.inc(4)
     assert c.snapshot() == 5
-    g = Gauge()
-    g.set(2.5)
-    assert g.snapshot() == 2.5
 
 
 def test_histogram_snapshot():
@@ -39,7 +36,7 @@ def test_registry_kind_conflict():
     registry = MetricsRegistry()
     registry.counter("a.b")
     with pytest.raises(ValueError):
-        registry.gauge("a.b")
+        registry.histogram("a.b")
 
 
 def test_disabled_registry_returns_null():

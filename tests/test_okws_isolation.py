@@ -128,7 +128,7 @@ def test_cross_session_eps_cannot_talk(site):
         yield Send(
             b_ports[0],
             {"stolen": "alice-data"},
-            contaminate=Label({a_taint[0]: L3}, STAR),
+            cs=Label({a_taint[0]: L3}, STAR),
         )
 
     before = kernel.drop_log.count()
@@ -164,7 +164,7 @@ def test_db_write_as_other_user_is_unforgeable(site):
                 params=(),
                 uid=1,
             ),
-            verify=Label({taint: L3, 99999: L0}, 2),
+            v=Label({taint: L3, 99999: L0}, 2),
         )
 
     before = kernel.drop_log.count("label-check")

@@ -91,7 +91,7 @@ def test_transfer_on_dropped_message_destroys_port(kernel):
         yield Send(
             r.env["inbox"],
             {"moved": moved},
-            contaminate=Label({h: L3}, STAR),
+            cs=Label({h: L3}, STAR),
             transfer=(moved,),
         )
 

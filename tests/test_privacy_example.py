@@ -51,7 +51,7 @@ def world(kernel):
         yield from chan.call(
             state["fs_port"],
             P.request(P.CREATE, path="/u/secret", taint=uT, data=b"u-private-data"),
-            decontaminate_send=Label({uT: STAR}, L3),
+            ds=Label({uT: STAR}, L3),
         )
         # Terminal UT: labelled like U — US = {uT 3, 1}, UR = {uT 3, 2}.
         yield Spawn(terminal, name="UT", env={})
@@ -88,22 +88,22 @@ def test_figure_2_labels_and_flows(world):
         yield Send(
             terminal_port,
             {"setup": True},
-            contaminate=Label({uT: L3}, STAR),
-            decontaminate_receive=Label({uT: L3}, STAR),
+            cs=Label({uT: L3}, STAR),
+            dr=Label({uT: L3}, STAR),
         )
         # Configure shell U: taint uT, clearance uT.
         yield Send(
             world["hellos"]["U"],
             {"terminal": terminal_port},
-            contaminate=Label({uT: L3}, STAR),
-            decontaminate_receive=Label({uT: L3}, STAR),
+            cs=Label({uT: L3}, STAR),
+            dr=Label({uT: L3}, STAR),
         )
         # Configure shell V: taint vT, clearance vT — no access to uT.
         yield Send(
             world["hellos"]["V"],
             {"terminal": terminal_port},
-            contaminate=Label({vT: L3}, STAR),
-            decontaminate_receive=Label({vT: L3}, STAR),
+            cs=Label({vT: L3}, STAR),
+            dr=Label({vT: L3}, STAR),
         )
 
     # The configurer must control both compartments: run it as a child of

@@ -14,18 +14,20 @@ import pytest
 
 from repro.core.labels import Label
 from repro.ipc import CallTimeout, Channel, protocol as P
-from repro.ipc.rpc import serve_forever
-from repro.kernel import NewPort, Recv, Send, SetPortLabel
+from repro.kernel import Deadline, NewPort, Recv, Send, SetPortLabel
 
 
 def _serve(handler):
-    """A server body: open a public port, publish it, serve forever."""
+    """A server body: open a public port, publish it, answer each request
+    with ``handler(msg)``."""
 
     def body(ctx):
         port = yield NewPort()
         yield SetPortLabel(port, Label.top())
         ctx.env["port"] = port
-        yield from serve_forever(port, handler)
+        while True:
+            msg = yield Recv(port=port)
+            yield Send(msg.payload["reply"], handler(msg))
 
     return body
 
@@ -33,7 +35,6 @@ def _serve(handler):
 def test_call_with_deadline_returns_reply(kernel):
     def handler(msg):
         return P.reply_to(msg.payload, n=msg.payload["n"] + 1)
-        yield  # pragma: no cover
 
     srv = kernel.spawn(_serve(handler), "server")
     kernel.run()
@@ -158,7 +159,6 @@ def test_stale_reply_from_earlier_call_is_discarded(kernel):
 def test_call_nowait_reply_matched_by_req(kernel):
     def handler(msg):
         return P.reply_to(msg.payload, n=msg.payload["n"] * 10)
-        yield  # pragma: no cover
 
     srv = kernel.spawn(_serve(handler), "server")
     kernel.run()
@@ -169,52 +169,31 @@ def test_call_nowait_reply_matched_by_req(kernel):
         req_a = yield from chan.call_nowait(srv.env["port"], P.request("MUL", n=1))
         req_b = yield from chan.call_nowait(srv.env["port"], P.request("MUL", n=2))
         assert req_a != req_b
-        # Collect both replies, keyed by req, in whatever order they land.
-        got = {}
-        while len(got) < 2:
-            msg = yield from chan.recv(timeout=10_000_000)
-            assert msg is not None
-            got[msg.payload["req"]] = msg.payload["n"]
-        results.append((got[req_a], got[req_b]))
+        # Collect the second reply first: the first one, sitting ahead of
+        # it on the port, echoes another req and is skipped for good.
+        reply_b = yield from chan.await_reply(req_b, 10_000_000)
+        assert "req" not in reply_b.payload
+        results.append(reply_b.payload["n"])
+        gone = yield from chan.await_reply(req_a, 10_000_000)
+        results.append(gone)
 
     kernel.spawn(client, "client")
     kernel.run()
-    assert results == [(10, 20)]
-
-
-def test_serve_forever_echoes_req_for_plain_handlers(kernel):
-    """Handlers that build replies by hand (no ``reply_to``) still get
-    the ``req`` echoed by the serve loop, so bounded calls match."""
-
-    def handler(msg):
-        return {"type": "OK_R"}  # no req, no tag — bare minimum
-        yield  # pragma: no cover
-
-    srv = kernel.spawn(_serve(handler), "server")
-    kernel.run()
-    results = []
-
-    def client(ctx):
-        chan = yield from Channel.open()
-        reply = yield from chan.call(
-            srv.env["port"], P.request("OK"), deadline=10_000_000
-        )
-        results.append(reply.payload["type"])
-
-    kernel.spawn(client, "client")
-    kernel.run()
-    assert results == ["OK_R"]
+    assert results == [20, None]
 
 
 def test_channel_sleep_advances_time(kernel):
+    """Backing off between calls is a bare ``Deadline`` (what the deleted
+    ``Channel.sleep`` wrapped): the channel's port stays usable after it."""
     marks = []
 
     def body(ctx):
         chan = yield from Channel.open()
         start = ctx.now
-        yield from chan.sleep(3_000_000)
+        yield Deadline(3_000_000)
         marks.append(ctx.now - start)
+        marks.append((yield Recv(port=chan.port, block=False)))
 
     kernel.spawn(body, "sleeper")
     kernel.run()
-    assert marks[0] >= 3_000_000
+    assert marks[0] >= 3_000_000 and marks[1] is None

@@ -47,10 +47,10 @@ def test_random_labels_fused_agrees_with_naive(cs, ds, v, dr, port_label):
         yield Send(
             port,
             {"x": 1},
-            contaminate=cs,
-            decontaminate_send=ds,
-            verify=v,
-            decontaminate_receive=dr,
+            cs=cs,
+            ds=ds,
+            v=v,
+            dr=dr,
         )
         yield Recv(port=port, block=False)
 
@@ -122,7 +122,7 @@ def test_corrupted_check_send_true_is_flagged(monkeypatch):
 
     def sender(ctx):
         h = yield NewHandle()
-        yield Send(ctx.env["box"]["port"], {"x": 1}, contaminate=Label({h: L3}, STAR))
+        yield Send(ctx.env["box"]["port"], {"x": 1}, cs=Label({h: L3}, STAR))
 
     _run_pair(kernel, sender)
     assert CHECK_MISMATCH in _violation_kinds(kernel)
@@ -138,7 +138,7 @@ def test_corrupted_send_effects_is_flagged(monkeypatch):
 
     def sender(ctx):
         h = yield NewHandle()
-        yield Send(ctx.env["box"]["port"], {"x": 1}, contaminate=Label({h: L2}, STAR))
+        yield Send(ctx.env["box"]["port"], {"x": 1}, cs=Label({h: L2}, STAR))
 
     _run_pair(kernel, sender)
     assert SEND_EFFECT_MISMATCH in _violation_kinds(kernel)
@@ -153,7 +153,7 @@ def test_corrupted_raise_receive_is_flagged(monkeypatch):
     def sender(ctx):
         h = yield NewHandle()
         yield Send(
-            ctx.env["box"]["port"], {"x": 1}, decontaminate_receive=Label({h: L3}, STAR)
+            ctx.env["box"]["port"], {"x": 1}, dr=Label({h: L3}, STAR)
         )
 
     _run_pair(kernel, sender)

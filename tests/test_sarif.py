@@ -18,7 +18,7 @@ from repro.core.labels import Label
 
 def dead_sender(ctx):
     port = yield NewPort()
-    yield Send(port, verify=Label({}, 0))  # asblint: ignore[no-such-rule]
+    yield Send(port, v=Label({}, 0))  # asblint: ignore[no-such-rule]
 '''
 
 

@@ -1,5 +1,5 @@
-"""The unified cs/ds/v/dr discretionary-label keywords on Send (and
-Channel.call), with the long spellings as compatible aliases."""
+"""The one spelling of Figure 4's discretionary labels: cs/ds/v/dr on
+Send and on Channel.call."""
 
 import pytest
 
@@ -18,35 +18,18 @@ def test_short_names_are_fields():
     assert (send.cs, send.ds, send.v, send.dr) == (CS, DS, V, DR)
 
 
-def test_long_names_still_accepted():
-    send = Send(
-        1,
-        "payload",
-        contaminate=CS,
-        decontaminate_send=DS,
-        verify=V,
-        decontaminate_receive=DR,
-    )
-    assert (send.cs, send.ds, send.v, send.dr) == (CS, DS, V, DR)
-    # ... and readable through the alias properties.
-    assert send.contaminate is CS
-    assert send.decontaminate_send is DS
-    assert send.verify is V
-    assert send.decontaminate_receive is DR
-
-
 def test_positional_order_matches_figure_4():
     send = Send(1, "d", CS, DS, V, DR)
     assert (send.cs, send.ds, send.v, send.dr) == (CS, DS, V, DR)
 
 
-def test_short_and_long_equal():
-    assert Send(1, "d", cs=CS, v=V) == Send(1, "d", contaminate=CS, verify=V)
-
-
 def test_conflicting_spellings_rejected():
+    """One spelling: the paper's.  ``contaminate=`` and friends are as
+    unknown to Send as any other stray keyword."""
     with pytest.raises(TypeError):
         Send(1, "d", cs=CS, contaminate=CS)
+    with pytest.raises(TypeError):
+        Send(1, "d", verify=V)
     with pytest.raises(TypeError):
         Send(1, "d", nonsense=CS)
 
@@ -90,15 +73,12 @@ def test_kernel_honours_short_names():
     assert state["send_after"](state["taint"]) == L3
 
 
-def test_channel_call_accepts_both_spellings():
-    import inspect
-
+def test_channel_call_takes_the_send_labels():
     from repro.ipc.rpc import Channel
 
-    signature = inspect.signature(Channel.call)
-    assert {"cs", "ds", "v", "dr"} <= set(signature.parameters)
-    # The alias path just forwards to Send, which rejects unknown names.
     chan = Channel(0x10)
-    gen = chan.call(0x20, {}, verify=V)
-    send = next(gen)
-    assert isinstance(send, Send) and send.v is V
+    send = next(chan.call(0x20, {}, cs=CS, ds=DS, v=V, dr=DR))
+    assert isinstance(send, Send)
+    assert (send.cs, send.ds, send.v, send.dr) == (CS, DS, V, DR)
+    with pytest.raises(TypeError):
+        chan.call(0x20, {}, verify=V)

@@ -26,8 +26,8 @@ def test_tracer_records_deliveries_and_drops(kernel):
         h = yield NewHandle()
         ctx.env["h"] = h
         yield Send(ctx.env["t"], "clean")
-        yield Send(ctx.env["t"], "mild", contaminate=Label({h: L2}, STAR))
-        yield Send(ctx.env["t"], "hot", contaminate=Label({h: L3}, STAR))
+        yield Send(ctx.env["t"], "mild", cs=Label({h: L2}, STAR))
+        yield Send(ctx.env["t"], "hot", cs=Label({h: L3}, STAR))
 
     sp = kernel.spawn(sender, "sender", env={"t": lp.env["port"]})
     kernel.run()

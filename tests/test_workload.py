@@ -1,6 +1,11 @@
 """The workload generator, the Wire boundary object, and the experiment
 drivers' small moving parts."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.okws import ServiceConfig, launch
@@ -118,3 +123,27 @@ def test_a_thousand_cached_sessions_cost_real_latency():
     assert big > 0.55 * apache
 
 
+def test_a_plain_run_imports_no_checker():
+    """Launching a site and serving a request on a default kernel pulls
+    in none of the optional subsystems: the checkers (and with them the
+    policies), fault injection, the store and the cluster are imported
+    by the configurations and tools that use them."""
+    script = (
+        "import sys\n"
+        "from repro.okws.launcher import ServiceConfig, launch\n"
+        "from repro.okws.services import echo_handler\n"
+        "from repro.sim.workload import HttpClient\n"
+        "from repro.kernel import Kernel, KernelConfig\n"
+        "site = launch(kernel=Kernel(config=KernelConfig()),\n"
+        "              services=[ServiceConfig('echo', echo_handler)], users=[('u', 'pw')])\n"
+        "assert HttpClient(site).request('u', 'pw', 'echo').ok\n"
+        "optional = ('analysis', 'policies', 'faults', 'store', 'cluster')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(tuple('repro.' + o for o in optional))))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
