@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.chunks import ChunkedLabel
-from repro.core.labels import Label
+from repro.core.labels import DEFAULT_DECONTAMINATE_SEND, Label
 from repro.kernel.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,7 +81,6 @@ class DeliverySnapshot:
     qr_before: Label
     es: Label
     ds: Label
-    dr: Label
     expected_delivered: bool
     expected_qs: Optional[Label]
     expected_qr: Optional[Label]
@@ -159,19 +158,20 @@ class LabelSanitizer:
         qs, qr = qs.to_label(), qr.to_label()
         es, ds, v = es.to_label(), ds.to_label(), v.to_label()
         dr, pr = dr.to_label(), pl.to_label()
-        # Figure 4 requirements (4) and (1) on plain labels.
+        # Figure 4 requirements (4) and (1) on plain labels; QR ⊔ DR is also
+        # the receive-label effect, so it is computed once.
+        raised = qr | dr
         req4 = dr <= pr
-        req1 = es <= ((qr | dr) & v & pr)
+        req1 = es <= (raised & v & pr)
         expected = req4 and req1
         return DeliverySnapshot(
             qs_before=qs,
             qr_before=qr,
             es=es,
             ds=ds,
-            dr=dr,
             expected_delivered=expected,
             expected_qs=((qs & ds) | (es & qs.stars())) if expected else None,
-            expected_qr=(qr | dr) if expected else None,
+            expected_qr=raised if expected else None,
         )
 
     def after_deliver(
@@ -220,7 +220,7 @@ class LabelSanitizer:
                 f"QR ← QR ⊔ DR: fused {qr_after!r}, naive {snapshot.expected_qr!r}",
             )
         # Monotonicity invariants, independent of the reference computation.
-        if snapshot.ds == Label.top() and not snapshot.qs_before <= qs_after:
+        if snapshot.ds == DEFAULT_DECONTAMINATE_SEND and not snapshot.qs_before <= qs_after:
             self._record(
                 SEND_LABEL_LOWERED,
                 sender,

@@ -13,7 +13,8 @@ Labels form a lattice under the pointwise order:
 - ``L.stars()`` is the stars-only projection ``L*``: ``*`` where ``L`` is
   ``*``, ``3`` everywhere else.
 
-Instances are immutable; every operator returns a new label.  Entries equal
+Instances are immutable; no operator modifies an operand (one may *return*
+an operand, where a lattice law says the result equals it).  Entries equal
 to the default level are normalised away so that structurally different
 spellings of the same function compare (and hash) equal.
 """
@@ -52,13 +53,30 @@ class Label:
         if entries:
             for handle, level in entries.items():
                 check_level(level)
-                if not 0 <= handle < HANDLE_SPACE:
-                    raise ValueError(f"handle out of 61-bit range: {handle!r}")
+                if type(handle) is not int or not 0 <= handle < HANDLE_SPACE:
+                    raise ValueError(f"handle is not an int in the 61-bit range: {handle!r}")
                 if level != default:
                     normalised[handle] = level
         self._entries: Dict[Handle, Level] = normalised
         self._default: Level = default
         self._hash: Optional[int] = None
+
+    @staticmethod
+    def _closed(entries: Dict[Handle, Level], default: Level) -> "Label":
+        """The result of a lattice operator, built without ``__init__``.
+
+        Private to this module: *entries* must hold only (handle, level)
+        pairs taken from valid labels, none at *default*.  ``max``/``min``
+        of two valid levels at a handle one operand already holds is valid
+        by closure, so re-validating every entry of a result would check
+        nothing.  Every label built from anything else goes through
+        ``__init__``.
+        """
+        label = Label.__new__(Label)
+        label._entries = entries
+        label._default = default
+        label._hash = None
+        return label
 
     # -- construction helpers ------------------------------------------------
 
@@ -124,10 +142,13 @@ class Label:
         """
         if not isinstance(other, Label):
             return NotImplemented
+        if self is other:  # reflexive, and labels are immutable
+            return True
         if self._default > other._default:
             return False
+        theirs, get = other._default, other._entries.get
         for handle, level in self._entries.items():
-            if level > other(handle):
+            if level > get(handle, theirs):
                 return False
         # Handles explicit only in `other` take self's default on the left.
         for handle, level in other._entries.items():
@@ -151,25 +172,57 @@ class Label:
             return NotImplemented
         return self != other and self >= other
 
+    def _pointwise(self, other: "Label", pick) -> "Label":
+        """``h ↦ pick(self(h), other(h))`` for *pick* ``max`` (⊔) or ``min``
+        (⊓): one pass over the explicit handles, and less where a law of
+        the lattice already gives the answer.
+
+        A result may *be* an operand, and is built by :meth:`_closed` —
+        safe only because nothing mutates ``_entries`` after construction
+        (``with_entry`` copies).
+        """
+        identity = STAR if pick is max else L3
+        # pick is commutative: let a be an operand whose default is the identity.
+        a, b = (other, self) if other._default == identity else (self, other)
+        a_default, b_default = a._default, b._default
+        if a_default == identity:
+            # Identity element: L ⊔ {⋆} = L and L ⊓ {3} = L.
+            if not a._entries:
+                return b
+            # Identity default: a handle only b names keeps b's level and
+            # the result default is b's, so a copy of b's entries is already
+            # normalised and only a's explicit handles need a visit.
+            merged = dict(b._entries)
+            for handle, level in a._entries.items():
+                level = pick(level, merged.get(handle, b_default))
+                if level != b_default:
+                    merged[handle] = level
+                else:  # landed on the default: remove it, do not skip it
+                    merged.pop(handle, None)
+            return Label._closed(merged, b_default)
+        default = pick(a_default, b_default)
+        a_get, b_get = a._entries.get, b._entries.get
+        return Label._closed(
+            {
+                handle: level
+                for handle in a._entries.keys() | b._entries.keys()
+                if (level := pick(a_get(handle, a_default), b_get(handle, b_default)))
+                != default
+            },
+            default,
+        )
+
     def __or__(self, other: "Label") -> "Label":
         """Least upper bound ⊔ (pointwise max) — used to contaminate."""
         if not isinstance(other, Label):
             return NotImplemented
-        default = max(self._default, other._default)
-        combined: Dict[Handle, Level] = {}
-        for handle in set(self._entries) | set(other._entries):
-            combined[handle] = max(self(handle), other(handle))
-        return Label(combined, default)
+        return self._pointwise(other, max)
 
     def __and__(self, other: "Label") -> "Label":
         """Greatest lower bound ⊓ (pointwise min) — used to declassify."""
         if not isinstance(other, Label):
             return NotImplemented
-        default = min(self._default, other._default)
-        combined: Dict[Handle, Level] = {}
-        for handle in set(self._entries) | set(other._entries):
-            combined[handle] = min(self(handle), other(handle))
-        return Label(combined, default)
+        return self._pointwise(other, min)
 
     def stars(self) -> "Label":
         """The stars-only projection ``L*`` of Figure 3.
@@ -178,13 +231,14 @@ class Label:
         contamination rule (Equation 5), ``ES ⊓ QS*`` protects a receiver's
         ``*`` entries from being overwritten by incoming taint.
         """
-        default = STAR if self._default == STAR else L3
-        # Every explicit entry maps to * or 3; the Label constructor
-        # normalises away whichever equals the result default.
-        mapped = {
-            h: (STAR if lvl == STAR else L3) for h, lvl in self._entries.items()
-        }
-        return Label(mapped, default)
+        # Every explicit entry maps to * or 3; keep those off the default.
+        if self._default == STAR:
+            return Label._closed(
+                {h: L3 for h, lvl in self._entries.items() if lvl != STAR}, STAR
+            )
+        return Label._closed(
+            {h: STAR for h, lvl in self._entries.items() if lvl == STAR}, L3
+        )
 
     # -- functional updates ----------------------------------------------------
 
@@ -210,6 +264,8 @@ class Label:
     # -- value semantics ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:  # reflexive, and labels are immutable
+            return True
         if not isinstance(other, Label):
             return NotImplemented
         return self._default == other._default and self._entries == other._entries

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.labels import Label
-from repro.core.levels import ALL_LEVELS, L1, L2, L3, STAR
+from repro.core.levels import ALL_LEVELS, L0, L1, L2, L3, STAR
 
 
 levels = st.sampled_from(ALL_LEVELS)
@@ -59,6 +59,12 @@ def test_rejects_bad_levels_and_handles():
         Label({-1: L1}, default=L1)
     with pytest.raises(ValueError):
         Label({1 << 61: L1}, default=L1)
+    # Handles are ints, as strictly as levels are: a float would be packed
+    # into a chunk's handle tuple, and True == 1 would alias a real handle.
+    with pytest.raises(ValueError, match="1.5"):
+        Label({1.5: L3}, default=L1)
+    with pytest.raises(ValueError, match="True"):
+        Label({True: L0}, default=L1)
 
 
 def test_constructors():
@@ -148,6 +154,9 @@ def test_absorption(a, b):
 def test_bottom_and_top_are_identities(a):
     assert a | Label.bottom() == a
     assert a & Label.top() == a
+    # The identity-element law returns the operand itself.
+    assert (a | Label.bottom()) is a
+    assert (a & Label.top()) is a
 
 
 @given(labels)
@@ -174,6 +183,60 @@ def test_contamination_preserves_stars(qs, es):
     for h in list(dict(qs.entries())):
         if qs(h) == STAR:
             assert result(h) == STAR
+
+
+# -- the operators against their definition, spelled out ------------------------------
+
+
+def _rebuilt(a, b, pick):
+    """§5.1 literally, through the validating constructor: *pick* at every
+    handle either label names, and of the two defaults."""
+    handles = set(dict(a.entries())) | set(dict(b.entries()))
+    return Label({h: pick(a(h), b(h)) for h in handles}, pick(a.default, b.default))
+
+
+def _assert_same_normalised(result, reference):
+    assert result == reference
+    assert hash(result) == hash(reference)
+    assert list(result.entries()) == list(reference.entries())
+    assert all(level != result.default for _, level in result.entries())
+
+
+@given(labels, labels)
+def test_operators_equal_the_pointwise_definition(a, b):
+    _assert_same_normalised(a | b, _rebuilt(a, b, max))
+    _assert_same_normalised(a & b, _rebuilt(a, b, min))
+    stars = Label(
+        {h: STAR if lvl == STAR else L3 for h, lvl in a.entries()},
+        STAR if a.default == STAR else L3,
+    )
+    _assert_same_normalised(a.stars(), stars)
+
+
+def test_identity_default_operand_with_entries():
+    # One operand's *default* is the identity of the operation and it has
+    # entries: the other's entries are copied, only these are visited.
+    taint = Label({1: L3, 2: L0, 9: L2}, STAR)           # default ⋆: identity of ⊔
+    qs = Label({1: L2, 2: STAR, 3: L0, 4: L3}, L1)
+    assert taint | qs == qs | taint == Label({1: L3, 2: L0, 3: L0, 4: L3, 9: L2}, L1)
+    grant = Label({1: STAR, 2: L2, 9: L0}, L3)           # default 3: identity of ⊓
+    assert grant & qs == qs & grant == Label({1: STAR, 2: STAR, 3: L0, 4: L3, 9: L0}, L1)
+    # Both defaults are the identity: either may go first.
+    assert taint | Label({2: L1, 5: L0}, STAR) == Label({1: L3, 2: L1, 5: L0, 9: L2}, STAR)
+
+
+def test_touched_handle_landing_on_the_default_is_removed():
+    # max(0, 1) at h1 lands on the result default 1, where the copied entry
+    # {h1 0} must go rather than stay (a skipped visit would keep it).
+    qs = Label({1: L0, 2: L3}, L1)
+    for result in (Label({1: L1}, STAR) | qs, qs | Label({1: L1}, STAR)):
+        assert result == Label({2: L3}, L1)
+        assert 1 not in result and len(result) == 1
+    # The same for ⊓: min(3, 2) at h1 lands on the default 2.
+    qr = Label({1: L3, 2: STAR}, L2)
+    for result in (Label({1: L2}, L3) & qr, qr & Label({1: L2}, L3)):
+        assert result == Label({2: STAR}, L2)
+        assert 1 not in result and len(result) == 1
 
 
 def test_comparison_with_non_label():
