@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import not_
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.handles import Handle
@@ -240,12 +241,13 @@ class ChunkedLabel:
         "level_mask",
         "_los",
         "_size",
-        # Lazily filled views of an immutable value: the non-star entries,
-        # the expanded Label, and the (size, min, max) the paper-mode bill
-        # reads.
+        #: ``(size, min_level, max_level)`` — all the 2005 cost model
+        #: (``labelops.paper_cost_*``) reads of an operand, ten times a bill.
+        "summary",
+        # Lazily filled views of an immutable value: the non-star entries
+        # and the expanded Label.
         "_nonstar_cache",
         "_label",
-        "_summary",
         # Hash-consing support (repro.core.interning): the table this
         # instance is canonical in and the process-unique id that table
         # gave it (both None while the label has never been interned),
@@ -296,14 +298,25 @@ class ChunkedLabel:
         self.level_mask: int = mask
         self._los = los
         self._size = size
-        self._nonstar_cache = self._label = self._summary = None
+        present = mask | (1 << (default + 1))
+        self.summary = (size, _MASK_MIN[present], _MASK_MAX[present])
+        self._nonstar_cache = self._label = None
         self.intern_id = self.intern_table = self.fingerprint = None
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
     def from_label(cls, label: Label, stats: Optional[OpStats] = None) -> "ChunkedLabel":
-        chunks = pack_chunks(tuple(label.entries()))
+        size = len(label)
+        if size > CHUNK_CAPACITY:
+            chunks = pack_chunks(tuple(label.entries()))
+        elif size:
+            # What programs supply is a handful of entries: the one chunk,
+            # straight from the sorted keys, no pair tuples.
+            handles = tuple(label.handles())
+            chunks = [Chunk.packed(handles, bytes(map(_ENCODE, map(label, handles))))]
+        else:
+            chunks = []
         if stats is not None:
             stats.labels_allocated += 1
             stats.chunks_allocated += len(chunks)
@@ -336,26 +349,19 @@ class ChunkedLabel:
 
     @property
     def min_level(self) -> Level:
-        return _MASK_MIN[self.level_mask | (1 << (self.default + 1))]
+        return self.summary[1]
 
     @property
     def max_level(self) -> Level:
-        return _MASK_MAX[self.level_mask | (1 << (self.default + 1))]
-
-    @property
-    def summary(self) -> Tuple[int, Level, Level]:
-        """``(size, min_level, max_level)`` — all the 2005 cost model
-        (``labelops.paper_cost_*``) reads of an operand."""
-        summary = self._summary
-        if summary is None:
-            summary = self._summary = (self._size, self.min_level, self.max_level)
-        return summary
+        return self.summary[2]
 
     def __len__(self) -> int:
         return self._size
 
     def __call__(self, handle: Handle) -> Level:
         """Evaluate at *handle*: bisect the directory, then the chunk."""
+        if not self._size:
+            return self.default
         idx = bisect_right(self._los, handle) - 1
         if idx >= 0:
             chunk = self.chunks[idx]
@@ -368,6 +374,18 @@ class ChunkedLabel:
     def iter_entries(self) -> Iterator[Tuple[Handle, Level]]:
         for chunk in self.chunks:
             yield from zip(chunk.handles, map(_DECODE, chunk.levels))
+
+    def star_handles(self) -> Iterator[Handle]:
+        """The handles explicitly at ``*``, ascending, at C speed: an
+        all-star chunk gives its own handle tuple, a mixed one is
+        compressed on its level bytes (``*`` is code 0)."""
+        return chain.from_iterable(
+            chunk.handles
+            if chunk.level_mask == _STAR_BIT
+            else compress(chunk.handles, map(not_, chunk.levels))
+            for chunk in self.chunks
+            if chunk.level_mask & _STAR_BIT
+        )
 
     def value_key(self) -> Tuple[Any, ...]:
         """``(default, handles, levels)`` with the chunking erased: equal
@@ -438,8 +456,9 @@ class ChunkedLabel:
         """The partial order ⊑, with min/max short-circuits."""
         if stats is not None:
             stats.operations += 1
-        # Short-circuit: everything in self at or below everything in other.
-        if self.max_level <= other.min_level and self.default <= other.default:
+        # Short-circuit: everything in self at or below everything in other
+        # (self's max_level against other's min_level, off the summaries).
+        if self.summary[2] <= other.summary[1] and self.default <= other.default:
             if stats is not None:
                 stats.chunks_skipped += len(self.chunks) + len(other.chunks)
                 stats.fast_path += 1

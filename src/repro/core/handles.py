@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 #: Handles are 61-bit numbers; a 64-bit word holds a handle plus a 3-bit level.
 HANDLE_BITS = 61
@@ -39,12 +40,18 @@ _ROUNDS = 8
 Handle = int
 
 
+@lru_cache(maxsize=64)
+def _round_prefix(key: bytes, round_no: int) -> "hashlib._Hash":
+    """The hash state after (key, round): eight per boot key, copied —
+    never updated — by every block that round encrypts."""
+    return hashlib.sha256(key + round_no.to_bytes(2, "big"))
+
+
 def _round_fn(value: int, key: bytes, round_no: int, out_bits: int) -> int:
     """Pseudorandom round function: hash (key, round, value) to out_bits."""
-    digest = hashlib.sha256(
-        key + round_no.to_bytes(2, "big") + value.to_bytes(8, "big")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") & ((1 << out_bits) - 1)
+    state = _round_prefix(key, round_no).copy()
+    state.update(value.to_bytes(8, "big"))
+    return int.from_bytes(state.digest()[:8], "big") & ((1 << out_bits) - 1)
 
 
 def feistel_encrypt(block: int, key: bytes, rounds: int = _ROUNDS) -> int:

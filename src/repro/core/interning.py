@@ -342,14 +342,11 @@ def overlay_stars(
     materialised union only exists so the simulation's labels stay
     bit-comparable with the uncached kernel's (DESIGN.md §11).
     """
-    stars = {
-        h: STAR
-        for h, lvl in source.iter_entries()
-        if lvl == STAR and (skip is None or h not in skip)
-    }
-    if extra is not None:
-        for h in extra:
-            stars[h] = STAR
+    stars = dict.fromkeys(source.star_handles(), STAR)
+    for h in skip or ():
+        stars.pop(h, None)
+    if extra:
+        stars.update(dict.fromkeys(extra, STAR))
     return table.intern(labelops.sparse_update(core_result, stars, None))
 
 

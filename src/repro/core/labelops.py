@@ -52,6 +52,8 @@ from repro.core.chunks import (
     OpStats,
     level_bit,
     unpack_chunks,
+    _ENCODE,
+    _STAR_BIT,
 )
 from repro.core.handles import Handle
 from repro.core.labels import Label
@@ -94,8 +96,9 @@ def check_send(
     # senders like netd carry one * per user and would otherwise make this
     # loop O(users).
     small = _explicit_handles(dr, v, pr)
-    small.update(h for h, _ in es.nonstar_entries())
-    for handle in sorted(small):
+    if es.level_mask > _STAR_BIT:
+        small.update(h for h, _ in es.nonstar_entries())
+    for handle in sorted(small) if small else ():
         scanned += 1
         if es(handle) > min(max(qr(handle), dr(handle)), v(handle), pr(handle)):
             if stats is not None:
@@ -154,14 +157,14 @@ def decontamination_privileged(
     two empty walks)."""
     if ds.default < L3 and ps.max_level != STAR:
         return False
-    for handle, level in ds.iter_entries():
+    for handle, level in ds.iter_entries() if ds._size else ():
         if stats is not None:
             stats.entries_scanned += 1
         if level < L3 and ps(handle) != STAR:
             return False
     if dr.default > STAR and ps.max_level != STAR:
         return False
-    for handle, level in dr.iter_entries():
+    for handle, level in dr.iter_entries() if dr._size else ():
         if stats is not None:
             stats.entries_scanned += 1
         if level > STAR and ps(handle) != STAR:
@@ -227,7 +230,8 @@ def apply_send_effects(
         # identity at every level present in QS, and at QS's default for
         # handles QS leaves implicit).
         touched = _explicit_handles(ds)
-        touched.update(h for h, _ in es.nonstar_entries())
+        if es.level_mask > _STAR_BIT:
+            touched.update(h for h, _ in es.nonstar_entries())
         updates: Dict[Handle, Level] = {}
         changed = False
         for handle in touched:
@@ -273,7 +277,7 @@ def raise_receive(
     if fast:
         updates: Dict[Handle, Level] = {}
         changed = False
-        for handle, level in dr.iter_entries():
+        for handle, level in dr.iter_entries() if dr._size else ():
             old = qr(handle)
             new = updates[handle] = max(old, level)
             if new != old:
@@ -327,25 +331,28 @@ def sparse_update(
         return label
     chunks, default = label.chunks, label.default
     if not chunks:
-        entries = {h: lvl for h, lvl in updates.items() if lvl != default}
-        return _from_entries(entries, default, stats, reuse=())
+        return _from_entries(updates, default, stats, reuse=())
 
-    # Route each updated handle to a chunk index: the chunk whose range
-    # contains it, else the nearest chunk to its insertion point.
-    los = label._los
-    routed: Dict[int, List[Handle]] = {}
-    for handle in updates:
-        idx = bisect_right(los, handle) - 1
-        routed.setdefault(idx if idx > 0 else 0, []).append(handle)
-
+    # Route by one walk over the sorted handles: the lowest pending one
+    # picks its chunk (the one whose range contains it, else the nearest
+    # to its insertion point) and takes every pending handle below the
+    # next chunk's ``lo`` with it — two bisects per touched chunk.
     # Splice: the runs of untouched chunks between the routed ones are
     # copied as slices of the directory (and of its index), never visited.
+    los = label._los
+    pending = sorted(updates)
+    todo = len(pending)
     default_code = default + 1
     spliced: List[Chunk] = []
     spliced_los: List[Handle] = []
     size = len(label)
-    scanned = allocated = reshared = gone = new = done = 0
-    for idx in sorted(routed):
+    scanned = allocated = reshared = gone = new = done = start = routed = 0
+    while start < todo:
+        idx = max(bisect_right(los, pending[start]) - 1, 0)
+        stop = todo
+        if idx + 1 < len(los):
+            stop = bisect_left(pending, los[idx + 1], start)
+        routed += 1
         spliced += chunks[done:idx]
         spliced_los += los[done:idx]
         done = idx + 1
@@ -353,7 +360,7 @@ def sparse_update(
         scanned += chunk.size
         gone |= chunk.level_mask
         handles, levels = list(chunk.handles), bytearray(chunk.levels)
-        for handle in routed[idx]:
+        for handle in pending[start:stop]:
             code = updates[handle] + 1
             pos = bisect_left(handles, handle)
             if pos < len(handles) and handles[pos] == handle:
@@ -364,6 +371,7 @@ def sparse_update(
             elif code != default_code:
                 handles.insert(pos, handle)
                 levels.insert(pos, code)
+        start = stop
         size += len(handles) - chunk.size
         # Re-chunk this run.  Overflowing runs split *evenly* — a [64, 1]
         # split would leave a near-empty chunk owning half the handle
@@ -382,7 +390,7 @@ def sparse_update(
     spliced += chunks[done:]
     spliced_los += los[done:]
     if stats is not None:
-        stats.chunks_shared += len(chunks) - len(routed) + reshared
+        stats.chunks_shared += len(chunks) - routed + reshared
         stats.entries_scanned += scanned
         stats.chunks_allocated += allocated
         stats.labels_allocated += 1
@@ -424,8 +432,10 @@ def _from_entries(
     for source in reuse:
         for chunk in source.chunks:
             pool.setdefault((chunk.handles, chunk.levels), chunk)
-    handles = tuple(sorted(h for h, lvl in entries.items() if lvl != default))
-    levels = bytes(entries[h] + 1 for h in handles)
+    if default in entries.values():
+        entries = {h: lvl for h, lvl in entries.items() if lvl != default}
+    handles = tuple(sorted(entries))
+    levels = bytes(map(_ENCODE, map(entries.__getitem__, handles)))
     chunks: List[Chunk] = []
     for i in range(0, len(handles), CHUNK_CAPACITY):
         run = handles[i : i + CHUNK_CAPACITY], levels[i : i + CHUNK_CAPACITY]
@@ -470,35 +480,16 @@ def check_send_reference(
 # measures.
 
 
-#: ``(size, min level, max level)`` — the abstraction of a label flowing
-#: through the modelled operator chain (an operand's is cached on it:
-#: ``ChunkedLabel.summary``).  Result sizes use max() — the operand handle
-#: sets overlap almost entirely in practice — and the min/max bounds are
-#: sound in the direction that matters (they may only *enable* extra
-#: short-circuits, modelling a competent implementation).
-_Approx = Tuple[int, Level, Level]
-
-
-def _lub_cost(a: _Approx, b: _Approx) -> Tuple[int, _Approx]:
-    """(entries scanned, result) for the paper's a ⊔ b; the min/max hint
-    skips the merge when one operand dominates the other."""
-    a_size, a_lo, a_hi = a
-    b_size, b_lo, b_hi = b
-    if b_hi <= a_lo:
-        return 0, a
-    if a_hi <= b_lo:
-        return 0, b
-    return a_size + b_size, (max(a_size, b_size), max(a_lo, b_lo), max(a_hi, b_hi))
-
-
-def _glb_cost(a: _Approx, b: _Approx) -> Tuple[int, _Approx]:
-    a_size, a_lo, a_hi = a
-    b_size, b_lo, b_hi = b
-    if b_lo >= a_hi:
-        return 0, a
-    if a_lo >= b_hi:
-        return 0, b
-    return a_size + b_size, (max(a_size, b_size), min(a_lo, b_lo), min(a_hi, b_hi))
+# An operand enters the modelled operator chain as its ``(size, min level,
+# max level)`` (cached on it: ``ChunkedLabel.summary``), and the chain is
+# integer arithmetic on those triples.  ``a ⊔ b`` scans nothing when the
+# min/max hint says one operand dominates (``b_hi <= a_lo`` gives ``a``,
+# ``a_hi <= b_lo`` gives ``b``) and ``a_size + b_size`` entries otherwise;
+# ``⊓`` is its dual.  Result sizes use max() — the operand handle sets
+# overlap almost entirely in practice — and the min/max bounds are sound in
+# the direction that matters (they may only *enable* extra short-circuits,
+# modelling a competent implementation).  ``tests/test_labelops.py`` holds
+# each function equal to the composition of one-operator reference costs.
 
 
 def paper_cost_check_send(
@@ -514,21 +505,30 @@ def paper_cost_check_send(
     ⊑ of a label against a bound whose minimum dominates the label's
     default only inspects the label's own entries (the same min/max hint
     family as ⊔/⊓)."""
-    scanned, rhs = _lub_cost(qr.summary, dr.summary)
-    cost, rhs = _glb_cost(rhs, v.summary)
-    scanned += cost
-    cost, rhs = _glb_cost(rhs, pr.summary)
-    scanned += cost
-    # Requirement (4): DR ⊑ pR.
-    scanned += len(dr)
-    if dr.default > pr.min_level:
-        scanned += len(pr)
-    # ES ⊑ rhs: always scans ES; scans the rhs only when ES's default is
-    # not already bounded by the rhs's minimum.
-    scanned += len(es)
-    rhs_size, rhs_min, _ = rhs
-    if es.default > rhs_min:
-        scanned += rhs_size
+    size, lo, hi = qr.summary
+    d_size, d_lo, d_hi = dr.summary
+    pr_summary = pr.summary
+    # Requirement (4), DR ⊑ pR, and ES ⊑ rhs always scan their left side.
+    scanned = d_size + es._size
+    if dr.default > pr_summary[1]:
+        scanned += pr_summary[0]
+    if d_hi > lo:                                # QR ⊔ DR
+        if hi <= d_lo:
+            size, lo, hi = d_size, d_lo, d_hi
+        else:
+            scanned += size + d_size
+            size, lo, hi = max(size, d_size), max(lo, d_lo), max(hi, d_hi)
+    for b_size, b_lo, b_hi in (v.summary, pr_summary):    # ⊓ V, then ⊓ pR
+        if b_lo < hi:
+            if lo >= b_hi:
+                size, lo, hi = b_size, b_lo, b_hi
+            else:
+                scanned += size + b_size
+                size, lo, hi = max(size, b_size), min(lo, b_lo), min(hi, b_hi)
+    # The rhs is scanned only when ES's default is not already bounded by
+    # its minimum.
+    if es.default > lo:
+        scanned += size
     return scanned
 
 
@@ -542,21 +542,32 @@ def paper_cost_apply_effects(
     The stars-only projection has no short-circuit when stars are present
     (the optimisation the paper explicitly defers), so a receiver like
     netd with one ⋆ per user pays O(users) on every delivery."""
+    q_size, q_lo, q_hi = qs.summary
+    r_size, r_lo, r_hi = es.summary              # QS* = {3}; ES ⊓ {3} = ES
     scanned = 0
-    rhs = es.summary                             # QS* = {3}; ES ⊓ {3} = ES
-    if qs.min_level == STAR:
-        scanned += len(qs)                       # compute QS* by scanning
-        cost, rhs = _glb_cost(rhs, (len(qs), STAR, L3))
-        scanned += cost
-    cost, t1 = _glb_cost(qs.summary, ds.summary)
-    scanned += cost
-    cost, _ = _lub_cost(t1, rhs)
-    scanned += cost
+    if q_lo == STAR:
+        scanned = q_size                         # compute QS* by scanning
+        if r_lo == L3:                           # ES ⊓ QS*, QS* = (|QS|, ⋆, 3)
+            r_size, r_lo = q_size, STAR
+        elif r_hi > STAR:
+            scanned += r_size + q_size
+            r_size, r_lo = max(r_size, q_size), STAR
+    d_size, d_lo, d_hi = ds.summary
+    if d_lo < q_hi:                              # QS ⊓ DS
+        if q_lo >= d_hi:
+            q_size, q_lo, q_hi = d_size, d_lo, d_hi
+        else:
+            scanned += q_size + d_size
+            q_size, q_lo, q_hi = max(q_size, d_size), min(q_lo, d_lo), min(q_hi, d_hi)
+    if r_hi > q_lo and q_hi > r_lo:              # … ⊔ …
+        scanned += q_size + r_size
     return scanned
 
 
 def paper_cost_raise_receive(qr: ChunkedLabel, dr: ChunkedLabel) -> int:
-    return _lub_cost(qr.summary, dr.summary)[0]
+    q_size, q_lo, q_hi = qr.summary
+    d_size, d_lo, d_hi = dr.summary
+    return q_size + d_size if d_hi > q_lo and q_hi > d_lo else 0
 
 
 def apply_send_effects_reference(qs: Label, es: Label, ds: Label) -> Label:

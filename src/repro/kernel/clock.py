@@ -89,7 +89,9 @@ class CostModel:
 
     def label_structure(self, stats: OpStats) -> int:
         """Cycles for everything an OpStats records except entry scans:
-        op dispatch, chunk skips, label/chunk allocation, chunk sharing."""
+        op dispatch, chunk skips, label/chunk allocation, chunk sharing.
+        The reference spelling: ``engine.bill`` computes this term inline
+        and the tests hold the two equal; nothing under ``src/`` calls it."""
         return (
             self.label_op_base * stats.operations
             + self.chunk_skip * stats.chunks_skipped

@@ -107,8 +107,17 @@ def bill(work: Work, stats: OpStats, cost: CostModel, mode: str) -> int:
         probes += cost.elide_stub_hit
     if work.delivery:
         probes += cost.elide_deliver_base if work.stub else cost.recv_base
+    # CostModel.label_structure, inline: 39 bills a connection.
+    cycles = (
+        probes
+        + cost.label_op_base * stats.operations
+        + cost.chunk_skip * stats.chunks_skipped
+        + cost.label_alloc * stats.labels_allocated
+        + cost.chunk_alloc * stats.chunks_allocated
+        + cost.chunk_share * stats.chunks_shared
+    )
     if mode != "paper":
-        return probes + cost.label_work(stats)
+        return cycles + cost.label_entry * stats.entries_scanned
     modeled = work.scan
     if work.check is not None:
         modeled += labelops.paper_cost_check_send(*work.check)
@@ -116,7 +125,7 @@ def bill(work: Work, stats: OpStats, cost: CostModel, mode: str) -> int:
         modeled += labelops.paper_cost_apply_effects(*work.effects)
     if work.raised is not None:
         modeled += labelops.paper_cost_raise_receive(*work.raised)
-    return probes + cost.label_structure(stats) + int(cost.label_entry_scan * modeled)
+    return cycles + int(cost.label_entry_scan * modeled)
 
 
 class _Uncached:

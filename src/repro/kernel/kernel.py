@@ -227,6 +227,7 @@ class Kernel:
         #: the send label of a maximally untainted sender.
         self._default_es = engine.canon(ChunkedLabel.from_label(Label.send_default()))
         self._syscalls = self._syscall_table()
+        self._cost_mode = config.label_cost_mode
 
         # -- cross-shard routing (repro.cluster) -----------------------------
         #: Handles that live on another shard: handle → RemoteRoute.  Only
@@ -331,13 +332,7 @@ class Kernel:
         """A message born in the kernel, not in a task: default labels, so
         it contaminates nobody and ordinary delivery checks apply."""
         return QueuedMessage(
-            port=port,
-            payload=payload,
-            effective_send=self._default_es,
-            decontaminate_send=self._top,
-            verify=self._top,
-            decontaminate_receive=self._bottom,
-            sender_name=sender_name,
+            port, payload, self._default_es, self._top, self._top, self._bottom, sender_name
         )
 
     def enqueue_external(
@@ -411,9 +406,21 @@ class Kernel:
                 continue
             self._step()
             steps += 1
-        if steps >= max_steps:
+        # Out of steps is a failure only if work is left: a run that
+        # quiesces in exactly max_steps steps has quiesced.
+        if steps >= max_steps and (
+            self.scheduler
+            or self._delayed
+            or any(self._timer_live(key, token) for _, _, key, token in self._timers)
+        ):
             raise SimulationError(f"run did not quiesce within {max_steps} steps")
         return steps
+
+    def _timer_live(self, key: str, token: Any) -> bool:
+        """Cancellation is lazy: a timer counts only while its task still
+        blocks on that exact token."""
+        task = self.tasks.get(key)
+        return task is not None and task.state == TaskState.BLOCKED and task.blocked_on is token
 
     def _advance_idle(self) -> bool:
         """Nothing runnable: release the next deferred message or jump the
@@ -425,8 +432,7 @@ class Kernel:
             return True
         while self._timers:
             deadline, _, key, token = self._timers[0]
-            task = self.tasks.get(key)
-            if task is None or task.state != TaskState.BLOCKED or task.blocked_on is not token:
+            if not self._timer_live(key, token):
                 heapq.heappop(self._timers)  # cancelled; purge and look again
                 continue
             if deadline > self.clock.now:
@@ -515,6 +521,8 @@ class Kernel:
         its inline budget (then it re-queues, preempted)."""
         if self.hooks:
             self._hook("on_activate", task)
+        charge, syscall_base = self.clock.charge, self.clock.cost.syscall_base
+        syscalls = self._syscalls
         try:
             budget = self.INLINE_SYSCALL_BUDGET
             while True:
@@ -549,9 +557,17 @@ class Kernel:
                     self.debug_log(task.name, "crashed: fault injection")
                     self._task_finished(task, crashed=True)
                     return
-                self.clock.charge(OTHER, self.clock.cost.syscall_base)
-                if not self._dispatch(task, request):
-                    return
+                charge(OTHER, syscall_base)
+                handler = syscalls.get(type(request))
+                if handler is None:
+                    raise SimulationError(f"{task.name} yielded a non-syscall: {request!r}")
+                try:
+                    if not handler(task, request):
+                        return
+                except (InvalidArgument, NotOwner, ResourceExhausted) as err:
+                    # Loud kernel errors come back to the caller as an
+                    # exception at its next resume.
+                    task.pending_exc = err
         finally:
             if self.hooks:
                 self._hook("on_activate_end", task)
@@ -581,18 +597,6 @@ class Kernel:
             sc.EpClean: self._sys_ep_clean,
             sc.EpExit: self._sys_ep_exit,
         }
-
-    def _dispatch(self, task: Task, request: sc.Syscall) -> bool:
-        """Execute one syscall through the table; loud kernel errors come
-        back to the caller as an exception at its next resume."""
-        handler = self._syscalls.get(type(request))
-        if handler is None:
-            raise SimulationError(f"{task.name} yielded a non-syscall: {request!r}")
-        try:
-            return handler(task, request)
-        except (InvalidArgument, NotOwner, ResourceExhausted) as err:
-            task.pending_exc = err
-            return True
 
     def _sys_get_labels(self, task: Task, request: sc.GetLabels) -> bool:
         task.pending = (task.send_label.to_label(), task.receive_label.to_label())
@@ -667,16 +671,17 @@ class Kernel:
             self._hook("on_send", task, request)
         stats = OpStats()
         ps = task.send_label
-        cs = self._user_label(request.cs, self._bottom)
-        ds = self._user_label(request.ds, self._top)
-        v = self._user_label(request.v, self._top)
-        dr = self._user_label(request.dr, self._bottom)
+        cs, ds, v, dr = request.cs, request.ds, request.v, request.dr
+        cs = self._bottom if cs is None else self._user_label(cs)
+        ds = self._top if ds is None else self._user_label(ds)
+        v = self._top if v is None else self._user_label(v)
+        dr = self._bottom if dr is None else self._user_label(dr)
 
         es, work = self.engine.send_join(ps, cs, stats, task.name, request.port)
         # Requirements (2) and (3) are checked live on every send — no
         # cache or proof ever stands in for the decontamination
         # privilege — so their walk over DS and DR is always modelled.
-        work.scan = len(ds) + len(dr)
+        work.scan = ds._size + dr._size
         ok = labelops.decontamination_privileged(ps, ds, dr, stats)
         self._bill(stats, work)
         if not ok:
@@ -700,16 +705,7 @@ class Kernel:
                 entry.owner = "<in-transit>"
 
         self._enqueue(
-            QueuedMessage(
-                port=request.port,
-                payload=request.payload,
-                effective_send=es,
-                decontaminate_send=ds,
-                verify=v,
-                decontaminate_receive=dr,
-                sender_name=task.name,
-                transfer=transfer,
-            )
+            QueuedMessage(request.port, request.payload, es, ds, v, dr, task.name, 0, transfer)
         )
         task.pending = True
         return True
@@ -797,7 +793,7 @@ class Kernel:
         # Decided on the labels as they stand before the effects; proofs
         # may not speak for receive-right passage or cross-shard ingress.
         qs, qr = task.send_label, task.receive_label
-        verdict = self.engine.deliver(
+        drop, new_qs, new_qr, work = self.engine.deliver(
             entry.handle,
             qmsg.effective_send,
             qmsg.decontaminate_send,
@@ -811,11 +807,11 @@ class Kernel:
             qmsg.sender_name,
             task.name,
         )
-        self._bill(stats, verdict.work)
-        delivered = verdict.drop is None
+        self._bill(stats, work)
+        delivered = drop is None
         if delivered:
-            task.send_label = verdict.new_qs
-            task.receive_label = verdict.new_qr
+            task.send_label = new_qs
+            task.receive_label = new_qr
             # Receive rights travelling with the message land here.
             for handle in qmsg.transfer:
                 port_entry = self.ports.get(handle)
@@ -831,7 +827,7 @@ class Kernel:
                         vnode.owner = task.key
             self._delivered += 1
         else:
-            self._drop(verdict.drop, qmsg.sender_name, task.name, seq=qmsg.seq)
+            self._drop(drop, qmsg.sender_name, task.name, seq=qmsg.seq)
             for handle in qmsg.transfer:
                 self._dissociate_port(handle)
         if self.hooks:
@@ -841,9 +837,7 @@ class Kernel:
     def _bill(self, stats: OpStats, work: Work = LOCAL) -> None:
         """Charge KERNEL_IPC for label work (:func:`repro.kernel.engine.bill`
         is the cost function) and fold *stats* into the kernel's totals."""
-        self.clock.charge(
-            KERNEL_IPC, bill(work, stats, self.clock.cost, self.config.label_cost_mode)
-        )
+        self.clock.charge(KERNEL_IPC, bill(work, stats, self.clock.cost, self._cost_mode))
         self.label_stats.merge(stats)
 
     def _mirror_counters(self) -> None:
@@ -933,10 +927,16 @@ class Kernel:
         ports, or a realm with thousands of dormant event processes, pays
         nothing for them here.  With *realm*, a port owned by an active or
         blocked EP is passed over: that EP consumes its own queue."""
+        if port is not None:  # a named port (every reply-wait) is one lookup
+            entry = self.ports.get(port)
+            if entry is not None and entry.alive and entry.queue:
+                return entry
+            ready.discard(port)
+            return None
         best: Optional[Port] = None
         best_seq = 0
         stale: List[Handle] = []
-        for handle in ready if port is None else (port,):
+        for handle in ready:
             entry = self.ports.get(handle)
             if entry is None or not entry.alive or not entry.queue:
                 stale.append(handle)
@@ -1084,9 +1084,7 @@ class Kernel:
         task.pending = True
         return True
 
-    def _user_label(self, label: Optional[Label], default: ChunkedLabel) -> ChunkedLabel:
-        if label is None:
-            return default
+    def _user_label(self, label: Label) -> ChunkedLabel:
         if not isinstance(label, Label):
             raise InvalidArgument(f"not a label: {label!r}")
         return self.engine.canon(ChunkedLabel.from_label(label))

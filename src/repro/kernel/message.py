@@ -66,8 +66,4 @@ class QueuedMessage:
     external: bool = False
 
     def to_message(self) -> Message:
-        return Message(
-            port=self.port,
-            payload=self.payload,
-            verify=self.verify.to_label(),
-        )
+        return Message(self.port, self.payload, self.verify.to_label())

@@ -5,7 +5,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.chunks import CHUNK_CAPACITY, Chunk, ChunkedLabel, OpStats, shared_memory_bytes
+from repro.core.chunks import (
+    CHUNK_CAPACITY, Chunk, ChunkedLabel, OpStats, pack_chunks, shared_memory_bytes,
+)
 from repro.core.labelops import apply_send_effects, raise_receive, sparse_update
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L1, L2, L3, STAR
@@ -41,6 +43,24 @@ def test_to_label_is_expanded_once():
     assert grown.to_label() is expanded
     assert expanded == Label(dict(grown.iter_entries()), grown.default)
     assert expanded == big_label(100).with_entry(5, STAR).without(8).with_entry(9, L2)
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK_CAPACITY, CHUNK_CAPACITY + 1])
+def test_from_label_builds_what_pack_chunks_would(size):
+    # No entries: an empty directory; up to one chunk's worth: that chunk,
+    # built straight from the sorted keys; more: pack_chunks itself.
+    label = Label({7 + 3 * i: ALL_LEVELS[i % 5] for i in range(size)}, L1)
+    stats = OpStats()
+    got = ChunkedLabel.from_label(label, stats)
+    want = ChunkedLabel(pack_chunks(tuple(label.entries())), label.default)
+    assert got.value_key() == want.value_key()
+    assert [len(chunk) for chunk in got.chunks] == [len(chunk) for chunk in want.chunks]
+    assert (got.summary, got.level_mask, got._los, len(got)) == (
+        want.summary, want.level_mask, want._los, len(want)
+    )
+    assert (stats.labels_allocated, stats.chunks_allocated) == (1, len(want.chunks))
+    assert got.to_label() is label
+    assert all(got(h) == label(h) for h in range(0, 7 + 3 * size + 2))
 
 
 def test_chunking_splits_at_capacity():

@@ -37,6 +37,7 @@ from repro.kernel.clock import CostModel
 from repro.kernel.config import KernelConfig
 from repro.kernel.elide import VerifiedFlowTable
 from repro.kernel.engine import (
+    LOCAL,
     ElidedEngine,
     Figure4Engine,
     SanitizingEngine,
@@ -288,6 +289,19 @@ def test_bill_stub_hits_are_flat_probes():
     work.scan = len(_DECONT["ds"]) + len(_DECONT["dr"])
     assert lo.decontamination_privileged(_PS, _DECONT["ds"], _DECONT["dr"], stats)
     assert _billed(work, stats) == (120 + int(0.55 * 2), 120 + 42 * 2)
+
+
+def test_bill_inlines_exactly_the_cost_model_structure_term():
+    # bill() spells CostModel.label_structure / label_work inline (39
+    # bills a connection); every OpStats field distinct, so a term added
+    # to one spelling and not the other shows.
+    cost = CostModel()
+    stats = OpStats(
+        entries_scanned=3, chunks_skipped=5, labels_allocated=7, chunks_allocated=11,
+        chunks_shared=13, operations=17, fast_path=19, full_merges=23,
+    )
+    assert bill(LOCAL, stats, cost, "paper") == cost.label_structure(stats)
+    assert bill(LOCAL, stats, cost, "fused") == cost.label_work(stats)
 
 
 # -- 3. mirrored metrics cannot fall behind the engine's counters -------------------

@@ -33,6 +33,20 @@ def test_cipher_is_a_bijection_on_samples():
         assert feistel_decrypt(feistel_encrypt(block, key), key) == block
 
 
+def test_cipher_vectors_are_the_recorded_ones():
+    # Recorded before the round function began hashing its (key, round)
+    # prefix once and copying the state per block: the emitted handles
+    # are the covert-channel argument *and* every committed bill's
+    # chunk boundaries, so they may not move by a bit.
+    assert feistel_encrypt(0, b"asbestos-boot-key") == 2154240703533959571
+    assert feistel_encrypt(41, b"asbestos-boot-key") == 1611327830527704418
+    assert feistel_encrypt(HANDLE_SPACE - 1, b"test-boot") == 250835781032534735
+    allocator = HandleAllocator()
+    assert [allocator.fresh() for _ in range(3)] == [
+        2154240703533959571, 348963850422859461, 1014428092201866688
+    ]
+
+
 def test_cipher_rejects_out_of_range():
     with pytest.raises(ValueError):
         feistel_encrypt(HANDLE_SPACE, b"k")

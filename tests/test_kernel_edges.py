@@ -191,6 +191,36 @@ def test_run_guard_against_livelock(kernel):
         kernel.run(max_steps=100)
 
 
+def test_run_that_quiesces_in_exactly_max_steps_has_quiesced():
+    # Out of steps is a failure only if work is left.  One process, one
+    # Compute, one scheduler step: the budget of 1 is exactly enough.
+    def one_step(ctx):
+        yield Compute(10)
+
+    for budget in (1, 2):
+        kernel = Kernel(config=KernelConfig(trace=True))
+        kernel.spawn(one_step, "one-step")
+        assert kernel.run(max_steps=budget) == 1
+
+    # Work left at the boundary still trips: a second runnable task ...
+    kernel = Kernel(config=KernelConfig(trace=True))
+    kernel.spawn(one_step, "a")
+    kernel.spawn(one_step, "b")
+    with pytest.raises(SimulationError):
+        kernel.run(max_steps=1)
+    assert kernel.run(max_steps=1) == 1          # ... which the next run finishes
+
+    # ... and a sleeper whose timer is still armed.
+    def sleeper(ctx):
+        yield Recv(timeout=1_000)
+
+    kernel = Kernel(config=KernelConfig(trace=True))
+    kernel.spawn(sleeper, "sleeper")
+    with pytest.raises(SimulationError):
+        kernel.run(max_steps=1)
+    assert kernel.run(max_steps=1) == 1          # the timeout fires, the body ends
+
+
 def test_double_checkpoint_rejected(kernel):
     def event_body(ectx, msg):
         return

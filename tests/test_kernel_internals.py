@@ -251,6 +251,46 @@ def test_cost_model_label_work():
     )
 
 
+# -- what a connection costs: Python calls, and simulated cycles -----------------------------
+
+
+def test_request_path_calls_per_connection_and_cycles_are_held():
+    """The host-time gain of the request path, held as a count: Python-level
+    calls into ``repro`` per resumed connection on a small echo site, and
+    the site's simulated cycles (which no host-time change may move)."""
+    import os
+    import sys
+
+    import repro
+    from repro.sim.runner import build_echo_site, echo_requests
+    from repro.sim.workload import HttpClient
+
+    site = build_echo_site(8, KernelConfig())
+    client = HttpClient(site)
+    requests = echo_requests(8)
+    assert len(client.run_batch(requests, concurrency=4)) == 8      # the create round
+    root = os.path.dirname(repro.__file__)
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for _ in range(2):                                          # two resume rounds
+            assert len(client.run_batch(requests, concurrency=4)) == 8
+    finally:
+        sys.setprofile(previous)
+    # 2,087 before the request path was straightened, 1,402 after, counted
+    # on CPython 3.11 (what CI pins; generator resumes count as calls).  A
+    # frame added back to the per-syscall or per-bill path fails this.
+    assert calls[0] / 16 <= 1_800
+    # Recorded before that change: a bill that moved fails this.
+    assert site.kernel.clock.now == 37_760_752
+
+
 # -- memory report -------------------------------------------------------------------------
 
 

@@ -58,6 +58,13 @@ class LabelLifecycle(RuleBasedStateMachine):
         # and splits, and the label goes (or stays) multi-chunk.
         self.sparse_update_batch({start + i: level for i in range(count)})
 
+    @rule(updates=st.dictionaries(handles, levels, min_size=40, max_size=300))
+    def sparse_update_many(self, updates):
+        # Scattered over every chunk at once, deletions among them: the
+        # routing walk hands each touched chunk its run of the sorted
+        # handles.
+        self.sparse_update_batch(updates)
+
     @rule(level=levels)
     def retire_a_level(self, level):
         # All but one entry at *level* go, then the last one on its own:
@@ -128,6 +135,9 @@ class LabelLifecycle(RuleBasedStateMachine):
             (h, lvl) for h, lvl in self.label.iter_entries() if lvl != STAR
         )
         assert self.label.nonstar_entries() == want
+        assert list(self.label.star_handles()) == [
+            h for h, lvl in self.label.iter_entries() if lvl == STAR
+        ]
 
 
 TestLabelLifecycle = LabelLifecycle.TestCase

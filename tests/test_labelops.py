@@ -3,11 +3,13 @@ equivalent to the naive Figure 4 reference semantics."""
 
 import dataclasses
 import random
+from bisect import bisect_left, bisect_right
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import labelops as lo
-from repro.core.chunks import ChunkedLabel, OpStats
+from repro.core.chunks import Chunk, ChunkedLabel, OpStats, pack_chunks, unpack_chunks
+from repro.core.interning import InternTable, overlay_stars
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L0, L1, L2, L3, STAR
 
@@ -123,6 +125,91 @@ def test_paper_cost_check_scans_when_port_label_restricts():
     assert lo.paper_cost_check_send(es, qr, dr, v, pr) >= 1000
 
 
+# The straight-line ``paper_cost_*`` against what they replaced: the
+# modelled operator chain spelled as a composition of one-operator costs
+# over ``(size, min level, max level)`` triples.  These two are the
+# reference; ``src/`` no longer has them.
+
+
+def _lub_cost(a, b):
+    """(entries scanned, result) for the paper's a ⊔ b; the min/max hint
+    skips the merge when one operand dominates the other."""
+    a_size, a_lo, a_hi = a
+    b_size, b_lo, b_hi = b
+    if b_hi <= a_lo:
+        return 0, a
+    if a_hi <= b_lo:
+        return 0, b
+    return a_size + b_size, (max(a_size, b_size), max(a_lo, b_lo), max(a_hi, b_hi))
+
+
+def _glb_cost(a, b):
+    a_size, a_lo, a_hi = a
+    b_size, b_lo, b_hi = b
+    if b_lo >= a_hi:
+        return 0, a
+    if a_lo >= b_hi:
+        return 0, b
+    return a_size + b_size, (max(a_size, b_size), min(a_lo, b_lo), min(a_hi, b_hi))
+
+
+def _composed_check_send_cost(es, qr, dr, v, pr):
+    scanned, rhs = _lub_cost(qr.summary, dr.summary)
+    cost, rhs = _glb_cost(rhs, v.summary)
+    scanned += cost
+    cost, rhs = _glb_cost(rhs, pr.summary)
+    scanned += cost
+    scanned += len(dr)                           # requirement (4): DR ⊑ pR
+    if dr.default > pr.min_level:
+        scanned += len(pr)
+    scanned += len(es)                           # ES ⊑ rhs
+    rhs_size, rhs_min, _ = rhs
+    if es.default > rhs_min:
+        scanned += rhs_size
+    return scanned
+
+
+def _composed_apply_effects_cost(qs, es, ds):
+    scanned = 0
+    rhs = es.summary
+    if qs.min_level == STAR:
+        scanned += len(qs)
+        cost, rhs = _glb_cost(rhs, (len(qs), STAR, L3))
+        scanned += cost
+    cost, t1 = _glb_cost(qs.summary, ds.summary)
+    scanned += cost
+    cost, _ = _lub_cost(t1, rhs)
+    return scanned + cost
+
+
+def _sized_label(size, present, default):
+    return _c(Label({i * 7: present[i % len(present)] for i in range(size)}, default))
+
+
+#: Every default, every set of levels present, sizes 0–200 (entries at the
+#: default normalise away, so sizes in between occur too).
+sized_labels = st.builds(
+    _sized_label,
+    st.integers(0, 200),
+    st.lists(levels, min_size=1, max_size=5, unique=True),
+    levels,
+)
+
+
+@given(sized_labels, sized_labels, sized_labels, sized_labels, sized_labels)
+@settings(max_examples=600)
+def test_paper_cost_check_send_equals_the_composed_chain(es, qr, dr, v, pr):
+    want = _composed_check_send_cost(es, qr, dr, v, pr)
+    assert lo.paper_cost_check_send(es, qr, dr, v, pr) == want
+
+
+@given(sized_labels, sized_labels, sized_labels)
+@settings(max_examples=600)
+def test_paper_cost_effects_and_raise_equal_the_composed_chain(qs, es, ds):
+    assert lo.paper_cost_apply_effects(qs, es, ds) == _composed_apply_effects_cost(qs, es, ds)
+    assert lo.paper_cost_raise_receive(qs, es) == _lub_cost(qs.summary, es.summary)[0]
+
+
 # -- sparse_update boundary structure: normalisation, routing, chunk sharing ------------
 
 from repro.core.chunks import CHUNK_CAPACITY  # noqa: E402
@@ -173,6 +260,132 @@ def test_sparse_update_shares_untouched_chunks():
     for i in (0, 1, 3):
         assert got.chunks[i] is label.chunks[i]
     assert got.chunks[2] is not label.chunks[2]
+
+
+# ``sparse_update`` routes by one walk over the sorted handles; below is
+# what it replaced — each handle routed by its own bisect into a ``routed``
+# dict — kept as the reference for the directory and the bill.
+
+
+def _sparse_update_per_handle(label, updates, stats):
+    chunks, default = label.chunks, label.default
+    if not chunks:
+        entries = sorted((h, lvl) for h, lvl in updates.items() if lvl != default)
+        packed = pack_chunks(entries)
+        stats.chunks_allocated += len(packed)
+        stats.labels_allocated += 1
+        return ChunkedLabel(packed, default)
+    los = label._los
+    routed = {}
+    for handle in updates:
+        idx = bisect_right(los, handle) - 1
+        routed.setdefault(idx if idx > 0 else 0, []).append(handle)
+    default_code = default + 1
+    spliced = []
+    size = len(label)
+    scanned = allocated = reshared = done = 0
+    for idx in sorted(routed):
+        spliced += chunks[done:idx]
+        done = idx + 1
+        chunk = chunks[idx]
+        scanned += chunk.size
+        handles, levels = list(chunk.handles), bytearray(chunk.levels)
+        for handle in routed[idx]:
+            code = updates[handle] + 1
+            pos = bisect_left(handles, handle)
+            if pos < len(handles) and handles[pos] == handle:
+                if code == default_code:
+                    del handles[pos], levels[pos]
+                else:
+                    levels[pos] = code
+            elif code != default_code:
+                handles.insert(pos, handle)
+                levels.insert(pos, code)
+        size += len(handles) - chunk.size
+        for run in zip(lo._balanced_runs(tuple(handles)), lo._balanced_runs(bytes(levels))):
+            if run[0] == chunk.handles and run[1] == chunk.levels:
+                reshared += 1
+            else:
+                chunk = Chunk.packed(*run)
+                allocated += 1
+            spliced.append(chunk)
+    spliced += chunks[done:]
+    stats.chunks_shared += len(chunks) - len(routed) + reshared
+    stats.entries_scanned += scanned
+    stats.chunks_allocated += allocated
+    stats.labels_allocated += 1
+    if len(spliced) > 3 and size < len(spliced) * (CHUNK_CAPACITY // 3):
+        buffers = unpack_chunks(spliced)
+        spliced = [
+            Chunk.packed(*run)
+            for run in zip(lo._balanced_runs(buffers[0]), lo._balanced_runs(buffers[1]))
+        ]
+        stats.chunks_allocated += len(spliced)
+        stats.entries_scanned += size
+    return ChunkedLabel(spliced, default)
+
+
+def _wide_label(rng, default):
+    """0–400 entries over handles 300–900: up to seven chunks, and room
+    on either side for updates below the first and above the last."""
+    size = rng.choice([0, 1, 40, 64, 65, 200, 400])
+    others = [lvl for lvl in ALL_LEVELS if lvl != default]
+    return _c(Label({h: rng.choice(others) for h in rng.sample(range(300, 900), size)}, default))
+
+
+def _wide_updates(rng, default):
+    """1–300 updates over handles 0–1,200, a third of them deletions to
+    the default; sometimes packed into one chunk's range so a run
+    overflows and splits."""
+    count = rng.choice([1, 2, 8, 63, 64, 65, 150, 300])
+    span = range(500, 560 + count) if rng.random() < 0.3 else range(0, 1200)
+    return {
+        h: default if rng.random() < 0.33 else rng.choice(ALL_LEVELS)
+        for h in rng.sample(span, count)
+    }
+
+
+@given(st.randoms(use_true_random=False), levels)
+@settings(max_examples=150, deadline=None)
+def test_sparse_update_equals_per_handle_routing(rng, default):
+    before, updates = _wide_label(rng, default), _wide_updates(rng, default)
+    got_stats, want_stats = OpStats(), OpStats()
+    got = lo.sparse_update(before, updates, got_stats)
+    want = _sparse_update_per_handle(before, updates, want_stats)
+    assert got.value_key() == want.value_key()
+    assert [len(chunk) for chunk in got.chunks] == [len(chunk) for chunk in want.chunks]
+    assert got_stats == want_stats
+    assert (got._los, len(got), got.level_mask, got.summary) == (
+        want._los, len(want), want.level_mask, want.summary
+    )
+    # Chunks no update reached are shared by identity, not rebuilt.
+    untouched = {id(chunk) for chunk in before.chunks} & {id(chunk) for chunk in want.chunks}
+    assert untouched <= {id(chunk) for chunk in got.chunks}
+
+
+@given(st.randoms(use_true_random=False), levels, st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_overlay_stars_equals_the_entry_by_entry_spelling(rng, default, skipping, granting):
+    table = InternTable()
+    source = lo.sparse_update(
+        _wide_label(rng, default), dict.fromkeys(rng.sample(range(0, 1200), 270), STAR)
+    )
+    core = _wide_label(rng, default).without_stars()
+    skip = set(rng.sample(range(0, 1200), 40)) if skipping else None
+    extra = set(rng.sample(range(0, 1200), 40)) if granting else None
+    stars = {
+        h: STAR
+        for h, lvl in source.iter_entries()
+        if lvl == STAR and (skip is None or h not in skip)
+    }
+    if extra is not None:
+        for h in extra:
+            stars[h] = STAR
+    want = _sparse_update_per_handle(core, stars, OpStats()) if stars else core
+    got = overlay_stars(table, core, source, skip, extra)
+    assert got.value_key() == want.value_key()
+    assert [len(chunk) for chunk in got.chunks] == [len(chunk) for chunk in want.chunks]
+    assert got is table.intern(got)
 
 
 # -- _balanced_runs: minimum chunk count, even sizes --------------------------------
