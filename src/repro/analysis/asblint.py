@@ -130,7 +130,9 @@ def analyze_source(
     diagnostics: List[R.Diagnostic] = []
     for program in discover_programs(tree):
         report.programs.append(program.qualname)
-        diagnostics.extend(ProgramAnalyzer(program, path).run())
+        analyzer = ProgramAnalyzer(program, path)
+        diagnostics.extend(analyzer.run())
+        report.sends_checked += analyzer.sends_checked
     if select:
         diagnostics = [d for d in diagnostics if d.rule in select]
 
@@ -229,7 +231,8 @@ def format_reports(reports: Sequence[R.FileReport], verbose: bool = False) -> st
     noun = "finding" if total == 1 else "findings"
     summary = (
         f"asblint: {total} {noun} in {programs} programs "
-        f"across {len(reports)} files"
+        f"across {len(reports)} files, "
+        f"{sum(r.sends_checked for r in reports)} sends checked"
     )
     if suppressed:
         summary += f" ({suppressed} suppressed by pragma)"

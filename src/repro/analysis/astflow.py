@@ -91,6 +91,15 @@ SEND_FIELDS = (
 #: ``Channel`` methods that send before they receive.
 CHANNEL_SENDS = ("call", "call_nowait")
 
+#: ``ipc.rpc`` sub-generators that send to a port we cannot name and
+#: receive nothing: ``Request.answer`` / ``.error`` and ``announce``.
+#: Their label keywords are ``Send``'s; every other argument is payload.
+REPLY_SENDS = ("answer", "error", "announce")
+LABEL_FIELDS = ("cs", "ds", "v", "dr")
+
+#: What ``yield from`` may name that makes a syscall on our behalf.
+RPC_NAMES = CHANNEL_SENDS + REPLY_SENDS + ("open_port",)
+
 MAX_LOOP_ITERATIONS = 8
 
 
@@ -240,13 +249,14 @@ def _own_nodes(fn: ast.FunctionDef):
 
 
 def _yields_syscalls(fn: ast.FunctionDef) -> bool:
-    """True when *fn* yields a syscall itself or sends through
-    ``yield from <channel>.call(...)``."""
+    """True when *fn* yields a syscall itself or makes one through
+    ``yield from`` a ``Channel`` / ``Request`` method or an ``ipc.rpc``
+    helper."""
     for node in _own_nodes(fn):
         if isinstance(node, (ast.Yield, ast.YieldFrom)) and isinstance(
             node.value, ast.Call
         ):
-            names = SYSCALL_NAMES if isinstance(node, ast.Yield) else CHANNEL_SENDS
+            names = SYSCALL_NAMES if isinstance(node, ast.Yield) else RPC_NAMES
             if _callee_name(node.value) in names:
                 return True
     return False
@@ -303,6 +313,9 @@ class ProgramAnalyzer:
         self.ever_reachable: Set[str] = set()
         #: Deferred ASB004 candidates: (token, line, col).
         self.leak_candidates: List[Tuple[str, int, int]] = []
+        #: Send sites evaluated against the rule catalogue (reporting
+        #: passes only) — what "0 findings" is zero findings *out of*.
+        self.sends_checked = 0
         self._reported: Set[Tuple[int, int, str, str]] = set()
         self._report = True
 
@@ -524,17 +537,19 @@ class ProgramAnalyzer:
         return UNKNOWN
 
     def apply_yield_from(self, node: ast.YieldFrom, state: FlowState) -> Value:
-        """``yield from`` a sub-generator.  ``Channel.open`` is modelled
-        exactly (new port, opened, ⋆ held) and ``<channel>.call`` /
-        ``.call_nowait`` is a ``Send`` of its leading arguments followed by
-        a receive; everything else may receive messages on our behalf, so
-        the state is widened."""
+        """``yield from`` a sub-generator.  ``open_port`` / ``Channel.open``
+        are modelled exactly (new port, opened, ⋆ held); ``<channel>.call``
+        / ``.call_nowait`` is a ``Send`` of its leading arguments followed
+        by a receive; ``<request>.answer`` / ``.error`` and ``announce``
+        are a ``Send`` to a port we cannot name whose payload is their
+        non-label arguments; everything else may receive messages on our
+        behalf, so the state is widened."""
         call = node.value
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
             if call.func.attr in CHANNEL_SENDS and isinstance(
                 self.resolve(call.func.value, state), ChannelVal
             ):
-                self.apply_send(call, state)
+                self.apply_send(call, self._bind_args(call, SEND_FIELDS), state)
                 state.abstract = state.abstract.after_receive()
                 return UNKNOWN
             if (
@@ -542,21 +557,39 @@ class ProgramAnalyzer:
                 and isinstance(call.func.value, ast.Name)
                 and call.func.value.id == "Channel"
             ):
-                token = f"port@L{node.lineno}"
-                state.abstract.ps = state.abstract.ps.with_entry(token, IV_STAR)
-                port_label: Optional[AbstractLabel] = None
-                if call.args:
-                    port_label = self.eval_label(call.args[0], state)
-                if port_label is None:
-                    port_label = AbstractLabel.top()  # Channel.open default
-                state.ports[token] = PortStatus(port_label)
-                if not self._definitely_closed(port_label, token):
-                    self.ever_reachable.add(token)
-                return ChannelVal(PortVal(token))
+                return ChannelVal(self.apply_open_port(call, state))
+        if isinstance(call, ast.Call) and _callee_name(call) in REPLY_SENDS:
+            return self.apply_send(call, self._reply_args(call), state)
+        if isinstance(call, ast.Call) and _callee_name(call) == "open_port":
+            return self.apply_open_port(call, state)
         if isinstance(call, ast.expr):
             self.eval_expr(call, state)
         state.abstract = state.abstract.after_receive()
         return UNKNOWN
+
+    def apply_open_port(self, call: ast.Call, state: FlowState) -> PortVal:
+        """``open_port(label=None)``: ``NewPort`` then a verbatim
+        ``SetPortLabel`` — ``{3}`` unless a label is given."""
+        token = f"port@L{call.lineno}"
+        state.abstract.ps = state.abstract.ps.with_entry(token, IV_STAR)
+        args = self._bind_args(call, ("label",))
+        port_label = AbstractLabel.top()
+        if args:
+            port_label = self._label_arg(next(iter(args.values())), state)
+        state.ports[token] = PortStatus(port_label)
+        if not self._definitely_closed(port_label, token):
+            self.ever_reachable.add(token)
+        return PortVal(token)
+
+    def _reply_args(self, call: ast.Call) -> Dict[str, ast.expr]:
+        """``Send``-shaped arguments of a ``REPLY_SENDS`` call: the label
+        keywords as they are, every other argument gathered into the
+        payload."""
+        args = self._bind_args(call, ())
+        fields = [node for name, node in args.items() if name not in LABEL_FIELDS]
+        bound = {name: node for name, node in args.items() if name in LABEL_FIELDS}
+        bound["payload"] = ast.Tuple(elts=call.args + fields, ctx=ast.Load())
+        return bound
 
     # -- syscall effects -----------------------------------------------------------------
 
@@ -585,7 +618,7 @@ class ProgramAnalyzer:
             state.abstract = state.abstract.after_receive()
             return MsgVal()
         if name == "Send":
-            return self.apply_send(call, state)
+            return self.apply_send(call, self._bind_args(call, SEND_FIELDS), state)
         if name == "ChangeLabel":
             return self.apply_change_label(call, state)
         if name == "SetPortLabel":
@@ -655,8 +688,13 @@ class ProgramAnalyzer:
             abstract.pr = label if label is not None else AbstractLabel.unknown()
         return UNKNOWN
 
-    def apply_send(self, call: ast.Call, state: FlowState) -> Value:
-        args = self._bind_args(call, SEND_FIELDS)
+    def apply_send(
+        self, call: ast.Call, args: Dict[str, ast.expr], state: FlowState
+    ) -> Value:
+        """Evaluate the rule catalogue at one send site; *args* are its
+        ``Send`` fields, however the site spells them."""
+        if self._report:
+            self.sends_checked += 1
         port_val = self.resolve(args.get("port"), state)
 
         cs = self._label_arg(args.get("cs"), state)

@@ -155,5 +155,7 @@ class FileReport:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     suppressed: List[Diagnostic] = field(default_factory=list)
     programs: List[str] = field(default_factory=list)
+    #: Send sites the rule catalogue was evaluated at.
+    sends_checked: int = 0
     #: Pragmas that suppressed nothing (likely stale), (line, rule-or-"").
     unused_pragmas: List[Tuple[int, str]] = field(default_factory=list)

@@ -235,7 +235,7 @@ class Scenario:
     def execute(self, source: Optional[ScriptedSource] = None) -> RunResult:
         """One complete run under *source* (default: the all-FIFO script)."""
         if source is None:
-            source = ScriptedSource((), seed=self.fault_seed)
+            source = ScriptedSource()
         kernel = Kernel(config=KernelConfig(sanitize=True, sanitize_strict=False))
         # Every syscall is a scheduling point: interleavings the paper's
         # cooperative round-robin would fuse become visible to the
@@ -586,15 +586,14 @@ def explore(
     max_schedules: int = 20_000,
     time_budget: Optional[float] = None,
     shrink: bool = True,
-    stop_on_violation: bool = True,
 ) -> ExploreReport:
     """Enumerate *scenario*'s schedule space.
 
     *depth* bounds the number of choice points that may deviate from the
     FIFO default (the usual bounded-DFS guard for unbounded spaces);
-    *max_schedules* and *time_budget* (seconds) cap the whole run.  With
-    *stop_on_violation* (the default) the DFS stops at the first
-    violating schedule and — with *shrink* — minimizes it.
+    *max_schedules* and *time_budget* (seconds) cap the whole run.  The
+    DFS stops at the first violating schedule and — with *shrink* —
+    minimizes it.
     """
     if mode not in ("dpor", "exhaustive"):
         raise SchedError(f"unknown mode {mode!r} (expected dpor or exhaustive)")
@@ -608,7 +607,7 @@ def explore(
     violation: Optional[RunResult] = None
     complete = True
     while True:
-        result = scenario.execute(ScriptedSource(script, seed=scenario.fault_seed))
+        result = scenario.execute(ScriptedSource(script))
         schedules += 1
         transitions += len(result.steps)
         max_points = max(max_points, len(result.decisions))
@@ -628,10 +627,9 @@ def explore(
             if step.choice is not None and step.choice < len(nodes):
                 nodes[step.choice].step_index = step.index
         _analyze(nodes, result, mode, depth)
-        if result.violating and violation is None:
+        if result.violating:
             violation = result
-            if stop_on_violation:
-                break
+            break
         next_seq = None
         for seq in range(len(nodes) - 1, -1, -1):
             if nodes[seq].backtrack - nodes[seq].done:
@@ -657,7 +655,7 @@ def explore(
     if violation is not None and shrink:
         minimized, trials = shrink_schedule(scenario, violation.decision_vector())
         minimized_run = scenario.execute(
-            ScriptedSource(minimized, seed=scenario.fault_seed)
+            ScriptedSource(minimized)
         )
     dead: List[PolicyBreach] = []
     if violation is None and complete and scenario.edge_names and scenario.policies:
@@ -696,7 +694,7 @@ def shrink_schedule(
         nonlocal trials
         trials += 1
         return scenario.execute(
-            ScriptedSource(script, seed=scenario.fault_seed)
+            ScriptedSource(script)
         ).violating
 
     best = list(decisions)
@@ -762,7 +760,7 @@ def load_schedule(path: Union[str, Path]) -> List[int]:
 def replay_schedule(scenario: Scenario, decisions: Sequence[int]) -> RunResult:
     """Re-execute one schedule.  Replaying the same (scenario, plan,
     seed, decisions) always yields the identical ``RunResult.digest``."""
-    return scenario.execute(ScriptedSource(decisions, seed=scenario.fault_seed))
+    return scenario.execute(ScriptedSource(decisions))
 
 
 def write_counterexample(

@@ -26,19 +26,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.labels import Label
 from repro.core.levels import L1, L2, L3
+from repro.ipc.rpc import open_port
 from repro.kernel.errors import ResourceExhausted
 from repro.kernel.kernel import Kernel
-from repro.kernel.syscalls import (
-    ChangeLabel,
-    EpCheckpoint,
-    EpYield,
-    NewHandle,
-    NewPort,
-    Recv,
-    Send,
-    SetPortLabel,
-    Spawn,
-)
+from repro.kernel.syscalls import ChangeLabel, EpCheckpoint, EpYield, NewHandle, Recv, Send, Spawn
 
 __all__ = ["label_observation_channel", "yield_order_channel"]
 
@@ -66,8 +57,7 @@ def label_observation_channel(
     def b_body(ctx):
         # Announce, wait for go (and possibly a taint beforehand), then
         # heartbeat to C.
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
+        port = yield from open_port()
         yield Send(ctx.env["orch_port"], {"type": "B_READY", "who": ctx.env["who"], "port": port})
         while True:
             msg = yield Recv(port=port)
@@ -80,8 +70,7 @@ def label_observation_channel(
         # The secret holder: self-contaminated with h at level 2.
         h = ctx.env["h"]
         yield ChangeLabel(send=Label({h: L2}, L1))
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
+        port = yield from open_port()
         # The self-contamination leaking onto the orchestrator is the
         # covert channel under study.  # asblint: ignore[taint-creep]
         yield Send(ctx.env["orch_port"], {"type": "A_READY", "port": port})
@@ -96,8 +85,7 @@ def label_observation_channel(
         # The observer: refuses h-contaminated traffic outright.
         h = ctx.env["h"]
         yield ChangeLabel(receive=Label({h: L1}, L2))
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
+        port = yield from open_port()
         yield Send(ctx.env["orch_port"], {"type": "C_READY", "port": port})
         while True:
             seen = []
@@ -113,8 +101,7 @@ def label_observation_channel(
 
     def orch_body(ctx):
         h = yield NewHandle()
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
+        port = yield from open_port()
         # We hold h ⋆, so we may accept arbitrarily h-tainted acks.
         yield ChangeLabel(raise_receive={h: L3})
         yield Spawn(c_body, name="C", env={"orch_port": port, "h": h})
@@ -180,20 +167,17 @@ def yield_order_channel(
     sent = [1 if b else 0 for b in bits]
 
     def worker_body(ctx):
-        base = yield NewPort()
-        yield SetPortLabel(base, Label.top())
+        base = yield from open_port()
         yield Send(ctx.env["orch_port"], {"type": "W_READY", "port": base})
 
         def event_body(ectx, msg):
             role = msg.payload["role"]
-            my_port = yield NewPort()
-            yield SetPortLabel(my_port, Label.top())
+            my_port = yield from open_port()
             if role == "T":
                 # The secret holder: contaminate ourselves so nothing we
                 # send can ever reach C directly, and set up the port we
                 # stall on.
-                stall_port = yield NewPort()
-                yield SetPortLabel(stall_port, Label.top())
+                stall_port = yield from open_port()
                 yield ChangeLabel(send=Label({ectx.env["h"]: L3}, L1))
                 # Deliberate: T's taint spreading to the orchestrator is
                 # the timing channel itself.  # asblint: ignore[taint-creep]
@@ -231,8 +215,7 @@ def yield_order_channel(
     def relay_body(ctx):
         # An untainted forwarding hop; gives the scheduler the slack that
         # makes the worker's stall (or lack of it) observable as ordering.
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
+        port = yield from open_port()
         yield Send(ctx.env["orch_port"], {"type": "R_READY", "who": ctx.env["who"], "port": port})
         while True:
             msg = yield Recv(port=port)
@@ -240,8 +223,7 @@ def yield_order_channel(
                 yield Send(target, payload)
 
     def c_body(ctx):
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
+        port = yield from open_port()
         yield Send(ctx.env["orch_port"], {"type": "C_READY", "port": port})
         while True:
             first = yield Recv(port=port)
@@ -252,8 +234,7 @@ def yield_order_channel(
 
     def orch_body(ctx):
         h = yield NewHandle()
-        port = yield NewPort()
-        yield SetPortLabel(port, Label.top())
+        port = yield from open_port()
         # We hold h ⋆: accept the tainted EP's announcements.
         yield ChangeLabel(raise_receive={h: L3})
         yield Spawn(c_body, name="C", env={"orch_port": port})

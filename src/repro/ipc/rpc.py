@@ -6,8 +6,12 @@ body's own generator and the scheduler sees each syscall.
 
 A :class:`Channel` owns a reply port and is the one implementation of the
 reply-wait protocol: stamp a ``req``, send, wait on the reply port with a
-timeout, discard replies echoing another ``req``, re-send.  Servers echo
-``req`` with :func:`repro.ipc.protocol.reply_to`.
+timeout, discard replies echoing another ``req``, re-send.
+
+A :class:`Request` is the server half: it reads a delivered message once
+against the server's shape table and is the one place a reply is built
+and sent, so the message *format* — ``type``, ``reply``, ``tag``,
+``req``, the ``_R`` suffix — is known to this package only.
 """
 
 from __future__ import annotations
@@ -16,7 +20,95 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.core.handles import Handle
 from repro.core.labels import Label
+from repro.ipc.protocol import ERROR_R, reply_to, request
+from repro.kernel.message import Message
 from repro.kernel.syscalls import NewPort, Recv, Send, SetPortLabel
+
+# -- shape-table kinds: plain types, checked with isinstance ----------------------
+#: Handles, ports, uids, connection ids: whatever a server uses as a dict
+#: key or sends to.
+HANDLE = int
+NAME = str
+KEY = (int, str)
+#: ``(kind, NONE)`` reads "or absent".
+NONE = type(None)
+
+
+def open_port(label: Optional[Label] = None) -> Generator:
+    """A new port whose label is exactly *label* — by default ``{3}``,
+    open to every sender (the process receive label still protects the
+    owner).  ``new_port`` alone yields ``{p 0, …}``, which only a holder
+    of ``p ⋆`` can send to; ``SetPortLabel`` is verbatim (Section 5.5),
+    so the reset is what lifts that ``pR(p) ← 0`` pin and really opens
+    the port."""
+    port = yield NewPort()
+    yield SetPortLabel(port, label if label is not None else Label.top())
+    return port
+
+
+def announce(ctx, who: str, ports: Dict[str, Handle], **fields: Any) -> Generator:
+    """Tell whoever spawned us (``announce_port`` in the env, if any) the
+    ports we serve on."""
+    to = ctx.env.get("announce_port")
+    if to is not None:
+        yield Send(to, request("ANNOUNCE", who=who, ports=ports, **fields))
+
+
+class Request:
+    """One delivered message, read once against a server's shape table
+    (``{type: {field: kind}}``: its vocabulary, and what each request must
+    carry before the server indexes with it).
+
+    ``type`` and ``reply`` are ``None`` — so the message matches no
+    branch of the server's ``if``/``elif`` chain, cannot be answered, and
+    is dropped like any other undeliverable send (Section 4: "a message
+    failing any requirement is silently dropped") — when the payload is
+    not a dict, when ``reply`` is present and not a handle, when the type
+    is not in *shapes*, or when a field *shapes* requires of that type is
+    missing or of the wrong kind.  Who sent the message is not checked
+    here: that is what verification labels are for.
+    """
+
+    __slots__ = ("msg", "payload", "type", "reply")
+
+    def __init__(self, msg: Message, shapes: Dict[str, Dict[str, Any]], ctx) -> None:
+        self.msg = msg
+        payload = msg.payload
+        if type(payload) is dict:
+            mtype, reply = payload.get("type"), payload.get("reply")
+            shape = shapes.get(mtype) if type(mtype) is str else None
+            if shape is not None and (reply is None or isinstance(reply, int)):
+                for field, kind in shape.items():
+                    if not isinstance(payload.get(field), kind):
+                        break
+                else:
+                    self.payload, self.type, self.reply = payload, mtype, reply
+                    return
+        else:
+            payload = {}
+        ctx.count("malformed")
+        self.payload, self.type, self.reply = payload, None, None
+
+    def answer(
+        self,
+        msg_type: Optional[str] = None,
+        cs: Optional[Label] = None,
+        ds: Optional[Label] = None,
+        v: Optional[Label] = None,
+        dr: Optional[Label] = None,
+        **fields: Any,
+    ) -> Generator:
+        """Send the reply (``type`` + ``_R`` unless *msg_type* says
+        otherwise, ``tag`` and ``req`` echoed) — or nothing when the
+        request named no reply port.  The labels are ``Send``'s."""
+        if self.reply is not None:
+            yield Send(
+                self.reply, reply_to(self.payload, msg_type, **fields),
+                cs=cs, ds=ds, v=v, dr=dr,
+            )
+
+    def error(self, text: str) -> Generator:
+        return self.answer(ERROR_R, error=text)
 
 
 class CallTimeout(Exception):
@@ -56,9 +148,7 @@ class Channel:
 
     @classmethod
     def open(cls, port_label: Optional[Label] = None) -> Generator:
-        port = yield NewPort()
-        yield SetPortLabel(port, port_label if port_label is not None else Label.top())
-        return cls(port)
+        return cls((yield from open_port(port_label)))
 
     def _stamp(self, payload: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
         """A copy of *payload* with ``reply`` pointing here and the next

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.core.chunks import OpStats
 
 # Component categories (Figure 9 legend).
 KERNEL_IPC = "Kernel IPC"
@@ -86,23 +85,6 @@ class CostModel:
                                        # bookkeeping, seL4-fastpath style
                                        # (DESIGN.md §15); replaces
                                        # recv_base on stub-hit deliveries
-
-    def label_structure(self, stats: OpStats) -> int:
-        """Cycles for everything an OpStats records except entry scans:
-        op dispatch, chunk skips, label/chunk allocation, chunk sharing.
-        The reference spelling: ``engine.bill`` computes this term inline
-        and the tests hold the two equal; nothing under ``src/`` calls it."""
-        return (
-            self.label_op_base * stats.operations
-            + self.chunk_skip * stats.chunks_skipped
-            + self.label_alloc * stats.labels_allocated
-            + self.chunk_alloc * stats.chunks_allocated
-            + self.chunk_share * stats.chunks_shared
-        )
-
-    def label_work(self, stats: OpStats) -> int:
-        """Convert an OpStats record into cycles (fused entry counts)."""
-        return self.label_structure(stats) + self.label_entry * stats.entries_scanned
 
 
 @dataclass

@@ -89,8 +89,8 @@ class Verdict(NamedTuple):
 def bill(work: Work, stats: OpStats, cost: CostModel, mode: str) -> int:
     """KERNEL_IPC cycles for one send's or delivery's label work.
 
-    Structural costs (``CostModel.label_structure``: op dispatch,
-    label/chunk allocation, chunk sharing) are billed from the executed
+    Structural costs (op dispatch, chunk skips, label/chunk allocation,
+    chunk sharing) are billed from the executed
     operations in both modes, and so are the flat probes:
     ``labelop_cache_hit`` per cache hit, ``elide_stub_hit`` per stub hit.
     A delivery also pays its base here, because the base depends on the
@@ -107,7 +107,6 @@ def bill(work: Work, stats: OpStats, cost: CostModel, mode: str) -> int:
         probes += cost.elide_stub_hit
     if work.delivery:
         probes += cost.elide_deliver_base if work.stub else cost.recv_base
-    # CostModel.label_structure, inline: 39 bills a connection.
     cycles = (
         probes
         + cost.label_op_base * stats.operations

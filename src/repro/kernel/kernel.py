@@ -46,7 +46,7 @@ from repro.core.labels import (
     DEFAULT_PORT_LABEL,
     Label,
 )
-from repro.core.levels import L0, STAR
+from repro.core.levels import L0, STAR, is_level
 from repro.kernel import syscalls as sc
 from repro.kernel.clock import CycleClock, KERNEL_IPC, OTHER
 from repro.kernel.config import KernelConfig
@@ -88,6 +88,14 @@ from repro.kernel.process import (
     XSTACK_PAGES,
 )
 from repro.kernel.scheduler import Scheduler
+
+
+def _int_arg(value: Any, what: str) -> None:
+    """A handle- or cycle-typed syscall argument that is not an integer is
+    the caller's error — ``InvalidArgument`` at its next resume, as for a
+    non-``Label`` — not the machine's."""
+    if not isinstance(value, int):
+        raise InvalidArgument(f"{what}: expected an integer, got {value!r}")
 
 
 class Kernel:
@@ -621,11 +629,13 @@ class Kernel:
         return True
 
     def _sys_compute(self, task: Task, request: sc.Compute) -> bool:
+        _int_arg(request.cycles, "compute: cycles")
         self.clock.charge(request.category or task.component, request.cycles)
         task.pending = None
         return True
 
     def _sys_deadline(self, task: Task, request: sc.Deadline) -> bool:
+        _int_arg(request.cycles, "deadline: cycles")
         if request.cycles <= 0:
             task.pending = None
             return True
@@ -665,6 +675,8 @@ class Kernel:
             self._hook("on_drop", reason, sender, where, seq)
 
     def _sys_send(self, task: Task, request: sc.Send) -> bool:
+        if type(request.port) is not int:  # inline: 17.5 sends a connection
+            _int_arg(request.port, "send: port")
         self.clock.charge(KERNEL_IPC, self.clock.cost.send_base)
         self._sends += 1
         if self.hooks:
@@ -693,6 +705,7 @@ class Kernel:
         # land on the receiver at delivery, or die with a dropped message.
         transfer = tuple(request.transfer or ())
         for handle in transfer:
+            _int_arg(handle, "send: transfer")
             if handle not in task.owned_ports:
                 raise NotOwner(f"transfer of unowned port {handle:#x}")
         for handle in transfer:
@@ -869,8 +882,14 @@ class Kernel:
     # -- recv --------------------------------------------------------------------------------
 
     def _sys_recv(self, task: Task, request: sc.Recv) -> bool:
-        if request.port is not None and request.port not in task.owned_ports:
-            raise NotOwner(f"recv on port {request.port:#x} not owned")
+        port = request.port
+        if port is not None:
+            if type(port) is not int:  # inline, as in _sys_send
+                _int_arg(port, "recv: port")
+            if port not in task.owned_ports:
+                raise NotOwner(f"recv on port {port:#x} not owned")
+        if request.timeout is not None:
+            _int_arg(request.timeout, "recv: timeout")
         delivered = self._pick_and_deliver(task, request)
         if delivered is not None:
             task.pending = delivered
@@ -990,6 +1009,7 @@ class Kernel:
         return True
 
     def _sys_set_port_label(self, task: Task, request: sc.SetPortLabel) -> bool:
+        _int_arg(request.port, "set_port_label: port")
         entry = self.ports.get(request.port)
         if entry is None or request.port not in task.owned_ports:
             raise NotOwner(f"set_port_label: port {request.port:#x} not owned")
@@ -1003,6 +1023,7 @@ class Kernel:
         return True
 
     def _sys_dissociate_port(self, task: Task, request: sc.DissociatePort) -> bool:
+        _int_arg(request.port, "dissociate: port")
         if request.port not in task.owned_ports:
             raise NotOwner(f"dissociate: port {request.port:#x} not owned")
         if self.hooks:
@@ -1022,6 +1043,7 @@ class Kernel:
                 updates = {}
                 default = send.default
                 for handle in request.drop_send:
+                    _int_arg(handle, "change_label: drop_send")
                     if send(handle) > default:
                         raise InvalidArgument(
                             f"drop_send of {handle:#x} would lower the send label "
@@ -1033,6 +1055,9 @@ class Kernel:
             if request.raise_receive:
                 updates = {}
                 for handle, level in request.raise_receive.items():
+                    _int_arg(handle, "change_label: raise_receive")
+                    if not is_level(level):
+                        raise InvalidArgument(f"change_label: not a level: {level!r}")
                     current = recv(handle)
                     if level > current and send(handle) != STAR:
                         raise InvalidArgument(

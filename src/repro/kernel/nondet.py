@@ -89,24 +89,14 @@ class ScriptedSource(NondetSource):
 
     *script* is a list of option indices consumed in decision order.  An
     out-of-range or exhausted entry falls back to 0, so any prefix of any
-    recorded run is a valid script.  With ``branch_chance`` (the default)
-    a fractional-probability fault rule becomes an explicit two-way
-    choice point ("skip"/"fire") instead of a PRNG draw; ``p <= 0`` and
-    ``p >= 1`` short-circuit without a choice point either way.  A
-    ``random.Random(seed)`` backs ``chance`` when branching is off, so a
-    (plan, seed, schedule) triple fully determines a run in both modes.
+    recorded run is a valid script.  A fractional-probability fault rule
+    is an explicit two-way choice point ("skip"/"fire"), never a PRNG
+    draw, so a (plan, schedule) pair fully determines a run; ``p <= 0``
+    and ``p >= 1`` short-circuit without a choice point.
     """
 
-    def __init__(
-        self,
-        script: Sequence[int] = (),
-        seed: int = 0,
-        branch_chance: bool = True,
-    ):
+    def __init__(self, script: Sequence[int] = ()):
         self.script = list(script)
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.branch_chance = branch_chance
         self.log: List[ChoicePoint] = []
 
     def _record(self, kind: str, options: Sequence[str]) -> int:
@@ -125,10 +115,8 @@ class ScriptedSource(NondetSource):
             return False
         if p >= 1.0:
             return True
-        if self.branch_chance:
-            name = f"chance:{kind}:{target}" if target else f"chance:{kind}"
-            return self._record(name, ("skip", "fire")) == 1
-        return self.rng.random() < p
+        name = f"chance:{kind}:{target}" if target else f"chance:{kind}"
+        return self._record(name, ("skip", "fire")) == 1
 
     def decisions(self) -> List[int]:
         """The run's full decision vector (replaying it through a fresh

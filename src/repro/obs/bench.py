@@ -37,19 +37,8 @@ import json
 import os
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.core.labels import Label
-from repro.kernel import (
-    EpCheckpoint,
-    EpClean,
-    EpYield,
-    Kernel,
-    KernelConfig,
-    NewPort,
-    Recv,
-    Send,
-    SetPortLabel,
-    Spawn,
-)
+from repro.ipc.rpc import open_port
+from repro.kernel import EpCheckpoint, EpClean, EpYield, Kernel, KernelConfig, Recv, Send, Spawn
 from repro.kernel.clock import CATEGORIES, CPU_HZ, KERNEL_IPC, NETWORK, OKWS, CostModel
 from repro.kernel.event_process import EP_STRUCT_BYTES
 from repro.kernel.memory import PAGE_SIZE
@@ -866,15 +855,8 @@ _EP_SESSIONS = 300
 _SESSION_STATE = b"s" * 1000
 
 
-def _open_port(ctx):
-    """A fresh port anyone may send to, published as ``ctx.env["port"]``."""
-    port = ctx.env["port"] = yield NewPort()
-    yield SetPortLabel(port, Label.top())
-    return port
-
-
 def _collector(ctx):
-    port = yield from _open_port(ctx)
+    port = ctx.env["port"] = yield from open_port()
     replies = ctx.env["replies"] = []
     while True:
         replies.append((yield Recv(port=port)).payload)
@@ -883,8 +865,7 @@ def _collector(ctx):
 def _counting_session(ectx, msg):
     """An event process with its own port and a counter that must
     survive ``ep_clean`` + ``ep_yield`` between messages."""
-    my_port = yield NewPort()
-    yield SetPortLabel(my_port, Label.top())
+    my_port = yield from open_port()
     count = 0
     while True:
         count += 1
@@ -903,14 +884,14 @@ def _cached_session(ectx, msg):
 
 def _forked_session(ctx):
     ctx.mem.store("session", _SESSION_STATE)
-    port = yield from _open_port(ctx)
+    port = ctx.env["port"] = yield from open_port()
     yield Send(ctx.env["reply"], {"ok": True})
     while True:
         yield Recv(port=port)
 
 
 def _forker(ctx):
-    reply = yield from _open_port(ctx)
+    reply = ctx.env["port"] = yield from open_port()
     for i in range(_EP_SESSIONS):
         yield Spawn(_forked_session, name=f"session{i}", env={"reply": reply})
         yield Recv(port=reply)
@@ -925,7 +906,7 @@ def _ep_server(event_body, connections: int):
     taken just before the first connection."""
 
     def base(ctx):
-        yield from _open_port(ctx)
+        ctx.env["port"] = yield from open_port()
         yield EpCheckpoint(event_body)
 
     kernel = Kernel()

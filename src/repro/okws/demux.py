@@ -28,7 +28,8 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L0, L3, STAR
 from repro.ipc import protocol as P
-from repro.kernel.syscalls import ChangeLabel, NewPort, Recv, Send, SetPortLabel
+from repro.ipc.rpc import HANDLE, NAME, NONE, Request, open_port
+from repro.kernel.syscalls import ChangeLabel, Recv, Send
 
 #: ok-demux computation per connection (header parse, routing).
 DEMUX_CYCLES = 200_000
@@ -65,6 +66,27 @@ SERVICE_UNAVAILABLE = {
 PENDING_SWEEP = 1_400_000_000
 PENDING_DEADLINE = 4 * PENDING_SWEEP
 
+#: What ok-demux understands — requests, and the replies it pumps by
+#: ``tag`` — and what each must carry.
+SHAPES = {
+    # from the launcher
+    "EXPECT": {"service": NAME, "verify_handle": HANDLE},
+    "DOWN": {"service": NAME},
+    "FAILED": {"service": NAME},
+    # from workers
+    P.REGISTER: {"service": NAME, "port": HANDLE},
+    "SESSION": {"uid": HANDLE, "service": NAME, "port": HANDLE},
+    # from netd and idd
+    P.ACCEPT_R: {"conn": HANDLE, "conn_id": HANDLE},
+    P.READ_R: {"tag": HANDLE, "data": (dict, NONE)},
+    P.LOGIN_R: {
+        "tag": HANDLE,
+        "uid": (HANDLE, NONE),
+        "taint": (HANDLE, NONE),
+        "grant": (HANDLE, NONE),
+    },
+}
+
 
 @dataclass
 class _PendingConn:
@@ -82,8 +104,7 @@ def demux_body(ctx):
     netd_port = ctx.env["netd_port"]
     idd_port = ctx.env["idd_port"]
 
-    port = yield NewPort()
-    yield SetPortLabel(port, Label.top())
+    port = yield from open_port()
     yield Send(launcher_port, P.request("ANNOUNCE", who="ok-demux", port=port))
 
     # service -> (expected verification handle, declassifier?); from launcher.
@@ -92,8 +113,6 @@ def demux_body(ctx):
     workers: Dict[str, Handle] = {}
     # (uid, service) -> event-process session port (Section 7.3).
     sessions: Dict[Tuple[int, str], Handle] = {}
-    # user handles cached from idd: user -> (uid, uT, uG).
-    identities: Dict[str, Tuple[int, Handle, Handle]] = {}
     # in-flight connections, keyed by correlation tag.
     pending: Dict[int, _PendingConn] = {}
     # services whose worker the launcher gave up on (restart budget blown).
@@ -112,10 +131,8 @@ def demux_body(ctx):
                 yield Send(state.conn, P.request(P.WRITE, data=SERVICE_UNAVAILABLE))
                 yield Send(state.conn, P.request(P.CONTROL, op="close"))
             continue
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        mtype = payload.get("type")
+        req = Request(msg, SHAPES, ctx)
+        payload, mtype = req.payload, req.type
 
         if mtype == "EXPECT":  # launcher: a worker will register
             expected[payload["service"]] = (
@@ -130,7 +147,7 @@ def demux_body(ctx):
                 listening = True
 
         elif mtype == P.REGISTER:
-            service = payload.get("service")
+            service = payload["service"]
             entry = expected.get(service)
             if entry is None:
                 continue
@@ -147,13 +164,12 @@ def demux_body(ctx):
                     del sessions[key]
             workers[service] = payload["port"]
             failed.discard(service)
-            if "reply" in payload:
-                # Acknowledge so the worker can retry an unlucky REGISTER
-                # instead of leaving the service 503-degraded forever.
-                yield Send(payload["reply"], P.reply_to(payload, ok=True))
+            # Acknowledge so the worker can retry an unlucky REGISTER
+            # instead of leaving the service 503-degraded forever.
+            yield from req.answer(ok=True)
 
         elif mtype == "DOWN":  # launcher: worker died, restart under way
-            service = payload.get("service")
+            service = payload["service"]
             ctx.count("worker_down")
             workers.pop(service, None)
             # The dead worker's event processes (and session ports) died
@@ -162,7 +178,7 @@ def demux_body(ctx):
                 del sessions[key]
 
         elif mtype == "FAILED":  # launcher: restart budget blown, give up
-            service = payload.get("service")
+            service = payload["service"]
             ctx.count("worker_failed")
             failed.add(service)
             workers.pop(service, None)
@@ -182,7 +198,7 @@ def demux_body(ctx):
             yield Send(conn, P.request(P.READ, reply=port, tag=conn_id))
 
         elif mtype == P.READ_R:
-            tag = payload.get("tag")
+            tag = payload["tag"]
             state = pending.get(tag)
             if state is None:
                 continue
@@ -201,17 +217,16 @@ def demux_body(ctx):
             )
 
         elif mtype == P.LOGIN_R:
-            tag = payload.get("tag")
+            tag = payload["tag"]
             state = pending.pop(tag, None)
             if state is None:
                 continue
-            if not payload.get("ok"):
+            uid, taint, grant = payload.get("uid"), payload.get("taint"), payload.get("grant")
+            if not payload.get("ok") or None in (uid, taint, grant):
                 yield Send(state.conn, P.request(P.WRITE, data=FORBIDDEN))
                 yield Send(state.conn, P.request(P.CONTROL, op="close"))
                 continue
-            uid, taint, grant = payload["uid"], payload["taint"], payload["grant"]
-            identities[state.user] = (uid, taint, grant)
-            service = (state.head or {}).get("service", "")
+            service = str((state.head or {}).get("service", ""))
             entry = expected.get(service)
             wport = workers.get(service)
             if entry is None:

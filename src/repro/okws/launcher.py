@@ -23,19 +23,11 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L3, STAR
 from repro.ipc import protocol as P
-from repro.ipc.rpc import CallTimeout, Channel
+from repro.ipc.rpc import HANDLE, NAME, CallTimeout, Channel, Request, open_port
 from repro.kernel.clock import NETWORK, OKDB, OKWS
 from repro.kernel.kernel import Kernel
 from repro.kernel.errors import ResourceExhausted
-from repro.kernel.syscalls import (
-    Deadline,
-    NewHandle,
-    NewPort,
-    Recv,
-    Send,
-    SetPortLabel,
-    Spawn,
-)
+from repro.kernel.syscalls import Deadline, NewHandle, Recv, Send, Spawn
 from repro.okws.demux import demux_body
 from repro.okws.worker import RPC_RETRIES, make_worker_body
 from repro.servers.cache import cache_body
@@ -63,6 +55,14 @@ RESTART_BUDGET = 5
 #: crashes on arrival would otherwise burn the whole budget in a hot loop).
 STORM_WINDOW = 1_000_000_000  # ~0.36 s
 STORM_THRESHOLD = 3
+
+#: What the launcher's main port understands once the site is up, and
+#: what each message must carry.
+SHAPES = {
+    "EXITED": {"name": NAME},  # the kernel's obituary for a supervised child
+    "WORKER_HELLO": {"service": NAME, "reply": HANDLE},
+    "ANNOUNCE": {"who": NAME, "ports": dict},
+}
 
 
 @dataclass
@@ -102,8 +102,7 @@ def launcher_body(ctx):
     users: Sequence[Tuple[str, str]] = ctx.env.get("users", ())
     schema: Sequence[str] = ctx.env.get("schema", ())
 
-    port = yield NewPort()
-    yield SetPortLabel(port, Label.top())
+    port = yield from open_port()
     chan = yield from Channel.open()
 
     # --- ok-dbproxy, gated by a fresh admin handle -------------------------------
@@ -202,8 +201,8 @@ def launcher_body(ctx):
     # the supervision loop drains these before blocking again.
     pending_exits: deque = deque()
 
-    def pump(wanted: Callable[[Dict[str, Any]], bool]):
-        """Wait on the main port for the payload *wanted* accepts.  Any
+    def pump(wanted: Callable[[Request], bool]):
+        """Wait on the main port for the request *wanted* accepts.  Any
         message that is not it (an obituary, a stale hello from a
         predecessor) must not be eaten blindly — under faults message
         order is not what boot-time code gets to assume: obituaries are
@@ -213,13 +212,11 @@ def launcher_body(ctx):
             msg = yield Recv(port=port, timeout=WORKER_HELLO_TIMEOUT)
             if msg is None:
                 return None
-            payload = msg.payload
-            if not isinstance(payload, dict):
-                continue
-            if payload.get("type") == "EXITED":
-                pending_exits.append(payload)
-            elif wanted(payload):
-                return payload
+            req = Request(msg, SHAPES, ctx)
+            if req.type == "EXITED":
+                pending_exits.append(req)
+            elif wanted(req):
+                return req
 
     def start_worker(config: ServiceConfig):
         """Mint a verification handle, tell ok-demux to expect it, spawn
@@ -249,8 +246,7 @@ def launcher_body(ctx):
             ctx.log(f"spawn of worker-{config.name} failed")
             return False
         hello = yield from pump(
-            lambda p: p.get("type") == "WORKER_HELLO"
-            and p.get("service") == config.name
+            lambda r: r.type == "WORKER_HELLO" and r.payload["service"] == config.name
         )
         if hello is None:
             ctx.log(f"worker-{config.name} never said hello")
@@ -260,15 +256,11 @@ def launcher_body(ctx):
         # The reply echoes the hello's ``req``: a duplicate of it, left on
         # the worker's channel by a retried hello, must not pass for the
         # acknowledgement of the REGISTER that follows.
-        yield Send(
-            hello["reply"],
-            P.reply_to(
-                hello,
-                verify_handle=verify_handle,
-                demux_port=demux_port,
-                dbproxy_port=dbproxy_port,
-                cache_port=cache_port,
-            ),
+        yield from hello.answer(
+            verify_handle=verify_handle,
+            demux_port=demux_port,
+            dbproxy_port=dbproxy_port,
+            cache_port=cache_port,
             ds=Label({verify_handle: STAR}, L3),
         )
         return True
@@ -338,12 +330,13 @@ def launcher_body(ctx):
         except ResourceExhausted:
             ctx.log("respawn of ok-dbproxy failed")
             return False
-        payload = yield from pump(
-            lambda p: p.get("type") == "ANNOUNCE" and p.get("who") == "ok-dbproxy"
+        announce = yield from pump(
+            lambda r: r.type == "ANNOUNCE" and r.payload["who"] == "ok-dbproxy"
         )
-        if payload is None:
+        if announce is None:
             ctx.log("restarted ok-dbproxy never announced")
             return False
+        payload = announce.payload
         ports_out = payload["ports"]
         dbproxy_port = ports_out["dbproxy_port"]
         dbproxy_admin = ports_out["dbproxy_admin_port"]
@@ -402,13 +395,13 @@ def launcher_body(ctx):
 
     while True:
         if pending_exits:
-            payload = pending_exits.popleft()
+            req = pending_exits.popleft()
         else:
-            msg = yield Recv(port=port)
-            payload = msg.payload
-        if not isinstance(payload, dict) or payload.get("type") != "EXITED":
+            req = Request((yield Recv(port=port)), SHAPES, ctx)
+        if req.type != "EXITED":
             continue
-        name = payload.get("name", "")
+        payload = req.payload
+        name = payload["name"]
         if name == "ok-dbproxy":
             service = name
         elif name.startswith("worker-") and name[len("worker-"):] in configs:

@@ -41,7 +41,8 @@ from repro.core.labels import Label
 from repro.core.levels import L0, L3, STAR
 from repro.kernel.kernel import Kernel
 from repro.kernel.ports import RemoteRoute
-from repro.kernel.syscalls import NewHandle, NewPort, Recv, Send, SetPortLabel
+from repro.ipc.rpc import open_port
+from repro.kernel.syscalls import NewHandle, Recv, Send
 from repro.okws.launcher import OkwsSite, ServiceConfig, launch
 from repro.okws.services import echo_handler, notes_handler, session_cache_handler
 
@@ -89,13 +90,11 @@ def partition_users(
 def board_body(ctx):
     """The per-shard cross-shard ingress sink.
 
-    Owns one wide-open port (``SetPortLabel`` to ``{3}`` — unlike
-    ``new_port``'s label, the reset is verbatim, so the ``pR(p) ← 0`` pin
-    really opens) and logs every delivered payload.  Contamination
-    arrives through the ordinary delivery effects on its labels.
+    Owns one wide-open port and logs every delivered payload.
+    Contamination arrives through the ordinary delivery effects on its
+    labels.
     """
-    port = yield NewPort()
-    yield SetPortLabel(port, Label.top())
+    port = yield from open_port()
     ctx.env["board_port"] = port
     ctx.env["log"] = []
     while True:

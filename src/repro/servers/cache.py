@@ -30,9 +30,9 @@ from typing import Any, Dict, Tuple
 from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L0, L2, L3, STAR
-from repro.ipc import protocol as P
+from repro.ipc.rpc import HANDLE, KEY, NONE, Request, announce, open_port
 from repro.kernel.errors import InvalidArgument
-from repro.kernel.syscalls import ChangeLabel, NewPort, Recv, Send, SetPortLabel
+from repro.kernel.syscalls import ChangeLabel, Recv
 
 #: Cycles per cache operation (hash + copy).
 CACHE_OP_CYCLES = 12_000
@@ -40,25 +40,22 @@ CACHE_OP_CYCLES = 12_000
 #: The public pseudo-owner (like dbproxy's user ID 0).
 PUBLIC = 0
 
+#: What okc understands, and what each request must carry.
+SHAPES = {
+    "BIND": {"uid": HANDLE, "taint": HANDLE, "grant": HANDLE},
+    "PUT": {"uid": (HANDLE, NONE), "key": (KEY, NONE)},
+    "GET": {"uid": (HANDLE, NONE), "key": (KEY, NONE), "owner": (HANDLE, NONE)},
+}
+
 
 def cache_body(ctx):
     """The okc process.  Publishes ``cache_port`` and ``cache_grant_port``
     (where idd BINDs user handles); announces both if asked."""
-    service = yield NewPort()
-    yield SetPortLabel(service, Label.top())
-    grant_port = yield NewPort()
-    yield SetPortLabel(grant_port, Label.top())
+    service = yield from open_port()
+    grant_port = yield from open_port()
     ctx.env["cache_port"] = service
     ctx.env["cache_grant_port"] = grant_port
-    if ctx.env.get("announce_port") is not None:
-        yield Send(
-            ctx.env["announce_port"],
-            P.request(
-                "ANNOUNCE",
-                who="okc",
-                ports={"cache_port": service, "cache_grant_port": grant_port},
-            ),
-        )
+    yield from announce(ctx, "okc", {"cache_port": service, "cache_grant_port": grant_port})
 
     taint_of: Dict[int, Handle] = {}
     grant_of: Dict[int, Handle] = {}
@@ -67,11 +64,8 @@ def cache_body(ctx):
 
     while True:
         msg = yield Recv()
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        mtype = payload.get("type")
-        reply = payload.get("reply")
+        req = Request(msg, SHAPES, ctx)
+        payload, mtype = req.payload, req.type
 
         if msg.port == grant_port:
             if mtype == "BIND":
@@ -84,7 +78,7 @@ def cache_body(ctx):
                 grant_of[uid] = grant
             continue
 
-        if msg.port != service or reply is None:
+        if msg.port != service or req.reply is None:
             continue
         ctx.compute(CACHE_OP_CYCLES)
         uid = payload.get("uid")
@@ -94,47 +88,38 @@ def cache_body(ctx):
 
         if mtype == "PUT":
             if taint is None or grant is None:
-                yield Send(reply, P.reply_to(payload, P.ERROR_R, error="unknown user"))
+                yield from req.error("unknown user")
                 continue
             if msg.verify(taint) == STAR:
                 # Declassification privilege: a public entry.
                 store[(PUBLIC, key)] = payload.get("value")
-                yield Send(reply, P.reply_to(payload, "PUT_R", ok=True, public=True))
+                yield from req.answer(ok=True, public=True)
                 continue
             bound = Label({taint: L3, grant: L0}, L2)
             if not msg.verify <= bound:
-                yield Send(
-                    reply, P.reply_to(payload, P.ERROR_R, error="verify label rejected")
-                )
+                yield from req.error("verify label rejected")
                 continue
             store[(uid, key)] = payload.get("value")
-            yield Send(
-                reply,
-                P.reply_to(payload, "PUT_R", ok=True, public=False),
-                cs=Label({taint: L3}, STAR),
-            )
+            yield from req.answer(ok=True, public=False, cs=Label({taint: L3}, STAR))
 
         elif mtype == "GET":
             owner = payload.get("owner", uid)
             if owner == PUBLIC:
                 ctx.count("hits" if (PUBLIC, key) in store else "misses")
-                yield Send(
-                    reply,
-                    P.reply_to(payload, "GET_R", value=store.get((PUBLIC, key)),
-                               hit=(PUBLIC, key) in store),
+                yield from req.answer(
+                    value=store.get((PUBLIC, key)), hit=(PUBLIC, key) in store
                 )
                 continue
             owner_taint = taint_of.get(owner)
             if owner_taint is None:
-                yield Send(reply, P.reply_to(payload, P.ERROR_R, error="unknown owner"))
+                yield from req.error("unknown owner")
                 continue
             # The reply carries the *owner's* taint: if the asker may not
             # be contaminated with it, the kernel drops the reply and the
             # asker learns nothing — not even whether the entry exists.
             ctx.count("hits" if (owner, key) in store else "misses")
-            yield Send(
-                reply,
-                P.reply_to(payload, "GET_R", value=store.get((owner, key)),
-                           hit=(owner, key) in store),
+            yield from req.answer(
+                value=store.get((owner, key)),
+                hit=(owner, key) in store,
                 cs=Label({owner_taint: L3}, STAR),
             )

@@ -35,9 +35,9 @@ from repro.core.levels import L0, L2, L3, STAR
 from repro.db import sql as S
 from repro.db.engine import Database
 from repro.ipc import protocol as P
-from repro.ipc.rpc import CallTimeout, Channel
+from repro.ipc.rpc import HANDLE, NAME, NONE, CallTimeout, Channel, Request, announce, open_port
 from repro.kernel.errors import InvalidArgument
-from repro.kernel.syscalls import ChangeLabel, NewPort, Recv, Send, SetPortLabel
+from repro.kernel.syscalls import ChangeLabel, Recv
 
 #: Hidden ownership column added to every table (Section 7.5).
 USER_ID_COLUMN = "_user_id"
@@ -58,6 +58,25 @@ AFFIRM_RETRIES = 2
 #: Completed writes remembered for replay dedup, keyed (reply port, req).
 #: A retried write whose first reply was dropped must not execute twice.
 WRITE_DEDUP_MAX = 4096
+
+#: What ok-dbproxy understands on its three ports, and what each request
+#: must carry.
+SHAPES = {
+    # grant port (idd, the launcher)
+    "BIND": {"uid": HANDLE, "taint": HANDLE, "grant": HANDLE},
+    "SET_IDD": {"port": HANDLE},
+    # admin port
+    "BULK_INSERT": {"table": (NAME, NONE), "rows": (list, tuple, NONE)},
+    "CHECKPOINT": {},
+    # admin and public ports
+    P.QUERY: {
+        "reply": HANDLE,
+        "sql": NAME,
+        "params": (list, tuple, NONE),
+        "uid": (HANDLE, NONE),
+        "req": (HANDLE, NONE),
+    },
+}
 
 
 class WriteDedupCache:
@@ -145,32 +164,25 @@ def dbproxy_body(ctx):
     else:
         db = Database()
 
-    public_port = yield NewPort()
-    yield SetPortLabel(public_port, Label.top())
-    admin_port = yield NewPort()
-    yield SetPortLabel(admin_port, Label({admin_handle: L0}, L2))
-    grant_port = yield NewPort()
-    yield SetPortLabel(grant_port, Label.top())
+    public_port = yield from open_port()
+    admin_port = yield from open_port(Label({admin_handle: L0}, L2))
+    grant_port = yield from open_port()
     ctx.env["dbproxy_port"] = public_port
     ctx.env["dbproxy_admin_port"] = admin_port
     ctx.env["dbproxy_grant_port"] = grant_port
-    if ctx.env.get("announce_port") is not None:
-        yield Send(
-            ctx.env["announce_port"],
-            P.request(
-                "ANNOUNCE",
-                who="ok-dbproxy",
-                ports={
-                    "dbproxy_port": public_port,
-                    "dbproxy_admin_port": admin_port,
-                    "dbproxy_grant_port": grant_port,
-                },
-                # The launcher skips schema/user seeding when the store
-                # already recovered state (a supervised restart).
-                recovered=recovered,
-                tables=sorted(db.tables),
-            ),
-        )
+    yield from announce(
+        ctx,
+        "ok-dbproxy",
+        {
+            "dbproxy_port": public_port,
+            "dbproxy_admin_port": admin_port,
+            "dbproxy_grant_port": grant_port,
+        },
+        # The launcher skips schema/user seeding when the store already
+        # recovered state (a supervised restart).
+        recovered=recovered,
+        tables=sorted(db.tables),
+    )
 
     chan = yield from Channel.open()
     idd_port: Optional[Handle] = None
@@ -180,8 +192,8 @@ def dbproxy_body(ctx):
     grant_of: Dict[int, Handle] = {}
     uid_of_taint: Dict[Handle, int] = {}
 
-    # Replay dedup for retried writes: (reply port, req) -> (reply
-    # payload, reply CS label).  Lets a client retry a write whose reply
+    # Replay dedup for retried writes: (reply port, req) -> (rows
+    # affected, reply CS label).  Lets a client retry a write whose reply
     # was dropped without it executing twice.  LRU-bounded: chaos
     # campaigns must not grow it without limit.
     completed_writes = WriteDedupCache(WRITE_DEDUP_MAX)
@@ -192,11 +204,8 @@ def dbproxy_body(ctx):
 
     while True:
         msg = yield Recv()
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        mtype = payload.get("type")
-        reply = payload.get("reply")
+        req = Request(msg, SHAPES, ctx)
+        payload, mtype, reply = req.payload, req.type, req.reply
 
         # ---- idd binds a user's handles (and made us privileged via DS) ----
         if msg.port == grant_port:
@@ -213,7 +222,7 @@ def dbproxy_body(ctx):
                 grant_of[uid] = grant
                 uid_of_taint[taint] = uid
             elif mtype == "SET_IDD":
-                idd_port = payload.get("port")
+                idd_port = payload["port"]
             continue
 
         # ---- trusted raw interface ------------------------------------------------
@@ -221,10 +230,10 @@ def dbproxy_body(ctx):
             if mtype == "BULK_INSERT":
                 # Setup-time seeding (the launcher populating the user
                 # table); rows land as public unless they carry an owner.
-                table = db.tables.get(payload.get("table", ""))
+                table = db.tables.get(payload.get("table"))
                 if table is not None:
                     fulls = []
-                    for row in payload.get("rows", []):
+                    for row in payload.get("rows") or ():
                         full = {name: None for name in table.column_names}
                         full.update(row)
                         full.setdefault(USER_ID_COLUMN, PUBLIC_USER_ID)
@@ -237,26 +246,19 @@ def dbproxy_body(ctx):
                     else:
                         table.rows.extend(fulls)
                         table.invalidate_indexes()
-                if reply is not None:
-                    yield Send(reply, P.reply_to(payload, "BULK_INSERT_R", ok=True))
+                yield from req.answer(ok=True)
                 continue
             if mtype == "CHECKPOINT":
                 # Append a full-state snapshot to the log (admin-only, so
                 # only the launcher and idd can force one).
                 if store is not None:
                     store.checkpoint()
-                if reply is not None:
-                    yield Send(
-                        reply,
-                        P.reply_to(
-                            payload, "CHECKPOINT_R", ok=store is not None
-                        ),
-                    )
+                yield from req.answer(ok=store is not None)
                 continue
-            if mtype != P.QUERY or reply is None:
+            if mtype != P.QUERY:
                 continue
             try:
-                ast = _classify(payload.get("sql", ""))
+                ast = _classify(payload["sql"])
                 if isinstance(ast, S.CreateTable):
                     # Every table gets the hidden ownership column.
                     ast = S.CreateTable(
@@ -269,7 +271,7 @@ def dbproxy_body(ctx):
                         ast.columns + (USER_ID_COLUMN,),
                         ast.values + (PUBLIC_USER_ID,),
                     )
-                params_in = tuple(payload.get("params", ()))
+                params_in = tuple(payload.get("params") or ())
                 if store is not None and isinstance(
                     ast, (S.CreateTable, S.Insert, S.Update, S.Delete)
                 ):
@@ -280,66 +282,55 @@ def dbproxy_body(ctx):
                 else:
                     result = db.run(ast, params_in)
             except S.SqlError as err:
-                yield Send(reply, P.reply_to(payload, P.ERROR_R, error=str(err)))
+                yield from req.error(str(err))
                 continue
             charge(result)
-            yield Send(
-                reply,
-                P.reply_to(
-                    payload,
-                    P.QUERY_R,
-                    rows=[
-                        {k: v for k, v in row.items() if k != USER_ID_COLUMN}
-                        for row in result.rows
-                    ],
-                    rows_affected=result.rows_affected,
-                ),
+            yield from req.answer(
+                rows=[
+                    {k: v for k, v in row.items() if k != USER_ID_COLUMN}
+                    for row in result.rows
+                ],
+                rows_affected=result.rows_affected,
             )
             continue
 
         # ---- the policy-enforcing worker interface ---------------------------------
-        if msg.port != public_port or mtype != P.QUERY or reply is None:
+        if msg.port != public_port or mtype != P.QUERY:
             continue
-        sql_text = payload.get("sql", "")
-        params = tuple(payload.get("params", ()))
+        sql_text = payload["sql"]
+        params = tuple(payload.get("params") or ())
         username_uid = payload.get("uid")
         verify: Label = msg.verify
 
         try:
             ast = _classify(sql_text)
         except S.SqlError as err:
-            yield Send(reply, P.reply_to(payload, P.ERROR_R, error=str(err)))
+            yield from req.error(str(err))
             continue
 
         if _mentions_user_column(ast):
-            yield Send(
-                reply,
-                P.reply_to(payload, P.ERROR_R, error=f"{USER_ID_COLUMN} is private"),
-            )
+            yield from req.error(f"{USER_ID_COLUMN} is private")
             continue
 
         if isinstance(ast, S.CreateTable):
-            yield Send(
-                reply,
-                P.reply_to(payload, P.ERROR_R, error="schema changes are admin-only"),
-            )
+            yield from req.error("schema changes are admin-only")
             continue
 
         if isinstance(ast, (S.Insert, S.Update, S.Delete)):
-            req = payload.get("req")
-            cached = completed_writes.get((reply, req)) if req is not None else None
+            seq = payload.get("req")
+            cached = completed_writes.get((reply, seq)) if seq is not None else None
             if cached is not None:
                 # A replayed write we already executed (only its reply was
                 # lost): re-send the recorded reply, do not run it again.
                 ctx.count("write_replays")
-                cached_payload, cached_cs = cached
-                yield Send(reply, dict(cached_payload), cs=cached_cs)
+                rows_affected, cached_cs = cached
+                yield from req.answer(rows_affected=rows_affected, cs=cached_cs)
                 continue
             uid = username_uid
             taint = taint_of.get(uid)
             grant = grant_of.get(uid)
             if taint is None or grant is None:
-                yield Send(reply, P.reply_to(payload, P.ERROR_R, error="unknown user"))
+                yield from req.error("unknown user")
                 continue
             declassified = verify(taint) == STAR
             if not declassified:
@@ -347,10 +338,7 @@ def dbproxy_body(ctx):
                 # taint, and the uG 0 entry proves the right to write as u.
                 bound = Label({taint: L3, grant: L0}, L2)
                 if not verify <= bound:
-                    yield Send(
-                        reply,
-                        P.reply_to(payload, P.ERROR_R, error="verify label rejected"),
-                    )
+                    yield from req.error("verify label rejected")
                     continue
             # Affirm the binding with idd (Section 7.5) — bounded: a
             # dropped AFFIRM leg must fail this write, not wedge dbproxy
@@ -364,16 +352,10 @@ def dbproxy_body(ctx):
                         retries=AFFIRM_RETRIES,
                     )
                 except CallTimeout:
-                    yield Send(
-                        reply,
-                        P.reply_to(payload, P.ERROR_R, error="idd unavailable"),
-                    )
+                    yield from req.error("idd unavailable")
                     continue
                 if not affirmation.payload.get("ok"):
-                    yield Send(
-                        reply,
-                        P.reply_to(payload, P.ERROR_R, error="binding rejected"),
-                    )
+                    yield from req.error("binding rejected")
                     continue
             owner = PUBLIC_USER_ID if declassified else uid
             try:
@@ -393,16 +375,13 @@ def dbproxy_body(ctx):
                         declass=declassified,
                     )
             except S.SqlError as err:
-                yield Send(reply, P.reply_to(payload, P.ERROR_R, error=str(err)))
+                yield from req.error(str(err))
                 continue
             charge(result)
-            out = P.reply_to(payload, P.QUERY_R, rows_affected=result.rows_affected)
             out_cs = None if declassified else Label({taint: L3}, STAR)
-            if req is not None:
-                # A copy: the receiver owns the delivered dict (Channel
-                # pops ``req`` from it), and a replay must still echo it.
-                completed_writes.put((reply, req), (dict(out), out_cs))
-            yield Send(reply, out, cs=out_cs)
+            if seq is not None:
+                completed_writes.put((reply, seq), (result.rows_affected, out_cs))
+            yield from req.answer(rows_affected=result.rows_affected, cs=out_cs)
             continue
 
         # SELECT: per-row contamination (Section 7.5).
@@ -414,14 +393,14 @@ def dbproxy_body(ctx):
         try:
             result = db.run(widened, params)
         except S.SqlError as err:
-            yield Send(reply, P.reply_to(payload, P.ERROR_R, error=str(err)))
+            yield from req.error(str(err))
             continue
         charge(result)
         for row in result.rows:
             owner = row.get(USER_ID_COLUMN, PUBLIC_USER_ID)
             visible = {k: v for k, v in row.items() if k != USER_ID_COLUMN}
             if owner == PUBLIC_USER_ID:
-                yield Send(reply, P.reply_to(payload, P.ROW_R, row=visible))
+                yield from req.answer(P.ROW_R, row=visible)
                 continue
             taint = taint_of.get(owner)
             if taint is None:
@@ -431,12 +410,8 @@ def dbproxy_body(ctx):
                 # send: skip it.  The binding appears at the owner's next
                 # login and the row becomes visible to them again.
                 continue
-            yield Send(
-                reply,
-                P.reply_to(payload, P.ROW_R, row=visible),
-                cs=Label({taint: L3}, STAR),
-            )
-        yield Send(reply, P.reply_to(payload, P.DONE_R))
+            yield from req.answer(P.ROW_R, row=visible, cs=Label({taint: L3}, STAR))
+        yield from req.answer(P.DONE_R)
 
 
 def _mentions_user_column(ast: S.Statement) -> bool:

@@ -33,17 +33,25 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L0, L2, L3, STAR
 from repro.ipc import protocol as P
+from repro.ipc.rpc import HANDLE, NAME, NONE, Request, open_port
 from repro.kernel.errors import InvalidArgument
-from repro.kernel.syscalls import ChangeLabel, NewPort, Recv, Send, SetPortLabel
+from repro.kernel.syscalls import ChangeLabel, Recv
 
 #: Modelled cycles per file operation.
 FILE_OP_CYCLES = 15_000
 
+#: What the file server understands, and what each request must carry.
+SHAPES = {
+    P.CREATE: {"path": NAME, "taint": (HANDLE, NONE), "grant": (HANDLE, NONE)},
+    P.READ: {"path": NAME},
+    P.WRITE: {"path": NAME},
+    "LIST": {},
+}
+
 
 def file_server_body(ctx):
     """The file server process.  Publishes ``fs_port``."""
-    service = yield NewPort()
-    yield SetPortLabel(service, Label.top())
+    service = yield from open_port()
     ctx.env["fs_port"] = service
 
     # path -> metadata; contents live in accounted memory under "file:<path>".
@@ -51,11 +59,8 @@ def file_server_body(ctx):
 
     while True:
         msg = yield Recv(port=service)
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        mtype = payload.get("type")
-        reply = payload.get("reply")
+        req = Request(msg, SHAPES, ctx)
+        payload, mtype = req.payload, req.type
         path = payload.get("path")
         ctx.compute(FILE_OP_CYCLES)
 
@@ -63,8 +68,7 @@ def file_server_body(ctx):
             taint = payload.get("taint")
             grant = payload.get("grant")
             if path in files:
-                if reply is not None:
-                    yield Send(reply, P.reply_to(payload, P.ERROR_R, error="file exists"))
+                yield from req.error("file exists")
                 continue
             if taint is not None:
                 try:
@@ -72,41 +76,29 @@ def file_server_body(ctx):
                 except InvalidArgument:
                     # Without declassification privilege we would be
                     # permanently contaminated by this compartment.
-                    if reply is not None:
-                        yield Send(
-                            reply,
-                            P.reply_to(payload, P.ERROR_R, error="taint not granted"),
-                        )
+                    yield from req.error("taint not granted")
                     continue
             files[path] = {"taint": taint, "grant": grant}
             ctx.mem.store(f"file:{path}", payload.get("data", b""))
-            if reply is not None:
-                # The ack carries no file data, so it is not contaminated;
-                # contaminating it would wall the creator (who holds uT *)
-                # off from its own acknowledgment.
-                yield Send(reply, P.reply_to(payload, P.CREATE_R, ok=True))
+            # The ack carries no file data, so it is not contaminated;
+            # contaminating it would wall the creator (who holds uT *)
+            # off from its own acknowledgment.
+            yield from req.answer(ok=True)
 
         elif mtype == P.READ:
             meta = files.get(path)
             if meta is None:
-                if reply is not None:
-                    yield Send(reply, P.reply_to(payload, P.ERROR_R, error="no such file"))
+                yield from req.error("no such file")
                 continue
             data = ctx.mem.load(f"file:{path}")
-            if reply is not None:
-                # Discretionary contamination: the reply carries the owner's
-                # taint, raising the reader's send label (Equation 4).
-                yield Send(
-                    reply,
-                    P.reply_to(payload, P.READ_R, data=data),
-                    cs=_taint_label(meta["taint"]),
-                )
+            # Discretionary contamination: the reply carries the owner's
+            # taint, raising the reader's send label (Equation 4).
+            yield from req.answer(data=data, cs=_taint_label(meta["taint"]))
 
         elif mtype == P.WRITE:
             meta = files.get(path)
             if meta is None:
-                if reply is not None:
-                    yield Send(reply, P.reply_to(payload, P.ERROR_R, error="no such file"))
+                yield from req.error("no such file")
                 continue
             grant = meta["grant"]
             taint = meta["taint"]
@@ -121,19 +113,13 @@ def file_server_body(ctx):
                 if ok and taint is not None:
                     ok = verify <= Label({grant: L0, taint: L3}, L2)
                 if not ok:
-                    if reply is not None:
-                        yield Send(
-                            reply,
-                            P.reply_to(payload, P.ERROR_R, error="write not authorized"),
-                        )
+                    yield from req.error("write not authorized")
                     continue
             ctx.mem.store(f"file:{path}", payload.get("data", b""))
-            if reply is not None:
-                yield Send(reply, P.reply_to(payload, P.WRITE_R, ok=True))
+            yield from req.answer(ok=True)
 
         elif mtype == "LIST":
-            if reply is not None:
-                yield Send(reply, P.reply_to(payload, "LIST_R", paths=sorted(files)))
+            yield from req.answer(paths=sorted(files))
 
 
 def _taint_label(taint: Optional[Handle]) -> Optional[Label]:

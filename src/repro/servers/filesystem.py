@@ -44,11 +44,29 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L0, L3, STAR
 from repro.ipc import protocol as P
+from repro.ipc.rpc import HANDLE, NAME, NONE, Request, announce, open_port
 from repro.kernel.errors import InvalidArgument
-from repro.kernel.syscalls import ChangeLabel, NewPort, Recv, Send, SetPortLabel
+from repro.kernel.syscalls import ChangeLabel, Recv
 
 #: Modelled cycles per filesystem operation.
 FS_OP_CYCLES = 18_000
+
+#: What the filesystem understands; every request names the fid it is about.
+SHAPES = {
+    "ATTACH": {"fid": HANDLE},
+    "WALK": {"fid": HANDLE, "newfid": (HANDLE, NONE), "names": (list, tuple, NONE)},
+    "CREATE": {
+        "fid": HANDLE,
+        "name": (NAME, NONE),
+        "taint": (HANDLE, NONE),
+        "grant": (HANDLE, NONE),
+    },
+    P.READ: {"fid": HANDLE},
+    P.WRITE: {"fid": HANDLE},
+    "REMOVE": {"fid": HANDLE},
+    "STAT": {"fid": HANDLE},
+    "CLUNK": {"fid": HANDLE},
+}
 
 
 @dataclass
@@ -94,14 +112,9 @@ class Node:
 
 def filesystem_body(ctx):
     """The filesystem server process.  Publishes ``fs9_port``."""
-    service = yield NewPort()
-    yield SetPortLabel(service, Label.top())
+    service = yield from open_port()
     ctx.env["fs9_port"] = service
-    if ctx.env.get("announce_port") is not None:
-        yield Send(
-            ctx.env["announce_port"],
-            P.request("ANNOUNCE", who="fs9", ports={"fs9_port": service}),
-        )
+    yield from announce(ctx, "fs9", {"fs9_port": service})
 
     root = Node(name="", is_dir=True, parent=None)
     # (reply port is the client identity for fid namespaces, like a 9P
@@ -114,59 +127,51 @@ def filesystem_body(ctx):
             return None
         return Label({t: L3 for t in taints}, STAR)
 
-    def fail(reply, payload, error):
-        return Send(reply, P.reply_to(payload, P.ERROR_R, error=error))
-
     while True:
         msg = yield Recv(port=service)
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        reply = payload.get("reply")
+        req = Request(msg, SHAPES, ctx)
+        payload, mtype, reply = req.payload, req.type, req.reply
         if reply is None:
             continue
-        mtype = payload.get("type")
         ctx.compute(FS_OP_CYCLES)
-        fid_key = (reply, payload.get("fid"))
+        fid_key = (reply, payload["fid"])
 
         if mtype == "ATTACH":
             fids[fid_key] = root
-            yield Send(reply, P.reply_to(payload, "ATTACH_R", ok=True))
+            yield from req.answer(ok=True)
             continue
 
         node = fids.get(fid_key)
         if node is None:
-            yield fail(reply, payload, "unknown fid")
+            yield from req.error("unknown fid")
             continue
 
         if mtype == "WALK":
             target = node
             ok = True
-            for name in payload.get("names", []):
+            for name in payload.get("names") or ():
                 if name == "..":
                     target = target.parent or target
                     continue
-                child = target.children.get(name) if target.is_dir else None
+                walkable = target.is_dir and isinstance(name, str)
+                child = target.children.get(name) if walkable else None
                 if child is None:
                     ok = False
                     break
                 target = child
             if not ok:
-                yield fail(reply, payload, "no such path")
+                yield from req.error("no such path")
                 continue
-            fids[(reply, payload.get("newfid", payload.get("fid")))] = target
-            yield Send(
-                reply,
-                P.reply_to(payload, "WALK_R", ok=True, is_dir=target.is_dir),
-            )
+            fids[(reply, payload.get("newfid", payload["fid"]))] = target
+            yield from req.answer(ok=True, is_dir=target.is_dir)
 
         elif mtype == "CREATE":
             if not node.is_dir:
-                yield fail(reply, payload, "not a directory")
+                yield from req.error("not a directory")
                 continue
-            name = payload.get("name", "")
+            name = payload.get("name")
             if not name or "/" in name or name in node.children:
-                yield fail(reply, payload, "bad or duplicate name")
+                yield from req.error("bad or duplicate name")
                 continue
             taint = payload.get("taint")
             if taint is not None:
@@ -176,7 +181,7 @@ def filesystem_body(ctx):
                     # with data we could never serve untainted.
                     yield ChangeLabel(raise_receive={taint: L3})
                 except InvalidArgument:
-                    yield fail(reply, payload, "taint not granted")
+                    yield from req.error("taint not granted")
                     continue
             child = Node(
                 name=name,
@@ -190,7 +195,7 @@ def filesystem_body(ctx):
                 child.content_key = f"fs9:{content_counter[0]}"
                 ctx.mem.store(child.content_key, payload.get("data", b""))
             node.children[name] = child
-            yield Send(reply, P.reply_to(payload, "CREATE_R", ok=True))
+            yield from req.answer(ok=True)
 
         elif mtype == P.READ:
             if node.is_dir:
@@ -211,69 +216,56 @@ def filesystem_body(ctx):
                 revealed: Set[Handle] = set(node.effective_taints())
                 if not all(cleared(t) for t in revealed):
                     # Not even cleared for the directory itself.
-                    yield fail(reply, payload, "no such path")
+                    yield from req.error("no such path")
                     continue
                 for child in node.children.values():
                     child_taints = set(child.effective_taints())
                     if all(cleared(t) for t in child_taints):
                         visible.append({"name": child.name, "dir": child.is_dir})
                         revealed |= child_taints
-                yield Send(
-                    reply,
-                    P.reply_to(payload, P.READ_R, entries=visible),
-                    cs=taint_label(sorted(revealed)),
-                )
+                yield from req.answer(entries=visible, cs=taint_label(sorted(revealed)))
             else:
                 data = ctx.mem.load(node.content_key) if node.content_key else b""
-                yield Send(
-                    reply,
-                    P.reply_to(payload, P.READ_R, data=data),
-                    cs=taint_label(node.effective_taints()),
-                )
+                yield from req.answer(data=data, cs=taint_label(node.effective_taints()))
 
         elif mtype == P.WRITE:
             if node.is_dir:
-                yield fail(reply, payload, "is a directory")
+                yield from req.error("is a directory")
                 continue
             grants = node.effective_grants()
             verify = msg.verify
             if grants and not all(verify(g) <= L0 for g in grants):
-                yield fail(reply, payload, "write not authorized")
+                yield from req.error("write not authorized")
                 continue
             ctx.mem.store(node.content_key, payload.get("data", b""))
-            yield Send(reply, P.reply_to(payload, P.WRITE_R, ok=True))
+            yield from req.answer(ok=True)
 
         elif mtype == "REMOVE":
             if node.parent is None:
-                yield fail(reply, payload, "cannot remove root")
+                yield from req.error("cannot remove root")
                 continue
             grants = node.effective_grants()
             if grants and not all(msg.verify(g) <= L0 for g in grants):
-                yield fail(reply, payload, "remove not authorized")
+                yield from req.error("remove not authorized")
                 continue
             if node.is_dir and node.children:
-                yield fail(reply, payload, "directory not empty")
+                yield from req.error("directory not empty")
                 continue
             del node.parent.children[node.name]
             if node.content_key:
                 ctx.mem.delete(node.content_key)
             del fids[fid_key]
-            yield Send(reply, P.reply_to(payload, "REMOVE_R", ok=True))
+            yield from req.answer(ok=True)
 
         elif mtype == "STAT":
-            yield Send(
-                reply,
-                P.reply_to(
-                    payload,
-                    "STAT_R",
-                    path=node.path(),
-                    dir=node.is_dir,
-                    tainted=bool(node.effective_taints()),
-                    guarded=bool(node.effective_grants()),
-                ),
+            yield from req.answer(
+                path=node.path(),
+                dir=node.is_dir,
+                tainted=bool(node.effective_taints()),
+                guarded=bool(node.effective_grants()),
                 cs=taint_label(node.effective_taints()),
             )
 
         elif mtype == "CLUNK":
             fids.pop(fid_key, None)
-            yield Send(reply, P.reply_to(payload, "CLUNK_R", ok=True))
+            yield from req.answer(ok=True)

@@ -24,8 +24,8 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L3, STAR
 from repro.ipc import protocol as P
-from repro.ipc.rpc import CallTimeout, Channel
-from repro.kernel.syscalls import NewHandle, NewPort, Recv, Send, SetPortLabel
+from repro.ipc.rpc import HANDLE, NAME, NONE, CallTimeout, Channel, Request, announce, open_port
+from repro.kernel.syscalls import NewHandle, Recv, Send
 
 #: Cycles of idd application logic per login (parsing, cache handling).
 LOGIN_CYCLES = 45_000
@@ -39,6 +39,15 @@ AFFIRM_CYCLES = 4_000
 LOOKUP_TIMEOUT = 700_000_000
 LOOKUP_RETRIES = 2
 
+#: What idd understands, and what each request must carry.
+SHAPES = {
+    P.LOGIN: {"user": (NAME, NONE), "password": (NAME, NONE)},
+    "AFFIRM": {"uid": HANDLE},
+    "REBIND": {"dbproxy_admin_port": (HANDLE, NONE), "grant_port": (HANDLE, NONE)},
+    # The launcher's admin grant: the DS label on delivery is the message.
+    "GRANT": {},
+}
+
 
 def idd_body(ctx):
     """The idd process.  Env in: ``dbproxy_admin_port``,
@@ -50,26 +59,17 @@ def idd_body(ctx):
     # Which entry is ok-dbproxy's (replaced wholesale on REBIND after a
     # supervised restart); by convention the first.
     dbproxy_grant: Handle = ctx.env.get("dbproxy_grant_port", grant_ports[0])
-    service = yield NewPort()
-    yield SetPortLabel(service, Label.top())
+    service = yield from open_port()
     ctx.env["idd_port"] = service
     chan = yield from Channel.open()
-    if ctx.env.get("announce_port") is not None:
-        yield Send(
-            ctx.env["announce_port"],
-            P.request("ANNOUNCE", who="idd", ports={"idd_port": service}),
-        )
+    yield from announce(ctx, "idd", {"idd_port": service})
 
     # uid -> (uT, uG); never cleaned (Section 7.4).
     cache: Dict[int, Tuple[Handle, Handle]] = {}
 
     while True:
-        msg = yield Recv(port=service)
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        mtype = payload.get("type")
-        reply = payload.get("reply")
+        req = Request((yield Recv(port=service)), SHAPES, ctx)
+        payload, mtype = req.payload, req.type
 
         if mtype == P.LOGIN:
             ctx.compute(LOGIN_CYCLES)
@@ -94,8 +94,7 @@ def idd_body(ctx):
                 continue
             rows = result.payload.get("rows", [])
             if not rows:
-                if reply is not None:
-                    yield Send(reply, P.reply_to(payload, P.LOGIN_R, ok=False))
+                yield from req.answer(ok=False)
                 continue
             uid = rows[0]["uid"]
             if uid in cache:
@@ -113,21 +112,17 @@ def idd_body(ctx):
                         P.request("BIND", uid=uid, taint=taint, grant=grant),
                         ds=Label({taint: STAR, grant: STAR}, L3),
                     )
-            if reply is not None:
-                yield Send(
-                    reply,
-                    P.reply_to(payload, P.LOGIN_R, ok=True, uid=uid, taint=taint, grant=grant),
-                    ds=Label({taint: STAR, grant: STAR}, L3),
-                )
+            yield from req.answer(
+                ok=True, uid=uid, taint=taint, grant=grant,
+                ds=Label({taint: STAR, grant: STAR}, L3),
+            )
 
         elif mtype == "AFFIRM":
             # dbproxy double-checks a claimed (user, uT, uG) binding before
             # accepting a write (Section 7.5).
             ctx.compute(AFFIRM_CYCLES)
-            uid = payload.get("uid")
-            ok = cache.get(uid) == (payload.get("taint"), payload.get("grant"))
-            if reply is not None:
-                yield Send(reply, P.reply_to(payload, "AFFIRM_R", ok=ok))
+            ok = cache.get(payload["uid"]) == (payload.get("taint"), payload.get("grant"))
+            yield from req.answer(ok=ok)
 
         elif mtype == "REBIND":
             # The launcher restarted ok-dbproxy: learn its new admin port
@@ -151,7 +146,4 @@ def idd_body(ctx):
                         P.request("BIND", uid=uid, taint=taint, grant=grant),
                         ds=Label({taint: STAR, grant: STAR}, L3),
                     )
-            if reply is not None:
-                yield Send(
-                    reply, P.reply_to(payload, "REBIND_R", ok=True, users=len(cache))
-                )
+            yield from req.answer(ok=True, users=len(cache))

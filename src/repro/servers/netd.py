@@ -31,6 +31,7 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L2, L3, STAR
 from repro.ipc import protocol as P
+from repro.ipc.rpc import HANDLE, NAME, NONE, Request, open_port
 from repro.kernel.errors import InvalidArgument
 from repro.kernel.syscalls import ChangeLabel, DissociatePort, NewPort, Recv, Send, SetPortLabel
 
@@ -45,6 +46,24 @@ SEGMENT_CYCLES = 70_000
 OP_CYCLES = 78_000
 #: Connection teardown.
 CLOSE_CYCLES = 55_000
+
+
+#: What netd understands, and what each request must carry.
+SHAPES = {
+    # wire events (from the NIC)
+    "OPEN": {"conn": HANDLE, "dport": HANDLE},
+    "DATA": {"conn": HANDLE},
+    "CLOSE": {"conn": HANDLE},
+    # service requests
+    P.CONNECT: {"port": (HANDLE, NONE), "host": (NAME, NONE)},
+    P.LISTEN: {"port": (HANDLE, NONE), "notify": HANDLE},
+    "ADD_TAINT": {"conn": HANDLE, "taint": HANDLE},
+    # connection-port operations
+    P.READ: {"reply": HANDLE},
+    P.WRITE: {},
+    P.SELECT: {"reply": HANDLE},
+    P.CONTROL: {},
+}
 
 
 @dataclass
@@ -76,7 +95,10 @@ class _Conn:
     port: Handle
     inbuf: List[Any] = field(default_factory=list)
     taints: List[Handle] = field(default_factory=list)
-    pending_reads: List[Dict[str, Any]] = field(default_factory=list)
+    #: ``{uT 3 …, ⋆}`` over *taints*: the contamination every reply on this
+    #: connection carries (``None`` while untainted).
+    cs: Optional[Label] = None
+    pending_reads: List[Request] = field(default_factory=list)
     closed: bool = False
     #: For loopback connections: the peer connection's id (WRITEs on this
     #: side surface as READ data on the peer, and vice versa).
@@ -88,10 +110,8 @@ def netd_body(ctx):
     ``netd_port`` (service requests) and ``netd_wire_port`` (inbound wire
     events, injected by the harness)."""
     wire: Wire = ctx.env["wire"]
-    service_port = yield NewPort()
-    yield SetPortLabel(service_port, Label.top())
-    wire_port = yield NewPort()
-    yield SetPortLabel(wire_port, Label.top())
+    service_port = yield from open_port()
+    wire_port = yield from open_port()
     ctx.env["netd_port"] = service_port
     ctx.env["netd_wire_port"] = wire_port
 
@@ -99,17 +119,14 @@ def netd_body(ctx):
     conns: Dict[int, _Conn] = {}               # wire conn id -> state
     by_port: Dict[Handle, _Conn] = {}          # Asbestos port -> state
 
-    def taint_label(conn: _Conn) -> Optional[Label]:
-        if not conn.taints:
-            return None
-        return Label({t: L3 for t in conn.taints}, STAR)
+    def wake_readers(conn: _Conn):
+        while conn.pending_reads and conn.inbuf:
+            yield from conn.pending_reads.pop(0).answer(data=conn.inbuf.pop(0), cs=conn.cs)
 
     while True:
         msg = yield Recv()
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        mtype = payload.get("type")
+        req = Request(msg, SHAPES, ctx)
+        payload, mtype = req.payload, req.type
 
         # ---- wire events (from the NIC) -------------------------------------
         if msg.port == wire_port:
@@ -138,15 +155,7 @@ def netd_body(ctx):
                 if conn is None or conn.closed:
                     continue
                 conn.inbuf.append(payload.get("data"))
-                # Wake any blocked reader.
-                while conn.pending_reads and conn.inbuf:
-                    read_req = conn.pending_reads.pop(0)
-                    data = conn.inbuf.pop(0)
-                    yield Send(
-                        read_req["reply"],
-                        P.reply_to(read_req, P.READ_R, data=data),
-                        cs=taint_label(conn),
-                    )
+                yield from wake_readers(conn)
             elif mtype == "CLOSE":
                 conn = conns.pop(conn_id, None)
                 if conn is not None:
@@ -167,13 +176,11 @@ def netd_body(ctx):
                 # with a registered listener are connected internally; all
                 # other hosts are unreachable in the simulated network.
                 ctx.compute(ACCEPT_CYCLES)
-                reply = payload.get("reply")
                 dport = payload.get("port", 80)
                 host = payload.get("host", "localhost")
                 notify = listeners.get(dport) if host in ("localhost", "127.0.0.1") else None
                 if notify is None:
-                    if reply is not None:
-                        yield Send(reply, P.reply_to(payload, P.ERROR_R, error="no route"))
+                    yield from req.error("no route")
                     continue
                 next_loop = -(len(conns) + 1)  # loopback ids are negative
                 client_id, server_id = next_loop, next_loop - 100_000_000
@@ -185,12 +192,7 @@ def netd_body(ctx):
                 conns[server_id] = server
                 by_port[client_port] = client
                 by_port[server_port] = server
-                if reply is not None:
-                    yield Send(
-                        reply,
-                        P.reply_to(payload, P.CONNECT_R, conn=client_port),
-                        ds=Label({client_port: STAR}, L3),
-                    )
+                yield from req.answer(conn=client_port, ds=Label({client_port: STAR}, L3))
                 yield Send(
                     notify,
                     P.request(P.ACCEPT_R, conn=server_port, conn_id=server_id),
@@ -198,17 +200,16 @@ def netd_body(ctx):
                 )
                 continue
             if mtype == P.LISTEN:
-                listeners[payload.get("port", 80)] = payload.get("notify")
-                if payload.get("reply") is not None:
-                    yield Send(payload["reply"], P.reply_to(payload, P.LISTEN_R, ok=True))
+                listeners[payload.get("port", 80)] = payload["notify"]
+                yield from req.answer(ok=True)
             elif mtype == "ADD_TAINT":
                 # The requester granted us taint * via DS on this very
                 # message; raise our receive label so tainted writes can
                 # reach us, and the connection's port label so tainted
                 # data may flow out only via this connection (step 5).
-                conn = by_port.get(payload.get("conn"))
-                taint = payload.get("taint")
-                if conn is None or taint is None:
+                conn = by_port.get(payload["conn"])
+                taint = payload["taint"]
+                if conn is None:
                     continue
                 try:
                     yield ChangeLabel(raise_receive={taint: L3})
@@ -219,16 +220,12 @@ def netd_body(ctx):
                     # contamination.  Ignore the request.
                     continue
                 conn.taints.append(taint)
+                conn.cs = Label({t: L3 for t in conn.taints}, STAR)
                 new_port_label = Label({conn.port: 0}, L2)
                 for t in conn.taints:
                     new_port_label = new_port_label.with_entry(t, L3)
                 yield SetPortLabel(conn.port, new_port_label)
-                if payload.get("reply") is not None:
-                    yield Send(
-                        payload["reply"],
-                        P.reply_to(payload, "ADD_TAINT_R", ok=True),
-                        cs=taint_label(conn),
-                    )
+                yield from req.answer(ok=True, cs=conn.cs)
             continue
 
         # ---- connection port operations ----------------------------------------
@@ -238,41 +235,21 @@ def netd_body(ctx):
         if mtype == P.READ:
             ctx.compute(OP_CYCLES)
             if conn.inbuf:
-                data = conn.inbuf.pop(0)
-                yield Send(
-                    payload["reply"],
-                    P.reply_to(payload, data=data),
-                    cs=taint_label(conn),
-                )
+                yield from req.answer(data=conn.inbuf.pop(0), cs=conn.cs)
             else:
-                conn.pending_reads.append(payload)
+                conn.pending_reads.append(req)
         elif mtype == P.WRITE:
             ctx.compute(OP_CYCLES)
             if conn.peer is not None:
                 peer = conns.get(conn.peer)
                 if peer is not None and not peer.closed:
                     peer.inbuf.append(payload.get("data"))
-                    while peer.pending_reads and peer.inbuf:
-                        read_req = peer.pending_reads.pop(0)
-                        yield Send(
-                            read_req["reply"],
-                            P.reply_to(read_req, P.READ_R, data=peer.inbuf.pop(0)),
-                            cs=taint_label(peer),
-                        )
+                    yield from wake_readers(peer)
             else:
                 wire.deliver(conn.conn_id, payload.get("data"), now=ctx.now)
-            if payload.get("reply") is not None:
-                yield Send(
-                    payload["reply"],
-                    P.reply_to(payload, n=len(str(payload.get("data")))),
-                    cs=taint_label(conn),
-                )
+            yield from req.answer(n=len(str(payload.get("data"))), cs=conn.cs)
         elif mtype == P.SELECT:
-            yield Send(
-                payload["reply"],
-                P.reply_to(payload, space=65536),
-                cs=taint_label(conn),
-            )
+            yield from req.answer(space=65536, cs=conn.cs)
         elif mtype == P.CONTROL:
             if payload.get("op") == "close":
                 ctx.compute(CLOSE_CYCLES)
@@ -282,9 +259,4 @@ def netd_body(ctx):
                 by_port.pop(msg.port, None)
                 yield ChangeLabel(drop_send=(msg.port,))
                 yield DissociatePort(msg.port)
-            if payload.get("reply") is not None:
-                yield Send(
-                    payload["reply"],
-                    P.reply_to(payload, ok=True),
-                    cs=taint_label(conn),
-                )
+            yield from req.answer(ok=True, cs=conn.cs)

@@ -21,7 +21,9 @@ connection's own taint.
 
 The wire-facing and application-facing protocols are identical to
 :mod:`repro.servers.netd`, so OKWS runs unchanged on either
-(``launch(..., network="decomposed")``).
+(``launch(..., network="decomposed")``) — except that loopback
+connections are classic-netd only: a ``CONNECT`` here is answered
+``ERROR_R`` "no route", as netd answers for any host it cannot reach.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L2, L3, STAR
 from repro.ipc import protocol as P
+from repro.ipc.rpc import HANDLE, NONE, Request, open_port
 from repro.kernel.errors import InvalidArgument
 from repro.kernel.syscalls import (
     ChangeLabel,
@@ -54,6 +57,35 @@ from repro.servers.netd import (
 
 #: Front-end packet classification / firewalling per message.
 CLASSIFY_CYCLES = 9_000
+
+#: What a back-end event process understands on its connection port.
+BACKEND_SHAPES = {
+    # from the front end
+    "DATA": {},
+    "TAINT": {"taint": HANDLE},
+    "CLOSE": {},
+    # from the application
+    P.READ: {"reply": HANDLE},
+    P.WRITE: {},
+    P.SELECT: {"reply": HANDLE},
+    P.CONTROL: {},
+}
+
+#: What the front end understands, on its four ports.
+FRONT_SHAPES = {
+    # wire events (from the NIC)
+    "OPEN": {"conn": HANDLE, "dport": HANDLE},
+    "DATA": {"conn": HANDLE},
+    "CLOSE": {"conn": HANDLE},
+    # from the back end
+    "ACCEPT_UP": {"conn_id": HANDLE, "conn": HANDLE},
+    "CLOSE_UP": {"conn_id": HANDLE},
+    "EGRESS": {"conn_id": HANDLE},
+    # service requests
+    P.CONNECT: {},
+    P.LISTEN: {"port": (HANDLE, NONE), "notify": HANDLE},
+    "ADD_TAINT": {"conn": HANDLE, "taint": HANDLE},
+}
 
 
 def backend_body(ctx):
@@ -80,34 +112,32 @@ def backend_body(ctx):
             ds=Label({conn_port: STAR}, L3),
         )
         inbuf: List[Any] = []
-        pending_reads: List[Dict[str, Any]] = []
+        pending_reads: List[Request] = []
         taints: List[Handle] = []
         msg = yield EpYield()
         while True:
-            payload = msg.payload
-            mtype = payload.get("type")
+            req = Request(msg, BACKEND_SHAPES, ectx)
+            payload, mtype = req.payload, req.type
             if mtype == "DATA":          # from the front end
                 ectx.compute(SEGMENT_CYCLES)
                 inbuf.append(payload.get("data"))
                 while pending_reads and inbuf:
-                    req = pending_reads.pop(0)
                     # Our send label already carries the user's taint; no
                     # explicit CS needed — we *are* contaminated (§7.8).
-                    yield Send(req["reply"], P.reply_to(req, P.READ_R, data=inbuf.pop(0)))
+                    yield from pending_reads.pop(0).answer(data=inbuf.pop(0))
             elif mtype == "TAINT":       # front end: contaminate this conn
                 taints.append(payload["taint"])
                 label = Label({conn_port: 0}, L2)
                 for taint in taints:
                     label = label.with_entry(taint, L3)
                 yield SetPortLabel(conn_port, label)
-                if payload.get("reply") is not None:
-                    yield Send(payload["reply"], P.reply_to(payload, "TAINT_R", ok=True))
+                yield from req.answer(ok=True)
             elif mtype == P.READ:        # from the application
                 ectx.compute(OP_CYCLES)
                 if inbuf:
-                    yield Send(payload["reply"], P.reply_to(payload, data=inbuf.pop(0)))
+                    yield from req.answer(data=inbuf.pop(0))
                 else:
-                    pending_reads.append(payload)
+                    pending_reads.append(req)
             elif mtype == P.WRITE:
                 ectx.compute(OP_CYCLES)
                 # Outbound bytes go through the firewall with a proof that
@@ -118,14 +148,12 @@ def backend_body(ctx):
                     P.request("EGRESS", conn_id=conn_id, data=payload.get("data")),
                     v=proof,
                 )
-                if payload.get("reply") is not None:
-                    yield Send(payload["reply"], P.reply_to(payload, n=1))
+                yield from req.answer(n=1)
             elif mtype == P.SELECT:
-                yield Send(payload["reply"], P.reply_to(payload, space=65536))
+                yield from req.answer(space=65536)
             elif mtype == "CLOSE" or (mtype == P.CONTROL and payload.get("op") == "close"):
                 ectx.compute(CLOSE_CYCLES)
-                if payload.get("reply") is not None:
-                    yield Send(payload["reply"], P.reply_to(payload, ok=True))
+                yield from req.answer(ok=True)
                 if mtype == P.CONTROL:
                     # Application-initiated close: tell the front end so it
                     # can tear down the wire side too.
@@ -145,14 +173,10 @@ def netd2_front_body(ctx):
     """The trusted, privileged front end.  Env in: ``wire``.  Publishes the
     same ``netd_port``/``netd_wire_port`` env keys as classic netd."""
     wire: Wire = ctx.env["wire"]
-    service_port = yield NewPort()
-    yield SetPortLabel(service_port, Label.top())
-    wire_port = yield NewPort()
-    yield SetPortLabel(wire_port, Label.top())
-    front_port = yield NewPort()
-    yield SetPortLabel(front_port, Label.top())
-    egress_port = yield NewPort()
-    yield SetPortLabel(egress_port, Label.top())
+    service_port = yield from open_port()
+    wire_port = yield from open_port()
+    front_port = yield from open_port()
+    egress_port = yield from open_port()
     ctx.env["netd_port"] = service_port
     ctx.env["netd_wire_port"] = wire_port
 
@@ -176,16 +200,14 @@ def netd2_front_body(ctx):
 
     while True:
         msg = yield Recv()
-        payload = msg.payload
-        if not isinstance(payload, dict):
-            continue
-        mtype = payload.get("type")
+        req = Request(msg, FRONT_SHAPES, ctx)
+        payload, mtype = req.payload, req.type
 
         if msg.port == wire_port:
             conn_id = payload.get("conn")
             if mtype == "OPEN":
                 ctx.compute(ACCEPT_CYCLES + CLASSIFY_CYCLES)
-                if payload.get("dport") not in listeners:
+                if payload["dport"] not in listeners:
                     wire.close(conn_id)
                     continue
                 pending_accept[conn_id] = payload["dport"]
@@ -262,14 +284,15 @@ def netd2_front_body(ctx):
 
         if msg.port == service_port:
             if mtype == P.LISTEN:
-                listeners[payload.get("port", 80)] = payload.get("notify")
-                if payload.get("reply") is not None:
-                    yield Send(payload["reply"], P.reply_to(payload, P.LISTEN_R, ok=True))
+                listeners[payload.get("port", 80)] = payload["notify"]
+                yield from req.answer(ok=True)
+            elif mtype == P.CONNECT:
+                yield from req.error("no route")
             elif mtype == "ADD_TAINT":
-                conn = payload.get("conn")
-                taint = payload.get("taint")
+                conn = payload["conn"]
+                taint = payload["taint"]
                 conn_id = by_port.get(conn)
-                if conn_id is None or taint is None:
+                if conn_id is None:
                     continue
                 try:
                     yield ChangeLabel(raise_receive={taint: L3})
@@ -280,7 +303,7 @@ def netd2_front_body(ctx):
                 # so tainted writes can reach it (we hold uT ⋆).
                 yield Send(
                     conn,
-                    {"type": "TAINT", "taint": taint, "reply": payload.get("reply")},
+                    {"type": "TAINT", "taint": taint, "reply": req.reply},
                     cs=Label({taint: L3}, STAR),
                     dr=Label({taint: L3}, STAR),
                 )

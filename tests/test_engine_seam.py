@@ -292,16 +292,19 @@ def test_bill_stub_hits_are_flat_probes():
 
 
 def test_bill_inlines_exactly_the_cost_model_structure_term():
-    # bill() spells CostModel.label_structure / label_work inline (39
-    # bills a connection); every OpStats field distinct, so a term added
-    # to one spelling and not the other shows.
+    # bill() is the one spelling of the structure term; every OpStats
+    # field distinct, so a term dropped or mis-priced shows.
     cost = CostModel()
     stats = OpStats(
         entries_scanned=3, chunks_skipped=5, labels_allocated=7, chunks_allocated=11,
         chunks_shared=13, operations=17, fast_path=19, full_merges=23,
     )
-    assert bill(LOCAL, stats, cost, "paper") == cost.label_structure(stats)
-    assert bill(LOCAL, stats, cost, "fused") == cost.label_work(stats)
+    structure = (
+        17 * cost.label_op_base + 5 * cost.chunk_skip + 7 * cost.label_alloc
+        + 11 * cost.chunk_alloc + 13 * cost.chunk_share
+    )
+    assert bill(LOCAL, stats, cost, "paper") == structure
+    assert bill(LOCAL, stats, cost, "fused") == structure + 3 * cost.label_entry
 
 
 # -- 3. mirrored metrics cannot fall behind the engine's counters -------------------

@@ -243,10 +243,11 @@ def test_clock_charging_and_snapshots():
 
 def test_cost_model_label_work():
     from repro.core.chunks import OpStats
+    from repro.kernel.engine import Work, bill
 
     cost = CostModel()
     stats = OpStats(entries_scanned=10, operations=2, labels_allocated=1)
-    assert cost.label_work(stats) == (
+    assert bill(Work(), stats, cost, "fused") == (
         10 * cost.label_entry + 2 * cost.label_op_base + cost.label_alloc
     )
 
@@ -283,7 +284,8 @@ def test_request_path_calls_per_connection_and_cycles_are_held():
             assert len(client.run_batch(requests, concurrency=4)) == 8
     finally:
         sys.setprofile(previous)
-    # 2,087 before the request path was straightened, 1,402 after, counted
+    # 2,087 before the request path was straightened, 1,402 after, 1,438
+    # with every request read through ``ipc.rpc.Request``, counted
     # on CPython 3.11 (what CI pins; generator resumes count as calls).  A
     # frame added back to the per-syscall or per-bill path fails this.
     assert calls[0] / 16 <= 1_800

@@ -10,6 +10,7 @@ from repro.ipc import protocol as P
 from repro.ipc.rpc import Channel
 from repro.kernel import NewPort, Recv, Send, SetPortLabel
 from repro.kernel.clock import NETWORK
+from repro.okws import launch
 from repro.servers.netd import Wire, netd_body
 
 
@@ -128,3 +129,21 @@ def test_loopback_carries_taint_policy(kernel, net):
     kernel.spawn(stranger, "stranger")
     kernel.run()
     assert kernel.drop_log.count("label-check") == before + 2
+
+
+def test_decomposed_stack_answers_connect_with_no_route():
+    """Loopback connections are classic-netd only; the decomposed front end
+    says so instead of leaving an undeadlined ``chan.call`` blocked forever."""
+    site = launch(network="decomposed")
+    result = []
+
+    def client(ctx):
+        chan = yield from Channel.open()
+        r = yield from chan.call(
+            ctx.env["netd_port"], P.request(P.CONNECT, host="localhost", port=80)
+        )
+        result.append(r.payload)
+
+    site.kernel.spawn(client, "client", env={"netd_port": site.launcher_env["netd_port"]})
+    site.kernel.run()
+    assert result == [{"type": P.ERROR_R, "error": "no route"}]

@@ -257,3 +257,32 @@ def test_replayed_write_reply_still_echoes_req():
     assert seen["replay"]["req"] == seen["req"]
     assert seen["replay"]["rows_affected"] == 1
     assert seen["rows"] == [{"text": "once"}]  # executed once
+
+
+def test_stale_duplicate_from_a_request_answer_server_is_discarded(kernel):
+    """The server half (``Request.answer``) echoes ``req`` as ``reply_to``
+    did: a call delivered twice is answered twice, and the second answer,
+    still queued when the next call is made, is skipped by it."""
+    from repro.servers.fileserver import file_server_body
+
+    fs = kernel.spawn(file_server_body, "fs")
+    kernel.run()
+    seen = {}
+
+    def client(ctx):
+        port = fs.env["fs_port"]
+        chan = yield from Channel.open()
+        create = P.request(P.CREATE, path="/a", data=b"x")
+        req = yield from chan.call_nowait(port, create)
+        yield Send(port, dict(create, reply=chan.port, req=req))  # the retry
+        seen["create"] = (yield from chan.await_reply(req, None)).payload
+        # Queued behind it: ERROR_R "file exists", echoing the same req.
+        listing = yield from chan.call(port, P.request("LIST"), deadline=RPC_TIMEOUT)
+        seen["list"] = listing.payload
+
+    kernel.spawn(client, "client")
+    kernel.run()
+    assert seen == {
+        "create": {"type": P.CREATE_R, "ok": True},
+        "list": {"type": "LIST_R", "paths": ["/a"]},
+    }

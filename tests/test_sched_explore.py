@@ -61,7 +61,7 @@ def test_seeded_source_single_draw_per_chance():
 
 
 def test_scripted_source_replays_and_logs():
-    source = ScriptedSource((1, 0, 9), seed=0)
+    source = ScriptedSource((1, 0, 9))
     assert source.choose("pick", ("a", "b", "c")) == 1
     assert source.choose("pick", ("a", "b")) == 0
     # Out-of-range decisions clamp to the default, never crash the run.
@@ -74,7 +74,7 @@ def test_scripted_source_replays_and_logs():
 
 
 def test_scripted_chance_branches_only_fractional_rules():
-    source = ScriptedSource((1,), seed=0)
+    source = ScriptedSource((1,))
     # p<=0 and p>=1 are decided, not branched: no choice point is spent.
     assert not source.chance("drop", 0.0)
     assert source.chance("drop", 1.0)
@@ -112,8 +112,8 @@ def test_default_schedule_is_fifo_and_clean():
 
 def test_same_schedule_same_digest():
     scenario = race_scenario()
-    a = scenario.execute(ScriptedSource((0, 2), seed=0))
-    b = scenario.execute(ScriptedSource((0, 2), seed=0))
+    a = scenario.execute(ScriptedSource((0, 2)))
+    b = scenario.execute(ScriptedSource((0, 2)))
     assert a.digest == b.digest
     assert a.violating and b.violating
 
@@ -138,10 +138,10 @@ def test_schedule_and_plan_determine_faultlog():
         1 if point.kind.startswith("chance:drop") else point.chosen
         for point in base.decisions
     ]
-    fired = scenario.execute(ScriptedSource(script, seed=0))
+    fired = scenario.execute(ScriptedSource(script))
     assert b'"drop"' in fired.fault_events
     assert "relay->sink" not in fired.delivered_edges
-    again = scenario.execute(ScriptedSource(script, seed=0))
+    again = scenario.execute(ScriptedSource(script))
     assert fired.digest == again.digest
     assert fired.fault_events == again.fault_events
 
@@ -345,7 +345,7 @@ def test_deferred_wake_still_delivers():
     script = [
         1 if point.kind == "wake" else point.chosen for point in base.decisions
     ]
-    run = scenario.execute(ScriptedSource(script, seed=0))
+    run = scenario.execute(ScriptedSource(script))
     assert not run.violating
     assert any(p.kind == "wake" and p.chosen == 1 for p in run.decisions)
 
