@@ -90,18 +90,15 @@ class _TaskObs:
         label = self.send0
         for raised in self.send_raises:
             label = label | raised
-        for handle in self.mints:
-            label = label.with_entry(handle, STAR)
-        return label
+        return label.with_entries(dict.fromkeys(self.mints, STAR))
 
     def initial_receive(self) -> Label:
         label = self.receive0
         if self.receive_default is not None and self.receive_default > label.default:
             label = Label(dict(label.entries()), self.receive_default)
-        for handle, level in self.receive_raises.items():
-            if level > label(handle):
-                label = label.with_entry(handle, level)
-        return label
+        return label.with_entries(
+            {h: level for h, level in self.receive_raises.items() if level > label(h)}
+        )
 
 
 class _PortObs:

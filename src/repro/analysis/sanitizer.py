@@ -10,8 +10,11 @@ through the naive operators and the two answers are compared:
 
 - the delivery verdict of ``check_send`` must equal
   ``ES ⊑ (QR ⊔ DR) ⊓ V ⊓ pR`` (and requirement (4) ``DR ⊑ pR``)
-  computed on plain Labels;
-- the send-label effect must equal ``QS ← (QS ⊓ DS) ⊔ (ES ⊓ QS⋆)``;
+  computed on plain Labels, and a drop must name the requirement that
+  failed first;
+- the send-label effect must equal ``QS ← (QS ⊓ DS) ⊔ (ES ⊓ QS⋆)``
+  (:func:`expected_send_label`: the same function, evaluated only at
+  the handles where it can move);
 - the receive-label effect must equal ``QR ← QR ⊔ DR`` exactly;
 - monotonicity invariants must hold independently of the reference:
   absent a decontaminating ``DS`` the send label only ever rises, and
@@ -32,11 +35,13 @@ verified-flow stubs and the fail-closed quarantine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.chunks import ChunkedLabel
 from repro.core.labels import DEFAULT_DECONTAMINATE_SEND, Label
-from repro.kernel.errors import SimulationError
+from repro.core.levels import ALL_LEVELS, L3, STAR, Level
+from repro.kernel.errors import DROP_LABEL_CHECK, DROP_PORT_LABEL, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -49,10 +54,62 @@ class SanitizerViolation(SimulationError):
 #: Violation kinds.
 EFFECTIVE_SEND_MISMATCH = "effective-send-mismatch"
 CHECK_MISMATCH = "check-mismatch"
+DROP_REASON_MISMATCH = "drop-reason-mismatch"
 SEND_EFFECT_MISMATCH = "send-effect-mismatch"
 RECEIVE_EFFECT_MISMATCH = "receive-effect-mismatch"
 SEND_LABEL_LOWERED = "send-label-lowered"
 RECEIVE_LABEL_LOWERED = "receive-label-lowered"
+
+
+# -- the send effect, where it can move -------------------------------------------
+
+
+def send_effect(q: Level, e: Level, d: Level) -> Level:
+    """``QS ← (QS ⊓ DS) ⊔ (ES ⊓ QS⋆)`` at one handle, from its three levels."""
+    return max(min(q, d), min(e, STAR if q == STAR else L3))
+
+
+#: ``(e, d)`` → the levels ``q`` that ``send_effect(q, e, d)`` leaves as
+#: they are.
+_FIXED = {
+    (e, d): frozenset(q for q in ALL_LEVELS if send_effect(q, e, d) == q)
+    for e in ALL_LEVELS
+    for d in ALL_LEVELS
+}
+
+
+def composed_send_effect(qs: Label, es: Label, ds: Label) -> Label:
+    """The send effect as Figure 4 writes it, whole labels through the
+    naive operators."""
+    return (qs & ds) | (es & qs.stars())
+
+
+def expected_send_label(qs: Label, es: Label, ds: Label) -> Label:
+    """The send effect, visiting only the handles where it can move.
+
+    The effect is :func:`send_effect` at every handle, and QS holds only
+    the *levels* it names explicitly plus its default.  A handle neither
+    ES nor DS names sees ``send_effect(q, ES.default, DS.default)``: when
+    that fixes every level QS holds, such a handle keeps its level, and so
+    does the default.  A handle ES names at a level ``x`` (and DS does not)
+    sees ``send_effect(q, x, DS.default)``: when that fixes every level QS
+    holds too, ``x`` is inert (``⋆`` always is under ``DS = {3}``).  What
+    is left to visit is DS's handles and ES's handles at levels that are
+    not inert.  Should the defaults move QS, the effect is computed whole.
+    """
+    levels = qs.explicit_levels()
+    levels.add(qs.default)
+    d = ds.default
+    if not levels <= _FIXED[es.default, d]:
+        return composed_send_effect(qs, es, ds)
+    moving = {x for x in es.explicit_levels() if not levels <= _FIXED[x, d]}
+    f = send_effect
+    return qs.with_entries(
+        {
+            h: f(qs(h), es(h), ds(h))
+            for h in chain(ds.handles(), es.handles_at(moving) if moving else ())
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -75,13 +132,14 @@ class Violation:
 
 @dataclass
 class DeliverySnapshot:
-    """Pre-delivery state + the naive prediction of what must happen."""
+    """Pre-delivery state + the naive prediction of what must happen:
+    ``expected_drop`` is the ``DROP_*`` reason, ``None`` to deliver."""
 
     qs_before: Label
     qr_before: Label
     es: Label
     ds: Label
-    expected_delivered: bool
+    expected_drop: Optional[str]
     expected_qs: Optional[Label]
     expected_qr: Optional[Label]
 
@@ -158,20 +216,23 @@ class LabelSanitizer:
         qs, qr = qs.to_label(), qr.to_label()
         es, ds, v = es.to_label(), ds.to_label(), v.to_label()
         dr, pr = dr.to_label(), pl.to_label()
-        # Figure 4 requirements (4) and (1) on plain labels; QR ⊔ DR is also
-        # the receive-label effect, so it is computed once.
+        # Figure 4 requirements (4), then (1), on plain labels; QR ⊔ DR is
+        # also the receive-label effect, so it is computed once.
         raised = qr | dr
-        req4 = dr <= pr
-        req1 = es <= (raised & v & pr)
-        expected = req4 and req1
+        if not dr <= pr:
+            drop: Optional[str] = DROP_PORT_LABEL
+        elif not es <= (raised & v & pr):
+            drop = DROP_LABEL_CHECK
+        else:
+            drop = None
         return DeliverySnapshot(
             qs_before=qs,
             qr_before=qr,
             es=es,
             ds=ds,
-            expected_delivered=expected,
-            expected_qs=((qs & ds) | (es & qs.stars())) if expected else None,
-            expected_qr=raised if expected else None,
+            expected_drop=drop,
+            expected_qs=expected_send_label(qs, es, ds) if drop is None else None,
+            expected_qr=raised if drop is None else None,
         )
 
     def after_deliver(
@@ -179,26 +240,37 @@ class LabelSanitizer:
         sender: str,
         receiver: str,
         port: int,
-        delivered: bool,
+        drop: Optional[str],
         new_qs: Optional[ChunkedLabel],
         new_qr: Optional[ChunkedLabel],
         snapshot: DeliverySnapshot,
     ) -> None:
-        """Compare the engine's verdict and post-effect labels (``None``
-        for a drop) against *snapshot*."""
+        """Compare the engine's verdict (its ``DROP_*`` reason, ``None`` to
+        deliver) and post-effect labels (``None`` for a drop) against
+        *snapshot*."""
         self.checked_deliveries += 1
-        if delivered != snapshot.expected_delivered:
+        expected = snapshot.expected_drop
+        if (drop is None) != (expected is None):
             self._record(
                 CHECK_MISMATCH,
                 sender,
                 receiver,
                 port,
-                f"fused delivery verdict {delivered}, naive Figure 4 check "
-                f"says {snapshot.expected_delivered} "
+                f"fused delivery verdict {drop is None}, naive Figure 4 check "
+                f"says {expected is None} "
                 f"(ES={snapshot.es!r}, QR={snapshot.qr_before!r})",
             )
             return
-        if not delivered:
+        if drop is not None:
+            if drop != expected:
+                self._record(
+                    DROP_REASON_MISMATCH,
+                    sender,
+                    receiver,
+                    port,
+                    f"fused path dropped for {drop!r}, naive Figure 4 drops for "
+                    f"{expected!r} (ES={snapshot.es!r}, QR={snapshot.qr_before!r})",
+                )
             return
         qs_after = new_qs.to_label()
         qr_after = new_qr.to_label()

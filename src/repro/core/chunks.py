@@ -43,7 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import not_
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.handles import Handle
 from repro.core.labels import Label
@@ -326,13 +326,13 @@ class ChunkedLabel:
 
     def to_label(self) -> Label:
         """The naive :class:`Label` with this value.  Both are immutable,
-        so the expansion is built once and kept."""
+        so the expansion is built once and kept; it is checked a chunk at
+        a time (:meth:`Label.from_columns`)."""
         label = self._label
         if label is None:
-            entries: Dict[Handle, Level] = {}
-            for chunk in self.chunks:
-                entries.update(zip(chunk.handles, map(_DECODE, chunk.levels)))
-            label = self._label = Label(entries, self.default)
+            label = self._label = Label.from_columns(
+                [(chunk.handles, chunk.levels) for chunk in self.chunks], self.default
+            )
         return label
 
     # -- inspection ---------------------------------------------------------------

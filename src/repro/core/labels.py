@@ -21,10 +21,22 @@ spellings of the same function compare (and hash) equal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from itertools import compress
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.handles import HANDLE_SPACE, Handle
 from repro.core.levels import (
+    ALL_LEVELS,
     L1,
     L2,
     L3,
@@ -69,7 +81,9 @@ class Label:
         pairs taken from valid labels, none at *default*.  ``max``/``min``
         of two valid levels at a handle one operand already holds is valid
         by closure, so re-validating every entry of a result would check
-        nothing.  Every label built from anything else goes through
+        nothing.  The other callers check what they add first
+        (:meth:`with_entries` each update, :meth:`from_columns` each
+        column); every label built from anything else goes through
         ``__init__``.
         """
         label = Label.__new__(Label)
@@ -77,6 +91,37 @@ class Label:
         label._default = default
         label._hash = None
         return label
+
+    @classmethod
+    def from_columns(
+        cls, columns: Iterable[Tuple[Sequence[Handle], bytes]], default: Level
+    ) -> "Label":
+        """The label of a packed layout (:mod:`repro.core.chunks`): runs of
+        parallel ``(handles, codes)`` columns, a level stored as the byte
+        ``level + 1``, over *default*.
+
+        Every check of ``__init__`` runs, a column at a time at C speed: a
+        code outside 0–4 fails in the decode table, and a run's handles
+        must all be ``int`` and lie between 0 and ``HANDLE_SPACE``.  No
+        order is assumed.  Entries at *default* are dropped.
+        """
+        check_level(default)
+        decode = ALL_LEVELS.__getitem__
+        entries: Dict[Handle, Level] = {}
+        for handles, codes in columns:
+            if len(handles) != len(codes):
+                raise ValueError(f"{len(handles)} handles against {len(codes)} level codes")
+            if not handles:
+                continue
+            if set(map(type, handles)) != {int} or min(handles) < 0 or max(handles) >= HANDLE_SPACE:
+                raise ValueError(f"not a column of handles in the 61-bit range: {handles!r}")
+            try:
+                entries.update(zip(handles, map(decode, codes)))
+            except IndexError:
+                raise ValueError(f"a level code is not in 0..4: {codes!r}") from None
+        if default in entries.values():
+            entries = {h: level for h, level in entries.items() if level != default}
+        return Label._closed(entries, default)
 
     # -- construction helpers ------------------------------------------------
 
@@ -240,17 +285,41 @@ class Label:
             {h: STAR for h, lvl in self._entries.items() if lvl == STAR}, L3
         )
 
+    def explicit_levels(self) -> Set[Level]:
+        """The levels the explicit entries hold (the default not included)."""
+        return set(self._entries.values())
+
+    def handles_at(self, levels: Container[Level]) -> Iterator[Handle]:
+        """The explicit handles whose level is in *levels*, in no order."""
+        entries = self._entries
+        return compress(entries, map(levels.__contains__, entries.values()))
+
     # -- functional updates ----------------------------------------------------
+
+    def with_entries(self, updates: Mapping[Handle, Level]) -> "Label":
+        """A copy of this label with ``L(handle) = level`` for every
+        ``handle: level`` in *updates*.
+
+        Only the updates are validated: the other entries come from this
+        label, which already passed, and are copied at C speed.
+        """
+        if not updates:
+            return self
+        default = self._default
+        merged = dict(self._entries)
+        for handle, level in updates.items():
+            check_level(level)
+            if type(handle) is not int or not 0 <= handle < HANDLE_SPACE:
+                raise ValueError(f"handle is not an int in the 61-bit range: {handle!r}")
+            if level != default:
+                merged[handle] = level
+            else:
+                merged.pop(handle, None)
+        return Label._closed(merged, default)
 
     def with_entry(self, handle: Handle, level: Level) -> "Label":
         """A copy of this label with ``L(handle) = level``."""
-        check_level(level)
-        updated = dict(self._entries)
-        if level == self._default:
-            updated.pop(handle, None)
-        else:
-            updated[handle] = level
-        return Label(updated, self._default)
+        return self.with_entries({handle: level})
 
     def without(self, handle: Handle) -> "Label":
         """A copy with *handle* back at the default level."""

@@ -298,7 +298,7 @@ class SanitizingEngine:
             try:
                 snapshot = self.sanitizer.before_deliver(es, ds, v, dr, pl, qs, qr)
                 self.sanitizer.after_deliver(
-                    sender, receiver, port, drop is None, new_qs, new_qr, snapshot
+                    sender, receiver, port, drop, new_qs, new_qr, snapshot
                 )
             finally:
                 self._fail_closed(work, seen, "delivery", port)

@@ -45,6 +45,37 @@ def test_to_label_is_expanded_once():
     assert expanded == big_label(100).with_entry(5, STAR).without(8).with_entry(9, L2)
 
 
+@pytest.mark.parametrize("size", [0, 1, CHUNK_CAPACITY, CHUNK_CAPACITY + 1, 300])
+def test_to_label_equals_the_validating_constructor(size):
+    chunked = ChunkedLabel(
+        pack_chunks([(7 + 3 * i, ALL_LEVELS[i % 5]) for i in range(size)]), L1
+    )
+    got = chunked.to_label()
+    want = Label(dict(chunked.iter_entries()), chunked.default)
+    assert got == want
+    assert list(got.entries()) == list(want.entries())
+    assert all(level != L1 for _, level in got.entries())
+
+
+@pytest.mark.parametrize(
+    "handles, codes",
+    [
+        ((1 << 61,), b"\x01"),   # handle past the 61-bit space
+        ((3, -1), b"\x01\x01"),  # negative handle, unsorted
+        ((2.5,), b"\x01"),       # not an int
+        ((True,), b"\x01"),      # a bool aliases handle 1
+        ((4, 5), b"\x01\x05"),   # level byte past 4
+    ],
+)
+def test_to_label_rejects_a_bad_chunk(handles, codes):
+    # Carried aggregates, so the bad chunk reaches the expansion (a level
+    # byte past 4 would already fail the constructor's mask table).
+    good, bad = Chunk.packed((1, 2), b"\x00\x04"), Chunk.packed(handles, codes)
+    label = ChunkedLabel.carried((good, bad), L1, (1, bad.lo), 4, good.level_mask)
+    with pytest.raises(ValueError):
+        label.to_label()
+
+
 @pytest.mark.parametrize("size", [0, 1, CHUNK_CAPACITY, CHUNK_CAPACITY + 1])
 def test_from_label_builds_what_pack_chunks_would(size):
     # No entries: an empty directory; up to one chunk's worth: that chunk,

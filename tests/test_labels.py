@@ -82,6 +82,32 @@ def test_with_entry_and_without():
     assert lab.without(9) == Label({}, L1)
 
 
+@given(labels, st.dictionaries(handles, levels, max_size=12))
+def test_with_entries_is_a_chain_of_with_entry(lab, updates):
+    chained = lab
+    for handle, level in updates.items():
+        chained = chained.with_entry(handle, level)
+    got = lab.with_entries(updates)
+    assert got == chained == Label({**dict(lab.entries()), **updates}, lab.default)
+    assert list(got.entries()) == list(chained.entries())
+    assert all(level != got.default for _, level in got.entries())
+
+
+def test_with_entries_checks_each_update():
+    lab = Label({5: L3}, L1)
+    for bad in ({6: 9}, {6: True}, {-1: L0}, {1 << 61: L0}, {1.5: L0}, {True: L0}):
+        with pytest.raises(ValueError):
+            lab.with_entries(bad)
+    assert lab.with_entries({}) is lab
+
+
+def test_explicit_levels_and_handles_at():
+    lab = Label({1: STAR, 2: L3, 3: STAR, 4: L0}, L1)
+    assert lab.explicit_levels() == {STAR, L0, L3}
+    assert sorted(lab.handles_at({STAR})) == [1, 3]
+    assert sorted(lab.handles_at({L0, L3, L1})) == [2, 4]
+
+
 def test_format_with_names():
     uT = 42
     lab = Label({uT: L3}, L1)
