@@ -81,7 +81,8 @@ __all__ = [
     # the sharded cluster (repro.cluster, DESIGN.md §13)
     "Cluster",
     "ClusterConfig",
-    # the interned-label fast path (repro.core.interning, DESIGN.md §11)
+    # label identity by value: wire fingerprints and the interned-label
+    # bill (repro.core.interning, DESIGN.md §11)
     "InternTable",
     "LabelOpCache",
     # the labeled durable store (repro.store, DESIGN.md §14)

@@ -4,46 +4,33 @@ asbcheck (:mod:`repro.analysis.check`) already decides, offline, whether
 an edge can ever be dropped: the fully-eager exploration fires every
 send edge in every reachable label state.  An edge that *delivers in
 every reachable state* is a proven flow — at runtime the Figure 4 checks
-on it are pure re-computation of a result the exploration has already
+on it are re-computation of a result the exploration has already
 established.  This module compiles those edges into a ``proofs/v1``
 document the kernel's :class:`~repro.kernel.elide.VerifiedFlowTable`
-loads, so a proven, still-valid edge skips the full check and applies
-the precomputed QS/QR effect deltas instead (DESIGN.md §15).
+loads, so a proven edge is billed as the verified fastpath a trusting
+kernel would take (DESIGN.md §15).
 
-**What one stub claims.**  A deliver stub is keyed on the concatenation
-of the three ⋆-factored :mod:`repro.core.interning` plan keys — the
-:func:`~repro.core.interning.check_plan` verdict key on
-``(ES, QR, DR, V, pR)``, the :func:`~repro.core.interning.effects_plan`
-key on ``(QS°, ES, DS)`` and the :func:`~repro.core.interning.raise_plan`
-key on ``(QR°, DR)`` — plus the receiving port handle.  Its value is the
-pair of ⋆-free result cores the Figure 4 effects produce on those
-operands.  The claim is purely algebraic: *on these exact (factored)
-operand values, requirement (4) and requirement (1) pass and the effects
-yield these cores*.  The exploration only selects **which** operand
-tuples are worth compiling (the ones reachable on proven edges); the
-result cores themselves are recomputed here with the reference
-:mod:`repro.core.labelops` operators at emit time, and the factoring
-side conditions are re-walked by the kernel on the *live* operands at
-probe time.  A live operand mismatch — different label value, different
-port, a side condition that no longer holds — simply misses and falls
-back to the PR 5 interned path, so a stale or foreign proof can cost
-performance but never soundness.  T4 pin-abstracted keys are never
-emitted: they name fresh per-connection handles only through their
-levels and are a per-cache artifact, not a portable proof.
+**What one stub claims.**  A deliver stub names the operand labels of
+one proven delivery — ``ES``, ``pR``, ``QR``, ``V``, ``DR``, ``QS``,
+``DS`` — plus the receiving port handle, and claims the ⋆-free cores of
+the post-effect ``QS`` and ``QR``.  A send stub names ``PS`` and ``CS``
+and claims the core of ``ES = PS ⊔ CS``.  The loader keys each stub on
+the ⋆-factored operand keys of :mod:`repro.core.interning` (the keys the
+label-op cache bills hits on), so a stub hits exactly when the live
+operand values match the proof's up to what Figure 4 provably ignores.
+T4 pin-abstracted check keys are never emitted: they name fresh
+per-connection handles only through their levels.
 
-**Why the emitter is trusted and the loader is not.**  The emitter runs
-in the analysis toolchain and computes every effect delta itself; the
-loader (and the kernel behind it) treats the document as untrusted
-input: every label body is re-interned through
-:meth:`~repro.core.interning.InternTable.from_wire`, which verifies the
-content fingerprint, but the claimed result cores are *not* recomputed
-at load time — they flow into the applied labels, where the sampled
-sanitizer re-derives every elided decision from reference semantics and
-quarantines the table on the first mismatch.  That split is what the
-adversarial battery (``tests/test_elision_adversarial.py``) pins down:
-a corrupted label body fails the load, a corrupted effect delta is
-flagged on its first elided use, and a proof for a different topology
-never matches a key at all.
+**Why the emitter is trusted and the loader is not.**  The emitter
+re-derives every verdict and result with :mod:`repro.core.labelops`.
+The loader treats the document as untrusted input: every label body is
+re-interned through :meth:`~repro.core.interning.InternTable.from_wire`,
+which verifies its content fingerprint, so a corrupted body or a
+dangling reference fails the load.  The claimed result cores are not
+recomputed at load; the flow table compares them with what Figure 4
+computes on each stub key's first use and quarantines itself on a
+mismatch.  Since the kernel's labels always come from Figure 4, a wrong
+claim costs bill accuracy, never a label.
 """
 
 from __future__ import annotations
@@ -55,14 +42,7 @@ from typing import Any, Dict, List, Set, Tuple, Union
 
 from repro.core import labelops
 from repro.core.chunks import ChunkedLabel
-from repro.core.interning import (
-    InternTable,
-    apply_effects_tail,
-    apply_raise_tail,
-    check_plan,
-    effects_plan,
-    raise_plan,
-)
+from repro.core.interning import InternTable, check_key, delivery_keys, raise_key
 
 from repro.analysis.check import Engine, Exploration
 from repro.analysis.model import Topology
@@ -76,6 +56,7 @@ __all__ = [
     "LoadedProofs",
     "DeliverStub",
     "SendStub",
+    "stub_key",
 ]
 
 SCHEMA = "proofs/v1"
@@ -121,11 +102,9 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
 
     Returns the ``proofs/v1`` document (a JSON-ready dict).  Raises
     :class:`ProofError` if the exploration truncates — a truncated state
-    space cannot support an "always allowed" claim.  Labels are interned
-    in a table private to this compilation; the document names them by
-    content fingerprint only.
+    space cannot support an "always allowed" claim.  The document names
+    labels by content fingerprint only.
     """
-    table = InternTable()
     engine = Engine(topology)
     live = Exploration(engine, set(), exact=False, max_states=max_states)
     if live.truncated:
@@ -133,8 +112,8 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
             "state space truncated at the max-states cap; "
             "refusing to emit proofs from a partial exploration"
         )
-    store = engine.store
-    pool = _Pool(table)
+    chunk = engine.store.chunked
+    pool = _Pool(InternTable())
     delivers: List[Dict[str, Any]] = []
     sends: List[Dict[str, Any]] = []
     send_seen: Set[Tuple[int, int]] = set()
@@ -144,9 +123,6 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
     port_labels: Dict[int, Set[str]] = {}
     proven_edges = 0
     skipped_abstract = 0
-
-    def chunk(ident: int) -> ChunkedLabel:
-        return table.intern(store.chunked(ident))
 
     for edge in engine.edges:
         firings = [engine.fire(state, edge) for state in live.order]
@@ -164,10 +140,7 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
         # not any stub survives T4 skipping below: the kernel's
         # set_port_label invalidation tests membership in this set.
         port_labels.setdefault(port_handle, set()).add(pool.ref(pl))
-        cs = chunk(edge.cs)
-        ds = chunk(edge.ds)
-        v = chunk(edge.v)
-        dr = chunk(edge.dr)
+        cs, ds, v, dr = chunk(edge.cs), chunk(edge.ds), chunk(edge.v), chunk(edge.dr)
         seen: Set[Tuple[int, int, int]] = set()
         for state in live.order:
             ps_id = state[2 * edge.s_idx]
@@ -178,37 +151,20 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
             seen.add((ps_id, qs_id, qr_id))
             ps, qs, qr = chunk(ps_id), chunk(qs_id), chunk(qr_id)
             # ES = PS ⊔ CS, exactly as the kernel's send path computes it.
-            es = table.intern(labelops.raise_receive(ps, cs, None))
+            es = labelops.raise_receive(ps, cs, None)
             # The exploration proved this instance delivers; re-derive the
-            # verdicts with the reference operators so the emitted claim
-            # never rests on the model alone.
+            # verdicts with the fused operators so the emitted claim never
+            # rests on the model alone.
             if not dr.leq(pl, None) or not labelops.check_send(es, qr, dr, v, pl, None):
                 raise ProofError(
                     f"edge {edge.name!r}: exploration and reference "
                     "semantics disagree on a proven delivery"
                 )
-            cplan = check_plan(table, es, qr, dr, v, pl)
-            if cplan.abstracted:
+            if check_key(es, qr, dr, v, pl)[1]:
                 skipped_abstract += 1
                 continue
-            eplan = effects_plan(table, qs, es, ds)
-            rplan = raise_plan(table, qr, dr)
-            new_qs_core = table.intern(
-                labelops.apply_send_effects(*eplan.exec_ops, None)
-            )
-            new_qr_core = table.intern(labelops.raise_receive(*rplan.exec_ops, None))
-            # Emit-time soundness sanity: overlaying the cores must
-            # reproduce the full-operand reference results bit for bit.
-            full_qs = table.intern(labelops.apply_send_effects(qs, es, ds, None))
-            full_qr = table.intern(labelops.raise_receive(qr, dr, None))
-            if (
-                apply_effects_tail(table, eplan, new_qs_core) is not full_qs
-                or apply_raise_tail(table, rplan, new_qr_core) is not full_qr
-            ):
-                raise ProofError(
-                    f"edge {edge.name!r}: ⋆-factored result does not "
-                    "reproduce the reference result"
-                )
+            new_qs = labelops.apply_send_effects(qs, es, ds, None)
+            new_qr = labelops.raise_receive(qr, dr, None)
             delivers.append(
                 {
                     "edge": edge.name,
@@ -222,24 +178,21 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
                     "dr": pool.ref(dr),
                     "qs": pool.ref(qs),
                     "ds": pool.ref(ds),
-                    "new_qs_core": pool.ref(new_qs_core),
-                    "new_qr_core": pool.ref(new_qr_core),
+                    "new_qs_core": pool.ref(new_qs.without_stars()),
+                    "new_qr_core": pool.ref(new_qr.without_stars()),
                 }
             )
             # One send stub per distinct (PS, CS): the ES = PS ⊔ CS join
             # at send time is the same proven math.
-            splan = raise_plan(table, ps, cs)
-            skey = (ps.intern_id, cs.intern_id)
-            if skey not in send_seen:
-                send_seen.add(skey)
-                es_core = table.intern(labelops.raise_receive(*splan.exec_ops, None))
+            if (ps_id, edge.cs) not in send_seen:
+                send_seen.add((ps_id, edge.cs))
                 sends.append(
                     {
                         "edge": edge.name,
                         "sender": edge.sender,
                         "ps": pool.ref(ps),
                         "cs": pool.ref(cs),
-                        "es_core": pool.ref(es_core),
+                        "es_core": pool.ref(es.without_stars()),
                     }
                 )
     return {
@@ -280,6 +233,12 @@ def write_proofs(doc: Dict[str, Any], path: Union[str, Path]) -> None:
 # -- loading -----------------------------------------------------------------------
 
 
+def stub_key(port: int, keys: Tuple[int, int, int]) -> int:
+    """A deliver stub's key: the port and the delivery's three operand
+    keys (:func:`~repro.core.interning.delivery_keys`)."""
+    return hash((port, *keys))
+
+
 class DeliverStub:
     """One loaded deliver stub: the document's claimed result cores."""
 
@@ -316,42 +275,30 @@ class SendStub:
 class LoadedProofs:
     """A verified-and-indexed ``proofs/v1`` document.
 
-    ``deliver`` maps ``(port, check key, effects key, raise key)`` —
-    the keys recomputed *here* from the assumed full labels with the
-    same plan helpers the kernel uses — to :class:`DeliverStub`;
-    ``send`` maps a :func:`raise_plan` key to :class:`SendStub`.  The
-    claimed result cores are stored verbatim from the document (never
-    recomputed), which is what lets the sanitizer catch a corrupted
-    delta on its first elided use instead of silently repairing it.
+    ``deliver`` maps the :func:`stub_key` of the port and the
+    :func:`~repro.core.interning.delivery_keys` of the assumed labels to
+    :class:`DeliverStub`; ``send`` maps the
+    :func:`raise_key` of ``(PS, CS)`` to :class:`SendStub`.  The claimed
+    result cores are stored verbatim from the document, never recomputed.
     """
 
     def __init__(self) -> None:
-        self.deliver: Dict[Tuple[Any, ...], DeliverStub] = {}
-        self.send: Dict[Tuple[Any, ...], SendStub] = {}
-        #: Strong references to every label the document names, plus the
-        #: load-time plans.  The intern table holds canonical labels
-        #: *weakly* — a value nobody references is collected and a later
-        #: intern of it issues a fresh id — so the proofs must pin every
-        #: assumed label and every derived plan operand (⋆-stripped
-        #: cores) for their intern ids to stay canonical, or the stub
-        #: keys would silently stop matching live labels.
-        self.pool: Dict[str, ChunkedLabel] = {}
-        self.pinned: List[Any] = []
+        self.deliver: Dict[int, DeliverStub] = {}
+        self.send: Dict[int, SendStub] = {}
         self.covered_ports: Set[int] = set()
         self.covered_tasks: Set[str] = set()
         self.expected_realms: Set[str] = set()
-        #: Per covered task: the ⋆-free core ids of every QS/QR value the
+        #: Per covered task: the core digests of every QS/QR value the
         #: proofs assumed *for that task* — the membership set behind the
         #: "label write outside the proof's assumed set" invalidation.
         #: Per-task is load-bearing: a task ramping up through boot-time
         #: label states is outside its own assumed set on both sides of
-        #: every write (content addressing already keeps its stubs from
-        #: hitting), and only a task *leaving* its assumed set — warm
+        #: every write, and only a task *leaving* its assumed set — warm
         #: state diverging from the proven world — invalidates.
         self.assumed_cores: Dict[str, Set[int]] = {}
-        #: Per covered port: the intern ids of every pR value the proofs
-        #: assumed for it.  ``set_port_label`` writing one of these is
-        #: the recorded world replaying itself; anything else invalidates.
+        #: Per covered port: the digests of every pR value the proofs
+        #: assumed for it.  ``set_port_label`` writing one of these is the
+        #: recorded world replaying itself; anything else invalidates.
         self.port_labels: Dict[int, Set[int]] = {}
         self.topology_name: str = ""
         self.topology_fp: str = ""
@@ -380,15 +327,12 @@ def _pool_from_json(doc: Dict[str, Any], table: InternTable) -> Dict[str, Chunke
 def load_proofs(
     source: Union[str, Path, Dict[str, Any]], table: InternTable
 ) -> LoadedProofs:
-    """Load and index a ``proofs/v1`` document against *table* — the one
-    the probing kernel interns its live labels into, since stub keys are
-    intern-id tuples.
-
-    Every label body is verified against its content fingerprint via
-    :meth:`InternTable.from_wire`; stub keys are recomputed from the
-    assumed labels with the shared plan helpers.  The claimed result
-    cores are resolved from the (verified) pool but deliberately not
-    re-derived — see the class docstring.
+    """Load and index a ``proofs/v1`` document, verifying every label
+    body against its content fingerprint through *table*
+    (:meth:`InternTable.from_wire`).  Stub keys are computed from the
+    assumed labels; the claimed result cores are resolved from the
+    (verified) pool but deliberately not re-derived — see the class
+    docstring.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -413,7 +357,6 @@ def load_proofs(
         return got
 
     loaded = LoadedProofs()
-    loaded.pool = pool
     topo = doc.get("topology") or {}
     loaded.topology_name = str(topo.get("name", ""))
     loaded.topology_fp = str(topo.get("fingerprint", ""))
@@ -423,28 +366,21 @@ def load_proofs(
     loaded.covered_tasks = {str(t) for t in covered.get("tasks", ())}
     loaded.expected_realms = {str(t) for t in covered.get("realms", ())}
     for handle_str, fps in (covered.get("port_labels") or {}).items():
-        ids = loaded.port_labels.setdefault(int(handle_str), set())
+        digests = loaded.port_labels.setdefault(int(handle_str), set())
         for fp in fps:
             got = pool.get(fp)
             if got is None:
                 raise ProofError(f"port_labels references unknown label {fp!r}")
-            ids.add(got.intern_id)
+            digests.add(got.digest())
     for record in doc.get("delivers", ()):
         es, pl, qr = label(record, "es"), label(record, "pl"), label(record, "qr")
         v, dr = label(record, "v"), label(record, "dr")
         qs, ds = label(record, "qs"), label(record, "ds")
-        cplan = check_plan(table, es, qr, dr, v, pl)
-        if cplan.abstracted:  # pragma: no cover - emitter never writes these
-            continue
-        eplan = effects_plan(table, qs, es, ds)
-        rplan = raise_plan(table, qr, dr)
         try:
             port = int(record["port"])
         except (KeyError, TypeError, ValueError) as err:
             raise ProofError(f"malformed deliver record: {err}") from err
-        key = (port, cplan.key, eplan.key, rplan.key)
-        loaded.pinned.append((cplan, eplan, rplan))
-        loaded.deliver[key] = DeliverStub(
+        loaded.deliver[stub_key(port, delivery_keys(es, pl, qr, v, dr, qs, ds))] = DeliverStub(
             edge=str(record.get("edge", "")),
             sender=str(record.get("sender", "")),
             receiver=str(record.get("receiver", "")),
@@ -455,19 +391,17 @@ def load_proofs(
         receiver_cores = loaded.assumed_cores.setdefault(
             str(record.get("receiver", "")), set()
         )
-        receiver_cores.add(table.star_core(qs).intern_id)
-        receiver_cores.add(table.star_core(qr).intern_id)
-        loaded.port_labels.setdefault(port, set()).add(pl.intern_id)
+        receiver_cores.add(qs.core_digest())
+        receiver_cores.add(qr.core_digest())
+        loaded.port_labels.setdefault(port, set()).add(pl.digest())
     for record in doc.get("sends", ()):
         ps, cs = label(record, "ps"), label(record, "cs")
-        splan = raise_plan(table, ps, cs)
-        loaded.pinned.append(splan)
-        loaded.send[splan.key] = SendStub(
+        loaded.send[raise_key(ps, cs)] = SendStub(
             edge=str(record.get("edge", "")),
             sender=str(record.get("sender", "")),
             es_core=label(record, "es_core"),
         )
         loaded.assumed_cores.setdefault(
             str(record.get("sender", "")), set()
-        ).add(table.star_core(ps).intern_id)
+        ).add(ps.core_digest())
     return loaded

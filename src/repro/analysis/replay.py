@@ -81,17 +81,15 @@ def install_topology(
 ) -> Dict[str, Any]:
     """Put *kernel* in the topology's initial state, white-box: one process
     per ProcSpec running ``body_for(name)`` with its exact labels, and one
-    Port per PortSpec with its exact handle and label — canonicalised by
-    the kernel's engine like every other kernel-resident label.  Returns
-    the processes by name."""
-    canon = kernel.engine.canon
+    Port per PortSpec with its exact handle and label.  Returns the
+    processes by name."""
     tasks = {}
     for name, spec in topology.processes.items():
         if name == WIRE:
             continue
         process = kernel.spawn(body_for(name), name=name)
-        process.send_label = canon(ChunkedLabel.from_label(spec.send))
-        process.receive_label = canon(ChunkedLabel.from_label(spec.receive))
+        process.send_label = ChunkedLabel.from_label(spec.send)
+        process.receive_label = ChunkedLabel.from_label(spec.receive)
         tasks[name] = process
     for pname, port in topology.ports.items():
         owner = tasks.get(port.owner)
@@ -99,7 +97,7 @@ def install_topology(
             raise ReplayError(f"port {pname!r} owned by unreplayable {port.owner!r}")
         kernel.ports[port.handle] = Port(
             handle=port.handle,
-            label=canon(ChunkedLabel.from_label(port.label)),
+            label=ChunkedLabel.from_label(port.label),
             owner=owner.key,
         )
         owner.owned_ports.add(port.handle)

@@ -28,8 +28,7 @@ loudly is the point.
 
 The hooks below take labels, not kernel objects: they are driven by the
 :class:`repro.kernel.engine.SanitizingEngine` decorator at the label-engine
-seam, which owns the sampling period, the forced first-use replay of
-verified-flow stubs and the fail-closed quarantine.
+seam, which owns the sampling period.
 """
 
 from __future__ import annotations

@@ -90,11 +90,8 @@ class ShardRuntime:
             network=spec.network,
         )
         self.client = HttpClient(self.site)
-        # Label identity is the kernel's; a kernel that does not intern
-        # leaves the codecs a table of their own.
-        table = self.kernel.intern_table
-        if table is None:
-            table = InternTable()
+        # The codecs name labels by value, through a table of their own.
+        table = InternTable()
         self.encoder = WireEncoder(table, src=spec.shard_id)
         self.decoder = WireDecoder(table)
         self._outbox: List[Tuple[int, QueuedMessage]] = []

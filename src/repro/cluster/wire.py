@@ -17,8 +17,8 @@ into a plain JSON-able dict and back:
 Labels are the expensive part, and interning is what makes them cheap:
 
 - every label is named by its **fingerprint** — the stable content hash
-  :func:`repro.core.interning.label_fingerprint` — because ``intern_id``
-  is minted per-process and means nothing to a peer;
+  :func:`repro.core.interning.label_fingerprint` — because an object's
+  identity is per-process and means nothing to a peer;
 - the **first** send of a label to a given destination carries the full
   body: the default and the explicit ``(handle, level)`` entries, levels
   in the 3-bit wire encoding of Section 5.6

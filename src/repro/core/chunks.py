@@ -42,7 +42,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
-from operator import not_
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.handles import Handle
@@ -146,7 +145,7 @@ class Chunk:
     """An immutable sorted run of up to 64 (handle, level) entries, stored
     as two parallel buffers and shared between labels by identity."""
 
-    __slots__ = ("handles", "levels", "lo", "size", "level_mask")
+    __slots__ = ("handles", "levels", "lo", "size", "level_mask", "_hash_sum", "_core_hash_sum")
 
     def __init__(self, entries: Sequence[Tuple[Handle, Level]]):
         if len(entries) > CHUNK_CAPACITY:
@@ -172,6 +171,8 @@ class Chunk:
         for code in set(levels):
             mask |= 1 << code
         self.level_mask = mask
+        # Filled on first use by hash_sum() / core_hash_sum().
+        self._hash_sum = self._core_hash_sum = None
 
     @property
     def min_level(self) -> Level:
@@ -180,6 +181,28 @@ class Chunk:
     @property
     def max_level(self) -> Level:
         return _MASK_MAX[self.level_mask]
+
+    def hash_sum(self) -> int:
+        """``hash((handle, code))`` summed over the run's entries: its share
+        of :meth:`ChunkedLabel.digest`.  A sum does not care how entries
+        are grouped, so a label's digest is the same however it is
+        chunked."""
+        total = self._hash_sum
+        if total is None:
+            total = self._hash_sum = sum(map(hash, zip(self.handles, self.levels)))
+        return total
+
+    def core_hash_sum(self) -> int:
+        """:meth:`hash_sum` over the non-``*`` entries only."""
+        total = self._core_hash_sum
+        if total is None:
+            if not self.level_mask & _STAR_BIT:
+                total = self.hash_sum()
+            else:
+                levels = self.levels
+                total = sum(map(hash, compress(zip(self.handles, levels), levels)))
+            self._core_hash_sum = total
+        return total
 
     @property
     def entries(self) -> Tuple[Tuple[Handle, Level], ...]:
@@ -244,16 +267,17 @@ class ChunkedLabel:
         #: ``(size, min_level, max_level)`` — all the 2005 cost model
         #: (``labelops.paper_cost_*``) reads of an operand, ten times a bill.
         "summary",
-        # Lazily filled views of an immutable value: the non-star entries
-        # and the expanded Label.
+        # Lazily filled views of an immutable value: the non-star entries,
+        # the expanded Label, and the value digests of the label and of
+        # its ⋆-free core (what the label-op cache keys on).
         "_nonstar_cache",
         "_label",
-        # Hash-consing support (repro.core.interning): the table this
-        # instance is canonical in and the process-unique id that table
-        # gave it (both None while the label has never been interned),
-        # and its wire/v1 content fingerprint once one was computed.  The
-        # weakref slot lets the table hold canonical labels weakly.
-        "intern_id",
+        "_digest",
+        "_core_digest",
+        # wire/v1 support (repro.core.interning): the table this instance
+        # is canonical in (None while it has never been interned) and its
+        # content fingerprint once one was computed.  The weakref slot
+        # lets the table hold canonical labels weakly.
         "intern_table",
         "fingerprint",
         "__weakref__",
@@ -300,8 +324,8 @@ class ChunkedLabel:
         self._size = size
         present = mask | (1 << (default + 1))
         self.summary = (size, _MASK_MIN[present], _MASK_MAX[present])
-        self._nonstar_cache = self._label = None
-        self.intern_id = self.intern_table = self.fingerprint = None
+        self._nonstar_cache = self._label = self._digest = self._core_digest = None
+        self.intern_table = self.fingerprint = None
 
     # -- construction -----------------------------------------------------------
 
@@ -375,24 +399,41 @@ class ChunkedLabel:
         for chunk in self.chunks:
             yield from zip(chunk.handles, map(_DECODE, chunk.levels))
 
-    def star_handles(self) -> Iterator[Handle]:
-        """The handles explicitly at ``*``, ascending, at C speed: an
-        all-star chunk gives its own handle tuple, a mixed one is
-        compressed on its level bytes (``*`` is code 0)."""
-        return chain.from_iterable(
-            chunk.handles
-            if chunk.level_mask == _STAR_BIT
-            else compress(chunk.handles, map(not_, chunk.levels))
-            for chunk in self.chunks
-            if chunk.level_mask & _STAR_BIT
-        )
-
     def value_key(self) -> Tuple[Any, ...]:
         """``(default, handles, levels)`` with the chunking erased: equal
         exactly when two labels are equal as functions, however each came
         to be chunked.  A one-chunk label's key is the chunk's own two
         buffers, so keying a table on it allocates nothing per entry."""
         return (self.default, *unpack_chunks(self.chunks))
+
+    def digest(self) -> int:
+        """A 64-bit hash of the value: the default and the sum of the
+        entries' hashes (:meth:`Chunk.hash_sum`, kept per chunk, so a label
+        that shares chunks costs one add per chunk).  Equal labels get
+        equal digests however each came to be chunked, in every process:
+        the hash reads only ints and tuples, never the ``str``/``bytes``
+        hashes ``PYTHONHASHSEED`` randomises.  Computed once per label."""
+        digest = self._digest
+        if digest is None:
+            total = 0
+            for chunk in self.chunks:
+                total += chunk.hash_sum()
+            digest = self._digest = hash((self.default, total))
+        return digest
+
+    def core_digest(self) -> int:
+        """``without_stars().digest()``, without building that label."""
+        digest = self._core_digest
+        if digest is None:
+            if self.default == STAR or not self.level_mask & _STAR_BIT:
+                digest = self.digest()
+            else:
+                total = 0
+                for chunk in self.chunks:
+                    total += chunk.core_hash_sum()
+                digest = hash((self.default, total))
+            self._core_digest = digest
+        return digest
 
     def nonstar_entries(self) -> Tuple[Tuple[Handle, Level], ...]:
         """The explicit entries whose level is not ``*``, cached.

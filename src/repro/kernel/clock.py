@@ -74,8 +74,9 @@ class CostModel:
     spawn: int = 450_000               # full process creation
     handle_alloc: int = 900            # new_handle (cipher + vnode insert)
     port_alloc: int = 1_600            # new_port
-    labelop_cache_hit: int = 120       # interned-id LRU probe replacing a
-                                       # full Figure 4 label operation
+    labelop_cache_hit: int = 120       # hash-consed-label LRU probe that
+                                       # stands in for a full Figure 4
+                                       # label operation
     elide_stub_hit: int = 120          # verified-flow table probe on a
                                        # proven edge (same flat-LRU shape
                                        # as a labelop cache hit)

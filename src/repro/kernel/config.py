@@ -11,8 +11,8 @@ Environment variables (all optional; explicit arguments win):
 ======================= ==============================================
 ``REPRO_SANITIZE``       enable the differential label sanitizer
 ``REPRO_STORE``          path to ok-dbproxy's ``wal/v1`` store file
-``REPRO_INTERN_LABELS``  hash-cons labels + memoize Figure 4 hot ops
-``REPRO_ELIDE``          consult verified-flow proofs to elide checks
+``REPRO_INTERN_LABELS``  bill repeated Figure 4 hot ops as cache hits
+``REPRO_ELIDE``          bill proven edges as the verified fastpath
 ``REPRO_PROOFS``         path to the ``proofs/v1`` document to load
 ======================= ==============================================
 
@@ -70,20 +70,20 @@ class KernelConfig:
       :class:`~repro.store.store.LabeledStore` at that path (recovering
       it at boot); ``None`` (the default) keeps the bit-identical
       in-memory path and never imports :mod:`repro.store`;
-    - the interned-label fast path (DESIGN.md §11): ``intern_labels``
-      hash-conses every kernel-resident label through the kernel's own
-      :class:`~repro.core.interning.InternTable` and memoizes the three
-      Figure 4 hot operations in a bounded LRU
-      :class:`~repro.core.interning.LabelOpCache` of
-      ``labelop_cache_size`` entries;
-    - proof-guided check elision (DESIGN.md §15): ``elide_checks`` loads
-      the ``proofs/v1`` document at ``proof_path`` into a
-      :class:`~repro.kernel.elide.VerifiedFlowTable` consulted before
-      ``check_send``/``raise_receive`` — a proven, still-valid edge
-      skips the full Figure 4 check and applies the precomputed effect
-      cores; implies the interning machinery (the stub keys are
-      intern-id tuples).  ``elide_checks`` without a ``proof_path`` is
-      valid and simply never hits (an empty table).
+    - the interned-label bill (DESIGN.md §11): ``intern_labels`` bills
+      the three Figure 4 hot operations as a kernel with hash-consed
+      labels would — a :class:`~repro.core.interning.LabelOpCache` of
+      ``labelop_cache_size`` ⋆-factored operand digests prices a
+      repeated operation as one flat probe.  The labels are the plain
+      kernel's: every operation still runs on the full operands;
+    - the proof-guided elision bill (DESIGN.md §15): ``elide_checks``
+      loads the ``proofs/v1`` document at ``proof_path`` into a
+      :class:`~repro.kernel.elide.VerifiedFlowTable` probed before the
+      Figure 4 operations — a delivery or send on a proven edge is
+      billed as the verified fastpath, and its labels are still
+      Figure 4's; implies ``intern_labels`` (a stub miss is billed by
+      the cache).  ``elide_checks`` without a ``proof_path`` is valid
+      and simply never hits (an empty table).
     """
 
     ram_bytes: Optional[int] = None

@@ -1,66 +1,48 @@
-"""Kernel-side verified-flow table: proof-guided check elision.
+"""Kernel-side verified-flow table: the bill of proof-guided check elision.
 
 The :class:`VerifiedFlowTable` holds a loaded ``proofs/v1`` document
-(:mod:`repro.analysis.proofs`) indexed for O(1) probing on the kernel's
-hot path.  Before running the full Figure 4 machinery, delivery probes
-the table with the receiving port handle and the ⋆-factored plan keys of
-the *live* operands; a hit means asbcheck proved this exact
-(port, label-values) instance always-allowed, so the kernel skips the
-requirement (4) and requirement (1) checks and applies the precomputed
-QS/QR effect cores instead.  Send probes work the same way for the
-``ES = PS ⊔ CS`` join.
+(:mod:`repro.analysis.proofs`) indexed by stub key.  Before the Figure 4
+machinery, delivery probes the table with the receiving port handle and
+the ⋆-factored operand keys of :mod:`repro.core.interning`; a hit means
+asbcheck proved this (port, label-values) instance always-allowed, and a
+kernel that trusted the proof would have skipped requirements (4) and
+(1) and applied the proof's effect cores.  Send probes work the same way
+for the ``ES = PS ⊔ CS`` join.
 
-Soundness comes from content addressing, not trust in the document:
+A stub changes the bill, never a label.  On a hit the table still runs
+the plain fused :mod:`repro.core.labelops` operations on the full live
+operands (with no :class:`~repro.core.chunks.OpStats`: the work a
+trusting kernel skipped), and the engine bills the flat verified
+fastpath instead.  On the first use of every stub key the table compares
+the document's claimed cores with the cores of what Figure 4 computed,
+and a mismatch — or a claimed delivery that drops — quarantines the
+whole table for the rest of the run.  So a bad proof can cost bill
+accuracy, never a label, and keys are value digests, so a proof compiled
+for a different world simply never hits.
 
-* A stub can only hit when the live operand intern ids equal the ids of
-  the labels the proof assumed (plan keys are tuples of intern ids), so
-  a proof compiled for different label values — a different topology, a
-  stale world — simply never matches and the kernel falls back to the
-  PR 5 interned path.  Failing *open to checking* is the safe direction.
-* The factoring side conditions (T1–T4) are re-established on the live
-  operands when the plans are built at probe time, so the ⋆-overlay
-  tails are always computed from live state.
-* The claimed result cores come verbatim from the document; the sampled
-  sanitizer re-derives every elided decision from reference semantics,
-  and the kernel forces a sanitized replay on the **first** use of every
-  distinct stub key.  A mismatch quarantines the whole table
-  (``valid=False`` for the rest of the run) — fail closed.
+The epoch keeps the bill honest across events that stale the proofs'
+worldview — a covered port's label rewritten, a covered port passed
+between tasks, a covered task's ⋆-free label core leaving the proof's
+assumed set, an EP checkpoint by a covered task the proofs did not
+expect to be a realm: each bumps it, which quarantines the table for
+this run (a fresh load resets).  Per-connection churn (new handles, new
+ports, EP activations on expected realms) deliberately does not bump.
 
-The epoch is belt and braces on top of that: system-level events that
-could make the proof's worldview stale — a covered port's label being
-rewritten, a covered port passed between tasks, a covered task's ⋆-free
-label core leaving the proof's assumed set, an EP checkpoint by a
-covered task the proofs did not expect to be a realm — bump it, which
-permanently quarantines the table for this run (a fresh load resets).
-Per-connection churn (new handles, new ports, EP activations on
-expected realms) deliberately does not bump: content addressing already
-keys every stub on the exact label values in play.
-
-Batched delivery rides on the probe: consecutive deliveries whose
-(port, operand ids, epoch) signature is unchanged reuse the previous
-probe's plans and stub outright — one amortized lookup for the whole
-streak, with per-message billing identical to single deliveries.  Any
-operand change or epoch bump resets the streak (a mid-batch
-invalidation splits the batch).
+Consecutive probes with the same stub key are counted as a batch
+(``batch_drains``, ``batched_messages``): the streak a kernel could
+amortize into one probe.  Billing is per message either way.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.analysis.proofs import LoadedProofs, SendStub, load_proofs
+from repro.analysis.proofs import LoadedProofs, load_proofs, stub_key
+from repro.core import labelops
 from repro.core.chunks import ChunkedLabel
-from repro.core.interning import (
-    InternTable,
-    apply_effects_tail,
-    apply_raise_tail,
-    check_plan,
-    effects_plan,
-    raise_plan,
-)
+from repro.core.interning import InternTable, raise_key
 
-__all__ = ["DeliverHit", "VerifiedFlowTable"]
+__all__ = ["VerifiedFlowTable"]
 
 #: Ops a deliver-stub hit elides vs the plain path: the req-(4)
 #: ``DR ⊑ pR`` walk, the req-(1) check, the QS effects, the QR raise.
@@ -69,25 +51,11 @@ OPS_PER_DELIVER = 4
 OPS_PER_SEND = 1
 
 
-class DeliverHit(NamedTuple):
-    """A successful deliver probe, ready to apply."""
-
-    key: Tuple[Any, ...]
-    new_qs: ChunkedLabel
-    new_qr: ChunkedLabel
-    #: True the first time this stub key is used — the sanitizing engine
-    #: must replay it regardless of the sampling period.
-    first_use: bool
-    #: True when this hit reused the previous probe's plans (batching).
-    batched: bool
-
-
 class VerifiedFlowTable:
     """Loaded proofs plus runtime state (epoch, counters, batch streak)."""
 
-    def __init__(self, proofs: LoadedProofs, table: InternTable) -> None:
+    def __init__(self, proofs: LoadedProofs) -> None:
         self.proofs = proofs
-        self.table = table
         self.valid = True
         self.epoch = 0
         self.deliver_hits = 0
@@ -100,32 +68,17 @@ class VerifiedFlowTable:
         self.batched_messages = 0
         self.first_use_checks = 0
         self.invalidation_reasons: List[str] = []
-        self._seen_keys: set = set()
-        # Batch streak: signature of the last probe and its outcome.
-        self._last_sig: Optional[Tuple[Any, ...]] = None
-        self._last_hit: Optional[DeliverHit] = None
+        self._seen_keys: Set[int] = set()
+        self._last_key: Optional[int] = None
         self._streak = 0
-        # Strong refs to probe-time plans, hit or miss.  The canonical
-        # intern table is weak: without these, a probed key's ⋆-core
-        # operands can be collected between probes and re-interned under
-        # fresh ids, which silently churns every id-keyed cache downstream
-        # (the labelop cache re-misses on values it already knew).
-        self._plan_pins: "OrderedDict[Tuple[Any, ...], Tuple[Any, ...]]" = (
-            OrderedDict()
-        )
-        self._plan_pin_limit = 8192
 
     @classmethod
     def load(
         cls, source: Union[str, Dict[str, Any]], table: InternTable
     ) -> "VerifiedFlowTable":
-        """Load a ``proofs/v1`` file (or parsed dict) against *table*.
-
-        The intern table must be the same one the kernel interns live
-        labels into — stub keys are intern-id tuples and only compare
-        within one table.
-        """
-        return cls(load_proofs(source, table), table)
+        """Load a ``proofs/v1`` file (or parsed dict), verifying every
+        label body against its fingerprint through *table*."""
+        return cls(load_proofs(source, table))
 
     # -- probing ------------------------------------------------------------
 
@@ -139,120 +92,96 @@ class VerifiedFlowTable:
         dr: ChunkedLabel,
         qs: ChunkedLabel,
         ds: ChunkedLabel,
-    ) -> Optional[DeliverHit]:
-        """Probe for a deliver stub on the live operands.
+        keys: Tuple[int, int, int],
+    ) -> Optional[Tuple[ChunkedLabel, ChunkedLabel]]:
+        """Probe for a deliver stub on the live operands, whose
+        :func:`~repro.core.interning.delivery_keys` the caller computed
+        (the label-op cache reuses them on a miss).
 
-        Returns ``None`` on a miss — the caller falls back to the full
-        interned path.  The operands are interned here (one attribute
-        test each in the steady state: every kernel-resident label is
-        canonicalised where it is created), because the batch signature
-        and the stub keys are intern-id tuples.
+        Returns the receiver's post-effect ``(QS, QR)`` — Figure 4's, run
+        unbilled — on a hit, ``None`` on a miss (the caller runs the
+        billed path).
         """
         if not self.valid:
             return None
-        intern = self.table.intern
-        es, pl, qr, v = intern(es), intern(pl), intern(qr), intern(v)
-        dr, qs, ds = intern(dr), intern(qs), intern(ds)
-        sig = (
-            port_handle,
-            es.intern_id,
-            pl.intern_id,
-            qr.intern_id,
-            v.intern_id,
-            dr.intern_id,
-            qs.intern_id,
-            ds.intern_id,
-            self.epoch,
-        )
-        if sig == self._last_sig:
-            # Same port, same label key, no invalidation in between:
-            # this message continues the batch.  Reuse the previous
-            # probe's plans/stub; bill per message exactly as a single
-            # delivery would (the caller charges, not us).
+        key = stub_key(port_handle, keys)
+        if key == self._last_key:
             self._streak += 1
             if self._streak == 2:
                 self.batch_drains += 1
                 self.batched_messages += 2
-            elif self._streak > 2:
+            else:
                 self.batched_messages += 1
-            hit = self._last_hit
-            if hit is None:
-                self.misses += 1
-                return None
-            self.deliver_hits += 1
-            self.ops_elided += OPS_PER_DELIVER
-            return hit._replace(first_use=False, batched=True)
-        self._last_sig = sig
-        self._streak = 1
-        cplan = check_plan(self.table, es, qr, dr, v, pl)
-        hit: Optional[DeliverHit] = None
-        if not cplan.abstracted:
-            eplan = effects_plan(self.table, qs, es, ds)
-            rplan = raise_plan(self.table, qr, dr)
-            key = (port_handle, cplan.key, eplan.key, rplan.key)
-            self._plan_pins[key] = (cplan, eplan, rplan)
-            self._plan_pins.move_to_end(key)
-            if len(self._plan_pins) > self._plan_pin_limit:
-                self._plan_pins.popitem(last=False)
-            stub = self.proofs.deliver.get(key)
-            if stub is not None:
-                # The ⋆-overlay tails are recomputed from the live
-                # plans; only the cores come from the document.
-                hit = DeliverHit(
-                    key=key,
-                    new_qs=apply_effects_tail(self.table, eplan, stub.new_qs_core),
-                    new_qr=apply_raise_tail(self.table, rplan, stub.new_qr_core),
-                    first_use=key not in self._seen_keys,
-                    batched=False,
-                )
-        self._last_hit = hit
-        if hit is None:
+        else:
+            self._last_key = key
+            self._streak = 1
+        stub = self.proofs.deliver.get(key)
+        if stub is None:
             self.misses += 1
             return None
-        if hit.first_use:
-            self._seen_keys.add(hit.key)
-            self.first_use_checks += 1
+        new = None
+        if dr.leq(pl) and labelops.check_send(es, qr, dr, v, pl):
+            new = labelops.apply_send_effects(qs, es, ds), labelops.raise_receive(qr, dr)
+        if not self._confirmed(key, new, (stub.new_qs_core, stub.new_qr_core)):
+            self.quarantine(f"deliver stub on {port_handle:#x} diverged from its claim")
+            self.misses += 1
+            return None
         self.deliver_hits += 1
         self.ops_elided += OPS_PER_DELIVER
-        return hit
+        return new
 
     def plan_send(
         self, ps: ChunkedLabel, cs: ChunkedLabel
     ) -> Optional[ChunkedLabel]:
-        """Probe for a send stub: the proven ``ES = PS ⊔ CS`` result.
-
-        Returns the effective send label, or ``None`` on a miss.
-        """
+        """Probe for a send stub: ``ES = PS ⊔ CS`` (run unbilled) on a
+        hit, ``None`` on a miss."""
         if not self.valid:
             return None
-        splan = raise_plan(self.table, ps, cs)
-        stub: Optional[SendStub] = self.proofs.send.get(splan.key)
+        key = raise_key(ps, cs)
+        stub = self.proofs.send.get(key)
         if stub is None:
+            return None
+        es = labelops.raise_receive(ps, cs)
+        if not self._confirmed(key, (es,), (stub.es_core,)):
+            self.quarantine("send stub diverged from its claim")
             return None
         self.send_hits += 1
         self.ops_elided += OPS_PER_SEND
-        return apply_raise_tail(self.table, splan, stub.es_core)
+        return es
+
+    def _confirmed(
+        self, key: int, got: Optional[Tuple[ChunkedLabel, ...]],
+        claimed: Tuple[ChunkedLabel, ...],
+    ) -> bool:
+        """Whether a stub hit stands: Figure 4 delivered, and on the key's
+        first use its result cores are the document's claim."""
+        if got is None:
+            return False
+        if key in self._seen_keys:
+            return True
+        self._seen_keys.add(key)
+        self.first_use_checks += 1
+        return all(g.core_digest() == c.digest() for g, c in zip(got, claimed))
 
     # -- invalidation -------------------------------------------------------
 
     def invalidate(self, reason: str) -> None:
         """System-level invalidating event: quarantine the whole table.
 
-        Bumping the epoch also splits any in-flight delivery batch.
+        Bumping the epoch also ends any streak of same-key probes.
         """
         self.epoch += 1
         self.invalidations += 1
         if len(self.invalidation_reasons) < 32:
             self.invalidation_reasons.append(reason)
         self.valid = False
-        self._last_sig = None
-        self._last_hit = None
+        self._last_key = None
         self._streak = 0
 
     def quarantine(self, reason: str) -> None:
-        """Sanitizer caught an elided decision diverging: fail closed."""
+        """A stub's claim failed its first-use check: stop billing stubs."""
         self.quarantines += 1
-        self.invalidate(f"sanitizer: {reason}")
+        self.invalidate(f"quarantine: {reason}")
 
     # -- invalidation events ------------------------------------------------
     # The kernel reports what happened; whether it stales the proofs'
@@ -276,8 +205,7 @@ class VerifiedFlowTable:
         world) is exactly what the proofs describe and keeps them."""
         if not self.valid or handle not in self.proofs.covered_ports:
             return
-        assumed = self.proofs.port_labels.get(handle, ())
-        if self.table.intern(label).intern_id not in assumed:
+        if label.digest() not in self.proofs.port_labels.get(handle, ()):
             self.invalidate(f"set_port_label {handle:#x}")
 
     def task_relabelled(
@@ -295,9 +223,10 @@ class VerifiedFlowTable:
         describe)."""
         if not self.valid or name not in self.proofs.covered_tasks:
             return
-        assumed = self._core_assumed
-        if (assumed(name, old_qs) and not assumed(name, new_qs)) or (
-            assumed(name, old_qr) and not assumed(name, new_qr)
+        assumed = self.proofs.assumed_cores.get(name, ())
+        if any(
+            old.core_digest() in assumed and new.core_digest() not in assumed
+            for old, new in ((old_qs, new_qs), (old_qr, new_qr))
         ):
             self.invalidate(f"change_label {name}")
 
@@ -312,15 +241,6 @@ class VerifiedFlowTable:
             and name not in self.proofs.expected_realms
         ):
             self.invalidate(f"ep_checkpoint {name}")
-
-    def _core_assumed(self, task_name: str, label: ChunkedLabel) -> bool:
-        """Whether *label*'s ⋆-free core is among the QS/QR values the
-        proofs assumed for *task_name* specifically."""
-        assumed = self.proofs.assumed_cores.get(task_name)
-        if not assumed:
-            return False
-        core = self.table.star_core(self.table.intern(label))
-        return core.intern_id in assumed
 
     # -- reporting ----------------------------------------------------------
 

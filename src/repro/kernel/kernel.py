@@ -50,14 +50,7 @@ from repro.core.levels import L0, STAR, is_level
 from repro.kernel import syscalls as sc
 from repro.kernel.clock import CycleClock, KERNEL_IPC, OTHER
 from repro.kernel.config import KernelConfig
-from repro.kernel.engine import (
-    LOCAL,
-    ElidedEngine,
-    Figure4Engine,
-    SanitizingEngine,
-    Work,
-    bill,
-)
+from repro.kernel.engine import LOCAL, Figure4Engine, SanitizingEngine, Work, bill
 from repro.kernel.errors import (
     DROP_DEAD_PORT,
     DROP_DECONT_PRIVILEGE,
@@ -180,37 +173,30 @@ class Kernel:
         # -- the label engine (repro.kernel.engine) -------------------------
         # Every Figure 4 decision goes through self.engine; the optional
         # layers are stacked here, once, and never branched on again.
-        engine: Any = Figure4Engine()
-
-        # Interned-label fast path (repro.core.interning): labels are
-        # hash-consed through this kernel's own intern table and the three
-        # Figure 4 hot operations are memoized in a bounded LRU keyed on
-        # interned ids.  Immutability makes the cache invalidation free;
-        # the disabled path is byte-identical to a pre-cache kernel.
-        self.intern_table = None
+        #
+        # The interned-label bill (repro.core.interning, DESIGN.md §11):
+        # the three Figure 4 hot operations still run on the full labels,
+        # and a bounded LRU of their ⋆-factored operand digests decides
+        # which are billed as the hits a hash-consing kernel would take.
         self.labelop_cache = None
         if config.intern_labels or config.elide_checks:
-            from repro.core.interning import InternTable, LabelOpCache
+            from repro.core.interning import LabelOpCache
 
-            self.intern_table = InternTable()
-            self.labelop_cache = LabelOpCache(
-                self.intern_table, size=config.labelop_cache_size
-            )
-            engine = Figure4Engine(self.labelop_cache)
+            self.labelop_cache = LabelOpCache(size=config.labelop_cache_size)
 
         # Proof-guided check elision (repro.kernel.elide, DESIGN.md §15):
         # a loaded proofs/v1 table of asbcheck-proven always-allowed
-        # edges, probed before the Figure 4 machinery.  elide_checks
-        # without a proof_path is valid and is just an interning kernel:
-        # it probes nothing (flow_table stays None).
+        # edges, probed before the Figure 4 operations, whose hits are
+        # billed as the verified fastpath.  elide_checks without a
+        # proof_path is valid and is just an interning kernel: it probes
+        # nothing (flow_table stays None).
         self.flow_table = None
         if config.elide_checks and config.proof_path:
+            from repro.core.interning import InternTable
             from repro.kernel.elide import VerifiedFlowTable
 
-            self.flow_table = VerifiedFlowTable.load(
-                config.proof_path, self.intern_table
-            )
-            engine = ElidedEngine(self.flow_table, engine)
+            self.flow_table = VerifiedFlowTable.load(config.proof_path, InternTable())
+        engine: Any = Figure4Engine(self.labelop_cache, self.flow_table)
 
         # Differential label sanitizer (repro.analysis): opt in per kernel
         # via KernelConfig(sanitize=True), or globally via REPRO_SANITIZE=1
@@ -222,18 +208,16 @@ class Kernel:
             from repro.analysis.sanitizer import LabelSanitizer
 
             self.sanitizer = LabelSanitizer(self, strict=config.sanitize_strict)
-            engine = SanitizingEngine(
-                engine, self.sanitizer, config.sanitize_sample, self.flow_table
-            )
+            engine = SanitizingEngine(engine, self.sanitizer, config.sanitize_sample)
         self.engine = engine
         self._mirror_counters()
-        # Kernel-born constants, canonical in this kernel like any other
-        # resident label: what an omitted CS/DR (⊥) and DS/V (⊤) default to.
-        self._bottom = engine.canon(ChunkedLabel.from_label(Label.bottom()))
-        self._top = engine.canon(ChunkedLabel.from_label(Label.top()))
+        # Kernel-born constants: what an omitted CS/DR (⊥) and DS/V (⊤)
+        # default to.
+        self._bottom = ChunkedLabel.from_label(Label.bottom())
+        self._top = ChunkedLabel.from_label(Label.top())
         #: ES of every kernel-born message (wire injection, exit obituary):
         #: the send label of a maximally untainted sender.
-        self._default_es = engine.canon(ChunkedLabel.from_label(Label.send_default()))
+        self._default_es = ChunkedLabel.from_label(Label.send_default())
         self._syscalls = self._syscall_table()
         self._cost_mode = config.label_cost_mode
 
@@ -311,8 +295,6 @@ class Kernel:
         if parent is not None and inherit_labels:
             process.send_label = parent.send_label
             process.receive_label = parent.receive_label
-        process.send_label = self.engine.canon(process.send_label)
-        process.receive_label = self.engine.canon(process.receive_label)
         process.notify_exit = notify_exit
         process.ctx = Context(self, process, space, process.env)
         process.gen = body(process.ctx)
@@ -358,9 +340,9 @@ class Kernel:
 
         The cross-shard ingress half of ``repro.cluster``: the sending
         shard already enforced Figure 4 requirements (2) and (3) and
-        computed ``ES = PS ⊔ CS``; this kernel re-interns the decoded
-        labels and runs the delivery-time checks (1) and (4) plus the
-        label effects locally, exactly as for a local send.  Unlike
+        computed ``ES = PS ⊔ CS``; this kernel runs the delivery-time
+        checks (1) and (4) plus the label effects locally, exactly as for
+        a local send.  Unlike
         :meth:`inject`, the caller supplies real labels — cross-shard
         taint and decontamination propagate.
         """
@@ -369,10 +351,10 @@ class Kernel:
             QueuedMessage(
                 port=port,
                 payload=payload,
-                effective_send=self.engine.canon(effective_send),
-                decontaminate_send=self.engine.canon(ds),
-                verify=self.engine.canon(v),
-                decontaminate_receive=self.engine.canon(dr),
+                effective_send=effective_send,
+                decontaminate_send=ds,
+                verify=v,
+                decontaminate_receive=dr,
                 sender_name=sender_name,
                 external=True,
             )
@@ -750,7 +732,7 @@ class Kernel:
                 if route is not None and self.xshard_out is not None:
                     # Send-time checks (requirements 2 and 3) already passed;
                     # the owning shard runs the delivery-time checks and
-                    # effects against its own interned labels.
+                    # effects against its own labels.
                     self.xshard_out(route, qmsg)
                     self._xshard_out += 1
                     return
@@ -978,9 +960,7 @@ class Kernel:
         handle = self.allocator.fresh()
         self.vnodes.create(handle)
         stats = OpStats()
-        task.send_label = self.engine.canon(
-            labelops.sparse_update(task.send_label, {handle: STAR}, stats)
-        )
+        task.send_label = labelops.sparse_update(task.send_label, {handle: STAR}, stats)
         self._bill(stats)
         if self.hooks:
             self._hook("on_new_handle", task, handle)
@@ -995,13 +975,11 @@ class Kernel:
         base = ChunkedLabel.from_label(label)
         stats = OpStats()
         # Figure 4: pR ← L, then pR(p) ← 0.
-        port_label = self.engine.canon(labelops.sparse_update(base, {handle: L0}, stats))
+        port_label = labelops.sparse_update(base, {handle: L0}, stats)
         self.ports[handle] = Port(handle=handle, label=port_label, owner=task.key)
         task.owned_ports.add(handle)
         # PS(p) ← ⋆.
-        task.send_label = self.engine.canon(
-            labelops.sparse_update(task.send_label, {handle: STAR}, stats)
-        )
+        task.send_label = labelops.sparse_update(task.send_label, {handle: STAR}, stats)
         self._bill(stats)
         if self.hooks:
             self._hook("on_new_port", task, handle)
@@ -1014,7 +992,7 @@ class Kernel:
         if entry is None or request.port not in task.owned_ports:
             raise NotOwner(f"set_port_label: port {request.port:#x} not owned")
         # Unlike new_port, the input is used verbatim (Section 5.5).
-        entry.label = self.engine.canon(ChunkedLabel.from_label(request.label))
+        entry.label = ChunkedLabel.from_label(request.label)
         if self.flow_table is not None:
             self.flow_table.port_relabelled(request.port, entry.label)
         if self.hooks:
@@ -1098,7 +1076,6 @@ class Kernel:
                 recv = new
         finally:
             self._bill(stats)
-        send, recv = self.engine.canon(send), self.engine.canon(recv)
         if self.flow_table is not None:
             self.flow_table.task_relabelled(
                 task.name, task.send_label, task.receive_label, send, recv
@@ -1112,7 +1089,7 @@ class Kernel:
     def _user_label(self, label: Label) -> ChunkedLabel:
         if not isinstance(label, Label):
             raise InvalidArgument(f"not a label: {label!r}")
-        return self.engine.canon(ChunkedLabel.from_label(label))
+        return ChunkedLabel.from_label(label)
 
     # -- event processes -----------------------------------------------------------------------
 

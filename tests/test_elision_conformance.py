@@ -1,24 +1,23 @@
 """Differential conformance suite for proof-guided check elision.
 
-The verified-flow table (:mod:`repro.kernel.elide`) lets the kernel skip
-the Figure 4 delivery checks entirely when asbcheck proved the exact
-(port, label-values) instance always-allowed and precomputed its effect
-cores (:mod:`repro.analysis.proofs`).  Skipping an IFC check is the most
-dangerous optimisation in this codebase, so this suite proves the full
-pipeline — record a live topology, compile proofs, reload them into a
-fresh kernel — against the unelided kernel three ways:
+The verified-flow table (:mod:`repro.kernel.elide`) bills a delivery as
+the verified fastpath when asbcheck proved the (port, label-values)
+instance always-allowed (:mod:`repro.analysis.proofs`); the labels still
+come from Figure 4.  This suite runs the full pipeline — record a live
+topology, compile proofs, reload them into a fresh kernel — against the
+unelided kernel three ways:
 
 1. Hypothesis-generated workloads: random session counts, payload sizes,
    concurrency and warm-up depth, each recorded/compiled/replayed, with
    the elided replay required to be *bit-identical* to the plain one
    (responses, drop log, every surviving task's labels);
 2. a deterministic replay asserting the OpStats reconciliation invariant
-   — every label operation the elided kernel skipped is accounted for by
-   either a labelop-cache hit or a verified-flow stub hit, no more, no
-   less — plus metric/`kernel_snapshot` exposure;
-3. sanitizer-strict replays (the sampled sanitizer re-derives elided
-   decisions from the naive reference semantics) that must stay clean
-   while the stub path is demonstrably exercised.
+   — every label operation the elided kernel did not bill is accounted
+   for by either a labelop-cache hit or a verified-flow stub hit, no
+   more, no less — plus metric/`kernel_snapshot` exposure, and the
+   first-use check of every stub key;
+3. sanitizer-strict replays that must stay clean while the stub path is
+   demonstrably exercised.
 """
 
 import json
@@ -184,7 +183,7 @@ def test_elide_counters_surface_in_kernel_snapshot():
     assert metrics["kernel.elide.batched_messages"] == table.batched_messages
 
 
-def test_first_use_of_every_stub_key_is_sanitizer_replayed():
+def test_first_use_of_every_stub_key_is_checked_against_its_claim():
     n_users = 6
     requests = _requests(n_users, 11)
     with tempfile.TemporaryDirectory(prefix="repro-elide-conf-") as scratch:
@@ -192,8 +191,9 @@ def test_first_use_of_every_stub_key_is_sanitizer_replayed():
         _compile_site_proofs(n_users, requests, 4, 2, path)
         elided_kernel, _ = _replay(n_users, requests, 4, 4, _elide_config(path))
     table = elided_kernel.flow_table
-    assert table.deliver_hits > table.first_use_checks > 0
+    assert table.deliver_hits + table.send_hits > table.first_use_checks > 0
     assert table.first_use_checks == len(table._seen_keys)
+    assert table.quarantines == 0
 
 
 # -- 3. sanitizer-strict replays stay clean -----------------------------------------

@@ -8,7 +8,9 @@ each path has always been charged.
    with Figure 4 evaluated on plain :class:`~repro.core.labels.Label` s.
 2. A table pins ``bill(work, stats, cost, mode)`` to the KERNEL_IPC cycles
    the pre-seam kernel (PR 11, ``d8015cf``) charged for the same operations,
-   recorded by driving that kernel's ``_deliver`` / ``_sys_send`` directly.
+   recorded by driving that kernel's ``_deliver`` / ``_sys_send`` directly
+   — except an interned *miss*, which now runs and bills the plain
+   operation on the full operands.
 3. The ``Mirror`` metrics read through to the engine's own counters, also
    when a run ends on a stub miss (the hit-only delta sync they replace
    left the registry behind there).
@@ -20,30 +22,17 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.proofs import DeliverStub, LoadedProofs, SendStub
+from repro.analysis.proofs import DeliverStub, LoadedProofs, SendStub, stub_key
 from repro.analysis.sanitizer import LabelSanitizer
 from repro.core import labelops as lo
 from repro.core.chunks import OpStats
-from repro.core.interning import (
-    InternTable,
-    LabelOpCache,
-    check_plan,
-    effects_plan,
-    raise_plan,
-)
+from repro.core.interning import LabelOpCache, check_key, delivery_keys, raise_key
 from repro.core.labels import Label
 from repro.core.levels import L0, L1, L2, L3, STAR
 from repro.kernel.clock import CostModel
 from repro.kernel.config import KernelConfig
 from repro.kernel.elide import VerifiedFlowTable
-from repro.kernel.engine import (
-    LOCAL,
-    ElidedEngine,
-    Figure4Engine,
-    SanitizingEngine,
-    Work,
-    bill,
-)
+from repro.kernel.engine import LOCAL, Figure4Engine, SanitizingEngine, Work, bill
 from repro.kernel.errors import DROP_LABEL_CHECK, DROP_PORT_LABEL
 from repro.kernel.kernel import Kernel
 from repro.kernel.message import QueuedMessage
@@ -67,44 +56,36 @@ def _spec(es, ds, v, dr, pl, qs, qr):
     return None, (qs & ds) | (es & qs.stars()), qr | dr
 
 
-def _proven(table, ps, cs, es, ds, v, dr, pl, qs, qr):
+def _proven(ps, cs, es, ds, v, dr, pl, qs, qr):
     """A flow table holding the stubs asbcheck's proof compiler would emit
     for exactly this send and (when the spec allows it) this delivery."""
     proofs = LoadedProofs()
-    splan = raise_plan(table, _c(ps), _c(cs))
-    proofs.send[splan.key] = SendStub(
-        "e", "tx", table.intern(lo.raise_receive(*splan.exec_ops, None))
+    proofs.send[raise_key(_c(ps), _c(cs))] = SendStub(
+        "e", "tx", lo.raise_receive(_c(ps), _c(cs)).without_stars()
     )
-    proofs.pinned.append(splan)
+    ops = [_c(x) for x in (es, pl, qr, v, dr, qs, ds)]
     if _spec(es, ds, v, dr, pl, qs, qr)[0] is None:
-        cplan = check_plan(table, _c(es), _c(qr), _c(dr), _c(v), _c(pl))
-        if not cplan.abstracted:  # T4 keys are never compiled into proofs
-            eplan = effects_plan(table, _c(qs), _c(es), _c(ds))
-            rplan = raise_plan(table, _c(qr), _c(dr))
-            proofs.deliver[(PORT, cplan.key, eplan.key, rplan.key)] = DeliverStub(
+        if not check_key(_c(es), _c(qr), _c(dr), _c(v), _c(pl))[1]:  # T4: never compiled
+            proofs.deliver[stub_key(PORT, delivery_keys(*ops))] = DeliverStub(
                 "e", "tx", "rx", PORT,
-                table.intern(lo.apply_send_effects(*eplan.exec_ops, None)),
-                table.intern(lo.raise_receive(*rplan.exec_ops, None)),
+                lo.apply_send_effects(_c(qs), _c(es), _c(ds)).without_stars(),
+                lo.raise_receive(_c(qr), _c(dr)).without_stars(),
             )
-            proofs.pinned.append((cplan, eplan, rplan))
-    return VerifiedFlowTable(proofs, table)
+    return VerifiedFlowTable(proofs)
 
 
 def _engines(flows):
-    def interned():
-        return Figure4Engine(LabelOpCache(flows.table, size=8))
-
     bare = {
         "plain": (Figure4Engine(), None),
-        "interned": (interned(), None),
-        "elided": (ElidedEngine(flows, interned()), flows),
+        "interned": (Figure4Engine(LabelOpCache(size=8)), None),
+        "elided": (Figure4Engine(LabelOpCache(size=8), flows), flows),
     }
     # A strict sanitizer raises on any divergence, so the decorated
     # engines double as a check that the decorator feeds it faithfully.
     kernel = types.SimpleNamespace(debug_log=lambda who, line: None)
     for name, (engine, table) in list(bare.items()):
         bare[f"sanitized-{name}"] = (
-            SanitizingEngine(copy.copy(engine), LabelSanitizer(kernel), 1, table),
+            SanitizingEngine(copy.copy(engine), LabelSanitizer(kernel), 1),
             table,
         )
     return bare
@@ -123,7 +104,7 @@ _mostly_bottom = st.one_of(st.just(Label({}, STAR)), labels)
 @settings(max_examples=120, deadline=None)
 def test_every_engine_matches_the_label_spec(ps, cs, es, ds, v, dr, pl, qs, qr):
     want_drop, want_qs, want_qr = _spec(es, ds, v, dr, pl, qs, qr)
-    flows = _proven(InternTable(), ps, cs, es, ds, v, dr, pl, qs, qr)
+    flows = _proven(ps, cs, es, ds, v, dr, pl, qs, qr)
     for name, (engine, _) in _engines(flows).items():
         for attempt in ("first", "again"):  # miss/first-use, then hit/reuse
             got_es, work = engine.send_join(_c(ps), _c(cs), OpStats(), "tx", PORT)
@@ -147,13 +128,13 @@ def test_elided_engine_hits_its_stubs_and_honours_elidable():
     ps, cs = Label({5: STAR}, L1), Label({6: L3}, STAR)
     es, qs, qr = Label({6: L3}, L1), Label({}, L1), Label({6: L3}, L2)
     top, bottom = Label({}, L3), Label({}, STAR)
-    flows = _proven(InternTable(), ps, cs, es, top, top, bottom, top, qs, qr)
-    engine = ElidedEngine(flows, Figure4Engine(LabelOpCache(flows.table)))
+    flows = _proven(ps, cs, es, top, top, bottom, top, qs, qr)
+    engine = Figure4Engine(LabelOpCache(), flows)
     args = [_c(x) for x in (es, top, top, bottom, top, qs, qr)]
     first = engine.deliver(PORT, *args, OpStats()).work
     again = engine.deliver(PORT, *args, OpStats()).work
-    assert (first.stub, first.first_use) == (True, True)
-    assert (again.stub, again.first_use) == (True, False)
+    assert first.stub and again.stub
+    assert flows.first_use_checks == 1  # the claim is checked once per key
     assert first.check is first.effects is first.raised is None
     # Receive-right passage and cross-shard ingress take the checked path.
     checked = engine.deliver(PORT, *args, OpStats(), False).work
@@ -168,23 +149,23 @@ def test_a_bad_stub_is_quarantined_even_when_the_violation_list_is_at_its_cap():
     ps, cs = Label({5: STAR}, L1), Label({6: L3}, STAR)
     es, qs, qr = Label({6: L3}, L1), Label({}, L1), Label({6: L3}, L2)
     top, bottom = Label({}, L3), Label({}, STAR)
-    flows = _proven(InternTable(), ps, cs, es, top, top, bottom, top, qs, qr)
+    flows = _proven(ps, cs, es, top, top, bottom, top, qs, qr)
     (stub,) = flows.proofs.deliver.values()
-    stub.new_qr_core = flows.table.intern(_c(Label({9: L3}, L2)))  # a forged delta
+    stub.new_qr_core = _c(Label({9: L3}, L2))  # a forged delta
     kernel = types.SimpleNamespace(debug_log=lambda who, line: None)
     sanitizer = LabelSanitizer(kernel, strict=False)  # observe mode, as in chaos runs
     for _ in range(LabelSanitizer.LIMIT):
         sanitizer.check_effective_send("tx", PORT, _c(ps), _c(cs), _c(ps))
     assert len(sanitizer.violations) == sanitizer.total == LabelSanitizer.LIMIT
-    inner = ElidedEngine(flows, Figure4Engine(LabelOpCache(flows.table)))
-    engine = SanitizingEngine(inner, sanitizer, 1, flows)
+    engine = SanitizingEngine(Figure4Engine(LabelOpCache(), flows), sanitizer, 1)
     args = [_c(x) for x in (es, top, top, bottom, top, qs, qr)]
-    assert engine.deliver(PORT, *args, OpStats(), True, "tx", "rx").work.stub
-    # The divergence overflowed the list, which shed its older half — the
-    # exact total is what says something new went wrong.
-    assert sanitizer.total > LabelSanitizer.LIMIT
-    assert len(sanitizer.violations) == sanitizer.total - LabelSanitizer.LIMIT // 2
-    assert sanitizer.violations[-1].seq == sanitizer.total
+    verdict = engine.deliver(PORT, *args, OpStats(), True, "tx", "rx")
+    # The table caught the forged claim on its first use, whatever the
+    # sanitizer's list holds: the delivery is billed as a plain one, and
+    # its labels are Figure 4's, so the sanitizer saw nothing new.
+    assert not verdict.work.stub
+    assert verdict.new_qr.to_label() == qr | bottom
+    assert sanitizer.total == LabelSanitizer.LIMIT
     assert flows.quarantines == 1 and not flows.valid
     assert not engine.deliver(PORT, *args, OpStats(), True, "tx", "rx").work.stub
 
@@ -214,9 +195,12 @@ _DECONT = dict(ds=_cl({20: STAR}, L3), dr=_cl({101: L3}, STAR))
 
 #: (scenario, engine path) -> (paper cycles, fused cycles), as charged by
 #: PR 11's Kernel._deliver (recv_base included) for these exact operands.
+#: An interned miss bills what the plain path bills: it runs the plain
+#: operation on the full operands (the pre-seam kernel billed it on
+#: ⋆-stripped ones).
 _PARENT_DELIVERY = {
     ("deliver", "plain"): (7296, 8735),
-    ("deliver", "interned-miss"): (7224, 7391),
+    ("deliver", "interned-miss"): (7296, 8735),
     ("deliver", "interned-hit"): (6110, 6110),
     ("drop1", "plain"): (6024, 6042),
     ("drop1", "interned-miss"): (6024, 6042),
@@ -229,15 +213,14 @@ _PARENT_DELIVERY = {
 #: ES join plus the requirement (2)/(3) walk over DS and DR.
 _PARENT_SEND = {
     ("default", "plain"): (948, 2316),
-    ("default", "interned-miss"): (930, 972),
+    ("default", "interned-miss"): (948, 2316),
     ("default", "interned-hit"): (120, 120),
     ("decont", "plain"): (949, 2400),
 }
 
 
 def _paths():
-    cache = LabelOpCache(InternTable(), size=64)
-    interned = Figure4Engine(cache)
+    interned = Figure4Engine(LabelOpCache(size=64))
     return (("plain", Figure4Engine()), ("interned-miss", interned), ("interned-hit", interned))
 
 
@@ -321,11 +304,9 @@ def test_mirrored_metrics_track_counters_when_a_run_ends_on_a_miss():
     kernel = Kernel(
         config=KernelConfig(metrics=True, intern_labels=True, labelop_cache_size=2)
     )
-    # Graft the proven world onto the kernel's own intern table.
-    kernel.flow_table = flows = _proven(
-        kernel.intern_table, ps, cs, es, top, top, bottom, top, qs, qr
-    )
-    kernel.engine = ElidedEngine(flows, kernel.engine)
+    # Graft the proven world onto the kernel.
+    kernel.flow_table = flows = _proven(ps, cs, es, top, top, bottom, top, qs, qr)
+    kernel.engine = Figure4Engine(kernel.labelop_cache, flows)
     kernel._mirror_counters()
     task = kernel.spawn(_idle, "rx")
     entry = Port(handle=PORT, label=_c(top), owner=task.key)
@@ -357,5 +338,5 @@ def test_mirrored_metrics_track_counters_when_a_run_ends_on_a_miss():
     for name in ("hits", "misses", "evictions"):
         assert metrics[f"kernel.labels.cache_{name}"] == cache[name], name
     assert metrics["kernel.ipc.delivered"] == 5
-    flows.quarantine("test")  # sanitizer quarantines count as invalidations too
+    flows.quarantine("test")  # quarantines count as invalidations too
     assert kernel.metrics.get("kernel.elide.invalidations") == flows.invalidations == 1

@@ -1,9 +1,14 @@
-"""A kernel is a closed world: label identity is owned by the kernel.
+"""Label identity is a value.
 
-Every interning kernel has its own :class:`InternTable` (DESIGN.md §11.1),
-so what one kernel interns, caches and bills can depend on nothing another
-kernel in the interpreter did — not on whether it is still alive, not on
-the order they ran in, not on when the cycle collector fired.
+A label crosses a process boundary only by value (``wire/v1``,
+``proofs/v1``), and an :class:`InternTable` canonicalises by value: what
+another table did can change neither which instance answers nor a
+fingerprint, and proof compilation is a pure function of the topology.
+A kernel is a closed world: what one kernel caches and bills depends on
+nothing another kernel in the interpreter did — not on whether it is
+still alive, not on the order they ran in, not on when the cycle
+collector fired.  That the bill survives a different hash seed as well
+is ``tests/test_conformance.py::test_hits_and_misses_are_a_pure_function_of_the_operand_stream``.
 """
 
 import gc
@@ -40,19 +45,14 @@ def _drive(client, n_users=N_USERS):
 
 
 @pytest.fixture(scope="module")
-def topology():
+def proofs_path(tmp_path_factory):
     site = build_echo_site(N_USERS, config=KernelConfig())
     client = HttpClient(site)
     _drive(client)
     recorder = TopologyRecorder(site.kernel)
     _drive(client)
-    return recorder.build("isolation")
-
-
-@pytest.fixture(scope="module")
-def proofs_path(topology, tmp_path_factory):
     path = tmp_path_factory.mktemp("isolation") / "proofs.json"
-    write_proofs(compile_proofs(topology), path)
+    write_proofs(compile_proofs(recorder.build("isolation")), path)
     return str(path)
 
 
@@ -70,14 +70,10 @@ def _observed(kernel):
     }
 
 
-# -- (a) canonical is a fact about a (label, table) pair -----------------------------
-
-
 def test_foreign_canonical_label_is_interned_by_value():
     a, b = InternTable(), InternTable()
     value = Label({1: STAR, 2: L3}, L1)
     in_a = a.intern_label(value)
-    a_id = in_a.intern_id
     in_b = b.intern(in_a)
     # B answers with its own instance for the value, never A's object...
     assert in_b is not in_a
@@ -85,18 +81,19 @@ def test_foreign_canonical_label_is_interned_by_value():
     assert b.intern(in_b) is in_b
     assert in_b.to_label() == in_a.to_label() == value
     assert all(x is y for x, y in zip(in_b.chunks, in_a.chunks))
-    assert in_b.intern_id != a_id
+    assert in_b.intern_table is b
     # ...and A's instance is neither re-stamped nor displaced.
-    assert in_a.intern_id == a_id
+    assert in_a.intern_table is a
     assert a.intern(in_a) is in_a
     assert len(a) == len(b) == 1
+    assert a.fingerprint(in_a) == b.fingerprint(in_b)
 
 
 def test_chunking_is_erased_from_a_labels_identity():
     # Equal as functions, chunked differently: one cut at every 64th entry
     # by from_label, one grown past that by sparse_update (even splits,
-    # a rebalance) and shrunk back.  The intern key and the fingerprint
-    # read the value, not the directory.
+    # a rebalance) and shrunk back.  The intern key, the fingerprint and
+    # the digest read the value, not the directory.
     value = Label({h: L3 for h in range(0, 300, 2)}, L1)
     cut = ChunkedLabel.from_label(value)
     grown = ChunkedLabel.from_label(Label({}, L1))
@@ -108,16 +105,17 @@ def test_chunking_is_erased_from_a_labels_identity():
     table = InternTable()
     assert table.intern(grown) is table.intern(cut)
     assert table.fingerprint(grown) == InternTable().fingerprint(cut)
+    assert grown.digest() == cut.digest()
 
 
-# -- (b) two live kernels, stepped alternately ---------------------------------------
+# -- two live kernels, stepped alternately -------------------------------------------
 
 
 def test_two_live_elided_sites_each_behave_as_if_alone(proofs_path):
     alone = _elided_site(proofs_path)
     _drive(HttpClient(alone))
     want = _observed(alone.kernel)
-    # The site really elides: what a foreign table used to zero out.
+    # The site really elides, so there is a stub bill to disturb.
     assert want["flows"]["deliver_hits"] > 0 and want["flows"]["send_hits"] > 0
 
     first, second = _elided_site(proofs_path), _elided_site(proofs_path)
@@ -125,12 +123,13 @@ def test_two_live_elided_sites_each_behave_as_if_alone(proofs_path):
     for wave in _waves():
         for client in clients:
             client.run_batch(wave, concurrency=WAVE)
-    assert first.kernel.intern_table is not second.kernel.intern_table
+    assert first.kernel.labelop_cache is not second.kernel.labelop_cache
+    assert first.kernel.flow_table is not second.kernel.flow_table
     assert _observed(first.kernel) == want
     assert _observed(second.kernel) == want
 
 
-# -- (c) order and collector independence --------------------------------------------
+# -- order and collector independence ------------------------------------------------
 
 
 def _bill(config, n_users):
@@ -159,10 +158,14 @@ def test_run_order_never_changes_a_bill(proofs_path, collector_off):
     assert a_first == b_first[::-1]
 
 
-# -- (d) proof compilation is a pure function of the topology ------------------------
-
-
-def test_compile_proofs_twice_is_byte_identical(topology):
+def test_compile_proofs_twice_is_byte_identical():
+    site = build_echo_site(6, config=KernelConfig())
+    client = HttpClient(site)
+    requests = [(f"u{i}", f"pw{i}", "echo", None, {"length": 11}) for i in range(6)]
+    client.run_batch(requests, concurrency=3)
+    recorder = TopologyRecorder(site.kernel)
+    client.run_batch(requests, concurrency=3)
+    topology = recorder.build("isolation")
     first = json.dumps(compile_proofs(topology), sort_keys=True)
     second = json.dumps(compile_proofs(topology), sort_keys=True)
     assert first == second

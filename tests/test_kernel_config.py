@@ -147,7 +147,5 @@ def test_interning_config_drives_kernel():
     kernel = Kernel(config=KernelConfig(intern_labels=True, labelop_cache_size=128))
     assert kernel.labelop_cache is not None
     assert kernel.labelop_cache.size == 128
-    assert kernel.intern_table is not None
     plain = Kernel(config=KernelConfig())
     assert plain.labelop_cache is None
-    assert plain.intern_table is None
