@@ -52,8 +52,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.chunks import ChunkedLabel
 from repro.core.labels import Label
 from repro.core.levels import STAR, level_name
 from repro.kernel.errors import (
@@ -280,6 +282,24 @@ class PolicyResult:
     violation: Optional[Violation] = None
 
 
+def lowers_only_unwatched(a: ChunkedLabel, b: ChunkedLabel, watched: Set[int]) -> bool:
+    """Whether ``a → b`` lowers levels only, and none at a *watched*
+    handle, visiting only the chunks the two do not share (the argument is
+    in :meth:`Exploration._qs_change_eager`)."""
+    if a.default != b.default:
+        return False
+    shared = set(a.chunks).intersection(b.chunks)
+    handles = set()
+    for chunk in chain(a.chunks, b.chunks):
+        if chunk not in shared:
+            handles.update(chunk.handles)
+    for handle in handles:
+        before, after = a(handle), b(handle)
+        if after > before or (after != before and handle in watched):
+            return False
+    return True
+
+
 class Exploration:
     """The reachable (reduced) state graph plus per-edge liveness."""
 
@@ -303,22 +323,25 @@ class Exploration:
 
     def _qs_change_eager(self, old: int, new: int) -> bool:
         """True when ``old → new`` only lowers levels, all at unwatched
-        handles: a pure grant, safe to saturate (see module docstring)."""
+        handles: a pure grant, safe to saturate (see module docstring).
+
+        Only the chunks the two labels do not share are compared
+        (:func:`lowers_only_unwatched`).  Each label's chunks split its
+        explicit handles into disjoint sorted runs, and a chunk both
+        labels hold is the same run, at the same levels, in both.  So a
+        handle in a shared chunk is in no other chunk of either label and
+        has one level on both sides; a handle explicit in neither label
+        has the default on both sides (the defaults are compared first).
+        Any handle whose level differs therefore lies in an unshared chunk
+        of one side, and those are the handles visited."""
         key = (old, new)
         got = self._qs_eager_memo.get(key)
-        if got is not None:
-            return got
-        store = self.engine.store
-        a, b = store.label(old), store.label(new)
-        ok = a.default == b.default
-        if ok:
-            for handle in set(a.handles()) | set(b.handles()):
-                before, after = a(handle), b(handle)
-                if after > before or (after != before and handle in self.watched):
-                    ok = False
-                    break
-        self._qs_eager_memo[key] = ok
-        return ok
+        if got is None:
+            store = self.engine.store
+            got = self._qs_eager_memo[key] = lowers_only_unwatched(
+                store.chunked(old), store.chunked(new), self.watched
+            )
+        return got
 
     def _fire(self, state: State, edge: _Edge) -> Firing:
         firing = self.engine.fire(state, edge)
@@ -463,7 +486,7 @@ def _eval_isolation(
         for i in procs:
             name = engine.proc_names[i]
             qs = state[2 * i]
-            level = store.label(qs)(handle)
+            level = store.chunked(qs)(handle)
             if level > bound:
                 return Violation(
                     message=(
@@ -475,7 +498,7 @@ def _eval_isolation(
                     process=name,
                 )
             for edge in engine.edges_by_sender[i]:
-                es_level = store.label(store.lub(qs, edge.cs))(handle)
+                es_level = store.chunked(store.lub(qs, edge.cs))(handle)
                 if es_level > bound:
                     return Violation(
                         message=(
@@ -502,7 +525,7 @@ def _eval_confinement(
     ]
     for sid, state in enumerate(expl.order):
         for i in outsiders:
-            if store.label(state[2 * i])(handle) == STAR:
+            if store.chunked(state[2 * i])(handle) == STAR:
                 name = engine.proc_names[i]
                 return Violation(
                     message=(
@@ -540,7 +563,7 @@ def _eval_declassifier(
             firing = sub.fire(state, edge)
             if not firing.delivered:
                 continue
-            level = store.label(firing.es)(handle)
+            level = store.chunked(firing.es)(handle)
             if level > bound:
                 return Violation(
                     message=(

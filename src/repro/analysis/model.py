@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core import labelops
+from repro.core.chunks import ChunkedLabel, OpStats
 from repro.core.handles import Handle
 from repro.core.labels import (
     DEFAULT_CONTAMINATION,
@@ -375,6 +376,25 @@ def load(path: Union[str, Path]) -> Topology:
 # -- the canonical label-state encoding ------------------------------------------------
 
 
+def _same_value(a: ChunkedLabel, b: ChunkedLabel) -> bool:
+    """Whether two chunked labels are equal as functions.
+
+    Chunk by chunk while the directories line up: a shared chunk is equal
+    by identity, an aligned pair of the same size by its buffers.  Only
+    where the chunk boundaries part does it compare the values with the
+    chunking erased (:meth:`~repro.core.chunks.ChunkedLabel.value_key`)."""
+    if a.default != b.default or len(a) != len(b):
+        return False
+    for x, y in zip(a.chunks, b.chunks):
+        if x is y:
+            continue
+        if x.size != y.size:
+            return a.value_key() == b.value_key()
+        if x.handles != y.handles or x.levels != y.levels:
+            return False
+    return True
+
+
 class LabelStore:
     """Interns labels to small integer ids and memoizes the Figure 4
     operations over those ids.
@@ -385,16 +405,22 @@ class LabelStore:
     :class:`~repro.core.chunks.ChunkedLabel` — the same fused operations
     the kernel runs — so the model cannot drift from the implementation's
     semantics without the cross-validation tests noticing.
+
+    The store holds only chunked labels, as the kernel does: a fused
+    result is interned as it came out of :mod:`~repro.core.labelops`, so
+    it keeps sharing every chunk it did not rewrite with its operands.
+    Ids are keyed on the value digest
+    (:meth:`~repro.core.chunks.ChunkedLabel.digest`), and every digest hit
+    is confirmed by :func:`_same_value`, so a collision costs a comparison,
+    never a merged state.  The naive :class:`Label` of an id is built only
+    when a counterexample trace asks for it.
     """
 
     def __init__(self) -> None:
-        from repro.core.chunks import ChunkedLabel, OpStats
-
-        self._chunked_cls = ChunkedLabel
         self.stats = OpStats()
-        self._labels: List[Label] = []
-        self._chunked: List[Any] = []
-        self._ids: Dict[Label, int] = {}
+        self._chunked: List[ChunkedLabel] = []
+        #: digest → the ids with that digest (one, but for a collision).
+        self._ids: Dict[int, List[int]] = {}
         self._lub: Dict[Tuple[int, int], int] = {}
         self._effects: Dict[Tuple[int, int, int], int] = {}
         self._leq: Dict[Tuple[int, int], bool] = {}
@@ -404,22 +430,29 @@ class LabelStore:
         self.memo_misses = 0
 
     def intern(self, label: Label) -> int:
-        ident = self._ids.get(label)
-        if ident is None:
-            ident = len(self._labels)
-            self._ids[label] = ident
-            self._labels.append(label)
-            self._chunked.append(self._chunked_cls.from_label(label))
+        """The id of a topology's input label."""
+        return self.intern_chunked(ChunkedLabel.from_label(label))
+
+    def intern_chunked(self, label: ChunkedLabel) -> int:
+        """The id of *label*'s value, stored as given on first sight."""
+        ids = self._ids.setdefault(label.digest(), [])
+        for ident in ids:
+            if _same_value(self._chunked[ident], label):
+                return ident
+        ident = len(self._chunked)
+        ids.append(ident)
+        self._chunked.append(label)
         return ident
 
     def label(self, ident: int) -> Label:
-        return self._labels[ident]
+        """The naive label of an id, for traces and formatting."""
+        return self._chunked[ident].to_label()
 
-    def chunked(self, ident: int):
+    def chunked(self, ident: int) -> ChunkedLabel:
         return self._chunked[ident]
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._chunked)
 
     # Each operation consults its memo first; misses run the fused
     # labelops implementation and intern the result.
@@ -433,7 +466,7 @@ class LabelStore:
             return got
         self.memo_misses += 1
         result = labelops.raise_receive(self._chunked[a], self._chunked[b], self.stats)
-        ident = self.intern(result.to_label())
+        ident = self.intern_chunked(result)
         self._lub[key] = ident
         return ident
 
@@ -448,7 +481,7 @@ class LabelStore:
         result = labelops.apply_send_effects(
             self._chunked[qs], self._chunked[es], self._chunked[ds], self.stats
         )
-        ident = self.intern(result.to_label())
+        ident = self.intern_chunked(result)
         self._effects[key] = ident
         return ident
 

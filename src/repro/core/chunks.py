@@ -42,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
+from operator import mul
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.handles import Handle
@@ -141,6 +142,12 @@ _MASK_MIN = _mask_table(min, L3)
 _MASK_MAX = _mask_table(max, STAR)
 
 
+def _square_sum(entries: Iterable[Tuple[Handle, int]]) -> int:
+    """``Σ hash(entry)²``, at C speed: exact ints, no overflow."""
+    hashes = list(map(hash, entries))
+    return sum(map(mul, hashes, hashes))
+
+
 class Chunk:
     """An immutable sorted run of up to 64 (handle, level) entries, stored
     as two parallel buffers and shared between labels by identity."""
@@ -183,13 +190,16 @@ class Chunk:
         return _MASK_MAX[self.level_mask]
 
     def hash_sum(self) -> int:
-        """``hash((handle, code))`` summed over the run's entries: its share
-        of :meth:`ChunkedLabel.digest`.  A sum does not care how entries
-        are grouped, so a label's digest is the same however it is
-        chunked."""
+        """The square of ``hash((handle, code))`` summed over the run's
+        entries: its share of :meth:`ChunkedLabel.digest`.  A sum does not
+        care how entries are grouped, so a label's digest is the same
+        however it is chunked.  The square is what keeps it a hash: CPython's
+        tuple hash is close to additive in each element, so a plain sum of
+        entry hashes let two labels that swap levels between two handles
+        collide (a quarter of seeded swapped pairs did)."""
         total = self._hash_sum
         if total is None:
-            total = self._hash_sum = sum(map(hash, zip(self.handles, self.levels)))
+            total = self._hash_sum = _square_sum(zip(self.handles, self.levels))
         return total
 
     def core_hash_sum(self) -> int:
@@ -200,7 +210,7 @@ class Chunk:
                 total = self.hash_sum()
             else:
                 levels = self.levels
-                total = sum(map(hash, compress(zip(self.handles, levels), levels)))
+                total = _square_sum(compress(zip(self.handles, levels), levels))
             self._core_hash_sum = total
         return total
 
@@ -408,8 +418,8 @@ class ChunkedLabel:
 
     def digest(self) -> int:
         """A 64-bit hash of the value: the default and the sum of the
-        entries' hashes (:meth:`Chunk.hash_sum`, kept per chunk, so a label
-        that shares chunks costs one add per chunk).  Equal labels get
+        entries' squared hashes (:meth:`Chunk.hash_sum`, kept per chunk,
+        so a label that shares chunks costs one add per chunk).  Equal labels get
         equal digests however each came to be chunked, in every process:
         the hash reads only ints and tuples, never the ``str``/``bytes``
         hashes ``PYTHONHASHSEED`` randomises.  Computed once per label."""
