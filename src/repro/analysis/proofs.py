@@ -25,8 +25,9 @@ per-connection handles only through their levels.
 re-derives every verdict and result with :mod:`repro.core.labelops`.
 The loader treats the document as untrusted input: every label body is
 re-interned through :meth:`~repro.core.interning.InternTable.from_wire`,
-which verifies its content fingerprint, so a corrupted body or a
-dangling reference fails the load.  The claimed result cores are not
+which verifies its content fingerprint, so a corrupted body, a dangling
+reference or a mis-shaped record fails the load with
+:class:`ProofError`.  The claimed result cores are not
 recomputed at load; the flow table compares them with what Figure 4
 computes on each stub key's first use and quarantines itself on a
 mismatch.  Since the kernel's labels always come from Figure 4, a wrong
@@ -35,7 +36,6 @@ claim costs bill accuracy, never a label.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Set, Tuple, Union
@@ -51,7 +51,6 @@ __all__ = [
     "ProofError",
     "compile_proofs",
     "load_proofs",
-    "topology_fingerprint",
     "write_proofs",
     "LoadedProofs",
     "DeliverStub",
@@ -64,12 +63,6 @@ SCHEMA = "proofs/v1"
 
 class ProofError(ValueError):
     """A malformed, corrupt, or unusable proofs document."""
-
-
-def topology_fingerprint(topology: Topology) -> str:
-    """Stable content id of a topology (hash of its canonical JSON)."""
-    canonical = json.dumps(topology.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
 # -- emitting ----------------------------------------------------------------------
@@ -117,10 +110,6 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
     delivers: List[Dict[str, Any]] = []
     sends: List[Dict[str, Any]] = []
     send_seen: Set[Tuple[int, int]] = set()
-    covered_ports: Set[int] = set()
-    covered_tasks: Set[str] = set()
-    realms: Set[str] = set()
-    port_labels: Dict[int, Set[str]] = {}
     proven_edges = 0
     skipped_abstract = 0
 
@@ -130,16 +119,10 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
             continue
         proven_edges += 1
         port_handle = topology.ports[edge.port].handle
-        covered_ports.add(port_handle)
-        covered_tasks.add(edge.sender)
-        covered_tasks.add(edge.receiver)
-        if edge.fork:
-            realms.add(edge.receiver)
         pl = chunk(edge.pr)
-        # Every pR the proofs assume for this port, recorded whether or
-        # not any stub survives T4 skipping below: the kernel's
-        # set_port_label invalidation tests membership in this set.
-        port_labels.setdefault(port_handle, set()).add(pool.ref(pl))
+        # The pool names every proven edge's pR, whether or not any of
+        # its stubs survives the T4 skip below.
+        pool.ref(pl)
         cs, ds, v, dr = chunk(edge.cs), chunk(edge.ds), chunk(edge.v), chunk(edge.dr)
         seen: Set[Tuple[int, int, int]] = set()
         for state in live.order:
@@ -198,10 +181,7 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
     return {
         "schema": SCHEMA,
         "tool": "asbcheck",
-        "topology": {
-            "name": topology.name,
-            "fingerprint": topology_fingerprint(topology),
-        },
+        "topology": {"name": topology.name},
         "stats": {
             "states": len(live.order),
             "edges": len(engine.edges),
@@ -213,14 +193,6 @@ def compile_proofs(topology: Topology, max_states: int = 200_000) -> Dict[str, A
         "labels": pool.to_json(),
         "delivers": delivers,
         "sends": sends,
-        "covered": {
-            "ports": sorted(covered_ports),
-            "tasks": sorted(covered_tasks),
-            "realms": sorted(realms),
-            "port_labels": {
-                str(handle): sorted(fps) for handle, fps in sorted(port_labels.items())
-            },
-        },
     }
 
 
@@ -242,21 +214,9 @@ def stub_key(port: int, keys: Tuple[int, int, int]) -> int:
 class DeliverStub:
     """One loaded deliver stub: the document's claimed result cores."""
 
-    __slots__ = ("edge", "sender", "receiver", "port", "new_qs_core", "new_qr_core")
+    __slots__ = ("new_qs_core", "new_qr_core")
 
-    def __init__(
-        self,
-        edge: str,
-        sender: str,
-        receiver: str,
-        port: int,
-        new_qs_core: ChunkedLabel,
-        new_qr_core: ChunkedLabel,
-    ) -> None:
-        self.edge = edge
-        self.sender = sender
-        self.receiver = receiver
-        self.port = port
+    def __init__(self, new_qs_core: ChunkedLabel, new_qr_core: ChunkedLabel) -> None:
         self.new_qs_core = new_qs_core
         self.new_qr_core = new_qr_core
 
@@ -264,11 +224,9 @@ class DeliverStub:
 class SendStub:
     """One loaded send stub: the claimed ``ES = PS ⊔ CS`` core."""
 
-    __slots__ = ("edge", "sender", "es_core")
+    __slots__ = ("es_core",)
 
-    def __init__(self, edge: str, sender: str, es_core: ChunkedLabel) -> None:
-        self.edge = edge
-        self.sender = sender
+    def __init__(self, es_core: ChunkedLabel) -> None:
         self.es_core = es_core
 
 
@@ -285,24 +243,27 @@ class LoadedProofs:
     def __init__(self) -> None:
         self.deliver: Dict[int, DeliverStub] = {}
         self.send: Dict[int, SendStub] = {}
-        self.covered_ports: Set[int] = set()
-        self.covered_tasks: Set[str] = set()
-        self.expected_realms: Set[str] = set()
-        #: Per covered task: the core digests of every QS/QR value the
-        #: proofs assumed *for that task* — the membership set behind the
-        #: "label write outside the proof's assumed set" invalidation.
-        #: Per-task is load-bearing: a task ramping up through boot-time
-        #: label states is outside its own assumed set on both sides of
-        #: every write, and only a task *leaving* its assumed set — warm
-        #: state diverging from the proven world — invalidates.
-        self.assumed_cores: Dict[str, Set[int]] = {}
-        #: Per covered port: the digests of every pR value the proofs
-        #: assumed for it.  ``set_port_label`` writing one of these is the
-        #: recorded world replaying itself; anything else invalidates.
-        self.port_labels: Dict[int, Set[int]] = {}
         self.topology_name: str = ""
-        self.topology_fp: str = ""
         self.stats: Dict[str, Any] = {}
+
+
+def _section(doc: Dict[str, Any], key: str, kind: type) -> Any:
+    """``doc[key]`` checked to be a JSON object (``dict``) or array
+    (``list``); absent or ``null`` reads as empty."""
+    value = doc.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ProofError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _records(doc: Dict[str, Any], key: str) -> List[Dict[str, Any]]:
+    records = _section(doc, key, list)
+    for record in records:
+        if not isinstance(record, dict):
+            raise ProofError(f"{key!r} holds a non-object record: {record!r}")
+    return records
 
 
 def _pool_from_json(doc: Dict[str, Any], table: InternTable) -> Dict[str, ChunkedLabel]:
@@ -351,28 +312,17 @@ def load_proofs(
 
     def label(record: Dict[str, Any], field: str) -> ChunkedLabel:
         ref = record.get(field)
-        got = pool.get(ref)
+        got = pool.get(ref) if isinstance(ref, str) else None
         if got is None:
             raise ProofError(f"record references unknown label {ref!r} ({field})")
         return got
 
+    # Any other key is ignored: older documents also carry the worldview
+    # the proofs assumed and a topology fingerprint, and still load.
     loaded = LoadedProofs()
-    topo = doc.get("topology") or {}
-    loaded.topology_name = str(topo.get("name", ""))
-    loaded.topology_fp = str(topo.get("fingerprint", ""))
-    loaded.stats = dict(doc.get("stats") or {})
-    covered = doc.get("covered") or {}
-    loaded.covered_ports = {int(p) for p in covered.get("ports", ())}
-    loaded.covered_tasks = {str(t) for t in covered.get("tasks", ())}
-    loaded.expected_realms = {str(t) for t in covered.get("realms", ())}
-    for handle_str, fps in (covered.get("port_labels") or {}).items():
-        digests = loaded.port_labels.setdefault(int(handle_str), set())
-        for fp in fps:
-            got = pool.get(fp)
-            if got is None:
-                raise ProofError(f"port_labels references unknown label {fp!r}")
-            digests.add(got.digest())
-    for record in doc.get("delivers", ()):
+    loaded.topology_name = str(_section(doc, "topology", dict).get("name", ""))
+    loaded.stats = dict(_section(doc, "stats", dict))
+    for record in _records(doc, "delivers"):
         es, pl, qr = label(record, "es"), label(record, "pl"), label(record, "qr")
         v, dr = label(record, "v"), label(record, "dr")
         qs, ds = label(record, "qs"), label(record, "ds")
@@ -381,27 +331,9 @@ def load_proofs(
         except (KeyError, TypeError, ValueError) as err:
             raise ProofError(f"malformed deliver record: {err}") from err
         loaded.deliver[stub_key(port, delivery_keys(es, pl, qr, v, dr, qs, ds))] = DeliverStub(
-            edge=str(record.get("edge", "")),
-            sender=str(record.get("sender", "")),
-            receiver=str(record.get("receiver", "")),
-            port=port,
-            new_qs_core=label(record, "new_qs_core"),
-            new_qr_core=label(record, "new_qr_core"),
+            label(record, "new_qs_core"), label(record, "new_qr_core")
         )
-        receiver_cores = loaded.assumed_cores.setdefault(
-            str(record.get("receiver", "")), set()
-        )
-        receiver_cores.add(qs.core_digest())
-        receiver_cores.add(qr.core_digest())
-        loaded.port_labels.setdefault(port, set()).add(pl.digest())
-    for record in doc.get("sends", ()):
+    for record in _records(doc, "sends"):
         ps, cs = label(record, "ps"), label(record, "cs")
-        loaded.send[raise_key(ps, cs)] = SendStub(
-            edge=str(record.get("edge", "")),
-            sender=str(record.get("sender", "")),
-            es_core=label(record, "es_core"),
-        )
-        loaded.assumed_cores.setdefault(
-            str(record.get("sender", "")), set()
-        ).add(ps.core_digest())
+        loaded.send[raise_key(ps, cs)] = SendStub(label(record, "es_core"))
     return loaded

@@ -93,10 +93,12 @@ def run(args: argparse.Namespace) -> int:
             lines.extend(v.format() for v in sanitizer.violations)
         return "\n".join(lines)
 
+    flows = site.kernel.flow_table
     doc = {
         "alice": alice,
         "bob": bob,
         "drops": {"label-check": drops},
+        "elide": flows.counters() if flows is not None else None,
         "sanitized": sanitizer is not None,
         "sanitizer_violations": violations,
     }

@@ -18,15 +18,11 @@ the document's claimed cores with the cores of what Figure 4 computed,
 and a mismatch — or a claimed delivery that drops — quarantines the
 whole table for the rest of the run.  So a bad proof can cost bill
 accuracy, never a label, and keys are value digests, so a proof compiled
-for a different world simply never hits.
-
-The epoch keeps the bill honest across events that stale the proofs'
-worldview — a covered port's label rewritten, a covered port passed
-between tasks, a covered task's ⋆-free label core leaving the proof's
-assumed set, an EP checkpoint by a covered task the proofs did not
-expect to be a realm: each bumps it, which quarantines the table for
-this run (a fresh load resets).  Per-connection churn (new handles, new
-ports, EP activations on expected realms) deliberately does not bump.
+for a different world simply never hits.  Nothing else about the run
+concerns the table: a relabel, a port passage or a new realm that leaves
+the proven values changes the operand digests, and the next probe
+misses; one that lands on proven values hits a key whose claim is
+already confirmed, and the bill is the same math (DESIGN.md §15.3).
 
 Consecutive probes with the same stub key are counted as a batch
 (``batch_drains``, ``batched_messages``): the streak a kernel could
@@ -35,7 +31,7 @@ amortize into one probe.  Billing is per message either way.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from repro.analysis.proofs import LoadedProofs, load_proofs, stub_key
 from repro.core import labelops
@@ -52,22 +48,20 @@ OPS_PER_SEND = 1
 
 
 class VerifiedFlowTable:
-    """Loaded proofs plus runtime state (epoch, counters, batch streak)."""
+    """Loaded proofs plus runtime state (counters, batch streak)."""
 
     def __init__(self, proofs: LoadedProofs) -> None:
         self.proofs = proofs
         self.valid = True
-        self.epoch = 0
         self.deliver_hits = 0
         self.send_hits = 0
         self.misses = 0
         self.ops_elided = 0
-        self.invalidations = 0
         self.quarantines = 0
         self.batch_drains = 0
         self.batched_messages = 0
         self.first_use_checks = 0
-        self.invalidation_reasons: List[str] = []
+        self.quarantine_reason: Optional[str] = None
         self._seen_keys: Set[int] = set()
         self._last_key: Optional[int] = None
         self._streak = 0
@@ -140,10 +134,12 @@ class VerifiedFlowTable:
         key = raise_key(ps, cs)
         stub = self.proofs.send.get(key)
         if stub is None:
+            self.misses += 1
             return None
         es = labelops.raise_receive(ps, cs)
         if not self._confirmed(key, (es,), (stub.es_core,)):
             self.quarantine("send stub diverged from its claim")
+            self.misses += 1
             return None
         self.send_hits += 1
         self.ops_elided += OPS_PER_SEND
@@ -163,98 +159,24 @@ class VerifiedFlowTable:
         self.first_use_checks += 1
         return all(g.core_digest() == c.digest() for g, c in zip(got, claimed))
 
-    # -- invalidation -------------------------------------------------------
-
-    def invalidate(self, reason: str) -> None:
-        """System-level invalidating event: quarantine the whole table.
-
-        Bumping the epoch also ends any streak of same-key probes.
-        """
-        self.epoch += 1
-        self.invalidations += 1
-        if len(self.invalidation_reasons) < 32:
-            self.invalidation_reasons.append(reason)
-        self.valid = False
-        self._last_key = None
-        self._streak = 0
-
     def quarantine(self, reason: str) -> None:
-        """A stub's claim failed its first-use check: stop billing stubs."""
+        """A stub's claim failed its first-use check: stop billing stubs
+        for the rest of the run (a fresh load resets)."""
         self.quarantines += 1
-        self.invalidate(f"quarantine: {reason}")
-
-    # -- invalidation events ------------------------------------------------
-    # The kernel reports what happened; whether it stales the proofs'
-    # worldview is decided here, beside the epoch it bumps.  All four are
-    # no-ops once the table is invalid.  A port dying is deliberately not
-    # an event: handle values never repeat within a boot (the allocator is
-    # a cipher over a monotonic counter), so no future delivery can probe
-    # a dead port's stubs — the edge simply stops being exercised.
-
-    def port_passed(self, handle: int) -> None:
-        """A port's receive rights left their owner with a message: a
-        covered port changing hands is a topology change the proofs
-        assumed away."""
-        if self.valid and handle in self.proofs.covered_ports:
-            self.invalidate(f"port passage {handle:#x}")
-
-    def port_relabelled(self, handle: int, label: ChunkedLabel) -> None:
-        """``set_port_label``.  Rewriting a covered port's label *outside
-        the values the proofs assumed* invalidates them; rewriting it to
-        an assumed value (boot-time bring-up replaying the recorded
-        world) is exactly what the proofs describe and keeps them."""
-        if not self.valid or handle not in self.proofs.covered_ports:
-            return
-        if label.digest() not in self.proofs.port_labels.get(handle, ()):
-            self.invalidate(f"set_port_label {handle:#x}")
-
-    def task_relabelled(
-        self,
-        name: str,
-        old_qs: ChunkedLabel,
-        old_qr: ChunkedLabel,
-        new_qs: ChunkedLabel,
-        new_qr: ChunkedLabel,
-    ) -> None:
-        """A committed ``change_label``.  Proofs only assumed the label
-        values the exploration saw; a covered task writing its labels
-        *outside* that set is an invalidating event (writes inside it —
-        e.g. reasserting the fixed point — are exactly what the proofs
-        describe)."""
-        if not self.valid or name not in self.proofs.covered_tasks:
-            return
-        assumed = self.proofs.assumed_cores.get(name, ())
-        if any(
-            old.core_digest() in assumed and new.core_digest() not in assumed
-            for old, new in ((old_qs, new_qs), (old_qr, new_qr))
-        ):
-            self.invalidate(f"change_label {name}")
-
-    def realm_created(self, name: str) -> None:
-        """``ep_checkpoint``.  A covered task becoming an EP realm the
-        proofs did not observe is a topology change; realms the proofs
-        expected (their fork-marked ports) are the normal EP mechanism
-        and do not bump."""
-        if (
-            self.valid
-            and name in self.proofs.covered_tasks
-            and name not in self.proofs.expected_realms
-        ):
-            self.invalidate(f"ep_checkpoint {name}")
+        self.quarantine_reason = reason
+        self.valid = False
 
     # -- reporting ----------------------------------------------------------
 
     def counters(self) -> Dict[str, Any]:
         return {
             "valid": self.valid,
-            "epoch": self.epoch,
             "deliver_stubs": len(self.proofs.deliver),
             "send_stubs": len(self.proofs.send),
             "deliver_hits": self.deliver_hits,
             "send_hits": self.send_hits,
             "misses": self.misses,
             "ops_elided": self.ops_elided,
-            "invalidations": self.invalidations,
             "quarantines": self.quarantines,
             "batch_drains": self.batch_drains,
             "batched_messages": self.batched_messages,

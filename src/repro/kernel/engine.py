@@ -184,9 +184,8 @@ class Figure4Engine:
     ) -> Verdict:
         ops = self.ops
         keys = _NO_KEYS
-        # Not *elidable*: transfer-bearing messages (receive-right passage
-        # is a topology change the proofs cannot speak to) and cross-shard
-        # ingress (proofs are per-shard; a peer's labels are re-checked).
+        # Not *elidable*: cross-shard ingress (proofs are per shard; a
+        # peer's labels are re-checked).
         if self.flows is not None and elidable:
             keys = delivery_keys(es, pl, qr, v, dr, qs, ds)
             hit = self.flows.plan_deliver(port, es, pl, qr, v, dr, qs, ds, keys)

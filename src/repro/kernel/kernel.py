@@ -691,8 +691,6 @@ class Kernel:
             if handle not in task.owned_ports:
                 raise NotOwner(f"transfer of unowned port {handle:#x}")
         for handle in transfer:
-            if self.flow_table is not None:
-                self.flow_table.port_passed(handle)
             task.owned_ports.discard(handle)
             task.ready_ports.discard(handle)
             entry = self.ports.get(handle)
@@ -786,7 +784,7 @@ class Kernel:
         return True, or record the drop and return False."""
         stats = OpStats()
         # Decided on the labels as they stand before the effects; proofs
-        # may not speak for receive-right passage or cross-shard ingress.
+        # are per shard, so they may not speak for cross-shard ingress.
         qs, qr = task.send_label, task.receive_label
         drop, new_qs, new_qr, work = self.engine.deliver(
             entry.handle,
@@ -798,7 +796,7 @@ class Kernel:
             qs,
             qr,
             stats,
-            not (qmsg.transfer or qmsg.external),
+            not qmsg.external,
             qmsg.sender_name,
             task.name,
         )
@@ -858,7 +856,7 @@ class Kernel:
         elide = self.metrics.scope("kernel.elide")
         elide.mirror("deliver_stub_hits", self.flow_table, "deliver_hits")
         elide.mirror("send_stub_hits", self.flow_table, "send_hits")
-        for name in ("invalidations", "batch_drains", "batched_messages"):
+        for name in ("batch_drains", "batched_messages"):
             elide.mirror(name, self.flow_table, name)
 
     # -- recv --------------------------------------------------------------------------------
@@ -993,8 +991,6 @@ class Kernel:
             raise NotOwner(f"set_port_label: port {request.port:#x} not owned")
         # Unlike new_port, the input is used verbatim (Section 5.5).
         entry.label = ChunkedLabel.from_label(request.label)
-        if self.flow_table is not None:
-            self.flow_table.port_relabelled(request.port, entry.label)
         if self.hooks:
             self._hook("on_port_touch", task, request.port)
         task.pending = True
@@ -1076,10 +1072,6 @@ class Kernel:
                 recv = new
         finally:
             self._bill(stats)
-        if self.flow_table is not None:
-            self.flow_table.task_relabelled(
-                task.name, task.send_label, task.receive_label, send, recv
-            )
         task.send_label, task.receive_label = send, recv
         if self.hooks:
             self._hook("on_change_label", task, request)
@@ -1098,8 +1090,6 @@ class Kernel:
             raise SimulationError("ep_checkpoint from inside an event process")
         if task.event_body is not None:
             raise SimulationError("ep_checkpoint called twice")
-        if self.flow_table is not None:
-            self.flow_table.realm_created(task.name)
         task.event_body = request.event_body
         task.state = TaskState.EP_REALM
         task.gen = None  # the base process never runs again (Section 6.1)

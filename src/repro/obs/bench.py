@@ -345,7 +345,7 @@ def _elision_speedup(sessions: int) -> Dict[str, Any]:
                     name: counters.get(name)
                     for name in (
                         "valid", "deliver_hits", "send_hits", "misses",
-                        "batch_drains", "batched_messages", "invalidations", "quarantines",
+                        "batch_drains", "batched_messages", "quarantines",
                     )
                 }
     finally:
@@ -390,8 +390,8 @@ def run_fig7(quick: bool, sweep) -> Dict[str, Any]:
 
     # Warm-window speedups of the interned-label fast path (DESIGN.md
     # §11) and of proof-guided check elision (§15), guarded like any other
-    # series: a change to a hit rate, the fast-path billing or the
-    # invalidation scoping fails CI.  The full run shows the paper-scale
+    # series: a change to a hit rate, the fast-path billing or the stub
+    # keys fails CI.  The full run shows the paper-scale
     # wins (≥ 1.15x and ≥ 1.5x at 3000 cached sessions).
     warm = grid[-1] if quick else WARM_SESSIONS
     speed = _interning_speedup(warm)

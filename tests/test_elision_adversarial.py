@@ -15,10 +15,12 @@ attacks each layer:
   quarantining the whole table, with every label equal to the plain run;
 * a proof compiled for a different topology never hits wrongly: it can
   only miss, or hit on genuinely identical label values;
-* the in-simulation invalidation hooks — a covered port's label being
-  rewritten outside the assumed set, a covered port passed in a message
-  — bump the epoch from inside the machine, after which no stub hits
-  land and the plain bill takes over.
+* the run leaving the recorded world — a port relabelled, a label
+  written outside the proven values, an unrecorded EP realm, a port's
+  receive rights passed on — is billed by value: probes on the new
+  values miss, probes that land on proven values hit keys whose claims
+  were already confirmed, and everything observable equals a plain
+  kernel's.  The table never quarantines for it.
 """
 
 import json
@@ -29,6 +31,7 @@ import pytest
 
 from repro.analysis.extract import TopologyRecorder
 from repro.analysis.proofs import ProofError, _Pool, compile_proofs, load_proofs, write_proofs
+from repro.cli import main
 from repro.core.chunks import ChunkedLabel
 from repro.core.interning import InternTable
 from repro.core.labels import Label
@@ -121,6 +124,51 @@ def test_unknown_schema_is_rejected_at_load():
         load_proofs(dict(doc, schema="proofs/v999"), InternTable())
 
 
+@pytest.fixture(scope="module")
+def echo_proofs():
+    return _compile_echo_proofs(3)
+
+
+def _unhashable_ps(doc):
+    doc["sends"][0]["ps"] = [doc["sends"][0]["ps"]]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda doc: doc.update(delivers=[1]),
+        lambda doc: doc.update(delivers=5),
+        _unhashable_ps,
+        lambda doc: doc.update(topology=[1]),
+        lambda doc: doc.update(stats=[1]),
+    ],
+    ids=["deliver-record-not-object", "delivers-not-array", "ps-is-a-list",
+         "topology-not-object", "stats-not-object"],
+)
+def test_mis_shaped_records_fail_closed_at_load(echo_proofs, tamper):
+    doc = json.loads(json.dumps(echo_proofs))
+    tamper(doc)
+    with pytest.raises(ProofError):
+        load_proofs(doc, InternTable())
+
+
+def test_a_document_carrying_a_worldview_loads_to_the_same_stubs(echo_proofs):
+    # Older documents also recorded the ports, tasks, realms and port
+    # labels the proofs assumed, and a topology fingerprint; the loader
+    # ignores both.
+    older = json.loads(json.dumps(echo_proofs))
+    older["topology"]["fingerprint"] = "0" * 32
+    older["covered"] = {
+        "ports": sorted({r["port"] for r in older["delivers"]}),
+        "tasks": sorted({r["sender"] for r in older["sends"]}),
+        "realms": [],
+        "port_labels": {str(r["port"]): [r["pl"]] for r in older["delivers"]},
+    }
+    new, old = load_proofs(echo_proofs, InternTable()), load_proofs(older, InternTable())
+    assert set(old.deliver) == set(new.deliver) and set(old.send) == set(new.send)
+    assert (old.topology_name, old.stats) == (new.topology_name, new.stats)
+
+
 # -- corrupted effect deltas: caught on first use, never in a label ----------------
 
 
@@ -166,7 +214,7 @@ def test_corrupted_effect_delta_quarantines_on_first_elided_use():
     assert table.quarantines == 1
     assert table.deliver_hits == 0
     assert table.valid is False
-    assert any("quarantine" in r for r in table.invalidation_reasons)
+    assert "diverged from its claim" in table.quarantine_reason
     assert kernel.sanitizer.violations == []
     assert len(payloads) == 6 * 4
     _assert_plain_labels(kernel, payloads, 6)
@@ -200,7 +248,7 @@ def test_wrong_topology_proofs_never_corrupt_the_replay():
     assert elided_kernel.flow_table.quarantines == 0
 
 
-# -- stale proofs: epoch bump stops elision, full path takes over -------------------
+# -- a quarantined table stops eliding, the full path takes over ------------------
 
 
 def test_stale_proofs_stop_eliding_and_fail_closed():
@@ -216,9 +264,9 @@ def test_stale_proofs_stop_eliding_and_fail_closed():
         )
         site = build_echo_site(4, config=config)
         table = site.kernel.flow_table
-        table.invalidate("simulated staleness")
+        table.quarantine("simulated staleness")
         # Boot bring-up may have hit send stubs already; the point is
-        # that nothing elides *after* the proofs go stale.
+        # that nothing elides *after* the table is quarantined.
         hits_at_staleness = table.deliver_hits + table.send_hits
         client = HttpClient(site)
         payloads = []
@@ -227,13 +275,13 @@ def test_stale_proofs_stop_eliding_and_fail_closed():
                 r.payload for r in client.run_batch(_requests(4), concurrency=4)
             )
     assert table.valid is False
-    assert table.epoch == 1
+    assert table.quarantines == 1
     assert table.deliver_hits + table.send_hits == hits_at_staleness
     assert table.deliver_hits == 0  # no delivery ever elided
     assert len(payloads) == 12  # every connection served by the full path
 
 
-# -- in-simulation invalidation hooks ----------------------------------------------
+# -- leaving the recorded world is billed by value ---------------------------------
 
 
 def _pingpong_scenario(kernel, n_messages, twist=None):
@@ -316,7 +364,7 @@ def test_pingpong_baseline_elides_without_invalidating():
     assert srv.env["got"] == [f"m{i}" for i in range(8)]
     assert table.valid is True
     assert table.deliver_hits > 0
-    assert table.invalidations == 0
+    assert table.quarantines == 0
 
 
 def _rewrite_port_label(inbox, _helper):
@@ -337,62 +385,108 @@ def _become_realm(_inbox, _helper):
     yield EpCheckpoint(event_body)
 
 
-def _assert_twist_invalidates(twist, reason, arrived=8):
+def _pass_inbox(inbox, helper):
+    # Hand the inbox's receive rights to the helper; the recorded run
+    # never passed a port.
+    yield Send(helper.env["inbox"], {"moved": inbox}, transfer=(inbox,))
+    return True
+
+
+def _twist_run(config, twist, at_twist=None):
+    """The ping-pong scenario on a kernel built from *config*; *at_twist*
+    (if given) gets the kernel just before the twist runs."""
+    kernel = Kernel(config=config)
+
+    def twisted(inbox, helper):
+        if at_twist is not None:
+            at_twist(kernel)
+        return (yield from twist(inbox, helper))
+
+    srv, helper = _pingpong_scenario(kernel, 8, twist=twisted)
+    return kernel, srv, helper
+
+
+def _assert_twist_billed_by_value(twist, arrived=8, helper_got=()):
     doc = _pingpong_proofs(8)
+    seen_at_twist = {}
+
+    def snapshot(kernel):
+        table = kernel.flow_table
+        seen_at_twist.update(
+            hits=table.deliver_hits + table.send_hits,
+            first_use_checks=table.first_use_checks,
+            keys=set(table._seen_keys),
+        )
+
     with tempfile.TemporaryDirectory(prefix="repro-elide-adv-") as scratch:
         path = os.path.join(scratch, "proofs.json")
         write_proofs(doc, path)
-        kernel, srv, _ = _elided_pingpong(path, 8, twist=twist)
+        config = KernelConfig(intern_labels=True, elide_checks=True, proof_path=path)
+        kernel, srv, helper = _twist_run(config, twist, snapshot)
+    plain, plain_srv, plain_helper = _twist_run(KernelConfig(), twist)
     table = kernel.flow_table
-    # The twist is a real in-simulation event by a covered task that the
-    # proofs never assumed: the flow table must bump the epoch and record
-    # why, and messages must still arrive via the full checked path.
-    assert srv.env["got"] == [f"m{i}" for i in range(arrived)]
-    assert table.valid is False
-    assert table.invalidations == 1
-    assert [r.split()[0] for r in table.invalidation_reasons] == [reason]
+    # The twist is a real in-simulation event the proofs never recorded.
+    # It concerns the bill only through the values it leaves behind: no
+    # quarantine, and nothing observable differs from a plain kernel.
+    assert table.valid is True
     assert table.quarantines == 0
+    assert srv.env["got"] == plain_srv.env["got"] == [f"m{i}" for i in range(arrived)]
+    assert helper.env["got"] == plain_helper.env["got"] == list(helper_got)
+    assert kernel.drop_log.records == plain.drop_log.records
+    for key, task in plain.tasks.items():
+        assert task.send_label.to_label() == kernel.tasks[key].send_label.to_label(), key
+        assert task.receive_label.to_label() == kernel.tasks[key].receive_label.to_label(), key
+    for handle, entry in plain.ports.items():
+        assert entry.label.to_label() == kernel.ports[handle].label.to_label(), handle
+    # Every hit is on a key already first-use-checked: whatever hits after
+    # the twist landed on proven values whose claims were confirmed before.
+    assert seen_at_twist["hits"] > 0
+    assert table.first_use_checks == seen_at_twist["first_use_checks"]
+    assert table._seen_keys == seen_at_twist["keys"]
+    return table, seen_at_twist["hits"]
 
 
-def test_port_label_rewrite_outside_assumed_set_invalidates():
-    _assert_twist_invalidates(_rewrite_port_label, "set_port_label")
+def test_port_label_rewrite_is_billed_by_value():
+    table, _ = _assert_twist_billed_by_value(_rewrite_port_label)
+    assert table.misses > 0  # the rewritten pR names no proven value
 
 
-def test_labels_leaving_the_assumed_set_invalidate():
-    _assert_twist_invalidates(_leave_assumed_labels, "change_label")
+def test_labels_leaving_the_proven_values_are_billed_by_value():
+    table, _ = _assert_twist_billed_by_value(_leave_assumed_labels)
+    assert table.misses > 0  # the new QS names no proven value
 
 
-def test_unexpected_realm_invalidates():
+def test_unrecorded_realm_is_billed_by_value():
     # Messages already queued on a base port at the checkpoint wait for
     # the next arrival there (ready_realm_ports only learns of traffic
     # that comes after); the client is done by then.
-    _assert_twist_invalidates(_become_realm, "ep_checkpoint", arrived=2)
+    _assert_twist_billed_by_value(_become_realm, arrived=2)
 
 
-def test_covered_port_passage_invalidates():
-    doc = _pingpong_proofs(8)
-
-    with tempfile.TemporaryDirectory(prefix="repro-elide-adv-") as scratch:
-        path = os.path.join(scratch, "proofs.json")
-        write_proofs(doc, path)
-        kernel = Kernel(
-            config=KernelConfig(
-                intern_labels=True, elide_checks=True, proof_path=path
-            )
-        )
-        def passage(inbox, helper):
-            # Hand the covered inbox's receive rights to the helper; the
-            # proofs assumed the server owned it forever.
-            yield Send(helper.env["inbox"], {"moved": inbox}, transfer=(inbox,))
-            return True
-
-        srv, helper = _pingpong_scenario(kernel, 8, twist=passage)
-    table = kernel.flow_table
+def test_port_passage_is_billed_by_value():
     # The server saw the first two messages; after the passage the helper
-    # drained the rest — nothing was lost, nothing was elided unsoundly.
-    assert srv.env["got"] == ["m0", "m1"]
-    assert helper.env["got"] == [f"m{i}" for i in range(2, 8)]
-    assert table.valid is False
-    assert table.invalidations == 1
-    assert any("port passage" in r for r in table.invalidation_reasons)
-    assert table.quarantines == 0
+    # drained the rest, on the same proven values: its deliveries hit.
+    table, hits_at_twist = _assert_twist_billed_by_value(
+        _pass_inbox, arrived=2, helper_got=[f"m{i}" for i in range(2, 8)]
+    )
+    assert table.deliver_hits + table.send_hits > hits_at_twist
+
+
+def test_readme_demo_keeps_billing_through_netd_relabels(tmp_path, monkeypatch, capsys):
+    # README's quickstart, through the CLI: compile proofs from the live
+    # OKWS wiring, then run the demo on them.  netd's ADD_TAINT relabel
+    # of alice's connection port (step 41) leaves the recorded values;
+    # while such an event quarantined the table, this run billed
+    # 16 deliver + 33 send hits after the same 10 first-use checks.
+    path = str(tmp_path / "proofs.json")
+    assert main(["check", "--okws", "--emit-proofs", path]) == 0
+    monkeypatch.setenv("REPRO_ELIDE", "1")
+    monkeypatch.setenv("REPRO_PROOFS", path)
+    capsys.readouterr()
+    assert main(["run", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["alice"] == ["alice note"] and report["bob"] == ["bob note"]
+    elide = report["elide"]
+    assert elide["valid"] is True and elide["quarantines"] == 0
+    assert (elide["deliver_hits"], elide["send_hits"]) == (24, 65)
+    assert elide["first_use_checks"] == 10

@@ -4,7 +4,7 @@ A batch is a streak of consecutive deliveries with the same stub key
 (DESIGN.md §15): ``batch_drains`` / ``batched_messages`` count what a
 kernel could amortize into one probe.  There is no batched code path,
 so billing is per message; these tests pin the counters at the table
-level and that an invalidation arriving mid-batch splits the batch and
+level and that a quarantine arriving mid-batch splits the batch and
 stops stub billing without losing a message or moving a label.
 """
 
@@ -83,7 +83,7 @@ def test_mid_batch_invalidation_splits_the_batch_and_falls_back():
         def hook(*args):
             calls["n"] += 1
             if calls["n"] == split_after:
-                table.invalidate("mid-batch test event")
+                table.quarantine("mid-batch test event")
             return orig(*args)
 
         table.plan_deliver = hook
@@ -100,11 +100,11 @@ def test_mid_batch_invalidation_splits_the_batch_and_falls_back():
             for r in plain_client.run_batch(_requests(), concurrency=CONCURRENCY)
         )
     table = split_kernel.flow_table
-    # The invalidation split the stream: whatever was elided before it
+    # The quarantine split the stream: whatever was elided before it
     # stays elided, everything after takes the full checked path — and
     # the result is still bit-identical to the never-elided kernel.
     assert table.valid is False
-    assert table.invalidations == 1
+    assert table.quarantines == 1
     _assert_observationally_identical(
         split_kernel, split_payloads, plain_site.kernel, plain_payloads
     )
@@ -113,7 +113,7 @@ def test_mid_batch_invalidation_splits_the_batch_and_falls_back():
 def test_streak_counters_and_epoch_split_at_the_table_level():
     """Drive the streak machinery directly with live operands captured
     from a real run: N identical probes form one drain, the counters add
-    up, and an epoch bump ends the streak immediately."""
+    up, and a quarantine ends the streak immediately."""
     captured = []
 
     def capture(kernel):
@@ -151,7 +151,7 @@ def test_streak_counters_and_epoch_split_at_the_table_level():
     # Every probe returns Figure 4's labels for its operands.
     for hit in rest:
         assert [label.to_label() for label in hit] == [label.to_label() for label in first]
-    # An invalidation mid-streak ends it: the same operands no longer hit.
-    table.invalidate("epoch split")
+    # A quarantine mid-streak ends it: the same operands no longer hit.
+    table.quarantine("streak split")
     assert table.plan_deliver(*args) is None
     assert table.deliver_hits == hits0 + 5

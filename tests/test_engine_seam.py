@@ -61,13 +61,12 @@ def _proven(ps, cs, es, ds, v, dr, pl, qs, qr):
     for exactly this send and (when the spec allows it) this delivery."""
     proofs = LoadedProofs()
     proofs.send[raise_key(_c(ps), _c(cs))] = SendStub(
-        "e", "tx", lo.raise_receive(_c(ps), _c(cs)).without_stars()
+        lo.raise_receive(_c(ps), _c(cs)).without_stars()
     )
     ops = [_c(x) for x in (es, pl, qr, v, dr, qs, ds)]
     if _spec(es, ds, v, dr, pl, qs, qr)[0] is None:
         if not check_key(_c(es), _c(qr), _c(dr), _c(v), _c(pl))[1]:  # T4: never compiled
             proofs.deliver[stub_key(PORT, delivery_keys(*ops))] = DeliverStub(
-                "e", "tx", "rx", PORT,
                 lo.apply_send_effects(_c(qs), _c(es), _c(ds)).without_stars(),
                 lo.raise_receive(_c(qr), _c(dr)).without_stars(),
             )
@@ -136,11 +135,11 @@ def test_elided_engine_hits_its_stubs_and_honours_elidable():
     assert first.stub and again.stub
     assert flows.first_use_checks == 1  # the claim is checked once per key
     assert first.check is first.effects is first.raised is None
-    # Receive-right passage and cross-shard ingress take the checked path.
+    # Cross-shard ingress takes the checked path.
     checked = engine.deliver(PORT, *args, OpStats(), False).work
     assert not checked.stub and checked.check is not None
     assert engine.send_join(_c(ps), _c(cs), OpStats())[1].stub
-    flows.invalidate("test")  # a quarantined table answers nothing
+    flows.quarantine("test")  # a quarantined table answers nothing
     assert not engine.deliver(PORT, *args, OpStats()).work.stub
     assert not engine.send_join(_c(ps), _c(cs), OpStats())[1].stub
 
@@ -333,10 +332,8 @@ def test_mirrored_metrics_track_counters_when_a_run_ends_on_a_miss():
     assert counters["misses"] == 2 and cache["evictions"] > 0
     assert metrics["kernel.elide.deliver_stub_hits"] == counters["deliver_hits"] == 3
     assert metrics["kernel.elide.send_stub_hits"] == counters["send_hits"]
-    for name in ("invalidations", "batch_drains", "batched_messages"):
+    for name in ("batch_drains", "batched_messages"):
         assert metrics[f"kernel.elide.{name}"] == counters[name], name
     for name in ("hits", "misses", "evictions"):
         assert metrics[f"kernel.labels.cache_{name}"] == cache[name], name
     assert metrics["kernel.ipc.delivered"] == 5
-    flows.quarantine("test")  # quarantines count as invalidations too
-    assert kernel.metrics.get("kernel.elide.invalidations") == flows.invalidations == 1

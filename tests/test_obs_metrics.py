@@ -188,7 +188,7 @@ def test_disabled_kernel_records_nothing():
 KERNEL_SERIES = sorted(
     [f"kernel.elide.{n}" for n in (
         "batch_drains", "batched_messages", "deliver_stub_hits",
-        "invalidations", "send_stub_hits")]
+        "send_stub_hits")]
     + [f"kernel.ipc.{n}" for n in (
         "delivered", "enqueued", "injected", "sends", "xshard_in", "xshard_out")]
     + [f"kernel.ipc.drops.{r}" for r in (
