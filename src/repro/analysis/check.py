@@ -34,7 +34,9 @@ Two observations tame it:
    so they can only *enable* later deliveries — and they never change a
    watched handle's level anywhere.  Saturation therefore preserves
    every watched violation and every edge's deliverability.  Changes at
-   watched handles, and all contamination raises, still branch.
+   watched handles, and all contamination raises, still branch.  A
+   closure re-fires only the edges a step can have moved
+   (:meth:`Exploration._closure`).
 2. *Per-handle decomposition.*  The delivery effects are pointwise per
    handle, so a policy about handle ``h`` only needs the ``h``-projection
    of the state graph — which an exploration with ``watched = {h}``
@@ -148,8 +150,17 @@ class Engine:
                 )
             )
         self.edges_by_sender: List[List[_Edge]] = [[] for _ in self.proc_names]
+        # Per process, as bitmasks over edge indices, the edges whose firing
+        # reads its QS (as the sender's PS or the receiver's QS) and its QR
+        # (as the receiver's QR): the edges a change to that label can move.
+        self.qs_readers: List[int] = [0] * len(self.proc_names)
+        self.qr_readers: List[int] = [0] * len(self.proc_names)
         for edge in self.edges:
             self.edges_by_sender[edge.s_idx].append(edge)
+            bit = 1 << edge.idx
+            self.qs_readers[edge.s_idx] |= bit
+            self.qs_readers[edge.r_idx] |= bit
+            self.qr_readers[edge.r_idx] |= bit
         init: List[int] = []
         for name in self.proc_names:
             spec = topology.processes[name]
@@ -303,6 +314,9 @@ def lowers_only_unwatched(a: ChunkedLabel, b: ChunkedLabel, watched: Set[int]) -
 class Exploration:
     """The reachable (reduced) state graph plus per-edge liveness."""
 
+    #: A closure stops at the first pass boundary with this many steps taken.
+    CLOSURE_CAP = 10_000
+
     def __init__(self, engine: Engine, watched: Set[int], exact: bool, max_states: int):
         self.engine = engine
         self.watched = watched
@@ -316,6 +330,14 @@ class Exploration:
         self.edge_last_drop: List[Optional[str]] = [None] * len(engine.edges)
         self.transitions = 0
         self.truncated = False
+        #: Edge firings evaluated, memo hits included: what a run costs.
+        self.edge_evaluations = 0
+        #: state id → whether its closure converged, i.e. no edge steps from it.
+        self._fixpoint: List[bool] = []
+        #: The popped state's drop reason per edge (None: delivered), and the
+        #: edges whose ``edge_last_drop`` slot a closure moved off it since.
+        self._base: List[Optional[str]] = [None] * len(engine.edges)
+        self._stale: Set[int] = set()
         self._qs_eager_memo: Dict[Tuple[int, int], bool] = {}
         self._run()
 
@@ -344,6 +366,7 @@ class Exploration:
         return got
 
     def _fire(self, state: State, edge: _Edge) -> Firing:
+        self.edge_evaluations += 1
         firing = self.engine.fire(state, edge)
         if firing.delivered:
             self.edge_delivered[edge.idx] = True
@@ -351,35 +374,105 @@ class Exploration:
             self.edge_last_drop[edge.idx] = firing.drop
         return firing
 
-    def _closure(self, state: State) -> Tuple[State, Tuple[int, ...]]:
+    def _closure(
+        self, state: State, dirty: int, fired: int
+    ) -> Tuple[State, Tuple[int, ...], bool]:
+        """Saturate *state* with eager steps.  Returns the state, the edge
+        indices stepped, and whether the closure converged (it stops at the
+        first pass boundary past :attr:`CLOSURE_CAP` steps otherwise).
+
+        The steps are those of passes over every edge in index order,
+        repeated while a pass steps, but only edges that can have moved are
+        fired.  A firing and its eager verdict read only (edge, sender PS,
+        receiver QS, receiver QR), the keys of both memos, so a step that
+        changes process ``r``'s QS can move only ``qs_readers[r]``, and one
+        that changes only its QR only ``qr_readers[r]``.  Those edges are
+        dirtied: one above the stepping edge's index fires later in this
+        pass, one at or below it (the edge itself included) in the next,
+        exactly where a full pass would next find it changed.  An edge no
+        step dirtied would fire on the same key as last time, and so not
+        step.  *dirty* is every edge for the initial state and below a
+        capped closure; for a successor of a converged state (a fixpoint),
+        it is the edges the BFS step on edge *fired* dirtied.
+
+        Liveness slots.  A skipped firing repeats the outcome of one that
+        ran, so ``edge_delivered`` (set once) never differs.  Nor does
+        ``edge_last_drop`` (the last drop written), with one exception: the
+        first pass of a successor's closure, where a full pass re-fires
+        every edge ``e`` on the popped state's key and so rewrites its drop
+        ``_base[e]`` over whatever an earlier sibling's closure wrote.  So a
+        drop that moves the slot of an ``e <= fired`` off ``_base[e]`` marks
+        ``e`` stale, and the first pass ends by restoring every stale edge
+        it did not fire.  (An ``e > fired`` the BFS loop fires itself,
+        later.)"""
         if self.exact:
-            return state, ()
+            return state, (), True
+        engine = self.engine
+        edges, memo, eager_memo = engine.edges, engine._fire_memo, self._qs_eager_memo
+        qs_readers, qr_readers = engine.qs_readers, engine.qr_readers
+        delivered, last_drop = self.edge_delivered, self.edge_last_drop
+        base, stale = self._base, self._stale
         steps: List[int] = []
-        progress = True
-        while progress and len(steps) < 10_000:
-            progress = False
-            for edge in self.engine.edges:
-                firing = self._fire(state, edge)
-                if not firing.delivered:
-                    continue
+        current, following = dirty, 0
+        walked = dirty  # every edge a pass took up; read after the first
+        first_pass = True
+        evaluations = 0
+        while True:
+            while current:
+                low = current & -current
+                current ^= low
+                idx = low.bit_length() - 1
+                edge = edges[idx]
                 r = edge.r_idx
                 qs_old, qr_old = state[2 * r], state[2 * r + 1]
-                if firing.new_qs == qs_old and firing.new_qr == qr_old:
+                evaluations += 1
+                firing = memo.get((idx, state[2 * edge.s_idx], qs_old, qr_old))
+                if firing is None:
+                    firing = engine.fire(state, edge)
+                if not firing.delivered:
+                    drop = last_drop[idx] = firing.drop
+                    if idx <= fired and base[idx] is not None:
+                        if drop == base[idx]:
+                            stale.discard(idx)
+                        else:
+                            stale.add(idx)
                     continue
-                # Receive-label raises are always enabling-only; the send
-                # label must change by unwatched grants alone.
-                if firing.new_qs != qs_old and not self._qs_change_eager(
-                    qs_old, firing.new_qs
-                ):
+                delivered[idx] = True
+                if firing.new_qs != qs_old:
+                    # Receive-label raises are always enabling-only; the send
+                    # label must change by unwatched grants alone.
+                    eager = eager_memo.get((qs_old, firing.new_qs))
+                    if eager is None:
+                        eager = self._qs_change_eager(qs_old, firing.new_qs)
+                    if not eager:
+                        continue
+                    moved = qs_readers[r]
+                elif firing.new_qr != qr_old:
+                    moved = qr_readers[r]
+                else:
                     continue
-                state = self.engine.apply(state, edge, firing)
-                steps.append(edge.idx)
-                progress = True
-        return state, tuple(steps)
+                state = engine.apply(state, edge, firing)
+                steps.append(idx)
+                later = moved & -(low << 1)  # the dirtied edges above idx
+                current |= later
+                following |= moved ^ later
+                walked |= later
+            if first_pass:
+                first_pass = False
+                for idx in [i for i in stale if not walked >> i & 1]:
+                    last_drop[idx] = base[idx]
+                    stale.discard(idx)
+            if not following or len(steps) >= self.CLOSURE_CAP:
+                break
+            current, following = following, 0
+        self.edge_evaluations += evaluations
+        return state, tuple(steps), not following
 
     # -- breadth-first search ------------------------------------------------
 
-    def _register(self, state: State, parent: int, steps: Tuple[int, ...]) -> Optional[int]:
+    def _register(
+        self, state: State, parent: int, steps: Tuple[int, ...], converged: bool
+    ) -> Optional[int]:
         if state in self.states:
             return None
         if len(self.states) >= self.max_states:
@@ -389,25 +482,37 @@ class Exploration:
         self.states[state] = sid
         self.order.append(state)
         self.parents.append((parent, steps))
+        self._fixpoint.append(converged)
         return sid
 
     def _run(self) -> None:
-        init, init_steps = self._closure(self.engine.initial)
-        self._register(init, -1, init_steps)
+        engine, base = self.engine, self._base
+        every = (1 << len(engine.edges)) - 1
+        init, init_steps, converged = self._closure(engine.initial, every, -1)
+        self._register(init, -1, init_steps, converged)
         queue = deque([0])
         while queue:
             sid = queue.popleft()
             state = self.order[sid]
-            for edge in self.engine.edges:
+            fixpoint = self._fixpoint[sid]
+            self._stale.clear()
+            for edge in engine.edges:
                 firing = self._fire(state, edge)
+                base[edge.idx] = firing.drop
                 if not firing.delivered:
                     continue
-                succ = self.engine.apply(state, edge, firing)
+                succ = engine.apply(state, edge, firing)
                 if succ == state:
                     continue
                 self.transitions += 1
-                succ, steps = self._closure(succ)
-                new_sid = self._register(succ, sid, (edge.idx,) + steps)
+                if fixpoint:
+                    # A step out of a fixpoint moves the receiver's QS: one
+                    # moving only its QR would have been an eager step.
+                    dirty = engine.qs_readers[edge.r_idx]
+                    succ, steps, converged = self._closure(succ, dirty, edge.idx)
+                else:
+                    succ, steps, converged = self._closure(succ, every, -1)
+                new_sid = self._register(succ, sid, (edge.idx,) + steps, converged)
                 if new_sid is not None:
                     queue.append(new_sid)
 

@@ -40,7 +40,7 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.db.engine import Database, Table
 from repro.faults.plan import FaultPlan, FaultRule
@@ -324,15 +324,55 @@ def _multisets(db: Database) -> Dict[str, Counter]:
     }
 
 
+#: What a recovery is diffed against: the reference's row multisets and
+#: the ifc-weakening violations the log's provenance already shows.
+Oracle = Tuple[Dict[str, Counter], List[Violation]]
+
+
+def prefix_oracle(prefix: bytes, label_check: bool = True) -> Oracle:
+    """The oracle for one crash image.  It reads only the image's complete
+    records: the committed-prefix reference, and — for the broken recovery,
+    which redoes everything — every write the committed, label-checked
+    semantics reject that declassifies or stores tainted data publicly
+    (IFC monotonicity by record provenance: recovery would give those rows
+    weaker taint than they were written with)."""
+    weakening: List[Violation] = []
+    if not label_check:
+        scanned = wal.scan(prefix)
+        committed = {r.tx for r in scanned.records if r.type == "commit"}
+        for record in scanned.records:
+            if record.type != "write":
+                continue
+            payload = record.payload
+            rejected = record.tx not in committed or policy_problem(payload)
+            if not rejected:
+                continue
+            weakens = payload["declass"] or (
+                payload["owner"] == PUBLIC_OWNER and payload["taint"] is not None
+            )
+            if weakens:
+                weakening.append(
+                    Violation(
+                        kind="ifc-weakening",
+                        table=payload["stmt"].get("table", "?"),
+                        detail=(
+                            f"tx {record.tx}: recovery applied a declassifying "
+                            "write the log never committed/label-checked"
+                        ),
+                    )
+                )
+    return _multisets(reference_state(prefix)), weakening
+
+
 def check_prefix(
-    prefix: bytes, label_check: bool = True
+    prefix: bytes, label_check: bool = True, expected: Optional[Oracle] = None
 ) -> List[Violation]:
     """Run the recovery under test on one crash image and diff it against
-    the oracle.  Returns the violations (empty = this point is safe)."""
+    the oracle (*expected*, or computed from *prefix*).  Returns the
+    violations (empty = this point is safe)."""
     recovered = replay_image(prefix, label_check=label_check)
-    reference = reference_state(prefix)
+    ref_sets, weakening = expected if expected is not None else prefix_oracle(prefix, label_check)
     violations: List[Violation] = []
-    ref_sets = _multisets(reference)
     rec_sets = _multisets(recovered.db)
     for table in sorted(set(ref_sets) | set(rec_sets)):
         ref_rows = ref_sets.get(table, Counter())
@@ -355,39 +395,33 @@ def check_prefix(
                     row=dict(key),
                 )
             )
-    # IFC monotonicity, by record provenance: every write the committed,
-    # label-checked semantics reject but naive redo applies is audited —
-    # if it declassifies or stores tainted data publicly, recovery gave
-    # rows weaker taint than they were written with.
-    if not label_check:
-        scanned = wal.scan(prefix)
-        committed = {r.tx for r in scanned.records if r.type == "commit"}
-        for record in scanned.records:
-            if record.type != "write":
-                continue
-            payload = record.payload
-            rejected = record.tx not in committed or policy_problem(payload)
-            if not rejected:
-                continue
-            weakens = payload["declass"] or (
-                payload["owner"] == PUBLIC_OWNER and payload["taint"] is not None
-            )
-            if weakens:
-                violations.append(
-                    Violation(
-                        kind="ifc-weakening",
-                        table=payload["stmt"].get("table", "?"),
-                        detail=(
-                            f"tx {record.tx}: recovery applied a declassifying "
-                            "write the log never committed/label-checked"
-                        ),
-                    )
-                )
+    violations.extend(weakening)
     violations.sort(key=lambda v: VIOLATION_KINDS.index(v.kind))
     return violations
 
 
 # -- sweep + minimization -----------------------------------------------------------
+
+
+def point_checker(data: bytes, label_check: bool = True) -> Callable[[CrashPoint], List[Violation]]:
+    """:func:`check_prefix` at crash points of *data*, with the oracle
+    computed once per record boundary.
+
+    A strict prefix of a well-framed ``wal/v1`` record never frames: its
+    header is short, or the length it gives runs past the end of the
+    image.  So the image at a torn point holds exactly the complete records
+    of the boundary ``offset - torn_bytes``, which is all the oracle reads.
+    The recovery under test, which is what the sweep checks, still runs on
+    every image."""
+    oracles: Dict[int, Oracle] = {}
+
+    def check(point: CrashPoint) -> List[Violation]:
+        boundary = point.offset - point.torn_bytes
+        if boundary not in oracles:
+            oracles[boundary] = prefix_oracle(data[:boundary], label_check)
+        return check_prefix(data[: point.offset], label_check, oracles[boundary])
+
+    return check
 
 
 def sweep(
@@ -399,22 +433,23 @@ def sweep(
     """Check every crash point of *data*; minimize and emit a replayable
     plan when any fails."""
     points = crash_points(data)
-    scanned = wal.scan(data)
     report = CrashcheckReport(
         workload=workload,
         wal_bytes=len(data),
-        records=len(scanned.records),
+        # Each record has points, the last record's carrying its index.
+        records=points[-1].at_io if points else 0,
         boot_records=boot_records,
         points=len(points),
         label_check=label_check,
     )
+    check = point_checker(data, label_check)
     for point in points:
-        violations = check_prefix(data[: point.offset], label_check=label_check)
+        violations = check(point)
         if violations:
             report.failures.append(PointResult(point, violations))
     if report.failures:
         report.minimized = minimize(
-            data, [f.point for f in report.failures], boot_records, label_check
+            data, [f.point for f in report.failures], boot_records, label_check, check
         )
         if report.minimized is not None:
             report.plan = counterexample_plan(
@@ -428,21 +463,24 @@ def minimize(
     failing: List[CrashPoint],
     boot_records: int = 0,
     label_check: bool = True,
+    check: Optional[Callable[[CrashPoint], List[Violation]]] = None,
 ) -> Optional[CrashPoint]:
     """Shrink to the cheapest *replayable* failing point.
 
     Candidates are ordered by (append index, torn bytes) and re-verified
-    one by one; the first that still reproduces wins.  Points inside the
-    boot prefix are excluded — a plan crashing the proxy mid-seeding
-    aborts the launch the replay needs — so the minimum is the earliest
-    workload-phase crash.  Falls back to the overall earliest failing
-    point when only boot-phase points fail."""
+    one by one (through *check*, a :func:`point_checker` of *data*); the
+    first that still reproduces wins.  Points inside the boot prefix are
+    excluded — a plan crashing the proxy mid-seeding aborts the launch the
+    replay needs — so the minimum is the earliest workload-phase crash.
+    Falls back to the overall earliest failing point when only boot-phase
+    points fail."""
+    check = check or point_checker(data, label_check)
     replayable = [p for p in failing if p.at_io > boot_records]
     candidates = sorted(
         replayable or failing, key=lambda p: (p.at_io, p.torn_bytes)
     )
     for point in candidates:
-        if check_prefix(data[: point.offset], label_check=label_check):
+        if check(point):
             return point
     return None
 

@@ -87,6 +87,82 @@ def test_broken_recovery_is_caught_and_minimized(recording):
     assert report.minimized == cheapest
 
 
+# -- the oracle is a function of the record boundary ------------------------------------
+
+
+def _per_point_sweep(data, boot, label_check):
+    """`sweep` spelled point by point: `check_prefix` on each crash image
+    alone, computing its own oracle, and the same for each minimization
+    candidate."""
+    points = CC.crash_points(data)
+    report = CC.CrashcheckReport(
+        workload="board",
+        wal_bytes=len(data),
+        records=len(wal.scan(data).records),
+        boot_records=boot,
+        points=len(points),
+        label_check=label_check,
+    )
+    for point in points:
+        violations = CC.check_prefix(data[: point.offset], label_check)
+        if violations:
+            report.failures.append(CC.PointResult(point, violations))
+    failing = [f.point for f in report.failures]
+    candidates = sorted(
+        [p for p in failing if p.at_io > boot] or failing, key=lambda p: (p.at_io, p.torn_bytes)
+    )
+    report.minimized = next(
+        (p for p in candidates if CC.check_prefix(data[: p.offset], label_check)), None
+    )
+    if report.minimized is not None:
+        report.plan = CC.counterexample_plan(data, report.minimized, label_check=label_check)
+    return report
+
+
+def test_the_oracle_at_a_torn_point_is_its_boundary_oracle(recording):
+    data, _ = recording
+    for label_check in (True, False):
+        for point in CC.crash_points(data):
+            torn = CC.prefix_oracle(data[: point.offset], label_check)
+            boundary = CC.prefix_oracle(data[: point.offset - point.torn_bytes], label_check)
+            assert torn == boundary, point
+
+
+@pytest.mark.parametrize("label_check", [True, False])
+def test_sweep_equals_the_per_point_spelling(recording, label_check):
+    data, boot = recording
+    report = CC.sweep(data, boot_records=boot, label_check=label_check)
+    assert report.to_json() == _per_point_sweep(data, boot, label_check).to_json()
+
+
+@pytest.mark.parametrize("label_check", [True, False])
+def test_a_sweep_computes_one_oracle_per_record(recording, monkeypatch, label_check):
+    # 22 references for 2,246 crash points, the minimization included;
+    # the recovery under test still runs at every point.
+    data, boot = recording
+    calls = {"reference": 0, "recovery": 0}
+    reference, recovery = CC.reference_state, CC.replay_image
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(CC, "reference_state", counted("reference", reference))
+    monkeypatch.setattr(CC, "replay_image", counted("recovery", recovery))
+    report = CC.sweep(data, boot_records=boot, label_check=label_check)
+    assert calls["reference"] == report.records == len(wal.scan(data).records)
+    extra = 0 if label_check else 1  # minimization re-verifies its winner
+    assert calls["recovery"] == report.points + extra == len(data) + extra
+
+
+def test_check_prefix_alone_computes_its_own_oracle(recording):
+    data, _ = recording
+    assert CC.check_prefix(data) == []
+    assert CC.check_prefix(data[:-3]) == []
+
+
 def test_counterexample_plan_roundtrips_as_a_faultplan(recording):
     data, boot = recording
     report = CC.sweep(data, boot_records=boot, label_check=False)
