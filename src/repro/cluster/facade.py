@@ -201,14 +201,14 @@ class Cluster:
              for shard in range(self.n_shards)]
         )
         outcomes: List[Any] = [None] * len(requests)
-        docs: List[Dict[str, Any]] = []
+        outbox: List[Tuple[int, int, bytes]] = []
         busy: List[int] = []
         for shard, reply in enumerate(replies):
             for position, outcome in zip(slots[shard], reply["outcomes"]):
                 outcomes[position] = tuple(outcome)
             busy.append(reply["busy_cycles"])
-            docs.extend(reply["outbox"])
-        routed = self._router.pump(docs)
+            outbox.extend(reply["outbox"])
+        routed = self._router.pump(outbox)
         return BatchResult(
             outcomes=outcomes, busy_cycles=tuple(busy), routed=routed
         )
@@ -232,8 +232,7 @@ class Cluster:
             )
             commands.append(("courier", targets))
         replies = self._router.call_all(commands)
-        docs = [doc for reply in replies for doc in reply["outbox"]]
-        return self._router.pump(docs)
+        return self._router.pump([entry for reply in replies for entry in reply["outbox"]])
 
     # -- accounting ------------------------------------------------------
 

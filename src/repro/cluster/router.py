@@ -12,10 +12,13 @@ in one place, which is what the tests and the scale bench count.
 Requests fan out with :meth:`Router.call_all` — commands are written to
 *every* pipe before any reply is read, so shard kernels genuinely run
 concurrently as OS processes; the router only synchronizes at reply
-collection.  :meth:`Router.pump` then drains cross-shard traffic to a
-fixed point: outbox documents are grouped by destination, delivered, and
-any replies' outboxes go around again (a delivery can itself trigger
-sends) until the cluster is quiet.
+collection, and reads every reply before it raises a shard's error, so
+no stale reply is left in a pipe.  :meth:`Router.pump` then drains
+cross-shard traffic to a fixed point, fanning out the same way: each
+round writes every destination's ``xsend`` before reading any reply, and
+the replies' outboxes go around again (a delivery can itself trigger
+sends) until the cluster is quiet.  Outbox entries are ``(dst, count,
+blob)``; the router forwards a blob as bytes and never opens it.
 """
 
 from __future__ import annotations
@@ -107,19 +110,23 @@ class Router:
 
     # -- conversation ----------------------------------------------------
 
-    def _recv(self, shard: int) -> Any:
-        try:
-            status, payload = self._pipes[shard].recv()
-        except EOFError as err:
-            raise ClusterError(f"shard {shard} died") from err
-        if status != "ok":
-            raise ClusterError(str(payload))
-        return payload
-
-    def call(self, shard: int, command: Tuple[Any, ...]) -> Any:
-        """One synchronous command to one shard."""
-        self._pipes[shard].send(command)
-        return self._recv(shard)
+    def _gather(self, shards: Sequence[int]) -> List[Any]:
+        """Read one reply from each of *shards*, in order.  A shard's error
+        is raised only once every reply is read, so none is left behind in
+        its pipe to answer the next command."""
+        replies: List[Any] = []
+        errors: List[str] = []
+        for shard in shards:
+            try:
+                status, payload = self._pipes[shard].recv()
+            except EOFError:
+                status, payload = "error", f"shard {shard} died"
+            if status != "ok":
+                errors.append(str(payload))
+            replies.append(payload)
+        if errors:
+            raise ClusterError(errors[0])
+        return replies
 
     def call_all(self, commands: Sequence[Tuple[Any, ...]]) -> List[Any]:
         """One command per shard, written before any reply is read — the
@@ -130,22 +137,26 @@ class Router:
             )
         for pipe, command in zip(self._pipes, commands):
             pipe.send(command)
-        return [self._recv(shard) for shard in range(self.n_shards)]
+        return self._gather(range(self.n_shards))
 
     # -- cross-shard traffic ---------------------------------------------
 
-    def pump(self, docs: List[Dict[str, Any]]) -> int:
-        """Route *docs* (and any traffic their delivery triggers) until the
-        cluster is quiet.  Returns the number of documents routed."""
+    def pump(self, outbox: List[Tuple[int, int, bytes]]) -> int:
+        """Route *outbox* entries (and any traffic their delivery triggers)
+        until the cluster is quiet.  Returns the number of documents routed.
+
+        A round fans out like :meth:`call_all`.  Each shard's reply depends
+        only on its own command stream, so the result equals delivering one
+        destination at a time."""
         total = 0
-        while docs:
-            by_dst: Dict[int, List[Dict[str, Any]]] = {}
-            for doc in docs:
-                by_dst.setdefault(doc["dst"], []).append(doc)
-            docs = []
-            for dst, batch in sorted(by_dst.items()):
-                reply = self.call(dst, ("xsend", batch))
-                total += len(batch)
-                docs.extend(reply["outbox"])
+        while outbox:
+            by_dst: Dict[int, List[bytes]] = {}
+            for dst, count, blob in outbox:
+                by_dst.setdefault(dst, []).append(blob)
+                total += count
+            dsts = sorted(by_dst)
+            for dst in dsts:
+                self._pipes[dst].send(("xsend", by_dst[dst]))
+            outbox = [entry for reply in self._gather(dsts) for entry in reply["outbox"]]
         self.routed += total
         return total

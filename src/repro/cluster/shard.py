@@ -16,7 +16,9 @@ Protocol (request → reply, both plain tuples):
                              per-session outcomes, the simulated clock
                              delta, latencies, and any cross-shard outbox
 ``("courier", targets)``     run the cross-shard courier over *targets*
-``("xsend", docs)``          decode wire/v1 *docs*, re-intern, deliver
+``("xsend", blobs)``         unpickle each blob to a list of wire/v1
+                             documents, decode (re-intern) them all, then
+                             deliver them in order
 ``("mark",)``                start a drop-accounting phase
 ``("snapshot",)``            drop/label/sanitizer accounting
 ``("stop",)``                clean shutdown
@@ -24,7 +26,11 @@ Protocol (request → reply, both plain tuples):
 
 Every reply is ``("ok", payload)`` or ``("error", message)``; a child
 reports an unexpected exception rather than dying silently, so the
-parent never blocks on a dead pipe (inline, it simply propagates).
+parent never blocks on a dead pipe (inline, it simply propagates).  A
+reply's ``outbox`` is ``[(dst, count, blob)]``, one entry per destination
+shard in ascending order: *blob* is the pickled list of that
+destination's *count* wire/v1 documents, in emission order.  The router
+forwards blobs without opening them.
 
 Shards are deterministic in simulated time: a shard's clock advances only
 with its own work, so the cluster-level throughput measure (total
@@ -35,11 +41,12 @@ host OS schedules the worker processes.
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.interning import InternTable
-from repro.cluster.wire import WireDecoder, WireEncoder
+from repro.cluster.wire import WIRE_SCHEMA, WireDecoder, WireEncoder, WireError
 from repro.kernel.kernel import Kernel
 from repro.kernel.message import QueuedMessage
 from repro.kernel.ports import RemoteRoute
@@ -103,10 +110,12 @@ class ShardRuntime:
     def _on_xshard_out(self, route: RemoteRoute, qmsg: QueuedMessage) -> None:
         self._outbox.append((route.shard, qmsg))
 
-    def take_outbox(self) -> List[Dict[str, Any]]:
-        """Encode and drain everything queued for other shards."""
-        docs = [
-            self.encoder.encode(
+    def take_outbox(self) -> List[Tuple[int, int, bytes]]:
+        """Encode and drain everything queued for other shards, as one
+        ``(dst, count, blob)`` per destination, sorted by ``dst``."""
+        by_dst: Dict[int, List[Dict[str, Any]]] = {}
+        for dst, qmsg in self._outbox:
+            by_dst.setdefault(dst, []).append(self.encoder.encode(
                 dst=dst,
                 port=qmsg.port,
                 payload=qmsg.payload,
@@ -115,11 +124,9 @@ class ShardRuntime:
                 v=qmsg.verify,
                 dr=qmsg.decontaminate_receive,
                 sender=qmsg.sender_name,
-            )
-            for dst, qmsg in self._outbox
-        ]
+            ))
         self._outbox.clear()
-        return docs
+        return [(dst, len(docs), pickle.dumps(docs)) for dst, docs in sorted(by_dst.items())]
 
     # -- commands --------------------------------------------------------
 
@@ -158,10 +165,16 @@ class ShardRuntime:
         self.kernel.run()
         return {"outbox": self.take_outbox()}
 
-    def deliver(self, docs: List[Dict[str, Any]]) -> Dict[str, Any]:
-        delivered = 0
-        for doc in docs:
-            message = self.decoder.decode(doc)
+    def deliver(self, blobs: List[bytes]) -> Dict[str, Any]:
+        # Decode the whole command before enqueueing any of it: a bad
+        # batch delivers nothing.
+        messages = []
+        for blob in blobs:
+            docs = pickle.loads(blob)
+            if not isinstance(docs, list):
+                raise WireError(f"not a list of {WIRE_SCHEMA} documents: {type(docs).__name__}")
+            messages.extend(map(self.decoder.decode, docs))
+        for message in messages:
             self.kernel.enqueue_external(
                 message.port,
                 message.payload,
@@ -171,9 +184,8 @@ class ShardRuntime:
                 dr=message.dr,
                 sender_name=f"{message.sender}@shard{message.src}",
             )
-            delivered += 1
         self.kernel.run()
-        return {"delivered": delivered, "outbox": self.take_outbox()}
+        return {"delivered": len(messages), "outbox": self.take_outbox()}
 
     def mark_drops(self) -> None:
         """Start a drop-accounting phase (e.g. after boot, before load)."""

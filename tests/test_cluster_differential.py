@@ -13,13 +13,24 @@ against re-interned labels.
 The per-shard sampled sanitizer (1/16 here) rides along and must stay
 silent: re-interned cross-shard labels go through the same differential
 cross-check as home-grown ones.
+
+The transport is held too: a pinned report of 2- and 4-shard runs, the
+pump's fan-out order, outboxes that reach the router only as bytes, and
+shard errors that neither desync the router nor deliver half a batch.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pickle
+
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster, ClusterConfig, ClusterError
+from repro.cluster.router import Router
+from repro.cluster.shard import ShardSpec
+from repro.cluster.wire import WireDecoder
 from repro.kernel.config import KernelConfig
 
 USERS = tuple((f"user{i}", f"pw{i}") for i in range(8))
@@ -88,3 +99,188 @@ def test_doomed_couriers_drop_on_the_receiving_shard():
     # variant been delivered, its (user, seq) would duplicate an entry.
     assert len(report["board"]) == len(USERS)
     assert len(set(report["board"])) == len(USERS)
+
+
+# -- the transport: fan-out pump, bytes through the router ------------------
+
+CANON_USERS = tuple((f"user{i}", f"pw{i}") for i in range(40))
+CANON_REQUESTS = [
+    (f"user{i % 40}", f"pw{i % 40}", "echo", None, {"length": 7}) for i in range(120)
+]
+#: sha256 of :func:`_canonical_run`'s JSON, computed by the serial pump that
+#: unpickled every document in the router.  How documents cross the router
+#: must not move a byte of what a user of the cluster sees.
+CANON_SHA = {
+    2: "507196252453b34cd3c49ca1bd4bd261d910346e94c69ebf2ef4bcd16754cb85",
+    4: "71f08796c522af72a4c09d304c343060f9abe4aa749dbba1c05d437974700c8d",
+}
+
+
+def _canonical_run(n_shards):
+    config = ClusterConfig(
+        n_shards=n_shards,
+        users=CANON_USERS,
+        kernel=KernelConfig(sanitize=True, intern_labels=True),
+        sanitize_sample=16,
+    )
+    with Cluster(config) as cluster:
+        cluster.mark()
+        result = cluster.run_batch(CANON_REQUESTS)
+        passes = [cluster.run_courier() for _ in range(3)]
+        report = cluster.report()
+    return json.dumps(
+        {
+            "outcomes": result.outcomes,
+            "busy": result.busy_cycles,
+            "routed": [result.routed] + passes,
+            "report": report,
+        },
+        sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize("n_shards", [2, 4])
+def test_report_is_pinned(n_shards):
+    text = _canonical_run(n_shards)
+    assert hashlib.sha256(text.encode()).hexdigest() == CANON_SHA[n_shards]
+
+
+class _Endpoint:
+    """A fake shard pipe that logs the router's calls and answers
+    ``xsend`` from a script of outboxes."""
+
+    def __init__(self, shard, log, outboxes):
+        self.shard, self.log, self.outboxes = shard, log, list(outboxes)
+
+    def send(self, command):
+        self.log.append(("send", self.shard, command))
+
+    def recv(self):
+        self.log.append(("recv", self.shard))
+        return ("ok", {"delivered": 0, "outbox": self.outboxes.pop(0)})
+
+
+def test_a_pump_round_writes_every_xsend_before_reading_a_reply():
+    log = []
+    router = Router([ShardSpec(s, 3, None, "echo", ()) for s in range(3)])
+    router._pipes = [
+        _Endpoint(0, log, [[(2, 1, b"c")], []]),
+        _Endpoint(1, log, []),
+        _Endpoint(2, log, [[(0, 2, b"d")], []]),
+    ]
+    assert router.pump([(2, 1, b"a"), (0, 3, b"b"), (2, 1, b"e")]) == 8
+    assert log == [
+        # Round 1: blobs grouped by destination in arrival order, written
+        # in ascending destination order, then the replies read.
+        ("send", 0, ("xsend", [b"b"])),
+        ("send", 2, ("xsend", [b"a", b"e"])),
+        ("recv", 0),
+        ("recv", 2),
+        ("send", 0, ("xsend", [b"d"])),
+        ("send", 2, ("xsend", [b"c"])),
+        ("recv", 0),
+        ("recv", 2),
+    ]
+    assert router.routed == 8
+
+
+class _Recording:
+    """A real shard pipe, watched: logs each command's verb and each reply."""
+
+    def __init__(self, shard, pipe, log):
+        self.shard, self.pipe, self.log = shard, pipe, log
+
+    def send(self, command):
+        self.log.append(("send", self.shard, command[0]))
+        self.pipe.send(command)
+
+    def recv(self):
+        reply = self.pipe.recv()
+        self.log.append(("recv", self.shard, reply))
+        return reply
+
+    def close(self):
+        self.pipe.close()
+
+
+def _record(cluster):
+    log = []
+    router = cluster._router
+    router._pipes = [_Recording(s, pipe, log) for s, pipe in enumerate(router._pipes)]
+    return log
+
+
+def test_the_router_forwards_bytes_it_never_opens(monkeypatch):
+    config = ClusterConfig(n_shards=2, users=USERS, kernel=KernelConfig())
+    with Cluster(config) as cluster:
+        # Patched after the fork: only the router process sees it.
+        def refuse(self, doc):
+            raise AssertionError("the router decoded a wire/v1 document")
+
+        monkeypatch.setattr(WireDecoder, "decode", refuse)
+        log = _record(cluster)
+        cluster.run_batch(REQUESTS)
+        start = len(log)
+        assert cluster.run_courier() > 0
+        log = log[:]  # before the shutdown's own commands
+    # One courier pass on a real cluster: both shards' digests cross in a
+    # single pump round, written to both shards before either reply is read.
+    assert [event[:2] for event in log[start:]] == [
+        ("send", 0), ("send", 1), ("recv", 0), ("recv", 1),
+        ("send", 0), ("send", 1), ("recv", 0), ("recv", 1),
+    ]
+    assert [event[2] for event in log[start:] if event[0] == "send"] == (
+        ["courier"] * 2 + ["xsend"] * 2
+    )
+    entries = [
+        entry
+        for kind, _, reply in log
+        if kind == "recv"
+        for entry in reply[1]["outbox"]
+    ]
+    assert entries
+    assert {tuple(map(type, entry)) for entry in entries} == {(int, int, bytes)}
+
+
+# -- errors: every reply is read, a bad batch fails closed ------------------
+
+
+@pytest.fixture
+def cluster2():
+    with Cluster(ClusterConfig(n_shards=2, users=USERS)) as cluster:
+        yield cluster
+
+
+def test_a_shard_error_leaves_no_stale_reply(cluster2):
+    with pytest.raises(ClusterError, match="shard 0 no-such-verb"):
+        cluster2._router.call_all([("no-such-verb",), ("mark",)])
+    report = cluster2.report()
+    assert [snap["shard"] for snap in report["shards"]] == [0, 1]
+
+
+@pytest.mark.parametrize("bad", ["truncated", "not-a-list", "not-documents"])
+def test_a_bad_batch_fails_closed(cluster2, bad):
+    log = _record(cluster2)
+    routed = cluster2.run_courier()
+    # A digest shard 0 sent shard 1's board: good on its own.
+    (blob,) = [
+        blob
+        for kind, shard, reply in log
+        if kind == "recv" and shard == 0 and reply[1]["outbox"]
+        for dst, _, blob in reply[1]["outbox"]
+        if dst == 1
+    ]
+    good = next(doc for doc in pickle.loads(blob) if doc["payload"]["type"] == "DIGEST")
+    blob = {
+        "truncated": pickle.dumps([good])[:-3],
+        "not-a-list": pickle.dumps(good),
+        "not-documents": pickle.dumps([good, 1]),
+    }[bad]
+    with pytest.raises(ClusterError, match="shard 1 xsend failed"):
+        cluster2._router.pump([(1, 2, blob)])
+    # The cluster keeps answering, and the bad batch delivered nothing:
+    # not even the good digest ahead of the bad entry.
+    assert cluster2.run_courier() == routed
+    report = cluster2.report()
+    assert len(report["board_log"]) == 2 * len(USERS)
+    assert report["routed"] == 2 * routed
