@@ -23,6 +23,9 @@ schedule-dependent leak only interleaving exploration can find.
 database proxy) whose battery holds under *every* interleaving; the
 explorer's DPOR must verify it exhaustively and agree with
 ``--exhaustive`` while exploring far fewer schedules.
+``dropped_emission.json`` is a tainted send the kernel drops: isolation
+covers what a process emits, not only what gets through, so both
+checkers must fail it.
 """
 
 from __future__ import annotations
@@ -250,12 +253,39 @@ def okws_request_mix() -> Topology:
     return topo
 
 
+def dropped_emission() -> Topology:
+    """An emission breach no delivery ever shows.
+
+    ``p`` contaminates its one send with ``uT`` at 3, above its isolation
+    bound of 2; the send's verification label ``{uT 0, 3}`` makes the
+    kernel drop it, so the taint never lands anywhere.  The breach is the
+    effective send label itself, which exists at send time whether or not
+    the message is delivered.
+    """
+    topo = Topology(name="dropped-emission")
+    topo.add_process("p", send=topo.label({"sink_port": "*"}))
+    topo.add_process("sink")
+    topo.add_port("sink_port", owner="sink")
+    topo.add_edge(
+        "p",
+        "sink_port",
+        cs=topo.label({"uT": 3}, default="*"),
+        v=topo.label({"uT": 0}, default=3),
+        name="p->sink",
+    )
+    topo.policies = [
+        {"kind": "isolation", "process": "p", "handle": "uT", "max_level": 2},
+    ]
+    return topo
+
+
 def main() -> None:
     for topo, filename in (
         (leaky_site(), "leaky_site.json"),
         (clean_site(), "clean_site.json"),
         (race_site(), "race_site.json"),
         (okws_request_mix(), "okws_request_mix.json"),
+        (dropped_emission(), "dropped_emission.json"),
     ):
         (HERE / filename).write_text(topo.dumps() + "\n", encoding="utf-8")
         print(f"wrote {HERE / filename}")

@@ -53,13 +53,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.chunks import ChunkedLabel
 from repro.core.labels import Label
-from repro.core.levels import STAR, level_name
 from repro.kernel.errors import (
     DROP_DECONT_PRIVILEGE,
     DROP_LABEL_CHECK,
@@ -268,29 +267,10 @@ class TraceStep:
 
 
 @dataclass
-class Violation:
-    """A policy failure with its (shortest explored) counterexample."""
-
-    message: str
-    trace: List[TraceStep] = field(default_factory=list)
-    process: str = ""
-    edge: str = ""
-
-    def format(self, topology: Topology) -> str:
-        lines = [self.message]
-        if self.trace:
-            noun = "message" if len(self.trace) == 1 else "messages"
-            lines.append(f"   counterexample ({len(self.trace)} {noun}):")
-            for step in self.trace:
-                lines.append("    " + step.format(topology).replace("\n", "\n    "))
-        return "\n".join(lines)
-
-
-@dataclass
 class PolicyResult:
     policy: A.Policy
     ok: bool
-    violation: Optional[Violation] = None
+    violation: Optional[A.Breach] = None
 
 
 def lowers_only_unwatched(a: ChunkedLabel, b: ChunkedLabel, watched: Set[int]) -> bool:
@@ -566,137 +546,73 @@ class Exploration:
 # -- policy evaluation ------------------------------------------------------------
 
 
-def _resolve_handle(topology: Topology, name: str) -> Optional[int]:
-    return topology.handles.get(name)
-
-
-def _match_procs(engine: Engine, pattern: str) -> List[int]:
-    return [
-        i for i, name in enumerate(engine.proc_names) if A.matches(pattern, name)
-    ]
-
-
-def _eval_isolation(
-    policy: A.Isolation, engine: Engine, expl: Exploration
-) -> Optional[Violation]:
-    topo, store = engine.topology, engine.store
-    handle = _resolve_handle(topo, policy.handle)
-    if handle is None:
-        return Violation(message=f"unknown handle {policy.handle!r} in policy")
-    procs = _match_procs(engine, policy.process)
-    if not procs:
-        return Violation(message=f"policy matches no process: {policy.process!r}")
-    bound = policy.max_level
+def _eval_states(
+    policy: A.Policy, scope: A.Scope, engine: Engine, expl: Exploration
+) -> Optional[A.Breach]:
+    """Every explored state's send label of each process *scope* covers,
+    and the effective send label of each edge it sends on, to the policy's
+    label and emission clauses."""
+    store, names = engine.store, engine.proc_names
+    covered = [i for i, name in enumerate(names) if name in scope.names]
     for sid, state in enumerate(expl.order):
-        for i in procs:
-            name = engine.proc_names[i]
-            qs = state[2 * i]
-            level = store.chunked(qs)(handle)
-            if level > bound:
-                return Violation(
-                    message=(
-                        f"{name} carries {policy.handle} at "
-                        f"{level_name(level)} (> {level_name(bound)}) in its "
-                        "send label"
-                    ),
-                    trace=expl.trace_to(sid),
-                    process=name,
-                )
+        for i in covered:
+            name, qs = names[i], state[2 * i]
+            message = policy.label(scope, name, store.chunked(qs))
+            if message:
+                return policy.breach(message, process=name, trace=expl.trace_to(sid))
+            if policy.emission is None:
+                continue
             for edge in engine.edges_by_sender[i]:
-                es_level = store.chunked(store.lub(qs, edge.cs))(handle)
-                if es_level > bound:
-                    return Violation(
-                        message=(
-                            f"{name} can emit {policy.handle} at "
-                            f"{level_name(es_level)} (> {level_name(bound)}) "
-                            f"in the effective send label of edge {edge.name!r}"
-                        ),
-                        trace=expl.trace_to(sid),
-                        process=name,
-                        edge=edge.name,
+                es = store.chunked(store.lub(qs, edge.cs))
+                message = policy.emission(scope, name, edge.name, es)
+                if message:
+                    return policy.breach(
+                        message, process=name, edge=edge.name, trace=expl.trace_to(sid)
                     )
     return None
 
 
-def _eval_confinement(
-    policy: A.CapabilityConfinement, engine: Engine, expl: Exploration
-) -> Optional[Violation]:
-    topo, store = engine.topology, engine.store
-    handle = _resolve_handle(topo, policy.handle)
-    if handle is None:
-        return Violation(message=f"unknown handle {policy.handle!r} in policy")
-    outsiders = [
-        i for i, name in enumerate(engine.proc_names) if not policy.permits(name)
-    ]
+def _eval_deliveries(
+    policy: A.Policy, scope: A.Scope, expl: Exploration
+) -> Optional[A.Breach]:
+    """Every delivery into a covered sink in *expl* — the exploration with
+    declassifier edges removed — to the policy's delivery clause."""
+    engine, store = expl.engine, expl.engine.store
+    into = [edge for edge in engine.edges if edge.receiver in scope.names]
     for sid, state in enumerate(expl.order):
-        for i in outsiders:
-            if store.chunked(state[2 * i])(handle) == STAR:
-                name = engine.proc_names[i]
-                return Violation(
-                    message=(
-                        f"{name} holds * for {policy.handle} but is not in "
-                        f"the allowed set ({', '.join(policy.allowed)})"
-                    ),
-                    trace=expl.trace_to(sid),
-                    process=name,
-                )
-    return None
-
-
-def _eval_declassifier(
-    policy: A.MandatoryDeclassifier,
-    engine: Engine,
-    sub_expl_for: Any,
-) -> Optional[Violation]:
-    """Re-explore with declassifier edges removed; any delivery carrying
-    the handle above the bound into the sink is then an undeclared flow."""
-    topo = engine.topology
-    handle = _resolve_handle(topo, policy.handle)
-    if handle is None:
-        return Violation(message=f"unknown handle {policy.handle!r} in policy")
-    sub_expl = sub_expl_for(handle)
-    sub = sub_expl.engine
-    sinks = set(_match_procs(sub, policy.sink))
-    if not sinks:
-        return Violation(message=f"policy matches no process: {policy.sink!r}")
-    store = sub.store
-    bound = policy.max_level
-    for sid, state in enumerate(sub_expl.order):
-        for edge in sub.edges:
-            if edge.r_idx not in sinks:
-                continue
-            firing = sub.fire(state, edge)
+        for edge in into:
+            firing = engine.fire(state, edge)
             if not firing.delivered:
                 continue
-            level = store.chunked(firing.es)(handle)
-            if level > bound:
-                return Violation(
-                    message=(
-                        f"edge {edge.name!r} delivers {policy.handle} at "
-                        f"{level_name(level)} (> {level_name(bound)}) into "
-                        f"{edge.receiver} without passing a declassifier"
-                    ),
-                    trace=sub_expl.trace_to(sid, extra=edge),
+            es = store.chunked(firing.es)
+            message = policy.delivery(scope, edge.name, edge.receiver, es)
+            if message:
+                return policy.breach(
+                    message,
                     process=edge.receiver,
                     edge=edge.name,
+                    trace=expl.trace_to(sid, extra=edge),
                 )
     return None
 
 
-def _eval_dead_edges(
-    policy: A.DeadEdges, engine: Engine, expl: Exploration
-) -> Optional[Violation]:
-    dead = []
-    for edge in engine.edges:
-        if policy.covers(edge.name) and not expl.edge_delivered[edge.idx]:
-            reason = expl.edge_last_drop[edge.idx] or "never attempted"
-            dead.append(f"{edge.name} ({reason})")
-    if dead:
-        return Violation(
-            message="edges can never deliver in any reachable state: "
-            + "; ".join(dead)
-        )
-    return None
+def _never_delivered(engine: Engine, expl: Exploration) -> Dict[str, str]:
+    """Edge name → why, for each edge *expl* never delivered."""
+    return {
+        edge.name: expl.edge_last_drop[edge.idx] or "never attempted"
+        for edge in engine.edges
+        if not expl.edge_delivered[edge.idx]
+    }
+
+
+def _format_breach(breach: A.Breach, topology: Topology) -> str:
+    lines = [breach.message]
+    if breach.trace:
+        noun = "message" if len(breach.trace) == 1 else "messages"
+        lines.append(f"   counterexample ({len(breach.trace)} {noun}):")
+        for step in breach.trace:
+            lines.append("    " + step.format(topology).replace("\n", "\n    "))
+    return "\n".join(lines)
 
 
 # -- the report -------------------------------------------------------------------
@@ -734,7 +650,7 @@ class CheckReport:
             lines.append(f"  [{status:8}] {result.policy.describe()}")
             if result.violation is not None:
                 lines.append(
-                    "   " + result.violation.format(topo).replace("\n", "\n   ")
+                    "   " + _format_breach(result.violation, topo).replace("\n", "\n   ")
                 )
         if self.dead_edges:
             lines.append("  dead edges (informational):")
@@ -833,32 +749,27 @@ def run_check(
         return got
 
     live = explo(None)  # the fully-eager exploration: maximal deliverability
+    never = _never_delivered(engine, live)
     results: List[PolicyResult] = []
     for policy in policies:
-        handle = _resolve_handle(topology, getattr(policy, "handle", ""))
-        if isinstance(policy, A.Isolation):
-            violation = _eval_isolation(policy, engine, explo(handle))
-        elif isinstance(policy, A.CapabilityConfinement):
-            violation = _eval_confinement(policy, engine, explo(handle))
-        elif isinstance(policy, A.MandatoryDeclassifier):
-            violation = _eval_declassifier(policy, engine, sub_explo)
-        elif isinstance(policy, A.DeadEdges):
-            violation = _eval_dead_edges(policy, engine, live)
-        else:  # pragma: no cover - policy_from_json rejects unknown kinds
-            violation = Violation(message=f"unsupported policy: {policy!r}")
+        scope = policy.resolve(topology)
+        if scope.problem:
+            violation: Optional[A.Breach] = policy.breach(scope.problem)
+        elif policy.liveness:
+            message = policy.liveness(scope, never)
+            violation = policy.breach(message) if message else None
+        elif policy.delivery:
+            violation = _eval_deliveries(policy, scope, sub_explo(scope.handle))
+        else:
+            violation = _eval_states(policy, scope, engine, explo(scope.handle))
         results.append(PolicyResult(policy=policy, ok=violation is None, violation=violation))
-    dead = [
-        (edge.name, live.edge_last_drop[edge.idx] or "never attempted")
-        for edge in engine.edges
-        if not live.edge_delivered[edge.idx]
-    ]
     everything = list(explorations.values()) + list(sub_explorations.values())
     return CheckReport(
         topology=topology,
         results=results,
         states=sum(len(e.order) for e in everything),
         transitions=sum(e.transitions for e in everything),
-        dead_edges=dead,
+        dead_edges=list(never.items()),
         elapsed=time.perf_counter() - start,
         truncated=any(e.truncated for e in everything),
         labels_interned=len(engine.store),

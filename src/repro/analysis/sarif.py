@@ -158,32 +158,34 @@ def asblint_sarif(reports: Sequence[Any]) -> Dict[str, Any]:
     return make_sarif("asblint", rule_infos, results)
 
 
-# -- asbcheck -----------------------------------------------------------------------
+# -- policy breaches (asbcheck and asbsched) ---------------------------------------
 
-_POLICY_RULES: Tuple[RuleInfo, ...] = (
-    (
-        "isolation",
-        "isolation",
-        "a watched handle never appears above its bound in the process's "
-        "send label or any effective send label it can produce",
-    ),
-    (
-        "mandatory-declassifier",
-        "mandatory-declassifier",
-        "with declassifier edges removed, nothing delivers the handle "
-        "above its bound into the sink",
-    ),
-    (
-        "capability-confinement",
-        "capability-confinement",
-        "only the allowed processes ever hold * for the handle",
-    ),
-    (
-        "dead-edge",
-        "dead-edge",
-        "the listed edges must deliver in some reachable state",
-    ),
-)
+
+def policy_rules() -> List[RuleInfo]:
+    """The policy rule catalogue, one rule per policy kind."""
+    from repro.policies.assertions import KINDS
+
+    return [(kind, kind, cls.summary) for kind, cls in KINDS.items()]
+
+
+def breach_result(
+    breach: Any, where: str, properties: Optional[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """One :class:`~repro.policies.assertions.Breach` — asbcheck's or
+    asbsched's — as an error located by logical name (``where/process``,
+    ``where/edge``, else *where* itself)."""
+    logical: List[Tuple[str, str]] = []
+    if breach.process:
+        logical.append((f"{where}/{breach.process}", "module"))
+    if breach.edge:
+        logical.append((f"{where}/{breach.edge}", "function"))
+    return make_result(
+        breach.kind,
+        f"{breach.policy}: {breach.message}",
+        level="error",
+        logical=logical or [(where, "module")],
+        properties=properties,
+    )
 
 
 # -- asbsched -----------------------------------------------------------------------
@@ -198,7 +200,7 @@ def sched_sarif(report: Any) -> Dict[str, Any]:
     and the violating run's annotated choice points ride in the
     properties bag, so a code-scanning alert carries everything needed
     to replay the counterexample."""
-    rules: List[RuleInfo] = list(_POLICY_RULES)
+    rules = policy_rules()
     rules.append(
         (
             "sanitizer",
@@ -235,22 +237,7 @@ def sched_sarif(report: Any) -> Dict[str, Any]:
             "steps": [step.key for step in run.steps],
         }
         for breach in run.breaches:
-            logical: List[Tuple[str, str]] = []
-            if breach.process:
-                logical.append(
-                    (f"{report.scenario}/{breach.process}", "module")
-                )
-            if breach.edge:
-                logical.append((f"{report.scenario}/{breach.edge}", "function"))
-            results.append(
-                make_result(
-                    breach.kind,
-                    f"{breach.policy}: {breach.message}",
-                    level="error",
-                    logical=logical or [(report.scenario, "module")],
-                    properties=trace,
-                )
-            )
+            results.append(breach_result(breach, report.scenario, trace))
         for violation in run.sanitizer_violations:
             results.append(
                 make_result(
@@ -262,15 +249,7 @@ def sched_sarif(report: Any) -> Dict[str, Any]:
                 )
             )
     for breach in report.dead_edges:
-        results.append(
-            make_result(
-                breach.kind,
-                f"{breach.policy}: {breach.message}",
-                level="error",
-                logical=[(f"{report.scenario}/{breach.edge}", "function")],
-                properties=base_properties,
-            )
-        )
+        results.append(breach_result(breach, report.scenario, base_properties))
     return make_sarif("asbsched", rules, results)
 
 
@@ -340,28 +319,15 @@ def check_sarif(report: Any) -> Dict[str, Any]:
     (``topology/process`` and ``topology/edge``); the counterexample
     trace rides in the result's properties bag."""
     topo = report.topology
-    results: List[Dict[str, Any]] = []
-    for result in report.results:
-        violation = result.violation
-        if violation is None:
-            continue
-        logical: List[Tuple[str, str]] = []
-        if violation.process:
-            logical.append((f"{topo.name}/{violation.process}", "module"))
-        if violation.edge:
-            logical.append((f"{topo.name}/{violation.edge}", "function"))
-        message = f"{result.policy.describe()}: {violation.message}"
-        properties: Dict[str, Any] = {
-            "topology": topo.name,
-            "trace": [step.to_json(topo) for step in violation.trace],
-        }
-        results.append(
-            make_result(
-                result.policy.kind,
-                message,
-                level="error",
-                logical=logical or [(topo.name, "module")],
-                properties=properties,
-            )
+    results = [
+        breach_result(
+            result.violation,
+            topo.name,
+            {
+                "topology": topo.name,
+                "trace": [step.to_json(topo) for step in result.violation.trace],
+            },
         )
-    return make_sarif("asbcheck", _POLICY_RULES, results)
+        for result in report.violations()
+    ]
+    return make_sarif("asbcheck", policy_rules(), results)

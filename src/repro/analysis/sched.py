@@ -36,7 +36,19 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.chunks import ChunkedLabel
 from repro.kernel import syscalls as sc
@@ -51,8 +63,7 @@ from repro.kernel.process import Task
 from repro.analysis.extract import WIRE
 from repro.analysis.model import Topology
 from repro.analysis.replay import install_topology
-from repro.policies.assertions import Policy, policies_from_json
-from repro.policies.runtime import PolicyBreach, RuntimeMonitor
+from repro.policies.assertions import Breach, Policy, Scope, policies_from_json
 
 SCHEDULE_SCHEMA = "schedule/v1"
 
@@ -82,7 +93,7 @@ class RunResult:
     scenario: str
     decisions: List[ChoicePoint]
     steps: List[StepRecord]
-    breaches: List[PolicyBreach]
+    breaches: List[Breach]
     sanitizer_violations: List[str]
     delivered_edges: Set[str]
     quiescent: bool
@@ -109,19 +120,66 @@ class RunResult:
         }
 
 
-class _Observer:
-    """Kernel hook: per-step footprints, pick alignment, live policy checks."""
+def _edge_of(payload: Any) -> str:
+    """The topology edge a scenario message travels ("" for any other)."""
+    return (payload.get("edge") or "") if isinstance(payload, dict) else ""
 
-    def __init__(self, source: ScriptedSource):
+
+class _Observer:
+    """Kernel hook: per-step footprints, pick alignment, and the policy
+    battery judged on live events.
+
+    The battery comes resolved (:meth:`Policy.resolve`, once per
+    topology); the observer only chooses which events to show which
+    clause — every send's effective send label to the emission clauses,
+    every delivery over a non-declassifier edge to the delivery clauses,
+    every send label the kernel writes to the label clauses — and keeps
+    each distinct (policy, process, edge) breach once, however often the
+    bad state recurs."""
+
+    def __init__(
+        self,
+        source: ScriptedSource,
+        battery: Sequence[Tuple[Policy, Scope]] = (),
+        declassifiers: FrozenSet[str] = frozenset(),
+    ):
         self.source = source
         self.kernel: Optional[Kernel] = None
-        self.monitor: Optional[RuntimeMonitor] = None
         self.steps: List[StepRecord] = []
         #: Fork-port owners reset to these labels after each delivery —
         #: the kernel-side emulation of "each delivery lands on a fresh
         #: event process" (PortSpec.fork), keeping the live semantics
         #: aligned with the model's frozen-base reading.
         self.fresh_labels: Dict[str, Tuple[ChunkedLabel, ChunkedLabel]] = {}
+        self.declassifiers = declassifiers
+        self.breaches: List[Breach] = []
+        self.delivered_edges: Set[str] = set()
+        self._seen: Set[Tuple[Policy, str, str]] = set()
+        self._labels = [(p, s) for p, s in battery if p.label]
+        self._emissions = [(p, s) for p, s in battery if p.emission]
+        self._deliveries = [(p, s) for p, s in battery if p.delivery]
+        for policy, scope in battery:
+            self._judge(policy, scope.problem, "", step=-1)
+
+    def _judge(
+        self,
+        policy: Policy,
+        message: Optional[str],
+        process: str,
+        edge: str = "",
+        step: Optional[int] = None,
+    ) -> None:
+        if not message or (policy, process, edge) in self._seen:
+            return
+        self._seen.add((policy, process, edge))
+        step = self._step_index() if step is None else step
+        self.breaches.append(
+            policy.breach(message, process=process, edge=edge, step=step)
+        )
+
+    def judge_label(self, process: str, label: Any, step: Optional[int] = None) -> None:
+        for policy, scope in self._labels:
+            self._judge(policy, policy.label(scope, process, label), process, step=step)
 
     @staticmethod
     def _base_key(task: Task) -> str:
@@ -157,6 +215,15 @@ class _Observer:
 
     def on_send(self, task: Task, request: sc.Send) -> None:
         self._touch(("port", request.port))
+        if self._emissions:
+            # ES = PS ⊔ CS, judged at send time: a send the kernel then
+            # drops has still emitted its label.
+            ps, cs = task.send_label, request.cs
+            es = ps if cs is None else (lambda h: max(ps(h), cs(h)))
+            edge = _edge_of(request.payload)
+            for policy, scope in self._emissions:
+                message = policy.emission(scope, task.name, edge, es)
+                self._judge(policy, message, task.name, edge)
         kernel = self.kernel
         if kernel is not None:
             entry = kernel.ports.get(request.port)
@@ -176,25 +243,23 @@ class _Observer:
         self, task: Task, entry: Port, qmsg: Any, delivered: bool, qs: Any, qr: Any
     ) -> None:
         self._touch(("port", entry.handle), ("inbox", self._base_key(task)))
-        if delivered and self.monitor is not None:
-            payload = qmsg.payload
-            edge = payload.get("edge") if isinstance(payload, dict) else None
-            self.monitor.check_delivery(
-                edge,
-                qmsg.sender_name,
-                task.name,
-                qmsg.effective_send,
-                step=self._step_index(),
-            )
-            self.monitor.check_process(task.name, task.send_label, self._step_index())
         if delivered:
+            edge = _edge_of(qmsg.payload)
+            if edge:
+                self.delivered_edges.add(edge)
+            if edge not in self.declassifiers:
+                for policy, scope in self._deliveries:
+                    message = policy.delivery(
+                        scope, edge, task.name, qmsg.effective_send
+                    )
+                    self._judge(policy, message, task.name, edge)
+            self.judge_label(task.name, task.send_label)
             fresh = self.fresh_labels.get(task.key)
             if fresh is not None:
                 task.send_label, task.receive_label = fresh
 
     def on_change_label(self, task: Task, request: Any) -> None:
-        if self.monitor is not None:
-            self.monitor.check_process(task.name, task.send_label, self._step_index())
+        self.judge_label(task.name, task.send_label)
 
     def on_port_touch(self, task: Task, handle: Any) -> None:
         self._touch(("port", handle))
@@ -204,10 +269,12 @@ class Scenario:
     """A reproducible kernel setup the explorer re-executes at will.
 
     *factory(kernel, observer)* spawns the processes, installs ports and
-    labels, injects wire traffic, and returns a
-    :class:`~repro.policies.runtime.RuntimeMonitor` (or None).  The
-    explorer calls :meth:`execute` once per schedule with a fresh kernel
-    every time, so the factory must be deterministic.  *invariant*, when
+    labels, and injects wire traffic.  The policy *battery* — each policy
+    with its :class:`~repro.policies.assertions.Scope`, resolved once —
+    is judged on every run; *declassifiers* names the edges whose
+    deliveries the delivery clauses skip.  The explorer calls
+    :meth:`execute` once per schedule with a fresh kernel every time, so
+    the factory must be deterministic.  *invariant*, when
     given, runs against the terminal kernel and returns an error string
     (or None) — scenario-specific assertions the policy battery cannot
     express.
@@ -216,11 +283,13 @@ class Scenario:
     def __init__(
         self,
         name: str,
-        factory: Callable[[Kernel, _Observer], Optional[RuntimeMonitor]],
+        factory: Callable[[Kernel, _Observer], None],
         plan: Optional[Any] = None,
         fault_seed: int = 0,
         max_steps: int = 4000,
         invariant: Optional[Callable[[Kernel], Optional[str]]] = None,
+        battery: Sequence[Tuple[Policy, Scope]] = (),
+        declassifiers: Iterable[str] = (),
     ):
         self.name = name
         self.factory = factory
@@ -228,9 +297,10 @@ class Scenario:
         self.fault_seed = fault_seed
         self.max_steps = max_steps
         self.invariant = invariant
+        self.battery = list(battery)
+        self.declassifiers = frozenset(declassifiers)
         #: Edge names for dead-edge liveness (topology scenarios).
         self.edge_names: List[str] = []
-        self.policies: List[Policy] = []
 
     def execute(self, source: Optional[ScriptedSource] = None) -> RunResult:
         """One complete run under *source* (default: the all-FIFO script)."""
@@ -248,36 +318,23 @@ class Scenario:
             kernel.faults = FaultInjector(
                 self.plan, seed=self.fault_seed, kernel=kernel, source=source
             )
-        observer = _Observer(source)
+        observer = _Observer(source, self.battery, self.declassifiers)
         observer.kernel = kernel
         kernel.hooks.append(observer)
-        monitor = self.factory(kernel, observer)
-        observer.monitor = monitor
+        self.factory(kernel, observer)
         quiescent = True
         try:
             executed = kernel.run(max_steps=self.max_steps)
         except SimulationError:
             quiescent = False
             executed = self.max_steps
-        breaches: List[PolicyBreach] = []
-        if monitor is not None:
-            for process in kernel.processes.values():
-                monitor.check_process(process.name, process.send_label, -1)
-            breaches = list(monitor.breaches)
+        for process in kernel.processes.values():
+            observer.judge_label(process.name, process.send_label, step=-1)
+        breaches = list(observer.breaches)
         if self.invariant is not None:
             problem = self.invariant(kernel)
             if problem:
-                breaches.append(
-                    PolicyBreach(
-                        kind="invariant",
-                        policy="scenario invariant",
-                        process="",
-                        handle="",
-                        edge="",
-                        step=-1,
-                        message=problem,
-                    )
-                )
+                breaches.append(Breach("invariant", "scenario invariant", problem))
         sanitizer_violations = (
             [v.format() for v in kernel.sanitizer.violations]
             if kernel.sanitizer is not None
@@ -286,7 +343,6 @@ class Scenario:
         fault_events = (
             kernel.faults.events_json() if kernel.faults is not None else b""
         )
-        delivered = set(monitor.delivered_edges) if monitor is not None else set()
         digest_doc = {
             "scenario": self.name,
             "decisions": [point.to_json() for point in source.log],
@@ -315,7 +371,7 @@ class Scenario:
             steps=observer.steps,
             breaches=breaches,
             sanitizer_violations=sanitizer_violations,
-            delivered_edges=delivered,
+            delivered_edges=observer.delivered_edges,
             quiescent=quiescent,
             steps_executed=executed,
             fault_events=fault_events,
@@ -375,7 +431,7 @@ def scenario_from_topology(
     if problems:
         raise SchedError("; ".join(problems))
 
-    def factory(kernel: Kernel, observer: _Observer) -> RuntimeMonitor:
+    def factory(kernel: Kernel, observer: _Observer) -> None:
         edges_by_sender: Dict[str, List[Any]] = {}
         for edge in topology.edges:
             edges_by_sender.setdefault(edge.sender, []).append(edge)
@@ -398,11 +454,6 @@ def scenario_from_topology(
                 )
         for edge in edges_by_sender.get(WIRE, []):
             kernel.inject(topology.ports[edge.port].handle, {"edge": edge.name})
-        return RuntimeMonitor(
-            battery,
-            handles=topology.handles,
-            declassifier_edges=[e.name for e in topology.edges if e.declassifier],
-        )
 
     scenario = Scenario(
         name or topology.name,
@@ -410,9 +461,10 @@ def scenario_from_topology(
         plan=plan,
         fault_seed=fault_seed,
         max_steps=max_steps,
+        battery=[(policy, policy.resolve(topology)) for policy in battery],
+        declassifiers=[edge.name for edge in topology.edges if edge.declassifier],
     )
     scenario.edge_names = [edge.name for edge in topology.edges]
-    scenario.policies = battery
     return scenario
 
 
@@ -473,7 +525,7 @@ class ExploreReport:
     minimized: Optional[List[int]]     # shrunk decision vector
     minimized_run: Optional[RunResult]
     shrink_trials: int
-    dead_edges: List[PolicyBreach]
+    dead_edges: List[Breach]
     elapsed: float
     max_choice_points: int
 
@@ -657,10 +709,17 @@ def explore(
         minimized_run = scenario.execute(
             ScriptedSource(minimized)
         )
-    dead: List[PolicyBreach] = []
-    if violation is None and complete and scenario.edge_names and scenario.policies:
-        monitor = RuntimeMonitor(scenario.policies, handles={})
-        dead = monitor.dead_edge_breaches(scenario.edge_names, delivered_union)
+    dead: List[Breach] = []
+    if violation is None and complete:
+        never = {
+            edge: "in no explored schedule"
+            for edge in scenario.edge_names
+            if edge not in delivered_union
+        }
+        for policy, scope in scenario.battery:
+            message = policy.liveness(scope, never) if policy.liveness else None
+            if message:
+                dead.append(policy.breach(message))
     return ExploreReport(
         scenario=scenario.name,
         mode=mode,

@@ -60,8 +60,10 @@ def load_topology(path: str, flag: str = "") -> Any:
 
 
 def load_policies(path: Optional[str]) -> Optional[List[Any]]:
-    """``--policy FILE``: a list or ``{"policies": [...]}``; None (the
-    topology's embedded battery) when the flag was not given."""
+    """``--policy FILE``: a non-empty list or ``{"policies": [...]}``;
+    None (the topology's embedded battery) when the flag was not given.
+    Anything else — one bare policy object, an empty battery — checks
+    nothing, so it is a usage error rather than a pass."""
     if not path:
         return None
     import json
@@ -70,7 +72,10 @@ def load_policies(path: Optional[str]) -> Optional[List[Any]]:
 
     with bad_input(OSError, ValueError, KeyError, flag="--policy"):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return policies_from_json(doc.get("policies", []) if isinstance(doc, dict) else doc)
+        items = doc.get("policies") if isinstance(doc, dict) else doc
+        if not isinstance(items, list) or not items:
+            raise ValueError('expected a non-empty list or {"policies": [...]}')
+        return policies_from_json(items)
 
 
 def load_plan(path: str, flag: str = "") -> Any:

@@ -12,8 +12,9 @@ Asbestos labels are a mechanism; this package packages the paper's policy
   and mandatory integrity (Section 5.4);
 - :mod:`repro.policies.assertions` — whole-system policy *assertions*
   (isolation, mandatory declassification, capability confinement, edge
-  liveness) verified by the asbcheck model checker
-  (:mod:`repro.analysis.check`).
+  liveness), each kind the one judge of its own breaches for the asbcheck
+  model checker (:mod:`repro.analysis.check`) and the asbsched schedule
+  explorer (:mod:`repro.analysis.sched`).
 """
 
 from repro.policies.assertions import (

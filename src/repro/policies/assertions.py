@@ -1,8 +1,7 @@
-"""Whole-system policy assertions for the asbcheck model checker.
+"""Whole-system policy assertions, and the one definition of a breach.
 
 A policy is a declarative claim about every reachable label state of a
-:class:`~repro.analysis.model.Topology`; asbcheck either proves it or
-returns a shortest counterexample trace.  Four kinds, mirroring the
+:class:`~repro.analysis.model.Topology`.  Four kinds, mirroring the
 paper's security argument for OKWS (Section 7):
 
 - :class:`Isolation` — *handle confinement of taint*: the named handle
@@ -23,18 +22,54 @@ paper's security argument for OKWS (Section 7):
 Process fields accept :mod:`fnmatch` patterns (``worker-*``), so one
 assertion covers a family of event processes.
 
+Each kind judges its own cases.  :meth:`resolve` binds a policy to one
+topology once — its handle, the processes (or edges) its patterns match
+— as a :class:`Scope`, or explains why it names nothing it can resolve,
+which is a breach by itself.  Then one predicate per clause answers a
+breach message or ``None``:
+
+- ``label(scope, process, label)`` — a process's send label;
+- ``emission(scope, process, edge, es)`` — an effective send label;
+- ``delivery(scope, edge, receiver, es)`` — a delivery into a sink;
+- ``liveness(scope, dead)`` — the edges that never delivered.
+
+A kind without a clause has it as ``None``.  asbcheck
+(:mod:`repro.analysis.check`) shows the predicates explored states and
+edges, asbsched (:mod:`repro.analysis.sched`) live kernel events; both
+get back a :class:`Breach`, so the two can disagree about which states
+they reached, never about what a breach is.
+
 JSON encoding: ``{"kind": "isolation", "process": "netd", "handle":
-"uT:alice", "max_level": "2"}`` and analogously for the other kinds;
-:func:`policy_from_json` / :func:`policy_to_json` round-trip them.
+"uT:alice", "max_level": "2"}`` — the kind, then the dataclass fields in
+order; :func:`policy_from_json` / :func:`policy_to_json` round-trip them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from fnmatch import fnmatchcase
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.core.levels import L2, Level, level_name, parse_level
+from repro.core.levels import L2, STAR, Level, level_name, parse_level
+
+#: A label as the predicates read it: handle → level when called (a
+#: :class:`~repro.core.chunks.ChunkedLabel`, a ``Label``, or a join).
+LiveLabel = Callable[[int], Level]
+
+#: A tuple of names or name patterns (JSON: a list, or one bare string).
+Names = Tuple[str, ...]
 
 
 def matches(pattern: str, name: str) -> bool:
@@ -42,8 +77,126 @@ def matches(pattern: str, name: str) -> bool:
     return pattern == name or fnmatchcase(name, pattern)
 
 
+def _names(value: Any) -> Names:
+    if isinstance(value, str):
+        return (value,)
+    return tuple(str(item) for item in value or ())
+
+
+#: Field codecs by annotation: (from JSON, to JSON).
+_CODECS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "str": (str, str),
+    "Level": (parse_level, level_name),
+    "Names": (_names, list),
+}
+
+
 @dataclass(frozen=True)
-class Isolation:
+class Scope:
+    """One policy resolved against one topology."""
+
+    handle: Optional[int] = None
+    #: The processes its clauses cover (edges, for :class:`DeadEdges`).
+    names: FrozenSet[str] = frozenset()
+    #: Why the policy names nothing it can resolve; a breach by itself.
+    problem: Optional[str] = None
+
+
+@dataclass
+class Breach:
+    """One policy failure, as either checker found it."""
+
+    kind: str              # the policy kind ("isolation", ...)
+    policy: str            # the policy's describe()
+    message: str
+    process: str = ""      # the process whose state breached (or the sink)
+    handle: str = ""       # the policy's symbolic handle ("" for dead-edge)
+    edge: str = ""         # the edge the breach travelled, when it has one
+    step: int = -1         # asbsched: the scheduler step (-1: terminal)
+    trace: List[Any] = field(default_factory=list)  # asbcheck: counterexample
+
+    def to_json(self) -> Dict[str, Any]:
+        return {
+            "kind": self.kind,
+            "policy": self.policy,
+            "process": self.process,
+            "handle": self.handle,
+            "edge": self.edge,
+            "step": self.step,
+            "message": self.message,
+        }
+
+
+def _scope(topology: Any, handle: str, names: Iterable[str], pattern: str = "") -> Scope:
+    """A handle-bound scope over *names*; an empty match of a process
+    *pattern* resolves to nothing.  *topology* is duck-typed (``handles``,
+    ``processes``, ``edges``) so this layer does not import the analysis
+    layer."""
+    resolved = topology.handles.get(handle)
+    if resolved is None:
+        return Scope(problem=f"unknown handle {handle!r} in policy")
+    names = frozenset(names)
+    if pattern and not names:
+        return Scope(problem=f"policy matches no process: {pattern!r}")
+    return Scope(resolved, names)
+
+
+def _over(policy: Any, label: LiveLabel, scope: Scope) -> Optional[str]:
+    """``"<handle> at <level> (> <bound>)"`` when *label* carries the
+    scope's handle above *policy*'s ``max_level``, else ``None``."""
+    level = label(scope.handle)
+    if level > policy.max_level:
+        return f"{policy.handle} at {level_name(level)} (> {level_name(policy.max_level)})"
+    return None
+
+
+class _Kind:
+    """What every policy kind owns besides its fields."""
+
+    kind: ClassVar[str]
+    #: The SARIF rule summary.
+    summary: ClassVar[str]
+
+    #: The clause predicates; a kind without a clause leaves it None.
+    label: Any = None
+    emission: Any = None
+    delivery: Any = None
+    liveness: Any = None
+
+    def describe(self) -> str:
+        raise NotImplementedError
+
+    def resolve(self, topology: Any) -> Scope:
+        raise NotImplementedError
+
+    def breach(self, message: str, **where: Any) -> Breach:
+        return Breach(
+            self.kind,
+            self.describe(),
+            message,
+            handle=getattr(self, "handle", ""),
+            **where,
+        )
+
+    def to_json(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"kind": self.kind}
+        for f in fields(self):  # type: ignore[arg-type]
+            out[f.name] = _CODECS[f.type][1](getattr(self, f.name))
+        return out
+
+    @classmethod
+    def from_json(cls, obj: Mapping[str, Any]) -> "Policy":
+        kw: Dict[str, Any] = {}
+        for f in fields(cls):  # type: ignore[arg-type]
+            if f.name in obj:
+                kw[f.name] = _CODECS[f.type][0](obj[f.name])
+            elif f.default is MISSING:
+                raise KeyError(f.name)
+        return cls(**kw)  # type: ignore[return-value]
+
+
+@dataclass(frozen=True)
+class Isolation(_Kind):
     """*handle* stays at or below *max_level* in every matching process's
     send label and every effective send label it can produce."""
 
@@ -52,6 +205,10 @@ class Isolation:
     max_level: Level = L2
 
     kind = "isolation"
+    summary = (
+        "a watched handle never appears above its bound in the process's "
+        "send label or any effective send label it can produce"
+    )
 
     def describe(self) -> str:
         return (
@@ -59,9 +216,28 @@ class Isolation:
             f"{level_name(self.max_level)} in {self.process}"
         )
 
+    def resolve(self, topology: Any) -> Scope:
+        procs = [p for p in topology.processes if matches(self.process, p)]
+        return _scope(topology, self.handle, procs, self.process)
+
+    def label(self, scope: Scope, process: str, label: LiveLabel) -> Optional[str]:
+        if process in scope.names and (over := _over(self, label, scope)):
+            return f"{process} carries {over} in its send label"
+        return None
+
+    def emission(
+        self, scope: Scope, process: str, edge: str, es: LiveLabel
+    ) -> Optional[str]:
+        if process in scope.names and (over := _over(self, es, scope)):
+            return (
+                f"{process} can emit {over} in the effective send label of "
+                f"edge {edge!r}"
+            )
+        return None
+
 
 @dataclass(frozen=True)
-class MandatoryDeclassifier:
+class MandatoryDeclassifier(_Kind):
     """Without declassifier edges, nothing delivers *handle* above
     *max_level* into a process matching *sink*."""
 
@@ -70,6 +246,10 @@ class MandatoryDeclassifier:
     max_level: Level = L2
 
     kind = "mandatory-declassifier"
+    summary = (
+        "with declassifier edges removed, nothing delivers the handle "
+        "above its bound into the sink"
+    )
 
     def describe(self) -> str:
         return (
@@ -78,15 +258,31 @@ class MandatoryDeclassifier:
             "declassifier edges"
         )
 
+    def resolve(self, topology: Any) -> Scope:
+        sinks = [p for p in topology.processes if matches(self.sink, p)]
+        return _scope(topology, self.handle, sinks, self.sink)
+
+    def delivery(
+        self, scope: Scope, edge: str, receiver: str, es: LiveLabel
+    ) -> Optional[str]:
+        """A delivery that travelled no declassifier edge."""
+        if receiver in scope.names and (over := _over(self, es, scope)):
+            return (
+                f"edge {edge!r} delivers {over} into {receiver} without "
+                "passing a declassifier"
+            )
+        return None
+
 
 @dataclass(frozen=True)
-class CapabilityConfinement:
+class CapabilityConfinement(_Kind):
     """Only processes matching one of *allowed* ever hold ⋆ for *handle*."""
 
     handle: str
-    allowed: Tuple[str, ...]
+    allowed: Names = ()
 
     kind = "capability-confinement"
+    summary = "only the allowed processes ever hold * for the handle"
 
     def describe(self) -> str:
         return (
@@ -97,15 +293,28 @@ class CapabilityConfinement:
     def permits(self, process: str) -> bool:
         return any(matches(pattern, process) for pattern in self.allowed)
 
+    def resolve(self, topology: Any) -> Scope:
+        outsiders = [p for p in topology.processes if not self.permits(p)]
+        return _scope(topology, self.handle, outsiders)
+
+    def label(self, scope: Scope, process: str, label: LiveLabel) -> Optional[str]:
+        if process in scope.names and label(scope.handle) == STAR:
+            return (
+                f"{process} holds * for {self.handle} but is not in the "
+                f"allowed set ({', '.join(self.allowed)})"
+            )
+        return None
+
 
 @dataclass(frozen=True)
-class DeadEdges:
+class DeadEdges(_Kind):
     """Every listed edge (name patterns; empty = all edges) delivers in
     some reachable state."""
 
-    edges: Tuple[str, ...] = ()
+    edges: Names = ()
 
     kind = "dead-edge"
+    summary = "the listed edges must deliver in some reachable state"
 
     def describe(self) -> str:
         scope = ", ".join(self.edges) if self.edges else "all edges"
@@ -116,36 +325,33 @@ class DeadEdges:
             return True
         return any(matches(pattern, edge_name) for pattern in self.edges)
 
+    def resolve(self, topology: Any) -> Scope:
+        return Scope(names=frozenset(e.name for e in topology.edges if self.covers(e.name)))
+
+    def liveness(self, scope: Scope, dead: Mapping[str, str]) -> Optional[str]:
+        """*dead* maps each edge that never delivered to why."""
+        found = [f"{edge} ({why})" for edge, why in dead.items() if edge in scope.names]
+        if found:
+            return "edges can never deliver: " + "; ".join(found)
+        return None
+
 
 Policy = Union[Isolation, MandatoryDeclassifier, CapabilityConfinement, DeadEdges]
 
+#: Every kind by its JSON name, in SARIF rule-catalogue order.
+KINDS: Dict[str, Any] = {
+    k.kind: k
+    for k in (Isolation, MandatoryDeclassifier, CapabilityConfinement, DeadEdges)
+}
+
+
 def policy_from_json(obj: Mapping[str, Any]) -> Policy:
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"a policy is a JSON object, not {obj!r}")
     kind = obj.get("kind")
-    if kind == "isolation":
-        return Isolation(
-            process=str(obj["process"]),
-            handle=str(obj["handle"]),
-            max_level=parse_level(obj.get("max_level", 2)),
-        )
-    if kind == "mandatory-declassifier":
-        return MandatoryDeclassifier(
-            handle=str(obj["handle"]),
-            sink=str(obj["sink"]),
-            max_level=parse_level(obj.get("max_level", 2)),
-        )
-    if kind == "capability-confinement":
-        allowed = obj.get("allowed") or []
-        if isinstance(allowed, str):
-            allowed = [allowed]
-        return CapabilityConfinement(
-            handle=str(obj["handle"]), allowed=tuple(str(a) for a in allowed)
-        )
-    if kind == "dead-edge":
-        edges = obj.get("edges") or []
-        if isinstance(edges, str):
-            edges = [edges]
-        return DeadEdges(edges=tuple(str(e) for e in edges))
-    raise ValueError(f"unknown policy kind: {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown policy kind: {kind!r}")
+    return KINDS[kind].from_json(obj)
 
 
 def policies_from_json(items: Iterable[Mapping[str, Any]]) -> List[Policy]:
@@ -153,46 +359,6 @@ def policies_from_json(items: Iterable[Mapping[str, Any]]) -> List[Policy]:
 
 
 def policy_to_json(policy: Policy) -> Dict[str, Any]:
-    if isinstance(policy, Isolation):
-        return {
-            "kind": policy.kind,
-            "process": policy.process,
-            "handle": policy.handle,
-            "max_level": level_name(policy.max_level),
-        }
-    if isinstance(policy, MandatoryDeclassifier):
-        return {
-            "kind": policy.kind,
-            "handle": policy.handle,
-            "sink": policy.sink,
-            "max_level": level_name(policy.max_level),
-        }
-    if isinstance(policy, CapabilityConfinement):
-        return {
-            "kind": policy.kind,
-            "handle": policy.handle,
-            "allowed": list(policy.allowed),
-        }
-    if isinstance(policy, DeadEdges):
-        return {"kind": policy.kind, "edges": list(policy.edges)}
-    raise TypeError(f"not a policy: {policy!r}")
-
-
-def watched_handles(policies: Sequence[Policy], topology: Any) -> List[int]:
-    """The concrete handles any policy constrains.  The explorer's
-    eager-closure reduction may collapse label changes only at handles
-    *outside* this set (see ``repro.analysis.check``).
-
-    *topology* is duck-typed: anything with a ``handles`` name→handle
-    mapping works.  (Depending on the concrete
-    :class:`repro.analysis.model.Topology` here would make the policy
-    layer import the analysis layer — the import cycle PR 6 papered over
-    with a lazy re-export hack.)"""
-    out = set()
-    for policy in policies:
-        name = getattr(policy, "handle", None)
-        if name is not None:
-            handle = topology.handles.get(name)
-            if handle is not None:
-                out.add(handle)
-    return sorted(out)
+    if not isinstance(policy, _Kind):
+        raise TypeError(f"not a policy: {policy!r}")
+    return policy.to_json()

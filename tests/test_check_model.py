@@ -26,7 +26,6 @@ from repro.policies.assertions import (
     policies_from_json,
     policy_from_json,
     policy_to_json,
-    watched_handles,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,21 +80,18 @@ def test_policy_json_round_trip():
         DeadEdges(edges=("a->b",)),
     ]
     assert policies_from_json([policy_to_json(p) for p in battery]) == battery
-    with pytest.raises(ValueError):
-        policy_from_json({"kind": "nonsense"})
-
-
-def test_watched_handles_skips_unknown_names():
-    topo = Topology("t")
-    h = topo.handle("uT:u")
-    policies = [
-        Isolation(process="x", handle="uT:u"),
-        Isolation(process="x", handle="no-such-handle"),
-        DeadEdges(),
-    ]
-    assert watched_handles(policies, topo) == [h]
-    # The unknown name must not have been minted as a side effect.
-    assert "no-such-handle" not in topo.handles
+    # Keys follow the kind's fields, in order; optional fields may be
+    # absent, a name list may be one bare string.
+    assert list(policy_to_json(battery[0])) == ["kind", "process", "handle", "max_level"]
+    assert policy_from_json({"kind": "capability-confinement", "handle": "h"}) == (
+        CapabilityConfinement(handle="h", allowed=())
+    )
+    assert policy_from_json({"kind": "dead-edge", "edges": "a->b"}) == DeadEdges(("a->b",))
+    with pytest.raises(KeyError):
+        policy_from_json({"kind": "isolation", "handle": "h"})
+    for bad in ({"kind": "nonsense"}, ["isolation"]):
+        with pytest.raises(ValueError):
+            policy_from_json(bad)
 
 
 def test_label_store_interns_and_memoizes():

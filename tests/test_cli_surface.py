@@ -68,6 +68,24 @@ def test_usage_errors_share_one_shape(argv, capsys):
     assert captured.err.startswith(f"repro {argv[0]}: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "explore"])
+@pytest.mark.parametrize(
+    "document",
+    [{"kind": "isolation"}, {"policies": []}, [], {"policy": [{"kind": "dead-edge"}]}],
+    ids=["bare-policy", "empty-battery", "empty-list", "no-policies-key"],
+)
+def test_a_policy_file_that_checks_nothing_is_a_usage_error(command, document, tmp_path, capsys):
+    # Read as an empty battery, these would report "0 policies checked"
+    # and pass.
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(document))
+    clean = "examples/topologies/clean_site.json"
+    assert main([command, "--topology", clean, "--policy", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {command}: --policy: ")
+
+
 def test_explore_replay_honours_format_json(tmp_path, capsys):
     race = "examples/topologies/race_site.json"
     assert main(["explore", "--topology", race, "--out", str(tmp_path)]) == 1
