@@ -307,17 +307,12 @@ class Exploration:
         #: state id → (parent state id or -1, edge idx sequence fired).
         self.parents: List[Tuple[int, Tuple[int, ...]]] = []
         self.edge_delivered: List[bool] = [False] * len(engine.edges)
-        self.edge_last_drop: List[Optional[str]] = [None] * len(engine.edges)
         self.transitions = 0
         self.truncated = False
         #: Edge firings evaluated, memo hits included: what a run costs.
         self.edge_evaluations = 0
         #: state id → whether its closure converged, i.e. no edge steps from it.
         self._fixpoint: List[bool] = []
-        #: The popped state's drop reason per edge (None: delivered), and the
-        #: edges whose ``edge_last_drop`` slot a closure moved off it since.
-        self._base: List[Optional[str]] = [None] * len(engine.edges)
-        self._stale: Set[int] = set()
         self._qs_eager_memo: Dict[Tuple[int, int], bool] = {}
         self._run()
 
@@ -350,13 +345,9 @@ class Exploration:
         firing = self.engine.fire(state, edge)
         if firing.delivered:
             self.edge_delivered[edge.idx] = True
-        else:
-            self.edge_last_drop[edge.idx] = firing.drop
         return firing
 
-    def _closure(
-        self, state: State, dirty: int, fired: int
-    ) -> Tuple[State, Tuple[int, ...], bool]:
+    def _closure(self, state: State, dirty: int) -> Tuple[State, Tuple[int, ...], bool]:
         """Saturate *state* with eager steps.  Returns the state, the edge
         indices stepped, and whether the closure converged (it stops at the
         first pass boundary past :attr:`CLOSURE_CAP` steps otherwise).
@@ -373,29 +364,17 @@ class Exploration:
         step dirtied would fire on the same key as last time, and so not
         step.  *dirty* is every edge for the initial state and below a
         capped closure; for a successor of a converged state (a fixpoint),
-        it is the edges the BFS step on edge *fired* dirtied.
-
-        Liveness slots.  A skipped firing repeats the outcome of one that
-        ran, so ``edge_delivered`` (set once) never differs.  Nor does
-        ``edge_last_drop`` (the last drop written), with one exception: the
-        first pass of a successor's closure, where a full pass re-fires
-        every edge ``e`` on the popped state's key and so rewrites its drop
-        ``_base[e]`` over whatever an earlier sibling's closure wrote.  So a
-        drop that moves the slot of an ``e <= fired`` off ``_base[e]`` marks
-        ``e`` stale, and the first pass ends by restoring every stale edge
-        it did not fire.  (An ``e > fired`` the BFS loop fires itself,
-        later.)"""
+        it is the edges the BFS step into it dirtied.  A skipped firing
+        repeats the outcome of one that ran, so ``edge_delivered`` is the
+        full-pass closure's."""
         if self.exact:
             return state, (), True
         engine = self.engine
         edges, memo, eager_memo = engine.edges, engine._fire_memo, self._qs_eager_memo
         qs_readers, qr_readers = engine.qs_readers, engine.qr_readers
-        delivered, last_drop = self.edge_delivered, self.edge_last_drop
-        base, stale = self._base, self._stale
+        delivered = self.edge_delivered
         steps: List[int] = []
         current, following = dirty, 0
-        walked = dirty  # every edge a pass took up; read after the first
-        first_pass = True
         evaluations = 0
         while True:
             while current:
@@ -410,12 +389,6 @@ class Exploration:
                 if firing is None:
                     firing = engine.fire(state, edge)
                 if not firing.delivered:
-                    drop = last_drop[idx] = firing.drop
-                    if idx <= fired and base[idx] is not None:
-                        if drop == base[idx]:
-                            stale.discard(idx)
-                        else:
-                            stale.add(idx)
                     continue
                 delivered[idx] = True
                 if firing.new_qs != qs_old:
@@ -436,12 +409,6 @@ class Exploration:
                 later = moved & -(low << 1)  # the dirtied edges above idx
                 current |= later
                 following |= moved ^ later
-                walked |= later
-            if first_pass:
-                first_pass = False
-                for idx in [i for i in stale if not walked >> i & 1]:
-                    last_drop[idx] = base[idx]
-                    stale.discard(idx)
             if not following or len(steps) >= self.CLOSURE_CAP:
                 break
             current, following = following, 0
@@ -466,19 +433,17 @@ class Exploration:
         return sid
 
     def _run(self) -> None:
-        engine, base = self.engine, self._base
+        engine = self.engine
         every = (1 << len(engine.edges)) - 1
-        init, init_steps, converged = self._closure(engine.initial, every, -1)
+        init, init_steps, converged = self._closure(engine.initial, every)
         self._register(init, -1, init_steps, converged)
         queue = deque([0])
         while queue:
             sid = queue.popleft()
             state = self.order[sid]
             fixpoint = self._fixpoint[sid]
-            self._stale.clear()
             for edge in engine.edges:
                 firing = self._fire(state, edge)
-                base[edge.idx] = firing.drop
                 if not firing.delivered:
                     continue
                 succ = engine.apply(state, edge, firing)
@@ -489,9 +454,9 @@ class Exploration:
                     # A step out of a fixpoint moves the receiver's QS: one
                     # moving only its QR would have been an eager step.
                     dirty = engine.qs_readers[edge.r_idx]
-                    succ, steps, converged = self._closure(succ, dirty, edge.idx)
+                    succ, steps, converged = self._closure(succ, dirty)
                 else:
-                    succ, steps, converged = self._closure(succ, every, -1)
+                    succ, steps, converged = self._closure(succ, every)
                 new_sid = self._register(succ, sid, (edge.idx,) + steps, converged)
                 if new_sid is not None:
                     queue.append(new_sid)
@@ -597,9 +562,12 @@ def _eval_deliveries(
 
 
 def _never_delivered(engine: Engine, expl: Exploration) -> Dict[str, str]:
-    """Edge name → why, for each edge *expl* never delivered."""
+    """Edge name → why, for each edge *expl* never delivered: its drop in
+    the closed initial state, where the search fires every edge first (a
+    memo hit)."""
+    initial = expl.order[0]
     return {
-        edge.name: expl.edge_last_drop[edge.idx] or "never attempted"
+        edge.name: engine.fire(initial, edge).drop
         for edge in engine.edges
         if not expl.edge_delivered[edge.idx]
     }

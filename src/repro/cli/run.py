@@ -97,6 +97,8 @@ def run(args: argparse.Namespace) -> int:
     doc = {
         "alice": alice,
         "bob": bob,
+        "checked_deliveries": sanitizer.checked_deliveries if sanitizer is not None else 0,
+        "checked_sends": sanitizer.checked_sends if sanitizer is not None else 0,
         "drops": {"label-check": drops},
         "elide": flows.counters() if flows is not None else None,
         "sanitized": sanitizer is not None,

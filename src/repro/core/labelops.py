@@ -56,7 +56,6 @@ from repro.core.chunks import (
     _STAR_BIT,
 )
 from repro.core.handles import Handle
-from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L3, STAR, Level
 
 
@@ -151,19 +150,28 @@ def decontamination_privileged(
 ) -> bool:
     """Requirements (2) and (3): ``DS(h) < 3 ⇒ PS(h) = ⋆`` and
     ``DR(h) > ⋆ ⇒ PS(h) = ⋆`` — decontaminating a receiver takes the
-    sender's ``*`` for every handle it lowers or raises.  Fired by both
-    the kernel's send path and the model checker's ``LabelStore``; DS and
-    DR are almost always the ``{3}`` / ``{⋆}`` defaults (two comparisons,
-    two empty walks)."""
-    if ds.default < L3 and ps.max_level != STAR:
-        return False
+    sender's ``*`` for every handle it lowers or raises.  Fired by the
+    label engine's send half and the model checker's ``LabelStore``; DS
+    and DR are almost always the ``{3}`` / ``{⋆}`` defaults (two
+    comparisons, two empty walks).
+
+    A default below 3 in DS (or above ⋆ in DR) asks for ``*`` at every
+    handle it does not name otherwise, so PS's default must be ``*`` and
+    only PS's other entries can fail: each one fails where DS or DR asks."""
+    if ds.default < L3 or dr.default > STAR:
+        if ps.default != STAR:
+            return False
+        for handle, _ in ps.nonstar_entries():
+            if stats is not None:
+                stats.entries_scanned += 1
+            if ds(handle) < L3 or dr(handle) > STAR:
+                return False
+        return True
     for handle, level in ds.iter_entries() if ds._size else ():
         if stats is not None:
             stats.entries_scanned += 1
         if level < L3 and ps(handle) != STAR:
             return False
-    if dr.default > STAR and ps.max_level != STAR:
-        return False
     for handle, level in dr.iter_entries() if dr._size else ():
         if stats is not None:
             stats.entries_scanned += 1
@@ -453,16 +461,6 @@ def _from_entries(
     return ChunkedLabel(chunks, default)
 
 
-# -- reference implementations (used by tests and the ablation bench) ----------------------
-
-
-def check_send_reference(
-    es: Label, qr: Label, dr: Label, v: Label, pr: Label
-) -> bool:
-    """Naive Figure 4 requirement (1), via the plain Label operators."""
-    return es <= ((qr | dr) & v & pr)
-
-
 # -- the paper's cost model ------------------------------------------------------
 #
 # The prototype's label operations are linear in the size of their inputs,
@@ -568,12 +566,3 @@ def paper_cost_raise_receive(qr: ChunkedLabel, dr: ChunkedLabel) -> int:
     q_size, q_lo, q_hi = qr.summary
     d_size, d_lo, d_hi = dr.summary
     return q_size + d_size if d_hi > q_lo and q_hi > d_lo else 0
-
-
-def apply_send_effects_reference(qs: Label, es: Label, ds: Label) -> Label:
-    """Naive Figure 4 send-label effect."""
-    return (qs & ds) | (es & qs.stars())
-
-
-def raise_receive_reference(qr: Label, dr: Label) -> Label:
-    return qr | dr

@@ -2,14 +2,16 @@
 
 Everything the kernel decides about a message goes through two calls::
 
-    send_join(ps, cs, stats)                        → (es, work)
+    send_join(ps, cs, ds, dr, stats)                → (drop, es, work)
     deliver(port, es, ds, v, dr, pl, qs, qr, stats) → Verdict
 
-``send_join`` is ``ES = PS ⊔ CS``; ``deliver`` is requirements (4) and (1)
-followed by the two effects, computed from the pre-effect labels and
-*returned*, never applied — labels are immutable, so an engine touches no
-kernel state, and ``Kernel._sys_send`` / ``Kernel._try_deliver`` own the
-drop log, rights landing and observability once, for every engine.
+``send_join`` is Figure 4's send half: ``ES = PS ⊔ CS`` and requirements
+(2) and (3), the decontamination privilege; ``deliver`` is requirements
+(4) and (1) followed by the two effects, computed from the pre-effect
+labels and *returned*, never applied — labels are immutable, so an engine
+touches no kernel state, and ``Kernel._sys_send`` / ``Kernel._try_deliver``
+own the drop log, rights transfer and landing, and observability once, for
+every engine.  A drop is a ``DROP_*`` reason, ``None`` to go on.
 
 :class:`Figure4Engine` is the flow itself, and computes every label
 with the fused :mod:`repro.core.labelops` operations on the full
@@ -17,8 +19,10 @@ operands whatever the config; the optional layers change only the bill:
 the ⋆-factored :class:`~repro.core.interning.LabelOpCache` prices its
 operations (DESIGN.md §11), and the proof-compiled
 :class:`~repro.kernel.elide.VerifiedFlowTable` is probed before them
-(§15).  :class:`SanitizingEngine` wraps a differential check around it
-(§7); ``Kernel.__init__`` builds the stack once from ``KernelConfig``.
+(§15) — only for the joins and the delivery; the privilege walk always
+runs live.  :class:`SanitizingEngine` wraps a differential check around
+both halves (§7); ``Kernel.__init__`` builds the stack once from
+``KernelConfig``.
 
 No engine charges the clock.  Each call returns a :class:`Work` record —
 which of the three hot operations is billed as executed and on which
@@ -40,7 +44,7 @@ from repro.core import labelops
 from repro.core.chunks import ChunkedLabel, OpStats
 from repro.core.interning import delivery_keys
 from repro.kernel.clock import CostModel
-from repro.kernel.errors import DROP_LABEL_CHECK, DROP_PORT_LABEL
+from repro.kernel.errors import DROP_DECONT_PRIVILEGE, DROP_LABEL_CHECK, DROP_PORT_LABEL
 
 __all__ = ["Figure4Engine", "LOCAL", "SanitizingEngine", "Verdict", "Work", "bill"]
 
@@ -53,8 +57,8 @@ class Work:
     ``ES = PS ⊔ CS`` at send, ``QR ⊔ DR`` at delivery), or ``None`` when it
     is billed as a cache or stub hit or the flow never got that far.
     ``hits`` counts label-op cache hits, ``stub`` marks a verified-flow
-    stub hit, and ``scan`` is the requirement (2)/(3) privilege walk the
-    kernel adds at send.
+    stub hit, and ``scan`` is the requirement (2)/(3) privilege walk over
+    DS and DR at send.
     """
 
     __slots__ = ("delivery", "stub", "hits", "scan", "check", "effects", "raised")
@@ -161,21 +165,26 @@ class Figure4Engine:
         self.flows = flows
 
     def send_join(
-        self, ps: ChunkedLabel, cs: ChunkedLabel, stats: OpStats,
-        sender: str = "", port: int = 0,
-    ) -> Tuple[ChunkedLabel, Work]:
+        self, ps: ChunkedLabel, cs: ChunkedLabel, ds: ChunkedLabel, dr: ChunkedLabel,
+        stats: OpStats, sender: str = "", port: int = 0,
+    ) -> Tuple[Optional[str], ChunkedLabel, Work]:
         # ES = PS ⊔ CS.  Contamination needs no privilege (Section 5.2).
-        # Only the join is ever proven: the requirement (2)/(3) walk runs
-        # live in the kernel — it guards the decontamination privilege.
-        if self.flows is not None:
-            es = self.flows.plan_send(ps, cs)
-            if es is not None:
-                return es, Work(stub=True)
-        work = Work()
-        es, hit = self.ops.raise_receive(ps, cs, stats, work)
-        if hit:
-            work.hits = 1
-        return es, work
+        # Only the join is ever proven or cached.
+        es = self.flows.plan_send(ps, cs) if self.flows is not None else None
+        if es is not None:
+            work = Work(stub=True)
+        else:
+            work = Work()
+            es, hit = self.ops.raise_receive(ps, cs, stats, work)
+            if hit:
+                work.hits = 1
+        # Requirements (2) and (3) run live on every send — no cache or
+        # proof ever stands in for the decontamination privilege — so
+        # their walk over DS and DR is always modelled.
+        work.scan = ds._size + dr._size
+        if labelops.decontamination_privileged(ps, ds, dr, stats):
+            return None, es, work
+        return DROP_DECONT_PRIVILEGE, es, work
 
     def deliver(
         self, port: int, es: ChunkedLabel, ds: ChunkedLabel, v: ChunkedLabel,
@@ -235,13 +244,13 @@ class SanitizingEngine:
         return self._tick == 0
 
     def send_join(
-        self, ps: ChunkedLabel, cs: ChunkedLabel, stats: OpStats,
-        sender: str = "", port: int = 0,
-    ) -> Tuple[ChunkedLabel, Work]:
-        es, work = self.inner.send_join(ps, cs, stats)
+        self, ps: ChunkedLabel, cs: ChunkedLabel, ds: ChunkedLabel, dr: ChunkedLabel,
+        stats: OpStats, sender: str = "", port: int = 0,
+    ) -> Tuple[Optional[str], ChunkedLabel, Work]:
+        drop, es, work = self.inner.send_join(ps, cs, ds, dr, stats)
         if self._due():
-            self.sanitizer.check_effective_send(sender, port, ps, cs, es)
-        return es, work
+            self.sanitizer.check_effective_send(sender, port, ps, cs, ds, dr, drop, es)
+        return drop, es, work
 
     def deliver(
         self, port: int, es: ChunkedLabel, ds: ChunkedLabel, v: ChunkedLabel,

@@ -18,6 +18,11 @@ The security-relevant parts implement Figure 4 exactly:
       QS ← (QS ⊓ DS) ⊔ (ES ⊓ QS*)
       QR ← QR ⊔ DR
 
+All four requirements and both effects are decided by one label engine
+(:mod:`repro.kernel.engine`): ``_sys_send`` makes one ``send_join`` call
+and ``_try_deliver`` one ``deliver`` call, and each owns only what follows
+the verdict — the drop log, rights transfer, the queue, the labels' update.
+
 Sends are asynchronous and unreliable: the sender always sees success, and
 a message failing any requirement is silently dropped (recorded only in
 the out-of-band :class:`~repro.kernel.errors.DropLog`).  Label checks and
@@ -53,7 +58,6 @@ from repro.kernel.config import KernelConfig
 from repro.kernel.engine import LOCAL, Figure4Engine, SanitizingEngine, Work, bill
 from repro.kernel.errors import (
     DROP_DEAD_PORT,
-    DROP_DECONT_PRIVILEGE,
     DROP_FAULT,
     DROP_QUEUE_LIMIT,
     DROP_REASONS,
@@ -671,15 +675,10 @@ class Kernel:
         v = self._top if v is None else self._user_label(v)
         dr = self._bottom if dr is None else self._user_label(dr)
 
-        es, work = self.engine.send_join(ps, cs, stats, task.name, request.port)
-        # Requirements (2) and (3) are checked live on every send — no
-        # cache or proof ever stands in for the decontamination
-        # privilege — so their walk over DS and DR is always modelled.
-        work.scan = ds._size + dr._size
-        ok = labelops.decontamination_privileged(ps, ds, dr, stats)
+        drop, es, work = self.engine.send_join(ps, cs, ds, dr, stats, task.name, request.port)
         self._bill(stats, work)
-        if not ok:
-            self._drop(DROP_DECONT_PRIVILEGE, task.name, f"{request.port:#x}")
+        if drop is not None:
+            self._drop(drop, task.name, f"{request.port:#x}")
             task.pending = True  # unreliable send: the sender cannot observe the drop
             return True
 

@@ -3,8 +3,9 @@
 `Exploration._closure` used to re-fire every edge on every pass; it now
 fires an edge only when a step changed a label its firing reads.  The
 reference here is that earlier closure and BFS loop, kept verbatim (the
-one change: the cap is read from ``CLOSURE_CAP``, so a small cap can reach
-the capped path).  On generated topologies the two must agree on every
+changes: the cap is read from ``CLOSURE_CAP``, so a small cap can reach
+the capped path, and the last-drop slot the dead-edge reasons no longer
+read is gone).  On generated topologies the two must agree on every
 output of an exploration and of `run_check`, and the change must fire
 exactly the reference's firings that the dependency argument keeps, in
 the reference's order.
@@ -124,14 +125,6 @@ def topologies(draw: Any) -> Topology:
 
 
 class _Reference(Exploration):
-    def _fire(self, state: State, edge: _Edge) -> Firing:
-        firing = self.engine.fire(state, edge)
-        if firing.delivered:
-            self.edge_delivered[edge.idx] = True
-        else:
-            self.edge_last_drop[edge.idx] = firing.drop
-        return firing
-
     def _closure(self, state: State) -> Tuple[State, Tuple[int, ...]]:
         if self.exact:
             return state, ()
@@ -287,7 +280,6 @@ def _outputs(expl: Exploration) -> dict:
         "transitions": expl.transitions,
         "truncated": expl.truncated,
         "edge_delivered": expl.edge_delivered,
-        "edge_last_drop": expl.edge_last_drop,
     }
 
 
@@ -331,7 +323,7 @@ def test_the_closure_equals_the_full_pass_closure(topology):
 def test_the_generator_makes_closures_and_mixed_drop_reasons():
     # The strategy must reach what the change can get wrong: real eager
     # closures, capped ones, and edges that drop for more than one reason
-    # over a run (the liveness slot the first pass may have to restore).
+    # over a run, dead ones for each reason.
     rng = random.Random(29)
     steps = capped = mixed = 0
     dead_reasons: Set[str] = set()
@@ -342,9 +334,7 @@ def test_the_generator_makes_closures_and_mixed_drop_reasons():
             steps += len(kept.parents[0][1]) + sum(len(s) - 1 for _, s in kept.parents[1:])
             capped += sum(kept._capped)
             mixed += sum(len(d) > 1 for d in kept.drops)
-            dead_reasons.update(
-                drop for drop, ok in zip(kept.edge_last_drop, kept.edge_delivered) if not ok and drop
-            )
+            dead_reasons.update(check._never_delivered(kept.engine, kept).values())
     # 381 steps, 119 capped closures and 23 mixed edges at this seed.
     assert steps >= 300
     assert capped >= 100
@@ -352,17 +342,13 @@ def test_the_generator_makes_closures_and_mixed_drop_reasons():
     assert dead_reasons == {DROP_DECONT_PRIVILEGE, DROP_LABEL_CHECK, DROP_PORT_LABEL}
 
 
-def test_the_first_pass_restores_a_drop_a_sibling_closure_moved():
+def test_a_dead_edges_reason_is_its_drop_in_the_closed_initial_state():
     # `a` sends to `b` granting u, so it drops for privilege until `a`
     # holds u at ⋆.  `y` gives `a` ⋆ and taint w at once, after which `b`
     # refuses the taint (label-check); `y2` gives the taint alone.  `z`
     # raises u at `c` and `z2` lowers it back: a cycle, since u is
-    # watched.  The last state popped is (a tainted without ⋆, c raised).
-    # There the edge drops for privilege, `y`'s closure fires it into a
-    # label-check drop, and `z2`'s closure leads to a state registered
-    # earlier without firing it, where a full pass rewrote the privilege
-    # drop.  Without the first pass's restore the dead edge's reason reads
-    # label-check.
+    # watched.  The edge drops for both reasons over the run, and its
+    # reason is the one it drops for first, in the closed initial state.
     topo = Topology("first-pass-restore")
     topo.handle("u")
     topo.handle("w")
@@ -388,9 +374,8 @@ def test_the_first_pass_restores_a_drop_a_sibling_closure_moved():
     topo.policies.append({"kind": "isolation", "process": "c", "handle": "u", "max_level": "1"})
     _check_topology(topo)
     kept = _compare(topo, {topo.handles["u"]}, False, 200_000, Exploration.CLOSURE_CAP)
-    assert kept.edge_last_drop[0] == DROP_DECONT_PRIVILEGE
+    assert check._never_delivered(kept.engine, kept) == {"a->b": DROP_DECONT_PRIVILEGE}
     assert kept.drops[0] == {DROP_DECONT_PRIVILEGE, DROP_LABEL_CHECK}
-    assert not kept.edge_delivered[0]
 
 
 # -- the oracles workload's topology -----------------------------------------------------

@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.analysis.extract import TopologyRecorder
 from repro.analysis.proofs import compile_proofs, write_proofs
+from repro.analysis.sanitizer import spec_deliver
 from repro.core import labelops as lo
 from repro.core.chunks import ChunkedLabel, OpStats
 from repro.core.interning import LabelOpCache, check_key, effects_key, raise_key
@@ -62,6 +63,22 @@ def _c(label: Label) -> ChunkedLabel:
     return ChunkedLabel.from_label(label)
 
 
+TOP, BOTTOM = Label.top(), Label.bottom()
+
+
+def requirement_1(es: Label, qr: Label, dr: Label, v: Label, pr: Label) -> bool:
+    """What ``check_send`` answers — requirement (1) alone — through the
+    spec: the same delivery to a receiver whose QR already holds DR, which
+    requirement (4) cannot refuse."""
+    return spec_deliver(es, TOP, v, BOTTOM, pr, TOP, qr | dr)[0] is None
+
+
+def send_effect_spec(qs: Label, es: Label, ds: Label) -> Label:
+    """The spec's send effect alone: a delivery nothing refuses (QR, V and
+    pR at 3, DR at ⋆)."""
+    return spec_deliver(es, ds, TOP, BOTTOM, TOP, qs, TOP)[1]
+
+
 def _cache(size: int = 8) -> LabelOpCache:
     return LabelOpCache(size=size)
 
@@ -74,7 +91,7 @@ def _cache(size: int = 8) -> LabelOpCache:
 def test_cached_check_send_matches_reference(es, qr, dr, v, pr):
     cache = _cache()
     args = tuple(_c(x) for x in (es, qr, dr, v, pr))
-    want = lo.check_send_reference(es, qr, dr, v, pr)
+    want = requirement_1(es, qr, dr, v, pr)
     got_miss, hit1 = cache.check_send(*args, OpStats())
     got_hit, hit2 = cache.check_send(*args, OpStats())
     assert got_miss == want
@@ -86,7 +103,7 @@ def test_cached_check_send_matches_reference(es, qr, dr, v, pr):
 @settings(max_examples=300)
 def test_cached_apply_send_effects_matches_reference(qs, es, ds):
     cache = _cache()
-    want = lo.apply_send_effects_reference(qs, es, ds)
+    want = send_effect_spec(qs, es, ds)
     got_miss, hit1 = cache.apply_send_effects(_c(qs), _c(es), _c(ds), OpStats())
     got_hit, hit2 = cache.apply_send_effects(_c(qs), _c(es), _c(ds), OpStats())
     assert got_miss.to_label() == want
@@ -98,7 +115,7 @@ def test_cached_apply_send_effects_matches_reference(qs, es, ds):
 @settings(max_examples=300)
 def test_cached_raise_receive_matches_reference(qr, dr):
     cache = _cache()
-    want = lo.raise_receive_reference(qr, dr)
+    want = qr | dr
     got_miss, hit1 = cache.raise_receive(_c(qr), _c(dr), OpStats())
     got_hit, hit2 = cache.raise_receive(_c(qr), _c(dr), OpStats())
     assert got_miss.to_label() == want
@@ -117,13 +134,13 @@ _SHARED = LabelOpCache(size=16)
 def test_shared_tiny_cache_never_serves_a_wrong_result(a, b, c, d, e):
     assert _SHARED.check_send(
         _c(a), _c(b), _c(c), _c(d), _c(e), OpStats()
-    )[0] == lo.check_send_reference(a, b, c, d, e)
+    )[0] == requirement_1(a, b, c, d, e)
     assert _SHARED.apply_send_effects(_c(a), _c(b), _c(c), OpStats())[
         0
-    ].to_label() == lo.apply_send_effects_reference(a, b, c)
+    ].to_label() == send_effect_spec(a, b, c)
     assert _SHARED.raise_receive(_c(d), _c(e), OpStats())[
         0
-    ].to_label() == lo.raise_receive_reference(d, e)
+    ].to_label() == (d | e)
 
 
 # -- 2. what counts as a hit: the factoring rules -----------------------------------
@@ -162,11 +179,11 @@ def test_equal_keys_mean_equal_answers_off_the_star_set(
     es2, qs2, qr2 = _starred(es, es_stars), _starred(qs, q_stars), _starred(qr, q_stars)
     a, b = [_c(x) for x in (es, qr, dr, v, pr)], [_c(x) for x in (es2, qr, dr, v, pr)]
     if check_key(*a)[0] == check_key(*b)[0]:
-        assert lo.check_send_reference(es, qr, dr, v, pr) == lo.check_send_reference(
+        assert requirement_1(es, qr, dr, v, pr) == requirement_1(
             es2, qr, dr, v, pr
         )
     if effects_key(_c(qs), _c(es), _c(ds)) == effects_key(_c(qs2), _c(es2), _c(ds)):
-        got, got2 = (lo.apply_send_effects_reference(q, e, ds) for q, e in ((qs, es), (qs2, es2)))
+        got, got2 = (send_effect_spec(q, e, ds) for q, e in ((qs, es), (qs2, es2)))
         assert _agree_off_stars(got, got2)
     if raise_key(_c(qr), _c(dr)) == raise_key(_c(qr2), _c(dr)):
         assert _agree_off_stars(qr | dr, qr2 | dr)
@@ -180,8 +197,8 @@ def test_t2_a_star_over_a_low_bound_keeps_es_exact(low):
     ops = {"qr": Label({}, L3), "v": Label({}, L3), low: Label({h: 0}, L3)}
     dr, pr = Label({}, STAR), Label({}, L3)
     with_star, without = Label({h: STAR}, L2), Label({}, L2)
-    assert lo.check_send_reference(with_star, ops["qr"], dr, ops["v"], pr)
-    assert not lo.check_send_reference(without, ops["qr"], dr, ops["v"], pr)
+    assert requirement_1(with_star, ops["qr"], dr, ops["v"], pr)
+    assert not requirement_1(without, ops["qr"], dr, ops["v"], pr)
     rest = [_c(x) for x in (ops["qr"], dr, ops["v"], pr)]
     assert check_key(_c(with_star), *rest)[0] != check_key(_c(without), *rest)[0]
 
@@ -208,7 +225,7 @@ def test_t1_grant_handle_survives_the_stripped_computation():
     ds = Label({h: STAR}, L3)
     cache = _cache()
     for expected_hit, es in ((False, Label({h: STAR}, L1)), (True, Label({h: STAR, 9: STAR}, L1))):
-        want = lo.apply_send_effects_reference(qs, es, ds)
+        want = send_effect_spec(qs, es, ds)
         assert want(h) == STAR
         got, hit = cache.apply_send_effects(_c(qs), _c(es), _c(ds), OpStats())
         assert got.to_label() == want
@@ -244,7 +261,7 @@ def test_t4_fresh_pin_capability_check_hits_across_connections():
     for conn in (500, 501, 502):
         es = Label({conn: STAR}, L1)
         pr = Label({conn: 0}, L3)
-        want = lo.check_send_reference(es, qr, dr, v, pr)
+        want = requirement_1(es, qr, dr, v, pr)
         assert want  # the capability makes the send admissible
         got, hit = cache.check_send(_c(es), _c(qr), _c(dr), _c(v), _c(pr), OpStats())
         assert got == want
@@ -265,7 +282,7 @@ def test_t4_denied_send_is_not_confused_with_the_admissible_one():
     denied, hit = cache.check_send(_c(es_plain), _c(qr), _c(dr), _c(v), _c(pr), OpStats())
     assert ok is True
     assert denied is False and hit is False
-    assert denied == lo.check_send_reference(es_plain, qr, dr, v, pr)
+    assert denied == requirement_1(es_plain, qr, dr, v, pr)
 
 
 def test_seeded_differential_sweep_under_eviction():
@@ -287,55 +304,19 @@ def test_seeded_differential_sweep_under_eviction():
         got, _ = cache.check_send(
             _c(es), _c(qr), _c(dr), _c(v), _c(pr), OpStats()
         )
-        assert got == lo.check_send_reference(es, qr, dr, v, pr), (i, "check")
+        assert got == requirement_1(es, qr, dr, v, pr), (i, "check")
         got, _ = cache.apply_send_effects(_c(qr), _c(es), _c(dr), OpStats())
-        assert got.to_label() == lo.apply_send_effects_reference(qr, es, dr), (
+        assert got.to_label() == send_effect_spec(qr, es, dr), (
             i,
             "effects",
         )
         got, _ = cache.raise_receive(_c(v), _c(pr), OpStats())
-        assert got.to_label() == lo.raise_receive_reference(v, pr), (i, "raise")
+        assert got.to_label() == (v | pr), (i, "raise")
     assert cache.lookups == 10_500
     assert cache.evictions > 5_000  # the sweep really did thrash the LRU
 
 
 # -- 3. the OKWS site: interned and elided kernels are the plain kernel -------------
-
-
-class InternedCheckingKernel(Kernel):
-    """An interning kernel whose every delivery is re-derived from the
-    naive reference semantics — cache hits included."""
-
-    checked = 0
-
-    def __init__(self):
-        super().__init__(
-            config=KernelConfig(intern_labels=True, labelop_cache_size=256)
-        )
-
-    def _try_deliver(self, task, entry, qmsg):
-        es = qmsg.effective_send.to_label()
-        qr = task.receive_label.to_label()
-        qs = task.send_label.to_label()
-        dr = qmsg.decontaminate_receive.to_label()
-        ds = qmsg.decontaminate_send.to_label()
-        v = qmsg.verify.to_label()
-        pr = entry.label.to_label()
-
-        expect_ok = lo.check_send_reference(es, qr, dr, v, pr) and dr <= pr
-        delivered = super()._try_deliver(task, entry, qmsg)
-        assert delivered == expect_ok, (
-            f"cached delivery verdict diverged for {qmsg.sender_name} -> {task.name}"
-        )
-        if delivered:
-            assert task.send_label.to_label() == lo.apply_send_effects_reference(
-                qs, es, ds
-            ), f"cached send-label effect diverged at {task.name}"
-            assert task.receive_label.to_label() == (qr | dr), (
-                f"cached receive-label effect diverged at {task.name}"
-            )
-        InternedCheckingKernel.checked += 1
-        return delivered
 
 
 USERS = (("alice", "pw-a"), ("bob", "pw-b"), ("carol", "pw-c"))
@@ -416,10 +397,17 @@ def test_fast_paths_run_the_okws_site_as_the_plain_kernel_does(okws_proofs, laye
 
 @pytest.mark.parametrize("network", ["classic", "decomposed"])
 def test_okws_replay_every_cached_decision_matches_reference(network):
-    InternedCheckingKernel.checked = 0
-    kernel = InternedCheckingKernel()
+    # The strict sanitizer replays both halves of every IPC — cache hits
+    # included — through the naive spec, and raises on any divergence.
+    kernel = Kernel(
+        config=KernelConfig(
+            intern_labels=True, labelop_cache_size=256, sanitize=True, sanitize_strict=True
+        )
+    )
     _run_okws_workload(kernel, network)
-    assert InternedCheckingKernel.checked > 300
+    assert kernel.sanitizer.violations == []
+    assert kernel.sanitizer.checked_sends > 0
+    assert kernel.sanitizer.checked_deliveries > 300
     # The replay must actually have exercised the cache, hits included.
     assert kernel.labelop_cache.hits > 100
     assert kernel.labelop_cache.misses > 0

@@ -1,6 +1,7 @@
 """Differential verification: every label decision the production kernel
 makes during a full OKWS workload is re-checked against the naive
-Figure 4 reference semantics (plain Label lattice operations).
+Figure 4 spec (:func:`repro.analysis.sanitizer.spec_send` and
+:func:`~repro.analysis.sanitizer.spec_deliver`) by the strict sanitizer.
 
 This catches any divergence between the fused/sparse fast paths the
 kernel executes and the paper's definitional rules, under exactly the
@@ -10,76 +11,16 @@ verification labels, decontamination grants...).
 
 import pytest
 
-from repro.core import labelops
+from repro.kernel.config import KernelConfig
 from repro.kernel.kernel import Kernel
-from repro.okws import ServiceConfig, launch
-from repro.okws.services import (
-    notes_handler,
-    profile_declassifier_handler,
-    profile_handler,
-    session_cache_handler,
-)
-from repro.sim.workload import HttpClient
-
-
-class CheckingKernel(Kernel):
-    """Re-validates every delivery against the reference semantics."""
-
-    checked = 0
-
-    def _try_deliver(self, task, entry, qmsg):
-        es = qmsg.effective_send.to_label()
-        qr = task.receive_label.to_label()
-        qs = task.send_label.to_label()
-        dr = qmsg.decontaminate_receive.to_label()
-        ds = qmsg.decontaminate_send.to_label()
-        v = qmsg.verify.to_label()
-        pr = entry.label.to_label()
-
-        expect_ok = labelops.check_send_reference(es, qr, dr, v, pr) and dr <= pr
-        delivered = super()._try_deliver(task, entry, qmsg)
-        assert delivered == expect_ok, (
-            f"delivery decision diverged for {qmsg.sender_name} -> {task.name}"
-        )
-        if delivered:
-            want_qs = labelops.apply_send_effects_reference(qs, es, ds)
-            want_qr = qr | dr
-            assert task.send_label.to_label() == want_qs, (
-                f"send-label effect diverged at {task.name}"
-            )
-            assert task.receive_label.to_label() == want_qr, (
-                f"receive-label effect diverged at {task.name}"
-            )
-        CheckingKernel.checked += 1
-        return delivered
+from tests.test_conformance import _run_okws_workload
 
 
 @pytest.mark.parametrize("network", ["classic", "decomposed"])
 def test_full_okws_workload_matches_reference_semantics(network):
-    CheckingKernel.checked = 0
-    site = launch(
-        kernel=CheckingKernel(),
-        services=[
-            ServiceConfig("cache", session_cache_handler),
-            ServiceConfig("notes", notes_handler),
-            ServiceConfig("profile", profile_handler),
-            ServiceConfig("publish", profile_declassifier_handler, declassifier=True),
-        ],
-        users=[("alice", "pw-a"), ("bob", "pw-b"), ("carol", "pw-c")],
-        schema=[
-            "CREATE TABLE notes (author TEXT, text TEXT)",
-            "CREATE TABLE profiles (owner TEXT, bio TEXT)",
-        ],
-        network=network,
-    )
-    client = HttpClient(site)
-    for user, pw in (("alice", "pw-a"), ("bob", "pw-b"), ("carol", "pw-c")):
-        client.request(user, pw, "cache", body=f"{user}-state".encode())
-        client.request(user, pw, "notes", body=f"{user}-note", args={"op": "add"})
-        client.request(user, pw, "notes", args={"op": "list"})
-        client.request(user, pw, "profile", body=f"{user}-bio", args={"op": "set"})
-    client.request("alice", "pw-a", "publish")
-    client.request("bob", "pw-b", "profile", args={"op": "get"})
-    client.request("alice", "pw-a", "cache", body=b"second-visit")
-    # Every delivery in the entire run was double-checked.
-    assert CheckingKernel.checked > 300
+    kernel = Kernel(config=KernelConfig(sanitize=True, sanitize_strict=True))
+    _run_okws_workload(kernel, network)
+    assert kernel.sanitizer.violations == []
+    # Both halves of every IPC in the entire run were double-checked.
+    assert kernel.sanitizer.checked_sends > 0
+    assert kernel.sanitizer.checked_deliveries > 300

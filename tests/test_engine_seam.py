@@ -4,8 +4,10 @@ each path has always been charged.
 
 1. One Hypothesis harness feeds an operand tuple to the plain, interned and
    elided engines — bare and under the sanitizing decorator — twice each, so
-   cache misses, cache hits, stub first-use and stub reuse are all compared
-   with Figure 4 evaluated on plain :class:`~repro.core.labels.Label` s.
+   cache misses, cache hits, stub first-use and stub reuse of both halves of
+   an IPC are all compared with the spec, Figure 4 evaluated on plain
+   :class:`~repro.core.labels.Label` s (:func:`spec_send`,
+   :func:`spec_deliver`).
 2. A table pins ``bill(work, stats, cost, mode)`` to the KERNEL_IPC cycles
    the pre-seam kernel (PR 11, ``d8015cf``) charged for the same operations,
    recorded by driving that kernel's ``_deliver`` / ``_sys_send`` directly
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.proofs import DeliverStub, LoadedProofs, SendStub, stub_key
-from repro.analysis.sanitizer import LabelSanitizer
+from repro.analysis.sanitizer import LabelSanitizer, spec_deliver, spec_send
 from repro.core import labelops as lo
 from repro.core.chunks import OpStats
 from repro.core.interning import LabelOpCache, check_key, delivery_keys, raise_key
@@ -33,7 +35,6 @@ from repro.kernel.clock import CostModel
 from repro.kernel.config import KernelConfig
 from repro.kernel.elide import VerifiedFlowTable
 from repro.kernel.engine import LOCAL, Figure4Engine, SanitizingEngine, Work, bill
-from repro.kernel.errors import DROP_LABEL_CHECK, DROP_PORT_LABEL
 from repro.kernel.kernel import Kernel
 from repro.kernel.message import QueuedMessage
 from repro.kernel.ports import Port
@@ -47,15 +48,6 @@ PORT = 0x77
 # -- 1. every engine == the naive Label spec ----------------------------------------
 
 
-def _spec(es, ds, v, dr, pl, qs, qr):
-    """Figure 4's delivery on plain Labels: (drop reason, new QS, new QR)."""
-    if not dr <= pl:
-        return DROP_PORT_LABEL, None, None
-    if not es <= ((qr | dr) & v & pl):
-        return DROP_LABEL_CHECK, None, None
-    return None, (qs & ds) | (es & qs.stars()), qr | dr
-
-
 def _proven(ps, cs, es, ds, v, dr, pl, qs, qr):
     """A flow table holding the stubs asbcheck's proof compiler would emit
     for exactly this send and (when the spec allows it) this delivery."""
@@ -64,7 +56,7 @@ def _proven(ps, cs, es, ds, v, dr, pl, qs, qr):
         lo.raise_receive(_c(ps), _c(cs)).without_stars()
     )
     ops = [_c(x) for x in (es, pl, qr, v, dr, qs, ds)]
-    if _spec(es, ds, v, dr, pl, qs, qr)[0] is None:
+    if spec_deliver(es, ds, v, dr, pl, qs, qr)[0] is None:
         if not check_key(_c(es), _c(qr), _c(dr), _c(v), _c(pl))[1]:  # T4: never compiled
             proofs.deliver[stub_key(PORT, delivery_keys(*ops))] = DeliverStub(
                 lo.apply_send_effects(_c(qs), _c(es), _c(ds)).without_stars(),
@@ -102,13 +94,18 @@ _mostly_bottom = st.one_of(st.just(Label({}, STAR)), labels)
 )
 @settings(max_examples=120, deadline=None)
 def test_every_engine_matches_the_label_spec(ps, cs, es, ds, v, dr, pl, qs, qr):
-    want_drop, want_qs, want_qr = _spec(es, ds, v, dr, pl, qs, qr)
+    want_privilege, want_es = spec_send(ps, cs, ds, dr)
+    want_drop, want_qs, want_qr = spec_deliver(es, ds, v, dr, pl, qs, qr)
     flows = _proven(ps, cs, es, ds, v, dr, pl, qs, qr)
     for name, (engine, _) in _engines(flows).items():
         for attempt in ("first", "again"):  # miss/first-use, then hit/reuse
-            got_es, work = engine.send_join(_c(ps), _c(cs), OpStats(), "tx", PORT)
-            assert got_es.to_label() == ps | cs, (name, attempt)
+            drop, got_es, work = engine.send_join(
+                _c(ps), _c(cs), _c(ds), _c(dr), OpStats(), "tx", PORT
+            )
+            assert drop == want_privilege, (name, attempt)
+            assert got_es.to_label() == want_es, (name, attempt)
             assert isinstance(work, Work) and not work.delivery
+            assert work.scan == len(ds) + len(dr)
             verdict = engine.deliver(
                 PORT, _c(es), _c(ds), _c(v), _c(dr), _c(pl), _c(qs), _c(qr),
                 OpStats(), True, "tx", "rx",
@@ -138,10 +135,11 @@ def test_elided_engine_hits_its_stubs_and_honours_elidable():
     # Cross-shard ingress takes the checked path.
     checked = engine.deliver(PORT, *args, OpStats(), False).work
     assert not checked.stub and checked.check is not None
-    assert engine.send_join(_c(ps), _c(cs), OpStats())[1].stub
+    send = (_c(ps), _c(cs), _c(top), _c(bottom), OpStats())
+    assert engine.send_join(*send)[2].stub
     flows.quarantine("test")  # a quarantined table answers nothing
     assert not engine.deliver(PORT, *args, OpStats()).work.stub
-    assert not engine.send_join(_c(ps), _c(cs), OpStats())[1].stub
+    assert not engine.send_join(*send)[2].stub
 
 
 def test_a_bad_stub_is_quarantined_even_when_the_violation_list_is_at_its_cap():
@@ -153,8 +151,10 @@ def test_a_bad_stub_is_quarantined_even_when_the_violation_list_is_at_its_cap():
     stub.new_qr_core = _c(Label({9: L3}, L2))  # a forged delta
     kernel = types.SimpleNamespace(debug_log=lambda who, line: None)
     sanitizer = LabelSanitizer(kernel, strict=False)  # observe mode, as in chaos runs
-    for _ in range(LabelSanitizer.LIMIT):
-        sanitizer.check_effective_send("tx", PORT, _c(ps), _c(cs), _c(ps))
+    for _ in range(LabelSanitizer.LIMIT):  # a wrong ES, privilege right
+        sanitizer.check_effective_send(
+            "tx", PORT, _c(ps), _c(cs), _c(top), _c(bottom), None, _c(ps)
+        )
     assert len(sanitizer.violations) == sanitizer.total == LabelSanitizer.LIMIT
     engine = SanitizingEngine(Figure4Engine(LabelOpCache(), flows), sanitizer, 1)
     args = [_c(x) for x in (es, top, top, bottom, top, qs, qr)]
@@ -209,7 +209,8 @@ _PARENT_DELIVERY = {
     ("drop4", "interned-hit"): (5820, 5792),
 }
 #: The same for Kernel._sys_send's label work (send_base excluded): the
-#: ES join plus the requirement (2)/(3) walk over DS and DR.
+#: ES join plus the requirement (2)/(3) walk over DS and DR, both in
+#: send_join now.
 _PARENT_SEND = {
     ("default", "plain"): (948, 2316),
     ("default", "interned-miss"): (948, 2316),
@@ -256,9 +257,8 @@ def test_bill_reproduces_parent_send_cycles(scenario):
         if (scenario, path) not in _PARENT_SEND:
             continue
         stats = OpStats()
-        _, work = engine.send_join(_PS, _CS, stats)
-        work.scan = len(ds) + len(dr)  # what Kernel._sys_send adds
-        assert lo.decontamination_privileged(_PS, ds, dr, stats)
+        drop, _, work = engine.send_join(_PS, _CS, ds, dr, stats)
+        assert drop is None
         assert _billed(work, stats) == _PARENT_SEND[scenario, path], path
 
 
@@ -267,9 +267,11 @@ def test_bill_stub_hits_are_flat_probes():
     # and recorded no OpStats; an elided send charged elide_stub_hit on
     # top of the live requirement (2)/(3) walk.
     assert _billed(Work(True, True), OpStats()) == (2750 + 120, 2750 + 120)
-    work, stats = Work(stub=True), OpStats()
-    work.scan = len(_DECONT["ds"]) + len(_DECONT["dr"])
-    assert lo.decontamination_privileged(_PS, _DECONT["ds"], _DECONT["dr"], stats)
+    proofs = LoadedProofs()
+    proofs.send[raise_key(_PS, _CS)] = SendStub(lo.raise_receive(_PS, _CS).without_stars())
+    engine, stats = Figure4Engine(LabelOpCache(), VerifiedFlowTable(proofs)), OpStats()
+    drop, _, work = engine.send_join(_PS, _CS, _DECONT["ds"], _DECONT["dr"], stats)
+    assert drop is None and work.stub
     assert _billed(work, stats) == (120 + int(0.55 * 2), 120 + 42 * 2)
 
 

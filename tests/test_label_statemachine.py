@@ -15,6 +15,7 @@ from repro.core import labelops
 from repro.core.chunks import CHUNK_CAPACITY, ChunkedLabel, OpStats, level_bit
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L3, STAR
+from tests.test_conformance import send_effect_spec
 
 levels = st.sampled_from(ALL_LEVELS)
 handles = st.integers(min_value=0, max_value=400)
@@ -84,7 +85,7 @@ class LabelLifecycle(RuleBasedStateMachine):
             ChunkedLabel.from_label(ds),
             OpStats(),
         )
-        want = labelops.apply_send_effects_reference(self._model_label(), es, ds)
+        want = send_effect_spec(self._model_label(), es, ds)
         self.default = want.default
         self.model = dict(want.entries())
 

@@ -11,6 +11,7 @@ from repro.core import labelops as lo
 from repro.core.chunks import Chunk, ChunkedLabel, OpStats, pack_chunks, unpack_chunks
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L0, L1, L2, L3, STAR
+from tests.test_conformance import requirement_1, send_effect_spec
 
 levels = st.sampled_from(ALL_LEVELS)
 labels = st.builds(
@@ -28,14 +29,14 @@ def _c(label: Label) -> ChunkedLabel:
 @settings(max_examples=300)
 def test_check_send_matches_reference(es, qr, dr, v, pr):
     got = lo.check_send(_c(es), _c(qr), _c(dr), _c(v), _c(pr), OpStats())
-    assert got == lo.check_send_reference(es, qr, dr, v, pr)
+    assert got == requirement_1(es, qr, dr, v, pr)
 
 
 @given(labels, labels, labels)
 @settings(max_examples=300)
 def test_apply_send_effects_matches_reference(qs, es, ds):
     got = lo.apply_send_effects(_c(qs), _c(es), _c(ds), OpStats()).to_label()
-    assert got == lo.apply_send_effects_reference(qs, es, ds)
+    assert got == send_effect_spec(qs, es, ds)
 
 
 @given(labels, labels)

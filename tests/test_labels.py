@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L0, L1, L2, L3, STAR
+from tests.test_conformance import send_effect_spec
 
 
 levels = st.sampled_from(ALL_LEVELS)
@@ -205,7 +206,7 @@ def test_stars_idempotent(a):
 @given(labels, labels)
 def test_contamination_preserves_stars(qs, es):
     # Equation 5's purpose: QS's * entries survive contamination.
-    result = qs | (es & qs.stars())
+    result = send_effect_spec(qs, es, Label.top())
     for h in list(dict(qs.entries())):
         if qs(h) == STAR:
             assert result(h) == STAR

@@ -19,6 +19,7 @@ from repro.policies.integrity import (
     network_daemon_send,
     network_exclusion_verify,
 )
+from tests.test_conformance import send_effect_spec
 
 
 # -- MLS ----------------------------------------------------------------------------
@@ -59,11 +60,9 @@ def test_mls_odd_label_still_safe(mls):
 def test_mls_downgrader_absorbs_everything(mls):
     # The downgrader holds ⋆ everywhere, so contamination cannot stick:
     # (QS ⊔ (ES ⊓ QS*)) leaves its stars alone.
-    from repro.core.labelops import apply_send_effects_reference
-
     qs = mls.downgrader()
     es = mls.classification("top-secret")
-    result = apply_send_effects_reference(qs, es, Label.top())
+    result = send_effect_spec(qs, es, Label.top())
     assert result == qs
 
 
@@ -116,23 +115,19 @@ def test_write_verify_label_shapes():
 def test_mandatory_grant_destroyed_by_low_integrity_message():
     # Section 5.4: a level-0 grant is lost the moment its holder receives
     # from a non-speaker (contamination raises 0 -> 1).
-    from repro.core.labelops import apply_send_effects_reference
-
     uG = 7
     holder = Label({uG: L0}, L1)
     non_speaker_es = Label({}, L1)
-    after = apply_send_effects_reference(holder, non_speaker_es, Label.top())
+    after = send_effect_spec(holder, non_speaker_es, Label.top())
     assert after(uG) == L1
     assert not speaks_for(after, uG)
 
 
 def test_durable_grant_survives():
-    from repro.core.labelops import apply_send_effects_reference
-
     uG = 7
     holder = grant_speaks_for(uG, mandatory=False)  # the DS label, ⋆
     receiver = Label({uG: STAR}, L1)
-    after = apply_send_effects_reference(receiver, Label({}, L1), Label.top())
+    after = send_effect_spec(receiver, Label({}, L1), Label.top())
     assert after(uG) == STAR
 
 

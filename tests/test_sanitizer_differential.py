@@ -2,11 +2,13 @@
 
 Drives random label/DS/V/DR combinations through live kernel IPC with the
 sanitizer enabled in strict mode (any fused/naive disagreement raises),
-then deliberately corrupts each fused fast path and asserts the sanitizer
-flags exactly that corruption.
+then deliberately corrupts each fused fast path — requirements (2)/(3)
+included — and asserts the sanitizer flags exactly that corruption.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,17 +17,21 @@ from repro.analysis import sanitizer as sanitizer_module
 from repro.analysis.sanitizer import (
     CHECK_MISMATCH,
     DROP_REASON_MISMATCH,
+    PRIVILEGE_MISMATCH,
     RECEIVE_EFFECT_MISMATCH,
     SEND_EFFECT_MISMATCH,
     SanitizerViolation,
+    spec_send,
 )
 from repro.core import labelops
+from repro.core.chunks import ChunkedLabel, OpStats
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L0, L1, L2, L3, STAR
 from repro.kernel.config import KernelConfig
-from repro.kernel.errors import DROP_LABEL_CHECK, DROP_PORT_LABEL
+from repro.kernel.errors import DROP_DECONT_PRIVILEGE, DROP_LABEL_CHECK, DROP_PORT_LABEL
 from repro.kernel.kernel import Kernel
 from repro.kernel.syscalls import NewHandle, NewPort, Recv, Send, SetPortLabel
+from tests.test_conformance import requirement_1
 
 levels = st.sampled_from(ALL_LEVELS)
 labels = st.builds(
@@ -61,16 +67,14 @@ def test_random_labels_fused_agrees_with_naive(cs, ds, v, dr, port_label):
     kernel.run()
     assert kernel.sanitizer is not None
     assert kernel.sanitizer.violations == []
-    # The send-time ES cross-check always ran; the delivery cross-check ran
-    # unless requirements (2)/(3) dropped the message at send time.
+    # The send half (ES and requirements (2)/(3)) was always cross-checked;
+    # the delivery only unless requirements (2)/(3) dropped the message.
     assert kernel.sanitizer.checked_sends == 1
 
 
 @given(es=labels, qr=labels, dr=labels, v=labels, pr=labels)
 @settings(max_examples=200)
 def test_fused_check_matches_the_sanitizer_reference(es, qr, dr, v, pr):
-    from repro.core.chunks import ChunkedLabel, OpStats
-
     fused = labelops.check_send(
         ChunkedLabel.from_label(es),
         ChunkedLabel.from_label(qr),
@@ -79,8 +83,41 @@ def test_fused_check_matches_the_sanitizer_reference(es, qr, dr, v, pr):
         ChunkedLabel.from_label(pr),
         OpStats(),
     )
-    naive = es <= ((qr | dr) & v & pr)
-    assert fused == naive
+    assert fused == requirement_1(es, qr, dr, v, pr)
+
+
+def _leaning(default):
+    """Labels over eight handles whose default leans to *default*."""
+    others = [level for level in ALL_LEVELS if level != default]
+    return st.builds(
+        Label,
+        st.dictionaries(st.integers(min_value=1, max_value=8), levels, max_size=4),
+        default=st.sampled_from([default] * len(others) + others),
+    )
+
+
+# PS's default leans to ⋆, where only PS's other entries can fail the
+# requirements; DS and DR lean to the {3} / {⋆} whose entries are walked.
+@given(ps=_leaning(STAR), ds=_leaning(L3), dr=_leaning(STAR))
+@settings(max_examples=400)
+def test_fused_privilege_check_matches_spec_send(ps, ds, dr):
+    fused = labelops.decontamination_privileged(
+        ChunkedLabel.from_label(ps), ChunkedLabel.from_label(ds), ChunkedLabel.from_label(dr),
+        OpStats(),
+    )
+    assert fused == (spec_send(ps, Label.bottom(), ds, dr)[0] is None)
+
+
+def test_a_handle_named_at_the_neutral_level_needs_no_privilege():
+    # PS = {h 0, ⋆}: DR = {h ⋆, 2} raises every handle but h, and DS =
+    # {h 3, 1} lowers every handle but h; PS holds ⋆ at all of those.
+    h = 7
+    ps = Label({h: L0}, STAR)
+    for ds, dr in ((Label.top(), Label({h: STAR}, L2)), (Label({h: L3}, L1), Label.bottom())):
+        assert spec_send(ps, Label.bottom(), ds, dr)[0] is None
+        assert labelops.decontamination_privileged(
+            ChunkedLabel.from_label(ps), ChunkedLabel.from_label(ds), ChunkedLabel.from_label(dr)
+        )
 
 
 @st.composite
@@ -105,25 +142,28 @@ decontaminations = st.one_of(
 
 
 def test_send_effect_where_it_can_move_equals_the_composed_operators(monkeypatch):
-    composed = sanitizer_module.composed_send_effect
+    # The composed operators are expected_send_label's own fallback, taken
+    # where its table of fixed levels says the defaults move QS, and with
+    # an empty table everywhere.  Only that fallback calls Label.stars.
+    visit = sanitizer_module.expected_send_label
+    stars = Label.stars
     whole = []
-    monkeypatch.setattr(
-        sanitizer_module,
-        "composed_send_effect",
-        lambda qs, es, ds: whole.append(1) or composed(qs, es, ds),
-    )
+    monkeypatch.setattr(Label, "stars", lambda self: whole.append(1) or stars(self))
     calls = []
 
     @given(qs=star_biased(), es=star_biased(), ds=decontaminations)
     @settings(max_examples=200, deadline=None)
     def agrees(qs, es, ds):
         calls.append(1)
-        assert sanitizer_module.expected_send_label(qs, es, ds) == composed(qs, es, ds)
+        visited = visit(qs, es, ds)
+        with monkeypatch.context() as patch:
+            patch.setattr(sanitizer_module, "_FIXED", defaultdict(frozenset))
+            assert visited == visit(qs, es, ds)
 
     agrees()
     # Both branches ran: the visit where the defaults leave QS alone, the
-    # whole-label operators where they do not.
-    assert 0 < len(whole) < len(calls)
+    # whole-label operators where they do not.  (Each forced call adds one.)
+    assert len(calls) < len(whole) < 2 * len(calls)
 
 
 # -- deliberate corruption must be flagged -------------------------------------------
@@ -206,12 +246,38 @@ def test_corrupted_raise_receive_is_flagged(monkeypatch):
     assert RECEIVE_EFFECT_MISMATCH in _violation_kinds(kernel)
 
 
+def test_a_privilege_granted_without_the_star_is_flagged(monkeypatch):
+    # Requirement (2): granting ⋆ at the receiver's port handle takes the
+    # sender's own ⋆ there, and the sender holds it at its default 1.
+    monkeypatch.setattr(labelops, "decontamination_privileged", lambda *args: True)
+    kernel = Kernel(config=KernelConfig(sanitize=True, sanitize_strict=False))
+
+    def sender(ctx):
+        port = ctx.env["box"]["port"]
+        yield Send(port, {"x": 1}, ds=Label({port: STAR}, L3))
+
+    _run_pair(kernel, sender)
+    assert kernel.drop_log.by_reason == {}
+    assert _violation_kinds(kernel) == [PRIVILEGE_MISMATCH]
+
+
+def test_a_privilege_denied_to_a_default_send_is_flagged(monkeypatch):
+    monkeypatch.setattr(labelops, "decontamination_privileged", lambda *args: False)
+    kernel = Kernel(config=KernelConfig(sanitize=True, sanitize_strict=False))
+
+    def sender(ctx):
+        yield Send(ctx.env["box"]["port"], {"x": 1})
+
+    _run_pair(kernel, sender)
+    assert kernel.drop_log.by_reason == {DROP_DECONT_PRIVILEGE: 1}
+    assert _violation_kinds(kernel) == [PRIVILEGE_MISMATCH]
+    assert f"drop for {DROP_DECONT_PRIVILEGE!r}" in kernel.sanitizer.violations[0].detail
+
+
 def test_a_drop_for_the_wrong_requirement_is_flagged(monkeypatch):
     # Requirement (4), DR ⊑ pR, wrongly fails in the fused path; the send
     # also fails requirement (1) (contamination 3 over clearance 2), so
     # the verdict "dropped" is right and only the reason is wrong.
-    from repro.core.chunks import ChunkedLabel
-
     monkeypatch.setattr(ChunkedLabel, "leq", lambda self, other, stats=None: False)
     kernel = Kernel(config=KernelConfig(sanitize=True, sanitize_strict=False))
 
