@@ -42,7 +42,8 @@ from typing import Any, Dict, List, Set, Tuple, Union
 
 from repro.core import labelops
 from repro.core.chunks import ChunkedLabel
-from repro.core.interning import InternTable, check_key, delivery_keys, raise_key
+from repro.core.interning import InternTable, check_key, delivery_keys, label_body, raise_key
+from repro.core.labels import Label
 
 from repro.analysis.check import Engine, Exploration
 from repro.analysis.model import Topology
@@ -274,12 +275,12 @@ def _pool_from_json(doc: Dict[str, Any], table: InternTable) -> Dict[str, Chunke
     for fp_hex, body in labels.items():
         try:
             fp = int(fp_hex, 16)
-            entries = [(int(h), int(lvl)) for h, lvl in body["entries"]]
-            default = int(body["default"])
+            entries = {int(h): int(lvl) for h, lvl in body["entries"]}
+            label = ChunkedLabel.from_label(Label(entries, int(body["default"])))
         except (KeyError, TypeError, ValueError) as err:
             raise ProofError(f"malformed label {fp_hex!r}: {err}") from err
         try:
-            pool[fp_hex] = table.from_wire(fp, default, entries)
+            pool[fp_hex] = table.from_wire(fp, label_body(label))
         except (KeyError, ValueError) as err:
             raise ProofError(str(err)) from err
     return pool

@@ -4,13 +4,14 @@ A cross-shard send leaves its kernel as ``(message, labels, effects)``:
 the payload, the effective send label ``ES`` computed on the sending
 shard, and the three discretionary labels (``DS``, ``V``, ``DR``) whose
 checks and effects run on the receiving shard.  This module turns that
-into a plain JSON-able dict and back:
+into a plain dict and back (picklable; label bodies are ``bytes``, so
+not JSON-able):
 
 .. code-block:: python
 
     {"schema": "wire/v1", "seq": 7, "src": 0, "dst": 2,
      "port": 4242, "sender": "courier", "payload": {...},
-     "labels": {"es": {"fp": 1234..., "default": 1, "entries": [[h, c], ...]},
+     "labels": {"es": {"fp": 1234..., "body": b"..."},  # label_body(ES)
                 "ds": {"fp": 99...},        # id-only: dst has seen it
                 ...}}
 
@@ -20,28 +21,29 @@ Labels are the expensive part, and interning is what makes them cheap:
   :func:`repro.core.interning.label_fingerprint` — because an object's
   identity is per-process and means nothing to a peer;
 - the **first** send of a label to a given destination carries the full
-  body: the default and the explicit ``(handle, level)`` entries, levels
-  in the 3-bit wire encoding of Section 5.6
-  (:func:`~repro.core.levels.level_to_wire`, ``⋆`` = 4);
+  body: one ``bytes`` object, exactly what the fingerprint hashes
+  (:func:`~repro.core.interning.label_body`: ``<q`` default, then
+  ``<Qq`` handle and level per entry, handles ascending, ``⋆`` = -1);
 - every **subsequent** send of the same label to that destination is
   id-only.  The decoder resolves it against its shard's local
   :class:`~repro.core.interning.InternTable` (the *re-intern* step) and
   keeps a strong reference, so an id-only reference never dangles.
 
-The decoder verifies the fingerprint of every full body it re-interns
-(a forged or corrupt id must not poison the receiving table) and raises
+The decoder verifies every full body it is given, whether or not it
+already knows the fingerprint: one hash of the received bytes against
+``fp``, then, for a label new to it, the canonical form — a forged or
+corrupt body must not poison the receiving table.  It raises
 :class:`WireError` on unknown schemas, bare unknown ids, or malformed
-levels — a shard never guesses about cross-shard input.
+bodies — a shard never guesses about cross-shard input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, Set
 
 from repro.core.chunks import ChunkedLabel
-from repro.core.interning import InternTable
-from repro.core.levels import level_from_wire, level_to_wire
+from repro.core.interning import InternTable, label_body
 
 __all__ = ["WIRE_SCHEMA", "WireDecoder", "WireEncoder", "WireError", "XShardMessage"]
 
@@ -109,14 +111,7 @@ class WireEncoder:
         if fp in shipped:
             return {"fp": fp}
         shipped.add(fp)
-        return {
-            "fp": fp,
-            "default": level_to_wire(label.default),
-            "entries": [
-                [handle, level_to_wire(level)]
-                for handle, level in label.iter_entries()
-            ],
-        }
+        return {"fp": fp, "body": label_body(label)}
 
     def encode(
         self,
@@ -158,10 +153,10 @@ class WireDecoder:
         self._known: Dict[int, ChunkedLabel] = {}
 
     def _decode_label(self, doc: Any) -> ChunkedLabel:
-        if not isinstance(doc, dict) or "fp" not in doc:
+        if not isinstance(doc, dict) or "fp" not in doc or len(doc) != 1 + ("body" in doc):
             raise WireError(f"not a wire/v1 label: {doc!r}")
         fp = doc["fp"]
-        if "default" not in doc:
+        if "body" not in doc:
             label = self._known.get(fp)
             if label is None:
                 try:
@@ -173,16 +168,9 @@ class WireDecoder:
                 self._known[fp] = label
             return label
         try:
-            default = level_from_wire(doc["default"])
-            entries: Tuple[Tuple[int, int], ...] = tuple(
-                (handle, level_from_wire(code)) for handle, code in doc["entries"]
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise WireError(f"malformed wire/v1 label body: {doc!r}") from err
-        try:
-            label = self.table.from_wire(fp, default, entries)
-        except ValueError as err:  # fingerprint/content mismatch
-            raise WireError(str(err)) from err
+            label = self.table.from_wire(fp, doc["body"])
+        except ValueError as err:  # a body not hashing to fp, or not canonical
+            raise WireError(f"malformed wire/v1 label body: {err}") from err
         self._known[fp] = label
         return label
 

@@ -234,7 +234,12 @@ def pack_chunks(entries: Sequence[Tuple[Handle, Level]]) -> List[Chunk]:
     """Sorted ``(handle, level)`` pairs as full 64-entry chunks (the last
     one takes the remainder)."""
     handles, levels = zip(*entries) if entries else ((), ())
-    codes = bytes(map(_ENCODE, levels))
+    return pack_columns(handles, bytes(map(_ENCODE, levels)))
+
+
+def pack_columns(handles: Tuple[Handle, ...], codes: bytes) -> List[Chunk]:
+    """:func:`pack_chunks` over the two buffers: sorted handles and their
+    parallel ``levels`` codes."""
     return [
         Chunk.packed(handles[i : i + CHUNK_CAPACITY], codes[i : i + CHUNK_CAPACITY])
         for i in range(0, len(handles), CHUNK_CAPACITY)

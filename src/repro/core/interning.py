@@ -74,12 +74,16 @@ import struct
 import weakref
 from collections import OrderedDict
 from itertools import chain
+from operator import lt
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.core import labelops
-from repro.core.chunks import ChunkedLabel, OpStats, _MASK_MIN, _STAR_BIT
+from repro.core.chunks import (
+    ChunkedLabel, OpStats, _DECODE, _MASK_MIN, _STAR_BIT, pack_chunks, pack_columns, unpack_chunks,
+)
+from repro.core.handles import HANDLE_SPACE
 from repro.core.labels import Label
-from repro.core.levels import STAR
+from repro.core.levels import L3, STAR
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -88,6 +92,7 @@ __all__ = [
     "check_key",
     "delivery_keys",
     "effects_key",
+    "label_body",
     "label_fingerprint",
     "raise_key",
 ]
@@ -96,18 +101,53 @@ __all__ = [
 DEFAULT_CACHE_SIZE = 4096
 
 
+def label_body(label: ChunkedLabel) -> bytes:
+    """The bytes :func:`label_fingerprint` hashes, and a full label's
+    ``wire/v1`` body: ``<q`` default, then ``<Qq`` (handle, level) per
+    entry in chunk order — interleaved from the chunk buffers at C speed."""
+    handles, codes = unpack_chunks(label.chunks)
+    words = [label.default] * (1 + 2 * len(handles))
+    words[1::2] = handles
+    words[2::2] = map(_DECODE, codes)
+    return struct.pack(f"<{len(words)}q", *words)
+
+
+def _hash_body(body: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(body, digest_size=8).digest(), "little")
+
+
+#: A body level's low byte (``*`` is 0xff) → its chunk ``levels`` code.
+_CODES = bytes.maketrans(b"\xff\x00\x01\x02\x03", b"\x00\x01\x02\x03\x04")
+
+
+def _label_from_body(body: bytes) -> ChunkedLabel:
+    """The label a canonical :func:`label_body` spells, checked at C speed:
+    levels in ⋆..3 and none at the default, handles in the 61-bit range
+    and strictly ascending."""
+    if len(body) % 16 != 8:
+        raise ValueError(f"not a canonical label body: {len(body)} bytes")
+    words = struct.unpack(f"<{len(body) // 8}q", body)
+    default, handles, levels = words[0], words[1::2], words[2::2]
+    if not (
+        STAR <= default <= L3
+        and default not in levels
+        and (not handles or 0 <= handles[0] and handles[-1] < HANDLE_SPACE
+             and STAR <= min(levels) and max(levels) <= L3)
+        and all(map(lt, handles, handles[1:]))
+    ):
+        raise ValueError("not a canonical label body")
+    return ChunkedLabel(pack_columns(handles, body[16::16].translate(_CODES)), default)
+
+
 def label_fingerprint(default: int, entries: Iterable[Tuple[int, int]]) -> int:
-    """Stable 64-bit content id for a label value.
+    """Stable 64-bit content id for a label value: blake2b-64 of its
+    :func:`label_body`.
 
     Derived from the canonical ``(default, sorted entries)`` value —
     identical on every shard regardless of intern order — and what the
     ``wire/v1`` codec ships when a label has already been sent to a peer.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<q", default))
-    for handle, level in entries:
-        h.update(struct.pack("<Qq", handle, level))
-    return int.from_bytes(h.digest(), "little")
+    return _hash_body(label_body(ChunkedLabel(pack_chunks(tuple(entries)), default)))
 
 
 class InternTable:
@@ -157,38 +197,34 @@ class InternTable:
         label = self.intern(label)
         fp = label.fingerprint
         if fp is None:
-            fp = label.fingerprint = label_fingerprint(
-                label.default, label.iter_entries()
-            )
+            fp = label.fingerprint = _hash_body(label_body(label))
             self._by_fingerprint[fp] = label
         return fp
 
-    def from_wire(
-        self,
-        fingerprint: int,
-        default: Optional[int] = None,
-        entries: Optional[Iterable[Tuple[int, int]]] = None,
-    ) -> ChunkedLabel:
+    def from_wire(self, fingerprint: int, body: Optional[bytes] = None) -> ChunkedLabel:
         """Re-intern a label received over the wire.
 
         With only a *fingerprint*, resolves a label this table has seen
-        (``KeyError`` otherwise — the peer must re-send the body).  With a
-        body, builds and interns the label and verifies that the
-        fingerprint matches the content: a corrupt or forged id must not
-        poison the table.
+        (``KeyError`` otherwise — the peer must re-send the body).  A
+        *body* (:func:`label_body`) is verified whether or not the
+        fingerprint is known: it must hash to *fingerprint* — so under a
+        known one it is that label's body — and an unknown one must be
+        canonical.  A corrupt or forged body must not poison the table.
         """
+        if body is not None:
+            if type(body) is not bytes:
+                raise ValueError(f"a label body is bytes, not {type(body).__name__}")
+            if _hash_body(body) != fingerprint:
+                raise ValueError(f"label body does not hash to its fingerprint {fingerprint!r}")
         got = self._by_fingerprint.get(fingerprint)
         if got is not None:
             return got
-        if default is None or entries is None:
+        if body is None:
             raise KeyError(f"unknown label fingerprint: {fingerprint:#x}")
-        label = self.intern(ChunkedLabel.from_label(Label(dict(entries), default)))
-        actual = self.fingerprint(label)
-        if actual != fingerprint:
-            raise ValueError(
-                f"label fingerprint mismatch: wire said {fingerprint:#x}, "
-                f"content hashes to {actual:#x}"
-            )
+        label = self.intern(_label_from_body(body))
+        if label.fingerprint is None:
+            label.fingerprint = fingerprint
+            self._by_fingerprint[fingerprint] = label
         return label
 
     def __len__(self) -> int:

@@ -10,10 +10,6 @@ Levels are plain integers internally.  ``*`` is represented by ``-1`` so
 that Python's built-in integer comparison realises the paper's order
 ``* < 0 < 1 < 2 < 3`` directly; ``min``/``max`` then implement the
 greatest-lower-bound and least-upper-bound on levels.
-
-A separate 3-bit *wire encoding* (``*`` = 4) is provided for the packed
-64-bit user-space label-entry format of Section 5.6, where the upper 61
-bits are the handle value and the lower 3 bits the level.
 """
 
 from __future__ import annotations
@@ -43,10 +39,6 @@ DEFAULT_RECEIVE: Level = L2
 ALL_LEVELS = (STAR, L0, L1, L2, L3)
 
 _NAMES = {STAR: "*", L0: "0", L1: "1", L2: "2", L3: "3"}
-
-# 3-bit wire encoding used in the packed 64-bit label-entry format.
-_WIRE = {STAR: 4, L0: 0, L1: 1, L2: 2, L3: 3}
-_UNWIRE = {code: lvl for lvl, code in _WIRE.items()}
 
 
 def parse_level(value) -> Level:
@@ -90,19 +82,3 @@ def level_name(level: Level) -> str:
         return _NAMES[level]
     except KeyError:
         raise ValueError(f"not an Asbestos level: {level!r}") from None
-
-
-def level_to_wire(level: Level) -> int:
-    """Encode a level into its 3-bit wire form (``*`` encodes as 4)."""
-    try:
-        return _WIRE[level]
-    except KeyError:
-        raise ValueError(f"not an Asbestos level: {level!r}") from None
-
-
-def level_from_wire(code: int) -> Level:
-    """Decode a 3-bit wire form back into a level."""
-    try:
-        return _UNWIRE[code]
-    except KeyError:
-        raise ValueError(f"not a level wire code: {code!r} (expected 0..4)") from None

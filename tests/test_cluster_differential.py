@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import struct
 
 import pytest
 
@@ -258,7 +259,27 @@ def test_a_shard_error_leaves_no_stale_reply(cluster2):
     assert [snap["shard"] for snap in report["shards"]] == [0, 1]
 
 
-@pytest.mark.parametrize("bad", ["truncated", "not-a-list", "not-documents"])
+#: ES bodies wire/v1 rejects, each shipped under its own (correct)
+#: fingerprint so that the content check, not the hash, is what fails:
+#: ``default, handle, level, ...`` as the body spells them.
+_BAD_BODIES = {
+    "truncated-body": struct.pack("<3q", 1, 7, 3)[:-4],
+    "level-minus-2": struct.pack("<3q", 1, 7, -2),
+    "default-4": struct.pack("<3q", 4, 7, 3),
+    "duplicate-handle": struct.pack("<5q", 1, 7, 3, 7, 2),
+    "descending-handles": struct.pack("<5q", 1, 9, 3, 7, 3),
+    "handle-2^61": struct.pack("<3q", 1, 1 << 61, 3),
+    "entry-at-default": struct.pack("<3q", 1, 7, 1),
+    "body-not-bytes": bytearray(struct.pack("<3q", 1, 7, 3)),
+}
+
+
+def _with_es_body(doc, body):
+    fp = int.from_bytes(hashlib.blake2b(body, digest_size=8).digest(), "little")
+    return {**doc, "labels": {**doc["labels"], "es": {"fp": fp, "body": body}}}
+
+
+@pytest.mark.parametrize("bad", ["truncated", "not-a-list", "not-documents", *_BAD_BODIES])
 def test_a_bad_batch_fails_closed(cluster2, bad):
     log = _record(cluster2)
     routed = cluster2.run_courier()
@@ -275,8 +296,15 @@ def test_a_bad_batch_fails_closed(cluster2, bad):
         "truncated": pickle.dumps([good])[:-3],
         "not-a-list": pickle.dumps(good),
         "not-documents": pickle.dumps([good, 1]),
+        **{
+            name: pickle.dumps([good, _with_es_body(good, body)])
+            for name, body in _BAD_BODIES.items()
+        },
     }[bad]
-    with pytest.raises(ClusterError, match="shard 1 xsend failed"):
+    error = "shard 1 xsend failed" + (
+        ": WireError.*(not a canonical label body|is bytes, not)" if bad in _BAD_BODIES else ""
+    )
+    with pytest.raises(ClusterError, match=error):
         cluster2._router.pump([(1, 2, blob)])
     # The cluster keeps answering, and the bad batch delivered nothing:
     # not even the good digest ahead of the bad entry.

@@ -2,13 +2,17 @@
 
 The cross-shard wire is the one place labels leave a kernel's process,
 so the codec gets property-level coverage: any label (⋆-bearing ones
-included — ``⋆`` has its own wire encoding) must survive
-encode → decode onto a *different* intern table with its content
-fingerprint intact, and a receiver must reject anything it cannot
-verify rather than guess.
+included) must survive encode → decode onto a *different* intern table
+with its content fingerprint intact, and a receiver must reject anything
+it cannot verify rather than guess — a body under a fingerprint it
+already knows included.  A body is the bytes its fingerprint hashes, and
+a property pins that hash to the per-entry ``struct.pack`` spelling.
 """
 
 from __future__ import annotations
+
+import hashlib
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,8 +23,9 @@ from repro.cluster.wire import (
     WireEncoder,
     WireError,
 )
-from repro.core.chunks import ChunkedLabel
-from repro.core.interning import InternTable, label_fingerprint
+from repro.core.chunks import Chunk, ChunkedLabel
+from repro.core.handles import HANDLE_SPACE
+from repro.core.interning import InternTable, label_body, label_fingerprint
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, STAR
 from repro.kernel.config import KernelConfig
@@ -100,7 +105,10 @@ def test_second_send_is_id_only_and_resolves(label):
     kwargs = dict(es=chunked, ds=chunked, v=chunked, dr=chunked)
     first = encoder.encode(dst=1, port=1, payload=None, **kwargs)
     second = encoder.encode(dst=1, port=1, payload=None, **kwargs)
-    assert "entries" in first["labels"]["es"]
+    shipped = first["labels"]["es"]
+    assert set(shipped) == {"fp", "body"} and type(shipped["body"]) is bytes
+    # The body is exactly what the fingerprint hashes.
+    assert _hash(shipped["body"]) == shipped["fp"]
     assert set(second["labels"]["es"]) == {"fp"}  # id-only
     decoder.decode(first)
     message = decoder.decode(second)
@@ -108,7 +116,16 @@ def test_second_send_is_id_only_and_resolves(label):
     assert dict(message.es.iter_entries()) == dict(chunked.iter_entries())
     # A different destination has seen nothing: full body again.
     other_dst = encoder.encode(dst=2, port=1, payload=None, **kwargs)
-    assert "entries" in other_dst["labels"]["es"]
+    assert "body" in other_dst["labels"]["es"]
+
+
+def _hash(body):
+    return int.from_bytes(hashlib.blake2b(body, digest_size=8).digest(), "little")
+
+
+def _body(*words):
+    """The body of ``default, handle, level, handle, level, ...``."""
+    return struct.pack(f"<{len(words)}q", *words)
 
 
 def _one_doc(label=None):
@@ -131,8 +148,39 @@ def test_unknown_id_only_reference_is_rejected():
 def test_tampered_body_is_rejected():
     _, decoder = _codec_pair()
     doc = _one_doc()
-    doc["labels"]["es"]["entries"] = [[7, 1]]  # body no longer matches fp
-    with pytest.raises(WireError):
+    assert doc["labels"]["es"]["body"] == _body(1, 7, 3)
+    doc["labels"]["es"]["body"] = _body(1, 7, 2)  # body no longer matches fp
+    with pytest.raises(WireError, match="hash"):
+        decoder.decode(doc)
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [_body(1, 7, STAR), _body(1, -5, 3), _body(1, 7, 2)],
+    ids=["star-at-7", "negative-handle", "level-2-at-7"],
+)
+def test_a_known_fingerprint_does_not_vouch_for_a_body(forged):
+    # The receiver has {h7: 3} under its fingerprint; a body that claims
+    # that fingerprint is still checked, not resolved and ignored.
+    _, decoder = _codec_pair()
+    doc = _one_doc()
+    assert decoder.decode(doc).es(7) == 3
+    doc["labels"]["es"]["body"] = forged
+    with pytest.raises(WireError, match="hash"):
+        decoder.decode(doc)
+    with pytest.raises(ValueError):
+        decoder.table.from_wire(doc["labels"]["es"]["fp"], forged)
+
+
+def test_an_old_style_body_fails_closed():
+    _, decoder = _codec_pair()
+    doc = _one_doc()
+    fp = doc["labels"]["es"]["fp"]
+    decoder.decode(doc)
+    # The entries form an older encoder shipped: no "body", so not a label,
+    # even under a fingerprint the receiver knows.
+    doc["labels"]["es"] = {"fp": fp, "default": 1, "entries": [[7, 3]]}
+    with pytest.raises(WireError, match="not a wire/v1 label"):
         decoder.decode(doc)
 
 
@@ -151,11 +199,16 @@ def test_unknown_schema_and_malformed_documents_are_rejected():
 
 
 def test_malformed_level_code_is_rejected():
+    # Shipped under its *correct* fingerprint: the content check, not the
+    # hash, is what rejects it.  The other non-canonical bodies are
+    # test_cluster_differential.py's bad batches.
     _, decoder = _codec_pair()
     doc = _one_doc()
-    doc["labels"]["es"]["entries"] = [[7, 99]]  # no such wire level
-    with pytest.raises(WireError, match="malformed"):
+    body = _body(1, 7, 4)  # no such level
+    doc["labels"]["es"] = {"fp": _hash(body), "body": body}
+    with pytest.raises(WireError, match="not a canonical label body"):
         decoder.decode(doc)
+    assert len(decoder.table) == 0  # nothing re-interned
 
 
 # -- the fingerprint layer (repro.core.interning) ----------------------------
@@ -172,12 +225,44 @@ def test_label_fingerprint_is_content_stable():
     )
 
 
+def _per_entry_fingerprint(default, entries):
+    """The fingerprint spelled one ``struct.pack`` per entry."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(struct.pack("<q", default))
+    for handle, level in entries:
+        h.update(struct.pack("<Qq", handle, level))
+    return int.from_bytes(h.digest(), "little")
+
+
+@given(
+    size=st.integers(min_value=0, max_value=700),
+    default=star_biased,
+    rng=st.randoms(use_true_random=False),
+)
+def test_label_body_hashes_like_the_per_entry_spelling(size, default, rng):
+    handles = sorted(rng.sample(range(HANDLE_SPACE), size))
+    levels = [rng.choice([lvl for lvl in ALL_LEVELS if lvl != default]) for _ in handles]
+    pairs = list(zip(handles, levels))
+    # Chunked any way: runs of 1..64 entries, not the packer's full runs.
+    chunks, start = [], 0
+    while start < size:
+        run = pairs[start : start + rng.randint(1, 64)]
+        chunks.append(Chunk(run))
+        start += len(run)
+    label = ChunkedLabel(chunks, default)
+    want = _per_entry_fingerprint(default, pairs)
+    assert _hash(label_body(label)) == label_fingerprint(default, pairs) == want
+    assert InternTable().fingerprint(label) == want
+    decoded = InternTable().from_wire(want, label_body(label))
+    assert decoded.default == default and list(decoded.iter_entries()) == pairs
+
+
 def test_from_wire_returns_the_canonical_instance():
     table = InternTable()
     label = table.intern(_chunked(Label({7: 3}, 1)))
     fp = table.fingerprint(label)
     assert table.from_wire(fp) is label
-    rebuilt = table.from_wire(fp, label.default, tuple(label.iter_entries()))
+    rebuilt = table.from_wire(fp, label_body(label))
     assert rebuilt is label
     with pytest.raises(KeyError):
         table.from_wire(fp ^ 1)

@@ -13,9 +13,7 @@ from repro.core.levels import (
     STAR,
     check_level,
     is_level,
-    level_from_wire,
     level_name,
-    level_to_wire,
 )
 
 
@@ -61,22 +59,3 @@ def test_level_names():
     assert level_name(L3) == "3"
     with pytest.raises(ValueError):
         level_name(9)
-
-
-def test_wire_encoding_roundtrip():
-    for level in ALL_LEVELS:
-        code = level_to_wire(level)
-        assert 0 <= code <= 4 < 8  # fits in the 3 low bits of a word
-        assert level_from_wire(code) == level
-
-
-def test_wire_encoding_star_is_four():
-    # Levels 0..3 encode as themselves; * takes the spare code 4.
-    assert level_to_wire(L0) == 0
-    assert level_to_wire(L3) == 3
-    assert level_to_wire(STAR) == 4
-
-
-def test_wire_decode_rejects_garbage():
-    with pytest.raises(ValueError):
-        level_from_wire(7)
